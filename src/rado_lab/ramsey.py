@@ -2,14 +2,17 @@
 
 Copies of a pattern in a structure are vertex subsets inducing an isomorphic
 substructure; the canonical copy enumeration lists them as sorted tuples in
-lexicographic order.  Coloring enumeration is exhaustive up to fixing the
-first copy's color, the only symmetry reduction used.
+lexicographic order.  Arrow verification searches colorings of the P-copies
+depth first in lexicographic order, with the first copy's color fixed (the
+only symmetry reduction used), and cuts a branch as soon as a monochromatic
+H-copy is complete.  The coloring budget refuses a query up front, before any
+search, and so also bounds the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations
 from typing import Iterator, Mapping
 
 from .gadgets import FunctionGadget, PairColor, pair_color
@@ -162,12 +165,22 @@ def find_mono_copy(
 
 
 def verify_arrow(q: ArrowQuery, budget: ArrowBudget | None = None) -> ArrowResult:
-    """Exhaustively decide the arrow S -> (H)^P_k.
+    """Decide the arrow S -> (H)^P_k by a pruned lexicographic search.
 
-    Colorings are enumerated lexicographically with the first copy's color
-    fixed to 0 (sound: any coloring is color-permutation equivalent to such a
-    one, and relabeling colors does not change monochromaticity).  On failure
-    the least witness coloring in that enumeration is returned.
+    Copies of P are colored one by one in enumeration order, copy 0 fixed to
+    color 0 (sound: any coloring is color-permutation equivalent to such a
+    one, and relabeling colors does not change monochromaticity).  Each
+    H-copy is checked when its largest P-copy gets a color; a monochromatic
+    one cuts the branch, since every extension then has a monochromatic
+    H-copy.  Leaves are reached in lexicographic order, so on failure the
+    first leaf is the least witness coloring.  An H-copy containing no P-copy
+    makes the arrow hold at once.
+
+    The query is refused up front when the k^(m-1) colorings exceed the
+    coloring budget, which also caps the search at k/(k-1) * k^(m-1) nodes
+    (m nodes when k = 1).
+    ``stats["colorings_checked"]`` counts search nodes: one per color
+    assigned to a copy, copy 0's fixed color included.
     """
     if budget is None:
         budget = ArrowBudget()
@@ -178,11 +191,6 @@ def verify_arrow(q: ArrowQuery, budget: ArrowBudget | None = None) -> ArrowResul
     h_copies = enumerate_copies(q.S, q.H, ordered=q.ordered)
     m = len(p_copies)
     stats = {"p_copies": m, "h_copies": len(h_copies), "colorings_checked": 0}
-
-    inside: list[list[int]] = []
-    for h_copy in h_copies:
-        h_set = set(h_copy)
-        inside.append([i for i, c in enumerate(p_copies) if set(c) <= h_set])
 
     if m == 0:
         empty = CopyColoring((), (), q.k)
@@ -196,23 +204,44 @@ def verify_arrow(q: ArrowQuery, budget: ArrowBudget | None = None) -> ArrowResul
         stats["budget_colorings"] = budget.colorings
         return ArrowResult("budget_exceeded", stats=stats)
 
+    # closing[i]: the other P-copies of each H-copy whose largest P-copy is i
+    p_index = {c: i for i, c in enumerate(p_copies)}
+    p_size = len(p_copies[0])
+    closing: list[list[list[int]]] = [[] for _ in range(m)]
+    for h_copy in h_copies:
+        inside = [p_index[c] for c in combinations(h_copy, p_size) if c in p_index]
+        if not inside:
+            return ArrowResult("holds", stats=stats)
+        closing[inside[-1]].append(inside[:-1])
+
+    k = q.k
     colors = [0] * m
-    for rest in product(range(q.k), repeat=m - 1):
-        stats["colorings_checked"] += 1
-        colors[1:] = rest
-        good = False
-        for idxs in inside:
-            if not idxs:
-                good = True
+    i = nodes = 0
+    while True:
+        nodes += 1
+        c = colors[i]
+        mono = False
+        for rest in closing[i]:
+            for j in rest:
+                if colors[j] != c:
+                    break
+            else:
+                mono = True
                 break
-            first = colors[idxs[0]]
-            if all(colors[i] == first for i in idxs[1:]):
-                good = True
-                break
-        if not good:
-            witness = CopyColoring(tuple(p_copies), tuple(colors), q.k)
-            return ArrowResult("fails", witness=witness, stats=stats)
-    return ArrowResult("holds", stats=stats)
+        if not mono:
+            if i == m - 1:
+                stats["colorings_checked"] = nodes
+                witness = CopyColoring(tuple(p_copies), tuple(colors), k)
+                return ArrowResult("fails", witness=witness, stats=stats)
+            i += 1
+            colors[i] = 0
+            continue
+        while i > 0 and colors[i] == k - 1:
+            i -= 1
+        if i == 0:
+            stats["colorings_checked"] = nodes
+            return ArrowResult("holds", stats=stats)
+        colors[i] += 1
 
 
 def find_edge_nonedge_mono_copy(

@@ -100,13 +100,19 @@ def test_criterion_2_invariance_facts(paley13):
 
 
 def test_criterion_3_ramsey_instances():
-    """The two classical arrow instances, exhaustively."""
+    """The classical arrow instances, exhaustively: K6 and K7 hold, K5 fails."""
     k2, k3 = complete_graph(2), complete_graph(3)
     start = time.monotonic()
     holds = verify_arrow(ArrowQuery(complete_graph(6), k3, k2, 2))
     t_holds = time.monotonic() - start
     assert holds.verdict == "holds"
     assert t_holds < 10.0
+
+    start = time.monotonic()
+    holds7 = verify_arrow(ArrowQuery(complete_graph(7), k3, k2, 2))
+    t_holds7 = time.monotonic() - start
+    assert holds7.verdict == "holds"
+    assert t_holds7 < 10.0
 
     start = time.monotonic()
     fails = verify_arrow(ArrowQuery(complete_graph(5), k3, k2, 2))
@@ -116,6 +122,7 @@ def test_criterion_3_ramsey_instances():
     assert find_mono_copy(complete_graph(5), k3, k2, fails.witness) is None
     print(
         f"ACCEPTANCE 3: PASS K6 arrow holds ({t_holds:.1f}s), "
+        f"K7 arrow holds ({t_holds7:.1f}s), "
         f"K5 arrow fails with verified witness ({t_fails:.1f}s)"
     )
 

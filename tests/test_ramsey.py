@@ -100,11 +100,17 @@ class TestVerifyArrow:
     def test_k6_arrow_holds(self):
         result = verify_arrow(ArrowQuery(complete_graph(6), complete_graph(3), complete_graph(2), 2))
         assert result.verdict == "holds"
-        assert result.stats["colorings_checked"] == 2**14
+        assert result.stats["colorings_checked"] == 987
+
+    def test_k7_arrow_holds(self):
+        result = verify_arrow(ArrowQuery(complete_graph(7), complete_graph(3), complete_graph(2), 2))
+        assert result.verdict == "holds"
+        assert result.stats["colorings_checked"] == 3493
 
     def test_k5_arrow_fails_with_verified_witness(self):
         result = verify_arrow(ArrowQuery(complete_graph(5), complete_graph(3), complete_graph(2), 2))
         assert result.verdict == "fails"
+        assert result.stats["colorings_checked"] == 71
         witness = result.witness
         assert find_mono_copy(
             complete_graph(5), complete_graph(3), complete_graph(2), witness
@@ -141,16 +147,69 @@ class TestVerifyArrow:
         assert verify_arrow(ArrowQuery(k4, complete_graph(3), complete_graph(2), 2)).verdict == "fails"
 
     def test_pruning_matches_unpruned_brute_force(self):
-        # small instances: compare against enumeration over all k^m colorings
+        # small instances: compare against enumeration over all k^m colorings;
+        # the least witness is the first bad coloring in that order, which
+        # has copy 0 colored 0
+        from rado_lab import ConstantGraph, PartitionedGraph
+
+        k1, k2, k3 = complete_graph(1), complete_graph(2), complete_graph(3)
         instances = [
-            (complete_graph(4), complete_graph(3), complete_graph(2), 2),
-            (cycle_graph(5), path_graph(3), complete_graph(2), 2),
-            (complete_graph(4), path_graph(3), complete_graph(2), 3),
+            (complete_graph(4), k3, k2, 2, False),
+            (cycle_graph(5), path_graph(3), k2, 2, False),
+            (complete_graph(4), path_graph(3), k2, 3, False),
+            (complete_graph(5), k3, k2, 2, True),
+            (path_graph(4), empty_graph(2), k2, 2, False),  # H-copy without P-copy
+            (cycle_graph(5), k2, k3, 2, False),  # m = 0, holds
+            (empty_graph(3), k2, k3, 2, False),  # m = 0, fails
+            (k2, k2, k2, 2, False),  # m = 1, holds
+            (k2, k3, k2, 3, False),  # m = 1, fails
         ]
-        for s, h, p, k in instances:
-            p_copies = enumerate_copies(s, p)
-            h_copies = enumerate_copies(s, h)
-            exists_bad = False
+        cross = PartitionedGraph(k2, (frozenset({0}), frozenset({1})))
+        for a in (2, 3):
+            host = PartitionedGraph(
+                complete_graph(a + 3), (frozenset(range(a)), frozenset(range(a, a + 3)))
+            )
+            goal = PartitionedGraph(k3, (frozenset({0, 1}), frozenset({2})))
+            instances.append((host, goal, cross, 2, False))
+        instances.append((
+            ConstantGraph(complete_graph(5), (0,)),
+            ConstantGraph(k3, (0,)),
+            ConstantGraph(k2, (0,)),
+            2,
+            False,
+        ))
+
+        rng = random.Random(2024)
+
+        def random_graph(n):
+            return Graph.from_edges(
+                n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.5]
+            )
+
+        h_patterns = [k1, k2, k3, path_graph(3), empty_graph(2), empty_graph(3)]
+        p_patterns = [k1, k2, k2, k2, k3, empty_graph(2)]
+        while len(instances) < 150:
+            n = rng.randint(2, 7)
+            g = random_graph(n)
+            h, p = rng.choice(h_patterns), rng.choice(p_patterns)
+            kind = rng.choice(("plain", "partitioned", "constant"))
+            if kind == "partitioned":
+                side = frozenset(v for v in range(n) if rng.random() < 0.5)
+                g = PartitionedGraph(g, (side, frozenset(range(n)) - side))
+                h = PartitionedGraph(h, (frozenset(range(h.n - 1)), frozenset({h.n - 1})))
+                p = PartitionedGraph(p, (frozenset(range(p.n - 1)), frozenset({p.n - 1})))
+            elif kind == "constant":
+                g = ConstantGraph(g, (rng.randrange(n),))
+                h, p = ConstantGraph(h, (0,)), ConstantGraph(p, (0,))
+            ordered = rng.random() < 0.5
+            k = rng.randint(1, 3)
+            if k ** len(enumerate_copies(g, p, ordered=ordered)) <= 512:
+                instances.append((g, h, p, k, ordered))
+
+        for s, h, p, k, ordered in instances:
+            p_copies = enumerate_copies(s, p, ordered=ordered)
+            h_copies = enumerate_copies(s, h, ordered=ordered)
+            first_bad = None
             for colors in product(range(k), repeat=len(p_copies)):
                 chi = dict(zip(p_copies, colors))
                 good = False
@@ -160,10 +219,18 @@ class TestVerifyArrow:
                         good = True
                         break
                 if not good:
-                    exists_bad = True
+                    first_bad = colors
                     break
-            verdict = verify_arrow(ArrowQuery(s, h, p, k)).verdict
-            assert verdict == ("fails" if exists_bad else "holds")
+            result = verify_arrow(ArrowQuery(s, h, p, k, ordered=ordered))
+            if first_bad is None:
+                assert result.verdict == "holds"
+                assert result.witness is None
+            else:
+                assert result.verdict == "fails"
+                assert result.witness.copies == tuple(p_copies)
+                assert result.witness.colors == first_bad
+            assert result.stats["p_copies"] == len(p_copies)
+            assert result.stats["h_copies"] == len(h_copies)
 
     def test_coloring_budget(self):
         q = ArrowQuery(complete_graph(6), complete_graph(3), complete_graph(2), 2)
