@@ -67,27 +67,8 @@ def _emit(report: dict, as_json: bool) -> None:
     walk("", report)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("RADO_LAB_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"RADO_LAB_THREADS is not an integer: {env!r}") from None
-    return 1
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap on internal workers (RADO_LAB_THREADS as fallback; execution "
-        "is sequential, the cap is honored trivially)",
-    )
     parser.add_argument("--json", action="store_true", help="emit a canonical JSON report")
 
 
@@ -343,7 +324,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        _threads(args)  # validates the flag and the environment fallback
         code = args.func(args)
     except (
         CliError,

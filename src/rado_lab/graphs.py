@@ -2,8 +2,9 @@
 and embedding search.
 
 Vertices are always the contiguous ids 0..n-1.  Adjacency is stored as one
-integer bitmask per vertex, so every pair query and every candidate-set
-refinement in the search kernels is a single integer operation.
+integer bitmask per vertex, so a pair query is one integer operation.  The
+extension check is one depth-first pass over supports that carries the
+candidate masks of all (U, U') splits of the prefix, one AND per split.
 
 Determinism conventions used throughout the package:
 
@@ -253,41 +254,49 @@ class ExtensionResult:
     failing: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def _has_witness(g: Graph, want_adjacent: Sequence[int], want_nonadjacent: Sequence[int]) -> bool:
-    cand = g.full_mask
-    block = 0
-    for u in want_adjacent:
-        cand &= g.row(u)
-        block |= 1 << u
-    for v in want_nonadjacent:
-        cand &= ~g.row(v)
-        block |= 1 << v
-    return bool(cand & ~block & g.full_mask)
+def _failures_of_size(
+    g: Graph, t: int, lo: int = 0
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # failing pairs with |U|+|U'| == t and a support vertex >= lo, in
+    # (support, split) order; bit i of a split puts support[i] in U'
+    n, full = g.n, g.full_mask
+    if t == 0:  # the empty pair has no witness only in the empty graph
+        return iter([((), ())] if lo == 0 and not full else [])
+    rows = [g.row(v) for v in range(n)]
+    nrows = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
+    support = [0] * t
 
+    def rec(d: int, start: int, masks: list[int]):
+        if d + 1 < t:
+            for v in range(start, n - t + d + 1):
+                support[d] = v
+                row, nrow = rows[v], nrows[v]
+                yield from rec(d + 1, v + 1, [m & row for m in masks] + [m & nrow for m in masks])
+            return
+        for v in range(max(start, lo), n):
+            row, nrow = rows[v], nrows[v]
+            # stop at the first empty split: only a failing support builds masks
+            for m in masks:
+                if not (m & row and m & nrow):
+                    break
+            else:
+                continue
+            support[d] = v
+            for split, m in enumerate([m & row for m in masks] + [m & nrow for m in masks]):
+                if not m:
+                    u2 = [support[i] for i in range(t) if split >> i & 1]
+                    yield tuple(x for x in support if x not in u2), tuple(u2)
 
-def _lex_subsets(n: int, max_size: int) -> Iterator[tuple[int, ...]]:
-    # sorted tuples in lexicographic order: (), (0,), (0,1), (0,1,2), ...
-    def rec(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
-        yield prefix
-        if len(prefix) < max_size:
-            for v in range(start, n):
-                yield from rec(prefix + (v,), v + 1)
-
-    yield from rec((), 0)
+    return rec(0, 0, [full])
 
 
 def iter_extension_failures(g: Graph, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All failing (U, U') pairs with |U|+|U'| <= k, ordered by (size, U, U')."""
+    """All failing (U, U') pairs with |U|+|U'| <= k, ordered by (size, U, U');
+    each size level is found in full and sorted before its first pair comes out."""
     if k < 1:
         raise ValueError("k must be at least 1")
     for t in range(k + 1):
-        for u_set in _lex_subsets(g.n, t):
-            need = t - len(u_set)
-            taken = set(u_set)
-            rest = [v for v in range(g.n) if v not in taken]
-            for u2 in combinations(rest, need):
-                if not _has_witness(g, u_set, u2):
-                    yield (u_set, u2)
+        yield from sorted(_failures_of_size(g, t))
 
 
 def check_extension(g: Graph, k: int) -> ExtensionResult:
@@ -301,22 +310,12 @@ def check_extension(g: Graph, k: int) -> ExtensionResult:
 def _iter_failures_touching(
     g: Graph, k: int, lo: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # failing pairs whose support contains a vertex >= lo; adding vertices
-    # never invalidates an existing witness, so after a repair round only
-    # these pairs need rechecking
+    # failing pairs touching a vertex >= lo, in (size, support, split) order:
+    # build_ec packs demands greedily in this order, so it fixes the build.
+    # Adding vertices never invalidates a witness, so after a repair round
+    # only these pairs need rechecking
     for t in range(k + 1):
-        if t == 0:
-            if lo == 0 and not _has_witness(g, (), ()):
-                yield ((), ())
-            continue
-        for support in combinations(range(g.n), t):
-            if support[-1] < lo:
-                continue
-            for split in range(1 << t):
-                u_set = tuple(support[i] for i in range(t) if not split >> i & 1)
-                u2 = tuple(support[i] for i in range(t) if split >> i & 1)
-                if not _has_witness(g, u_set, u2):
-                    yield (u_set, u2)
+        yield from _failures_of_size(g, t, lo)
 
 
 def _ec_start_size(k: int) -> int:

@@ -225,11 +225,3 @@ class TestDeterminism:
         _, out = run_cli(capsys, "generate", "paley", "13", "--json")
         parsed = json.loads(out)
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == out
-
-    def test_env_threads_fallback(self, workspace, capsys, monkeypatch):
-        monkeypatch.setenv("RADO_LAB_THREADS", "2")
-        code, _ = run_cli(capsys, "generate", "paley", "13", "--json")
-        assert code == 0
-        monkeypatch.setenv("RADO_LAB_THREADS", "oops")
-        code, _ = run_cli(capsys, "generate", "paley", "13", "--json")
-        assert code == 1

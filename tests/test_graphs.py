@@ -1,7 +1,8 @@
+import hashlib
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rado_lab import (
@@ -24,6 +25,7 @@ from rado_lab import (
     path_graph,
     switch_graph,
 )
+from rado_lab.graphs import BuildBudgetError, _iter_failures_touching, iter_extension_failures
 from conftest import all_raw_graphs, random_graph
 
 
@@ -129,10 +131,94 @@ class TestBuildEc:
         assert build_ec(2, seed=4) == build_ec(2, seed=4)
 
     def test_budget_error_reports_partial(self):
-        with pytest.raises(Exception) as info:
+        with pytest.raises(BuildBudgetError) as info:
             build_ec(3, seed=0, max_vertices=20)
-        assert info.value.partial.n >= 20 or info.value.partial.n <= 80
-        assert info.value.failing is not None
+        # the random start graph already has 72 vertices, so the first round
+        # exceeds the budget
+        partial, (u_set, u2) = info.value.partial, info.value.failing
+        assert partial.n == 72
+        assert not _naive_has_witness(partial, u_set, u2)
+
+    @pytest.mark.parametrize(
+        "k,seed,digest",
+        [
+            (3, 0, "01513a88a849d453039a9315eee09b775a8bcd690f18c73df13aba081064ada6"),
+            (3, 3, "c33d5fe9a6c01cb69646eb9e93f12e86471047721c7b5c1e30e9545d465b6dfa"),
+            (2, 0, "d3966d42d21fbf2e3c57f5461598aec8c10b87557ad42f25b18f024ea3bfee86"),
+        ],
+        ids=["k3-s0", "k3-s3", "k2-s0"],
+    )
+    def test_build_bytes_pinned(self, k, seed, digest):
+        text = format_graph(build_ec(k, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_benchmark_ec3_seeds_build_75_vertices(self):
+        # perfbench's classify workload picks its n=75 hosts from these seeds
+        for seed in (0, 3, 8, 26, 29, 35, 36):
+            assert build_ec(3, seed).n == 75
+
+
+def _naive_has_witness(g, u_set, u2):
+    support = set(u_set) | set(u2)
+    return any(
+        all(g.has_edge(w, u) for u in u_set) and not any(g.has_edge(w, v) for v in u2)
+        for w in range(g.n)
+        if w not in support
+    )
+
+
+def _naive_failures(g, k):
+    # (size, U, U') order: every level collected in full, then sorted
+    out = []
+    for t in range(k + 1):
+        level = []
+        for size in range(t + 1):
+            for u_set in combinations(range(g.n), size):
+                rest = [v for v in range(g.n) if v not in u_set]
+                for u2 in combinations(rest, t - size):
+                    if not _naive_has_witness(g, u_set, u2):
+                        level.append((u_set, u2))
+        out.extend(sorted(level))
+    return out
+
+
+def _naive_failures_touching(g, k, lo):
+    # (size, support, split) order; bit i of split puts support[i] in U'
+    out = []
+    for t in range(k + 1):
+        for support in combinations(range(g.n), t):
+            if lo and max(support, default=-1) < lo:
+                continue
+            for split in range(1 << t):
+                u2 = tuple(support[i] for i in range(t) if split >> i & 1)
+                u_set = tuple(v for v in support if v not in u2)
+                if not _naive_has_witness(g, u_set, u2):
+                    out.append((u_set, u2))
+    return out
+
+
+@st.composite
+def graphs_up_to_12(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = list(combinations(range(n), 2))
+    code = draw(st.integers(min_value=0, max_value=2 ** len(pairs) - 1))
+    return Graph.from_edges(n, [p for b, p in enumerate(pairs) if code >> b & 1])
+
+
+class TestExtensionKernel:
+    @given(
+        graphs_up_to_12(),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=13),
+    )
+    @example(Graph(0, ()), 1, 0)
+    @example(Graph(0, ()), 3, 1)
+    @example(complete_graph(2), 4, 1)
+    @example(empty_graph(3), 4, 2)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_naive_oracle(self, g, k, lo):
+        assert list(iter_extension_failures(g, k)) == _naive_failures(g, k)
+        assert list(_iter_failures_touching(g, k, lo)) == _naive_failures_touching(g, k, lo)
 
 
 class TestEmbeddings:
