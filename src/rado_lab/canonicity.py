@@ -245,6 +245,5 @@ def find_canonical_copy(
 
     for emb, profile in candidates():
         if profile.is_canonical:
-            assert profile.is_canonical  # re-verify before certifying
             return emb
     return None

@@ -51,10 +51,11 @@ class Graph:
 
     ``rows[u]`` is the neighbourhood of ``u`` as a bitmask.  Instances are
     hashable and compare structurally, so graphs can be used as dict keys and
-    set members (orbit computations rely on this).
+    set members (orbit computations rely on this).  Like the hash, the
+    extension verdicts already computed are kept on the instance, per k.
     """
 
-    __slots__ = ("n", "_rows", "_hash")
+    __slots__ = ("n", "_rows", "_hash", "_extension")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
         if n < 0:
@@ -78,6 +79,7 @@ class Graph:
         self.n = n
         self._rows = rows
         self._hash = hash((n, rows))
+        self._extension: dict[int, ExtensionResult] | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -301,10 +303,15 @@ def iter_extension_failures(g: Graph, k: int) -> Iterator[tuple[tuple[int, ...],
 
 def check_extension(g: Graph, k: int) -> ExtensionResult:
     """Pass iff every disjoint (U, U') with |U|+|U'| <= k has an outside vertex
-    adjacent to all of U and none of U'."""
-    for failing in iter_extension_failures(g, k):
-        return ExtensionResult(False, failing)
-    return ExtensionResult(True)
+    adjacent to all of U and none of U'.  The verdict is kept on ``g``, so a
+    second check of the same instance at the same k does not scan."""
+    if g._extension is None:
+        g._extension = {}
+    result = g._extension.get(k)
+    if result is None:
+        failing = next(iter_extension_failures(g, k), None)
+        result = g._extension[k] = ExtensionResult(failing is None, failing)
+    return result
 
 
 def _iter_failures_touching(

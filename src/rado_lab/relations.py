@@ -5,12 +5,25 @@ Preservation across a graph rewrite is read cross-structure: the identity
 vertex map from g to the rewritten graph must preserve the relation computed
 by the same defining spec on each side, in both directions.  Least witnesses
 are reported in lexicographic order over ordered tuples.
+
+Parity and formula relations are quantifier-free: membership of a tuple
+depends only on its QF type, the equality pattern of its entries (a
+restricted-growth string) plus the edge bits among its classes.  Each such
+relation of arity at most ``MAX_TABLE_ARITY`` is compiled once, on first
+use, into a truth table over all QF types of its arity, by evaluating
+``holds`` on one small graph realizing each type.  Three facts read off the
+table hold on every graph: equality-definability, complement invariance and
+switch invariance.  When a fact holds, the matching check returns its
+positive verdict with ``checked == 0`` without scanning the host; otherwise
+the host scan runs and finds the least witness, if any.  Tuple sets have no
+table: their membership depends on the vertices themselves.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterator, Mapping
 
@@ -30,16 +43,100 @@ class Relation:
     def holds(self, t: tuple[int, ...], g: Graph) -> bool:
         raise NotImplementedError
 
-    def induced_pair_determined(self) -> bool:
-        """True when membership of a tuple depends only on the equalities and
-        pair kinds among its entries (used to localize switch scans)."""
-        raise NotImplementedError
+    @property
+    def type_facts(self) -> TypeFacts | None:
+        """Invariance facts proved on the QF type table; None when there is
+        no table (membership not determined by QF type, or arity above
+        ``MAX_TABLE_ARITY``)."""
+        return None
 
     def __repr__(self) -> str:
         return f"<Relation {self.name}>"
 
 
-class ParityRelation(Relation):
+# Above this arity no type table is compiled and every check scans the host.
+# The all-distinct pattern alone has 2^C(arity, 2) types: 1 024 at arity 5,
+# 32 768 at arity 6, where compiling costs more than the scans it saves.
+MAX_TABLE_ARITY = 5
+
+
+@dataclass(frozen=True)
+class TypeFacts:
+    """Facts of a QF relation that hold on every graph, read off its table."""
+
+    equality_definable: bool  # membership constant on each equality pattern
+    complement_invariant: bool  # each type agrees with its edge-complement
+    switch_invariant: bool  # each type agrees with it after switching a class
+
+
+def _restricted_growth_strings(arity: int) -> Iterator[tuple[int, ...]]:
+    # equality patterns of arity-tuples: entry i names the class of position
+    # i, classes numbered in order of first appearance
+    def rec(prefix: tuple[int, ...], classes: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == arity:
+            yield prefix
+            return
+        for c in range(classes + 1):
+            yield from rec(prefix + (c,), max(classes, c + 1))
+
+    yield from rec((), 0)
+
+
+@lru_cache(maxsize=None)  # keyed by arity, at most MAX_TABLE_ARITY entries
+def _qf_types(arity: int) -> tuple[tuple[tuple[int, ...], tuple[Graph, ...]], ...]:
+    """Per equality pattern, one graph on its classes for each edge pattern;
+    bit b of the index is the b-th pair of classes in lexicographic order."""
+    out = []
+    for rgs in _restricted_growth_strings(arity):
+        classes = max(rgs) + 1
+        pairs = list(combinations(range(classes), 2))
+        graphs = tuple(
+            Graph.from_edges(classes, [p for b, p in enumerate(pairs) if bits >> b & 1])
+            for bits in range(1 << len(pairs))
+        )
+        out.append((rgs, graphs))
+    return tuple(out)
+
+
+def _switch_masks(classes: int) -> list[int]:
+    # per class, the edge bits of the pairs a switch of that class flips
+    pairs = list(combinations(range(classes), 2))
+    return [sum(1 << b for b, p in enumerate(pairs) if c in p) for c in range(classes)]
+
+
+class QuantifierFreeRelation(Relation):
+    """A relation whose membership depends only on the QF type of a tuple:
+    the equalities among its entries and the edges between distinct ones."""
+
+    @cached_property
+    def type_table(self) -> dict[tuple[int, ...], tuple[bool, ...]] | None:
+        """Membership per equality pattern, indexed by edge bits; None above
+        ``MAX_TABLE_ARITY``."""
+        if self.arity > MAX_TABLE_ARITY:
+            return None
+        return {
+            rgs: tuple(self.holds(rgs, g) for g in graphs)
+            for rgs, graphs in _qf_types(self.arity)
+        }
+
+    @cached_property
+    def type_facts(self) -> TypeFacts | None:
+        table = self.type_table
+        if table is None:
+            return None
+        rows = [(row, _switch_masks(max(rgs) + 1)) for rgs, row in table.items()]
+        return TypeFacts(
+            equality_definable=all(len(set(row)) == 1 for row, _ in rows),
+            complement_invariant=all(
+                row[e] == row[e ^ (len(row) - 1)] for row, _ in rows for e in range(len(row))
+            ),
+            switch_invariant=all(
+                row[e] == row[e ^ m] for row, masks in rows for m in masks for e in range(len(row))
+            ),
+        )
+
+
+class ParityRelation(QuantifierFreeRelation):
     """R(k): entries pairwise distinct and an odd number of edges among them."""
 
     def __init__(self, arity: int):
@@ -57,9 +154,6 @@ class ParityRelation(Relation):
                 count += 1
         return count % 2 == 1
 
-    def induced_pair_determined(self) -> bool:
-        return True
-
 
 class TupleSetRelation(Relation):
     """Explicit tuple set; membership does not consult the graph."""
@@ -76,16 +170,12 @@ class TupleSetRelation(Relation):
     def holds(self, t: tuple[int, ...], g: Graph) -> bool:
         return t in self.tuples
 
-    def induced_pair_determined(self) -> bool:
-        # graph-independent, hence trivially local
-        return True
-
 
 # formula AST nodes are plain tuples: ("E", i, j), ("eq", i, j),
 # ("not", a), ("and", a, b), ("or", a, b)
 
 
-class FormulaRelation(Relation):
+class FormulaRelation(QuantifierFreeRelation):
     """Boolean combination of E(i,j) and xi=xj atoms over tuple positions."""
 
     def __init__(self, root, arity: int | None = None, name: str | None = None):
@@ -98,9 +188,6 @@ class FormulaRelation(Relation):
 
     def holds(self, t: tuple[int, ...], g: Graph) -> bool:
         return _eval_node(self.root, t, g)
-
-    def induced_pair_determined(self) -> bool:
-        return True
 
 
 def _max_index(node) -> int:
@@ -279,7 +366,16 @@ def _identity_mapping(g: Graph) -> dict[int, int]:
 
 def invariant_under_complement(r: Relation, g: Graph) -> PreservationResult:
     """Identity-map preservation from g to its complement, both directions;
-    the witness of the first failing direction is reported."""
+    the witness of the first failing direction is reported.  A relation
+    whose type table is complement-invariant is preserved on every graph:
+    that verdict reports ``checked == 0``."""
+    facts = r.type_facts
+    if facts is not None and facts.complement_invariant:
+        return PreservationResult(True)
+    return _complement_scan(r, g)
+
+
+def _complement_scan(r: Relation, g: Graph) -> PreservationResult:
     comp = complement_graph(g)
     forward = preserved_by_map(r, _identity_mapping(g), g, comp)
     if not forward.preserved:
@@ -342,24 +438,26 @@ def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
     """Identity-map preservation between g and switch_graph(g, {v}), both
     directions.
 
-    For pair-kind-determined relations only tuples containing v can witness a
-    violation, so the scan is restricted accordingly; the restricted least
-    witness equals the global one.
+    Tuple-set membership ignores the graph, so it is always preserved.  A QF
+    relation whose type table is switch-invariant is preserved on every
+    graph, reported with ``checked == 0``.  Otherwise only tuples containing
+    v can change QF type, so the scan is restricted to them; the restricted
+    least witness equals the global one.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"switch vertex {v} out of range")
-    sw = switch_graph(g, {v})
     if isinstance(r, TupleSetRelation):
-        # graph-independent membership: identity map always preserves
         return PreservationResult(True, None, 0)
-    if not r.induced_pair_determined():
-        forward = preserved_by_map(r, _identity_mapping(g), g, sw)
-        if not forward.preserved:
-            return forward
-        backward = preserved_by_map(r, _identity_mapping(g), sw, g)
-        return PreservationResult(
-            backward.preserved, backward.witness, forward.checked + backward.checked
-        )
+    facts = r.type_facts
+    if facts is not None and facts.switch_invariant:
+        return PreservationResult(True)
+    return _switch_scan(r, g, v)
+
+
+def _switch_scan(r: Relation, g: Graph, v: int) -> PreservationResult:
+    if not isinstance(r, QuantifierFreeRelation):
+        raise TypeError(f"switch scans need a quantifier-free relation, got {r!r}")
+    sw = switch_graph(g, {v})
     if isinstance(r, ParityRelation):
         forward = _switch_scan_parity(r.arity, g, sw, v)
         if not forward.preserved:
@@ -393,6 +491,16 @@ def _equality_pattern(t: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def definable_from_equality(r: Relation, g: Graph) -> EqualityDefinability:
+    """Whether membership on g is constant on each equality pattern.  A
+    relation whose type table says so is equality-definable on every graph:
+    that verdict reports ``checked == 0``."""
+    facts = r.type_facts
+    if facts is not None and facts.equality_definable:
+        return EqualityDefinability(True)
+    return _equality_scan(r, g)
+
+
+def _equality_scan(r: Relation, g: Graph) -> EqualityDefinability:
     first_in: dict[tuple[int, ...], tuple[int, ...]] = {}
     first_out: dict[tuple[int, ...], tuple[int, ...]] = {}
     checked = 0

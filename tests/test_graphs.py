@@ -25,6 +25,7 @@ from rado_lab import (
     path_graph,
     switch_graph,
 )
+from rado_lab import graphs
 from rado_lab.graphs import BuildBudgetError, _iter_failures_touching, iter_extension_failures
 from conftest import all_raw_graphs, random_graph
 
@@ -107,6 +108,20 @@ class TestCheckExtension:
 
     def test_paley5_fails_k2(self):
         assert not check_extension(build_paley(5).graph, 2).passed
+
+    def test_verdict_kept_on_instance(self, monkeypatch):
+        g = build_paley(13).graph
+        first = check_extension(g, 2), check_extension(g, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cached verdict scanned again")
+
+        monkeypatch.setattr(graphs, "_failures_of_size", refuse)
+        assert (check_extension(g, 2), check_extension(g, 3)) == first
+        assert first[0].passed and not first[1].passed
+        # the verdict belongs to the instance: an equal graph scans anew
+        with pytest.raises(AssertionError, match="scanned again"):
+            check_extension(Graph(g.n, tuple(g.row(u) for u in range(g.n))), 2)
 
     def test_k1_by_definition(self):
         g = build_ec(1, seed=3)

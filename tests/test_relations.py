@@ -1,10 +1,14 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rado_lab import (
+    Graph,
+    ReductClass,
+    all_graph_types,
+    classify_reduct,
     complete_graph,
     cycle_graph,
     definable_from_equality,
@@ -21,7 +25,15 @@ from rado_lab import (
     preserved_by_map,
     switch_graph,
 )
-from rado_lab.relations import RelationSpecError
+from rado_lab import relations
+from rado_lab.relations import (
+    MAX_TABLE_ARITY,
+    RelationSpecError,
+    TupleSetRelation,
+    _complement_scan,
+    _equality_scan,
+    _switch_scan,
+)
 from conftest import all_raw_graphs, random_graph
 
 
@@ -143,14 +155,17 @@ class TestSwitchInvariance:
         assert 0 in res.witness
 
     def test_restricted_scan_matches_full(self):
-        # the localized scan must agree with the unrestricted one
+        # the localized host scan must agree with the unrestricted one
         for seed in range(5):
             g = random_graph(6, seed)
             sw = switch_graph(g, {2})
-            fast = invariant_under_switch(parity_relation(3), g, 2)
-            slow_fwd = preserved_by_map(parity_relation(3), identity_map(g), g, sw)
-            slow_bwd = preserved_by_map(parity_relation(3), identity_map(g), sw, g)
-            assert fast.preserved == (slow_fwd.preserved and slow_bwd.preserved)
+            for r in (parity_relation(3), parity_relation(4)):
+                fast = _switch_scan(r, g, 2)
+                slow_fwd = preserved_by_map(r, identity_map(g), g, sw)
+                slow_bwd = preserved_by_map(r, identity_map(g), sw, g)
+                assert fast.preserved == (slow_fwd.preserved and slow_bwd.preserved)
+                slow = slow_bwd if slow_fwd.preserved else slow_fwd
+                assert fast.witness == slow.witness
 
 
 class TestEqualityDefinability:
@@ -240,3 +255,164 @@ def test_switch_invariance_of_parity3_hypothesis(code, v):
 
     g = Graph.from_edges(5, [pairs[b] for b in range(10) if code >> b & 1])
     assert invariant_under_switch(parity_relation(3), g, v).preserved
+
+
+# ---------------------------------------------------------------------------
+# type tables against naive oracles that never read the table: ordered tuples
+# in lexicographic order, ``holds`` on rewritten graphs built edge by edge
+
+
+ORACLE_FORMULAS = (
+    "E(0,1)",
+    "!E(0,1) & x0!=x1",
+    "x0!=x1",
+    "x0=x1 | x1=x2",
+    "E(0,1) | x0=x1",
+    "x0=x1 & E(0,2)",
+    "E(0,1) & E(1,2) & E(0,2)",
+    "(E(0,1) & E(1,2) & E(0,2)) | (x0!=x1 & x1!=x2 & x0!=x2 & !E(0,1) & !E(1,2) & !E(0,2))",
+    "x0!=x1 & x1!=x2 & x0!=x2 & (E(0,1) & E(1,2) & E(0,2) | E(0,1) & !E(1,2) & !E(0,2)"
+    " | !E(0,1) & E(1,2) & !E(0,2) | !E(0,1) & !E(1,2) & E(0,2))",
+    "x0!=x1 & x2!=x3 & (E(0,1) & E(2,3) | !E(0,1) & !E(2,3))",
+    "E(0,1) & !E(1,2) | x2=x3",
+)
+
+
+def oracle_relations(max_arity):
+    rels = [parity_relation(a) for a in range(2, max_arity + 1)]
+    rels += [parse_relation_spec("formula:" + f) for f in ORACLE_FORMULAS]
+    return [r for r in rels if r.arity <= max_arity]
+
+
+def naive_complement(g):
+    return Graph.from_edges(g.n, [p for p in combinations(range(g.n), 2) if not g.has_edge(*p)])
+
+
+def naive_switch(g, v):
+    return Graph.from_edges(
+        g.n, [p for p in combinations(range(g.n), 2) if g.has_edge(*p) != (v in p)]
+    )
+
+
+def naive_rewrite(r, tuples, in_g, h):
+    """(preserved, least witness) of the identity map g -> h, then h -> g;
+    ``in_g`` is the membership of each of ``tuples`` in g."""
+    in_h = [r.holds(t, h) for t in tuples]
+    for src, dst in ((in_g, in_h), (in_h, in_g)):
+        for t, a, b in zip(tuples, src, dst):
+            if a and not b:
+                return False, t
+    return True, None
+
+
+def naive_equality(tuples, in_g):
+    """(definable, (member, nonmember)): the first tuple whose equality
+    pattern already has a tuple of the other membership, paired with the
+    least such tuple."""
+    seen = {}
+    for t, member in zip(tuples, in_g):
+        pattern = tuple(frozenset(j for j, y in enumerate(t) if y == x) for x in t)
+        other = seen.get((pattern, not member))
+        if other is not None:
+            return False, (t, other) if member else (other, t)
+        seen.setdefault((pattern, member), t)
+    return True, None
+
+
+def assert_matches_oracle(r, g):
+    # each check through the public entry point and through the host scan
+    # alone, which the type table would otherwise skip
+    tuples = list(product(range(g.n), repeat=r.arity))
+    in_g = [r.holds(t, g) for t in tuples]
+    want = naive_equality(tuples, in_g)
+    for got in (definable_from_equality(r, g), _equality_scan(r, g)):
+        assert (got.definable, got.witness) == want, (r.name, g)
+    want = naive_rewrite(r, tuples, in_g, naive_complement(g))
+    for got in (invariant_under_complement(r, g), _complement_scan(r, g)):
+        assert (got.preserved, got.witness) == want, (r.name, g)
+    for v in range(g.n):
+        want = naive_rewrite(r, tuples, in_g, naive_switch(g, v))
+        for got in (invariant_under_switch(r, g, v), _switch_scan(r, g, v)):
+            assert (got.preserved, got.witness) == want, (r.name, g, v)
+
+
+class TestTypeTableOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_small_graph(self, n):
+        rels = oracle_relations(4)
+        for g in all_raw_graphs(n):
+            for r in rels:
+                assert_matches_oracle(r, g)
+
+    def test_every_five_vertex_graph(self):
+        # every graph up to isomorphism at arity up to 4, and every labelled
+        # one for the parity relations of the bit-parallel scan
+        rels = oracle_relations(4)
+        for g in all_graph_types(5):
+            for r in rels:
+                assert_matches_oracle(r, g)
+        for g in all_raw_graphs(5):
+            for arity in (2, 3):
+                assert_matches_oracle(parity_relation(arity), g)
+
+    def test_parity5(self):
+        for g in (empty_graph(5), complete_graph(5), path_graph(5), cycle_graph(5), random_graph(6, 5)):
+            assert_matches_oracle(parity_relation(5), g)
+
+    def test_random_graphs(self):
+        for seed in range(3):
+            for n in (6, 7, 8):
+                g = random_graph(n, 100 * n + seed)
+                for r in oracle_relations(4 if n == 6 else 3):
+                    assert_matches_oracle(r, g)
+
+    @pytest.mark.parametrize("fixture, max_arity", [("paley13", 3), ("paley29", 4)])
+    def test_facts_agree_with_full_host_scan(self, request, fixture, max_arity):
+        # a k-e.c. host realizes every QF type of arity at most k + 1, so the
+        # host verdicts of the scans must equal the facts of the table
+        g = request.getfixturevalue(fixture).graph
+        for r in oracle_relations(max_arity):
+            facts = r.type_facts
+            assert facts.equality_definable == _equality_scan(r, g).definable, r.name
+            assert facts.complement_invariant == _complement_scan(r, g).preserved, r.name
+            switch = all(_switch_scan(r, g, v).preserved for v in range(g.n))
+            assert facts.switch_invariant == switch, r.name
+
+    def test_thomas_facts(self):
+        cases = {
+            2: (False, False, False),
+            3: (False, False, True),
+            4: (False, True, False),
+            5: (False, True, True),
+        }
+        for arity, want in cases.items():
+            f = parity_relation(arity).type_facts
+            assert (f.equality_definable, f.complement_invariant, f.switch_invariant) == want
+        assert distinct_relation(3).type_facts.equality_definable
+
+    def test_table_sizes(self):
+        assert [len(relations._qf_types(a)) for a in range(1, 6)] == [1, 2, 5, 15, 52]
+        sizes = [sum(len(row) for row in parity_relation(a).type_table.values()) for a in (2, 3, 4, 5)]
+        assert sizes == [3, 15, 127, 1895]
+
+    def test_table_verdicts_report_no_scan(self, paley13):
+        g = paley13.graph
+        assert invariant_under_complement(parity_relation(4), g) == relations.PreservationResult(True)
+        assert invariant_under_switch(parity_relation(3), g, 5) == relations.PreservationResult(True)
+        assert definable_from_equality(distinct_relation(2), g) == relations.EqualityDefinability(True)
+        assert _complement_scan(parity_relation(4), g).checked == 2 * 286
+
+    def test_tuple_sets_have_no_table(self):
+        r = TupleSetRelation(2, [(0, 1)])
+        assert r.type_facts is None
+        assert not hasattr(r, "type_table")
+
+    def test_parity6_compiles_no_table(self, paley13, monkeypatch):
+        def refuse(arity):
+            raise AssertionError(f"compiled a table at arity {arity}")
+
+        monkeypatch.setattr(relations, "_qf_types", refuse)
+        r = parity_relation(6)
+        assert r.type_table is None and r.type_facts is None
+        result = classify_reduct(r, paley13.graph, 2)
+        assert result.reduct_class is ReductClass.GRAPH
