@@ -177,9 +177,8 @@ def interpolate(
 
     def reposition_candidates(graph: Graph, values: tuple[int, ...], gadget: FunctionGadget):
         image = tuple(sorted(set(values)))
-        pattern = graph.induced(image)
-        index = {v: i for i, v in enumerate(image)}
         if gens.free_embeddings:
+            pattern = graph.induced(image)
             maps = islice(
                 iter_embedding_maps(pattern, gadget.src, allowed=gadget.dom_mask()),
                 embed_limit,
@@ -431,22 +430,46 @@ def collapse_all(
 # orbit closure on small types
 
 
+# canonical forms by (n, edge code), recorded one whole orbit per miss; only
+# graphs of at most 5 vertices are kept: 1 100 codes in all (2^C(n, 2)
+# summed over n = 0..5), where 8 vertices alone would allow 2^28
+_CANONICAL: dict[tuple[int, int], Graph] = {}
+_CANONICAL_MAX_N = 5
+
+
 def canonical_form(g: Graph) -> Graph:
-    """Least relabeling of ``g``: the edge encoding is minimized over all
-    vertex permutations.  Intended for tiny graphs only."""
-    if g.n > 8:
+    """Least relabeling of ``g``: the edge code (bit b set when the b-th
+    vertex pair in lexicographic order is an edge) minimized over all vertex
+    permutations.  Intended for tiny graphs only (at most 8 vertices).
+
+    Memoized per orbit: a miss computes the code of every relabeling, all
+    n! of them, and for n <= 5 records the least one for every code of the
+    orbit, so any relabeling of a type seen before costs one code and one
+    lookup.  ``all_graph_types(5)`` pays 34 such sweeps, one per type.
+    """
+    n = g.n
+    if n > 8:
         raise ValueError("canonical_form is restricted to at most 8 vertices")
-    pairs = list(combinations(range(g.n), 2))
-    best = None
-    for perm in permutations(range(g.n)):
-        code = 0
-        for bit, (i, j) in enumerate(pairs):
-            if g.has_edge(perm[i], perm[j]):
-                code |= 1 << bit
-        if best is None or code < best:
-            best = code
-    edges = [pairs[bit] for bit in range(len(pairs)) if best >> bit & 1]
-    return Graph.from_edges(g.n, edges)
+    pairs = list(combinations(range(n), 2))
+    rows = [g.row(v) for v in range(n)]
+    code = 0
+    for bit, (i, j) in enumerate(pairs):
+        if rows[i] >> j & 1:
+            code |= 1 << bit
+    form = _CANONICAL.get((n, code))
+    if form is None:
+        orbit = set()
+        for perm in permutations(range(n)):
+            code = 0
+            for bit, (i, j) in enumerate(pairs):
+                if rows[perm[i]] >> perm[j] & 1:
+                    code |= 1 << bit
+            orbit.add(code)
+        best = min(orbit)
+        form = Graph.from_edges(n, [pairs[bit] for bit in range(len(pairs)) if best >> bit & 1])
+        if n <= _CANONICAL_MAX_N:
+            _CANONICAL.update(((n, c), form) for c in orbit)
+    return form
 
 
 @lru_cache(maxsize=None)

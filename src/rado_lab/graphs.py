@@ -5,6 +5,11 @@ Vertices are always the contiguous ids 0..n-1.  Adjacency is stored as one
 integer bitmask per vertex, so a pair query is one integer operation.  The
 extension check is one depth-first pass over supports that carries the
 candidate masks of all (U, U') splits of the prefix, one AND per split.
+Embedding search likewise carries the candidate mask of every unassigned
+pattern vertex and narrows them all when it assigns one (forward checking),
+after a degree filter on the host vertices.  It still assigns pattern
+vertices in order and host vertices in increasing order, so the first map
+found is the lexicographically least: callers take it as their witness.
 
 Determinism conventions used throughout the package:
 
@@ -18,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations, islice
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -52,10 +58,11 @@ class Graph:
     ``rows[u]`` is the neighbourhood of ``u`` as a bitmask.  Instances are
     hashable and compare structurally, so graphs can be used as dict keys and
     set members (orbit computations rely on this).  Like the hash, the
-    extension verdicts already computed are kept on the instance, per k.
+    extension verdicts already computed (per k) and the degree range are kept
+    on the instance; equality and hashing ignore them.
     """
 
-    __slots__ = ("n", "_rows", "_hash", "_extension")
+    __slots__ = ("n", "_rows", "_hash", "_extension", "_degrees")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
         if n < 0:
@@ -80,6 +87,7 @@ class Graph:
         self._rows = rows
         self._hash = hash((n, rows))
         self._extension: dict[int, ExtensionResult] | None = None
+        self._degrees: tuple[int, int] | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -423,6 +431,39 @@ class Embedding:
         return True
 
 
+def _degree_range(g: Graph) -> tuple[int, int]:
+    # (min, max) vertex degree, kept on the instance like the extension verdicts
+    if g._degrees is None:
+        degrees = [row.bit_count() for row in g._rows] or [0]
+        g._degrees = (min(degrees), max(degrees))
+    return g._degrees
+
+
+@lru_cache(maxsize=256)  # keyed by pattern; hits on the small patterns searched repeatedly
+def _later_adjacency(pattern: Graph) -> tuple[tuple[int, ...], ...]:
+    # entry u: adjacency of pattern vertex u to m-1, m-2, ..., u+1, in that order
+    m, rows = pattern.n, pattern._rows
+    return tuple(tuple(rows[u] >> v & 1 for v in range(m - 1, u, -1)) for u in range(m - 1))
+
+
+def _degree_filter(pattern: Graph, host: Graph, masks: list[int], avail: int) -> None:
+    # h keeps pattern vertex u iff, with a neighbours of h inside avail,
+    # deg(u) <= a and m-1-deg(u) <= |avail|-1-a
+    m, size = pattern.n, avail.bit_count()
+    degrees = [pattern.degree(u) for u in range(m)]
+    fits = dict.fromkeys(degrees, 0)
+    bits = avail
+    while bits:
+        b = bits & -bits
+        bits ^= b
+        a = (host.row(b.bit_length() - 1) & avail).bit_count()
+        for d in fits:
+            if a + m - size <= d <= a:
+                fits[d] |= b
+    for u in range(m):
+        masks[u] &= fits[degrees[u]]
+
+
 def iter_embedding_maps(
     pattern: Graph,
     host: Graph,
@@ -432,46 +473,92 @@ def iter_embedding_maps(
     fixed: Mapping[int, int] | None = None,
     monotone: bool = False,
 ) -> Iterator[tuple[int, ...]]:
-    """Backtracking kernel: injective induced-subgraph maps, lexicographic.
+    """Injective induced-subgraph maps of ``pattern`` into ``host``, in
+    lexicographic order of the mapped tuple.
 
     ``allowed`` is a global host bitmask, ``per_vertex`` bitmasks restrict
     individual pattern vertices, ``fixed`` pins pattern vertices to host
     vertices, ``monotone`` demands an order-preserving map (used for ordered
     structures).
+
+    Forward-checking search: pattern vertices are assigned in order 0..m-1,
+    each to its candidate host vertices in increasing order, so the maps come
+    out lexicographically and the first one is the least.  The search carries
+    the candidate mask of every unassigned pattern vertex; mapping u to h ANDs
+    each later mask with h's row or with h's non-neighbours other than h
+    (which keeps the map injective) and, for ``monotone``, with the vertices
+    above h.  A branch is cut as soon as a later mask is empty.
+
+    Before the search, a degree filter keeps h as a candidate of u only if h
+    has deg(u) neighbours and m-1-deg(u) other non-neighbours inside
+    ``avail``, the union of the initial masks, where the rest of the pattern
+    must land.  It costs a popcount per vertex of ``avail``, so it is skipped
+    when the degree range of the host (kept on the instance) shows that every
+    vertex passes, the common case of a small pattern in a large host.
     """
-    m, full = pattern.n, host.full_mask
-    masks = []
-    for u in range(m):
-        mk = full if allowed is None else allowed & full
-        if per_vertex is not None and u in per_vertex:
-            mk &= per_vertex[u]
-        if fixed is not None and u in fixed:
-            mk &= 1 << fixed[u]
-        masks.append(mk)
+    m, n, full = pattern.n, host.n, host.full_mask
     if m == 0:
         yield ()
         return
-
+    avail = full if allowed is None else allowed & full
+    masks = [avail] * m
+    if per_vertex is not None or fixed is not None:
+        for u in range(m):
+            mk = avail
+            if per_vertex is not None and u in per_vertex:
+                mk &= per_vertex[u]
+            if fixed is not None and u in fixed:
+                mk &= 1 << fixed[u]
+            masks[u] = mk
+        avail = 0
+        for mk in masks:
+            avail |= mk
+    # inside avail every h has at least lo - outside neighbours and at least
+    # n-1-hi - outside other non-neighbours, so the filter can drop a vertex
+    # only when the pattern's degree range demands more
+    outside = n - avail.bit_count()
+    lo, hi = _degree_range(host)
+    plo, phi = _degree_range(pattern)
+    if phi > lo - outside or m - 1 - plo > n - 1 - hi - outside:
+        _degree_filter(pattern, host, masks, avail)
+    if not all(masks):
+        return
+    later = _later_adjacency(pattern)
+    # level[u]: the masks of pattern vertices m-1, ..., u given im[:u], in
+    # that order, so zip with later[u] drops u's own; cand[u]: the
+    # candidates of u not tried yet
+    level = [masks[::-1]] * m
+    cand = [masks[0]] * m
     im = [0] * m
-
-    def rec(u: int, used: int) -> Iterator[tuple[int, ...]]:
-        cand = masks[u] & ~used
-        for w in range(u):
-            rw = host.row(im[w])
-            cand &= rw if pattern.has_edge(u, w) else ~rw & ~(1 << im[w])
-        cand &= full
-        if monotone and u > 0:
-            cand &= full ^ ((1 << (im[u - 1] + 1)) - 1)
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            im[u] = b.bit_length() - 1
-            if u + 1 == m:
+    last = m - 1
+    u = 0
+    while u >= 0:
+        c = cand[u]
+        if u == last:
+            while c:
+                b = c & -c
+                c ^= b
+                im[u] = b.bit_length() - 1
                 yield tuple(im)
-            else:
-                yield from rec(u + 1, used | b)
-
-    yield from rec(0, 0)
+            u -= 1
+            continue
+        if not c:
+            u -= 1
+            continue
+        b = c & -c
+        cand[u] = c ^ b
+        im[u] = b.bit_length() - 1
+        row = host.row(im[u])
+        nrow = full ^ row ^ b
+        if monotone:
+            above = full ^ ((b << 1) - 1)
+            row &= above
+            nrow &= above
+        nxt = [mk & row if adj else mk & nrow for mk, adj in zip(level[u], later[u])]
+        if all(nxt):
+            u += 1
+            level[u] = nxt
+            cand[u] = nxt[-1]
 
 
 def find_embeddings(pattern: Graph, host: Graph, limit: int) -> list[Embedding]:

@@ -9,9 +9,10 @@ are reported in lexicographic order over ordered tuples.
 Parity and formula relations are quantifier-free: membership of a tuple
 depends only on its QF type, the equality pattern of its entries (a
 restricted-growth string) plus the edge bits among its classes.  Each such
-relation of arity at most ``MAX_TABLE_ARITY`` is compiled once, on first
-use, into a truth table over all QF types of its arity, by evaluating
-``holds`` on one small graph realizing each type.  Three facts read off the
+relation of arity at most ``MAX_TABLE_ARITY`` is compiled on first use into
+a truth table over all QF types of its arity, by evaluating ``holds`` on one
+small graph realizing each type; relations with the same definition (parity
+arity, or formula and arity) share one table.  Three facts read off the
 table hold on every graph: equality-definability, complement invariance and
 switch invariance.  When a fact holds, the matching check returns its
 positive verdict with ``checked == 0`` without scanning the host; otherwise
@@ -25,6 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .graphs import Graph, complement_graph, switch_graph
@@ -106,34 +108,52 @@ def _switch_masks(classes: int) -> list[int]:
 
 class QuantifierFreeRelation(Relation):
     """A relation whose membership depends only on the QF type of a tuple:
-    the equalities among its entries and the edges between distinct ones."""
+    the equalities among its entries and the edges between distinct ones.
+
+    Subclasses return from ``_definition`` the constructor arguments that
+    rebuild an equal relation; relations with equal definitions share one
+    compiled table and its facts."""
+
+    @property
+    def _definition(self) -> tuple:
+        raise NotImplementedError
 
     @cached_property
-    def type_table(self) -> dict[tuple[int, ...], tuple[bool, ...]] | None:
-        """Membership per equality pattern, indexed by edge bits; None above
-        ``MAX_TABLE_ARITY``."""
-        if self.arity > MAX_TABLE_ARITY:
-            return None
-        return {
-            rgs: tuple(self.holds(rgs, g) for g in graphs)
-            for rgs, graphs in _qf_types(self.arity)
-        }
+    def _compiled(self) -> tuple[Mapping[tuple[int, ...], tuple[bool, ...]], TypeFacts] | None:
+        return _compile(type(self), self._definition)
 
-    @cached_property
+    @property
+    def type_table(self) -> Mapping[tuple[int, ...], tuple[bool, ...]] | None:
+        """Membership per equality pattern, indexed by edge bits (read-only,
+        shared by equal relations); None above ``MAX_TABLE_ARITY``."""
+        return None if self._compiled is None else self._compiled[0]
+
+    @property
     def type_facts(self) -> TypeFacts | None:
-        table = self.type_table
-        if table is None:
-            return None
-        rows = [(row, _switch_masks(max(rgs) + 1)) for rgs, row in table.items()]
-        return TypeFacts(
-            equality_definable=all(len(set(row)) == 1 for row, _ in rows),
-            complement_invariant=all(
-                row[e] == row[e ^ (len(row) - 1)] for row, _ in rows for e in range(len(row))
-            ),
-            switch_invariant=all(
-                row[e] == row[e ^ m] for row, masks in rows for m in masks for e in range(len(row))
-            ),
-        )
+        return None if self._compiled is None else self._compiled[1]
+
+
+@lru_cache(maxsize=256)  # keyed by relation definition, shared by equal relations
+def _compile(
+    cls: type[QuantifierFreeRelation], definition: tuple
+) -> tuple[Mapping[tuple[int, ...], tuple[bool, ...]], TypeFacts] | None:
+    r = cls(*definition)
+    if r.arity > MAX_TABLE_ARITY:
+        return None
+    table = MappingProxyType(
+        {rgs: tuple(r.holds(rgs, g) for g in graphs) for rgs, graphs in _qf_types(r.arity)}
+    )
+    rows = [(row, _switch_masks(max(rgs) + 1)) for rgs, row in table.items()]
+    facts = TypeFacts(
+        equality_definable=all(len(set(row)) == 1 for row, _ in rows),
+        complement_invariant=all(
+            row[e] == row[e ^ (len(row) - 1)] for row, _ in rows for e in range(len(row))
+        ),
+        switch_invariant=all(
+            row[e] == row[e ^ m] for row, masks in rows for m in masks for e in range(len(row))
+        ),
+    )
+    return table, facts
 
 
 class ParityRelation(QuantifierFreeRelation):
@@ -144,6 +164,10 @@ class ParityRelation(QuantifierFreeRelation):
             raise ValueError("parity relations need arity at least 2")
         self.arity = arity
         self.name = f"parity:{arity}"
+
+    @property
+    def _definition(self) -> tuple:
+        return (self.arity,)
 
     def holds(self, t: tuple[int, ...], g: Graph) -> bool:
         if len(set(t)) != len(t):
@@ -185,6 +209,10 @@ class FormulaRelation(QuantifierFreeRelation):
         if max_idx >= self.arity:
             raise ValueError("formula mentions a position beyond the arity")
         self.name = name or f"formula:{format_formula(root)}"
+
+    @property
+    def _definition(self) -> tuple:
+        return (self.root, self.arity)
 
     def holds(self, t: tuple[int, ...], g: Graph) -> bool:
         return _eval_node(self.root, t, g)

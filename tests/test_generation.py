@@ -1,4 +1,6 @@
-from itertools import combinations
+import hashlib
+import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -10,6 +12,7 @@ from rado_lab import (
     PairKind,
     ReductClass,
     all_graph_types,
+    build_paley,
     canonical_form,
     classify_reduct,
     collapse_all,
@@ -22,6 +25,7 @@ from rado_lab import (
     edge_relation,
     empty_graph,
     find_embeddings,
+    format_graph,
     interpolate,
     make_named,
     orbit_closure,
@@ -31,6 +35,7 @@ from rado_lab import (
     verify_witness,
 )
 from rado_lab.generation import PatternNotFoundError, join_classes
+from conftest import all_raw_graphs, random_graph
 
 
 def collapsing_gadget(host: Graph, pair: tuple[int, int]) -> FunctionGadget:
@@ -38,6 +43,12 @@ def collapsing_gadget(host: Graph, pair: tuple[int, int]) -> FunctionGadget:
     return FunctionGadget(
         host, host, tuple((v, b if v == a else v) for v in range(host.n)), "custom"
     )
+
+
+def witness_digest(w) -> str:
+    # sha256 of the transcript, roles, steps and target map of a witness
+    steps = [(s.src.n, s.dst.n, s.mapping, s.label) for s in w.steps]
+    return hashlib.sha256(repr((w.transcript, w.roles, steps, w.target.mapping)).encode()).hexdigest()
 
 
 class TestGeneratorSet:
@@ -93,6 +104,30 @@ class TestInterpolate:
             moved, GeneratorSet(frozenset({"eN"}), free_embeddings=False),
             1, [paley13.graph],
         ) is None
+
+    def test_depth_one_witnesses_pinned(self, paley13, paley29):
+        # witnesses take the first map of each embedding search, so these
+        # digests pin the lexicographic order of the maps
+        cases = (
+            (make_named("identity", paley13.graph, dom=(2, 7, 11)), GeneratorSet(), paley13.graph,
+             "b040718051c8f729827f57d0ee9e6c595289f6bec57bdff199f2eb95706a0a13"),
+            (make_named("eN", path_graph(3), dst=empty_graph(3)), GeneratorSet(frozenset({"eN"})),
+             paley13.graph, "08258c72f8f55251532d167c622adb6aab565f4239e2337fe2032282238e162e"),
+            (make_named("minus", paley29.graph, witness=paley29.complement_witness, dom=(3, 8, 19, 26)),
+             GeneratorSet(frozenset({"minus"})), paley29.graph,
+             "738279bd12fce85c7474a8a4199ff8904877177756e6ea16609a7cad314ab725"),
+        )
+        for target, gens, host, digest in cases:
+            w = interpolate(target, gens, 1, [host])
+            assert verify_witness(w)
+            assert witness_digest(w) == digest, target.label
+
+    def test_switch_never_reaches_full_complement_map(self, paley29):
+        # Thomas 1991: switching does not generate the complement map; at
+        # depth 2 the search has to prove that switched Paley(29) has no
+        # copy in Paley(29)
+        target = make_named("minus", paley29.graph, witness=paley29.complement_witness)
+        assert interpolate(target, GeneratorSet(frozenset({"switch"})), 2, [paley29.graph]) is None
 
     def test_witness_verifier_rejects_tampering(self, paley13):
         target = make_named("identity", paley13.graph, dom=(0, 1, 2))
@@ -165,6 +200,20 @@ class TestDeleteAllEdges:
         w = delete_all_edges(path_graph(4), paley29.graph, 3)
         assert w.generator_steps == 3
         assert verify_witness(w)
+
+    def test_clique_witnesses_pinned(self, paley29):
+        # witnesses take the first map of each embedding search, so these
+        # digests pin the lexicographic order of the maps
+        p61 = build_paley(61).graph
+        for k, host, digest in (
+            (4, paley29.graph, "6bfa013951ab28575e099cacb0ec2f469e09bc54167288f8d9832ad806411f54"),
+            (4, p61, "8badbc89a90cd9a53851e17189d19e4b0fd2d455744f6f9c7bf2ad6ac7eb3d06"),
+            (5, p61, "fdfc678821fb922583cb109b09bd87519d5a09d2c92f659762aa5a2fa14fbec9"),
+        ):
+            assert witness_digest(delete_all_edges(complete_graph(k), host, 3)) == digest, (k, host.n)
+        # Paley(29) has clique number 4
+        with pytest.raises(PatternNotFoundError):
+            delete_all_edges(complete_graph(5), paley29.graph, 3)
 
 
 class TestCollapseAll:
@@ -272,6 +321,46 @@ class TestTypeTables:
         g = path_graph(4)
         relabeled = Graph.from_edges(4, [(3, 2), (2, 0), (0, 1)])
         assert canonical_form(g) == canonical_form(relabeled)
+
+    @staticmethod
+    def naive_canonical_form(g: Graph) -> Graph:
+        pairs = list(combinations(range(g.n), 2))
+        best = min(
+            sum(1 << b for b, (i, j) in enumerate(pairs) if g.has_edge(perm[i], perm[j]))
+            for perm in permutations(range(g.n))
+        )
+        return Graph.from_edges(g.n, [p for b, p in enumerate(pairs) if best >> b & 1])
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_canonical_form_matches_naive_minimum(self, n):
+        for g in all_raw_graphs(n):
+            want = self.naive_canonical_form(g)
+            assert canonical_form(g) == want
+            assert canonical_form(g) == want  # answered by the memo
+
+    def test_canonical_form_above_five_vertices(self):
+        for n, seed in ((6, 0), (6, 1), (7, 0), (7, 1), (8, 0)):
+            g = random_graph(n, 1000 * n + seed)
+            want = self.naive_canonical_form(g)
+            assert canonical_form(g) == want
+            perm = list(range(n))
+            random.Random(seed).shuffle(perm)
+            relabeled = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert canonical_form(relabeled) == want
+            assert canonical_form(g) == want
+
+    def test_type_tuples_pinned(self):
+        # the representatives and their order, as the orbit closures use them
+        digests = [
+            "099cc60540091bca9488a466c656f52c12356c7439f6fbab74a9dd46fb25f8f9",
+            "383b80fa439b23b05901a5b384691480d989f868e0f128f1b483f29908f13960",
+            "99371a8cbec82d2cfb165d596d27f980c3e7b9f1cf43b41e40441c5317e32f28",
+            "d1225846094f70dcb002996951c01adec28b3bc371a76aa5dee2c5c1b0be07ea",
+            "53eb2119463f084be56c0a5eb951a0457dc3260a6eec174dbd7d21f8fbfc45dc",
+        ]
+        for n, digest in enumerate(digests, start=1):
+            text = "".join(format_graph(t) for t in all_graph_types(n))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
 
 class TestJoinClasses:

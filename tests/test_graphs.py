@@ -1,5 +1,5 @@
 import hashlib
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +26,12 @@ from rado_lab import (
     switch_graph,
 )
 from rado_lab import graphs
-from rado_lab.graphs import BuildBudgetError, _iter_failures_touching, iter_extension_failures
+from rado_lab.graphs import (
+    BuildBudgetError,
+    _iter_failures_touching,
+    iter_embedding_maps,
+    iter_extension_failures,
+)
 from conftest import all_raw_graphs, random_graph
 
 
@@ -234,6 +239,142 @@ class TestExtensionKernel:
     def test_matches_naive_oracle(self, g, k, lo):
         assert list(iter_extension_failures(g, k)) == _naive_failures(g, k)
         assert list(_iter_failures_touching(g, k, lo)) == _naive_failures_touching(g, k, lo)
+
+
+class _RowCounter(Graph):
+    """A host that counts the adjacency rows read through ``row``."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, g: Graph):
+        super().__init__(g.n, tuple(g.row(v) for v in range(g.n)))
+        self.reads = 0
+
+    def row(self, u: int) -> int:
+        self.reads += 1
+        return super().row(u)
+
+
+def _naive_candidates(pattern, host, allowed, per_vertex, fixed):
+    out = []
+    for u in range(pattern.n):
+        c = set(range(host.n))
+        if allowed is not None:
+            c = {h for h in c if allowed >> h & 1}
+        if per_vertex is not None and u in per_vertex:
+            c = {h for h in c if per_vertex[u] >> h & 1}
+        if fixed is not None and u in fixed:
+            c &= {fixed[u]}
+        out.append(c)
+    return out
+
+
+def _naive_embeddings(pattern, host, cands, monotone):
+    # every injective map in lexicographic order, filtered by the definition
+    m = pattern.n
+    return [
+        p
+        for p in permutations(range(host.n), m)
+        if all(p[u] in cands[u] for u in range(m))
+        and (not monotone or list(p) == sorted(p))
+        and all(pattern.has_edge(u, v) == host.has_edge(p[u], p[v]) for u, v in combinations(range(m), 2))
+    ]
+
+
+def _naive_row_reads(pattern, host, cands, monotone):
+    # The rows a forward-checking search with the degree filter reads: one
+    # per vertex of avail when the filter runs, plus one per search node that
+    # assigns a pattern vertex other than the last.  A node is visited when
+    # its host vertex fits after its prefix and every later pattern vertex
+    # still has a fitting host vertex after that prefix.
+    m, n = pattern.n, host.n
+    if m == 0:
+        return 0
+    cands = [set(c) for c in cands]
+    avail = set().union(*cands)
+    pdeg = [sum(pattern.has_edge(u, v) for v in range(m) if v != u) for u in range(m)]
+    hdeg = [sum(host.has_edge(h, x) for x in range(n) if x != h) for h in range(n)]
+    lo, hi = min(hdeg, default=0), max(hdeg, default=0)
+    outside = n - len(avail)
+    reads = 0
+    if max(pdeg) > lo - outside or m - 1 - min(pdeg) > n - 1 - hi - outside:
+        reads += len(avail)
+        inside = {h: sum(host.has_edge(h, x) for x in avail) for h in avail}
+        cands = [
+            {h for h in cands[u] if inside[h] >= pdeg[u] and len(avail) - 1 - inside[h] >= m - 1 - pdeg[u]}
+            for u in range(m)
+        ]
+
+    def fits(prefix, v, h):
+        return (
+            h in cands[v]
+            and h not in prefix
+            and (not monotone or not prefix or h > prefix[-1])
+            and all(pattern.has_edge(w, v) == host.has_edge(x, h) for w, x in enumerate(prefix))
+        )
+
+    def forward_ok(prefix):
+        return all(any(fits(prefix, v, h) for h in range(n)) for v in range(len(prefix), m))
+
+    level = [()]
+    for _ in range(m - 1):
+        level = [p + (h,) for p in level if forward_ok(p) for h in range(n) if fits(p, len(p), h)]
+        reads += len(level)
+    return reads
+
+
+@st.composite
+def embedding_instances(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    m = draw(st.integers(min_value=0, max_value=n))
+
+    def graph(size):
+        pairs = list(combinations(range(size), 2))
+        code = draw(st.integers(min_value=0, max_value=2 ** len(pairs) - 1))
+        return Graph.from_edges(size, [p for b, p in enumerate(pairs) if code >> b & 1])
+
+    host, pattern = graph(n), graph(m)
+    masks = st.integers(min_value=0, max_value=2 ** (n + 1) - 1)  # one bit past the host
+    keys = st.integers(min_value=0, max_value=m)  # one pattern vertex too many
+    kwargs = {
+        "allowed": draw(st.none() | masks),
+        "per_vertex": draw(st.none() | st.dictionaries(keys, masks)),
+        "fixed": draw(st.none() | st.dictionaries(keys, st.integers(min_value=0, max_value=n))),
+        "monotone": draw(st.booleans()),
+    }
+    return pattern, host, kwargs
+
+
+_NO_RESTRICTION = {"allowed": None, "per_vertex": None, "fixed": None, "monotone": False}
+
+
+class TestEmbeddingKernel:
+    @given(embedding_instances())
+    @example((empty_graph(0), empty_graph(3), _NO_RESTRICTION))
+    @example((switch_graph(cycle_graph(5), {0}), cycle_graph(5), _NO_RESTRICTION))
+    @example((cycle_graph(5), cycle_graph(5), _NO_RESTRICTION))
+    @example((complete_graph(3), complete_graph(6), {**_NO_RESTRICTION, "allowed": 0b000111}))
+    @example((path_graph(3), complete_graph(4), {**_NO_RESTRICTION, "monotone": True}))
+    # mapping the centre 0 to host vertex 1 empties the mask of pattern
+    # vertex 2 (only host vertex 3) while vertex 1 still has candidates
+    @example((Graph.from_edges(3, [(0, 1), (0, 2)]), path_graph(4), {**_NO_RESTRICTION, "per_vertex": {2: 0b1000}}))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_oracle(self, instance):
+        pattern, host, kwargs = instance
+        counter = _RowCounter(host)
+        cands = _naive_candidates(pattern, host, kwargs["allowed"], kwargs["per_vertex"], kwargs["fixed"])
+        assert list(iter_embedding_maps(pattern, counter, **kwargs)) == _naive_embeddings(
+            pattern, host, cands, kwargs["monotone"]
+        )
+        # forward checking and the degree filter read exactly these rows
+        assert counter.reads == _naive_row_reads(pattern, host, cands, kwargs["monotone"])
+
+    def test_isomorphism_case_is_cut_by_degrees(self, paley13):
+        # switching one vertex of a regular host leaves degrees no host
+        # vertex has, so the filter empties the masks before any node
+        host = _RowCounter(paley13.graph)
+        assert list(iter_embedding_maps(switch_graph(paley13.graph, {0}), host)) == []
+        assert host.reads == 13
 
 
 class TestEmbeddings:

@@ -402,6 +402,18 @@ class TestTypeTableOracle:
         assert definable_from_equality(distinct_relation(2), g) == relations.EqualityDefinability(True)
         assert _complement_scan(parity_relation(4), g).checked == 2 * 286
 
+    def test_equal_definitions_share_one_table(self, paley13):
+        assert parity_relation(5).type_table is parity_relation(5).type_table
+        spec = "formula:E(0,1) & x1!=x2"
+        assert parse_relation_spec(spec).type_facts is parse_relation_spec(spec).type_facts
+        # the name is not part of the definition, the arity is
+        assert edge_relation().type_table is relations.FormulaRelation(("E", 0, 1)).type_table
+        assert relations.FormulaRelation(("E", 0, 1), arity=3).type_table is not edge_relation().type_table
+        assert parity_relation(3).type_table is not parity_relation(4).type_table
+        fresh = classify_reduct(parity_relation(5), paley13.graph, 2)
+        again = classify_reduct(parity_relation(5), paley13.graph, 2)
+        assert fresh == again and fresh.reduct_class is ReductClass.MINUS_SWITCH
+
     def test_tuple_sets_have_no_table(self):
         r = TupleSetRelation(2, [(0, 1)])
         assert r.type_facts is None
