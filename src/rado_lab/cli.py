@@ -16,7 +16,7 @@ import sys
 import time
 
 from .canonicity import classify_on_set, profile_partitioned, is_canonical_constant_graph
-from .gadgets import GadgetConstructionError, parse_gadget
+from .gadgets import GadgetConstructionError, pair_color, parse_gadget
 from .generation import GeneratorSet, classify_reduct, interpolate
 from .graphs import (
     BuildBudgetError,
@@ -26,6 +26,7 @@ from .graphs import (
     build_paley,
     check_extension,
     format_graph,
+    pair_kind,
     parse_graph,
 )
 from .ramsey import ArrowBudget, ArrowQuery, verify_arrow
@@ -139,8 +140,6 @@ def _parse_vertex_list(text: str) -> list[int]:
 
 
 def _cmd_classify_function(args) -> int:
-    gadget = None
-
     def read_graph(name: str) -> Graph:
         base = os.path.dirname(os.path.abspath(args.gadget))
         return _read_graph_file(os.path.join(base, name))
@@ -174,15 +173,13 @@ def _cmd_classify_function(args) -> int:
         }
         if not classes:
             conflicts = []
-            from .gadgets import pair_color
-            from .graphs import pair_kind as pk
             vs = sorted(set(target))
             for i, x in enumerate(vs):
                 for y in vs[i + 1:]:
                     conflicts.append(
                         {
                             "pair": [x, y],
-                            "kind": pk(gadget.src, x, y).value,
+                            "kind": pair_kind(gadget.src, x, y).value,
                             "color": pair_color(gadget, x, y).value,
                         }
                     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, islice, permutations
+from typing import Iterator
 
 from .gadgets import FunctionGadget, NAMED_KINDS, make_named
 from .graphs import (
@@ -20,11 +21,9 @@ from .graphs import (
     PairKind,
     check_extension,
     complete_graph,
-    complement_graph,
     empty_graph,
     iter_embedding_maps,
     pair_kind,
-    switch_graph,
 )
 from .relations import (
     EqualityDefinability,
@@ -450,26 +449,52 @@ def canonical_form(g: Graph) -> Graph:
     n = g.n
     if n > 8:
         raise ValueError("canonical_form is restricted to at most 8 vertices")
-    pairs = list(combinations(range(n), 2))
-    rows = [g.row(v) for v in range(n)]
+    return _canonical_of_code(n, _edge_code(g))
+
+
+def _edge_code(g: Graph) -> int:
     code = 0
-    for bit, (i, j) in enumerate(pairs):
-        if rows[i] >> j & 1:
+    for bit, (i, j) in enumerate(combinations(range(g.n), 2)):
+        if g.row(i) >> j & 1:
             code |= 1 << bit
+    return code
+
+
+def _canonical_of_code(n: int, code: int) -> Graph:
+    # canonical_form of the n-vertex graph with edge ``code``, read from the
+    # memo or by one sweep over the relabelings
     form = _CANONICAL.get((n, code))
     if form is None:
+        pairs = list(combinations(range(n), 2))
+        rows = [0] * n
+        for bit, (i, j) in enumerate(pairs):
+            if code >> bit & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
         orbit = set()
         for perm in permutations(range(n)):
-            code = 0
+            relabeled = 0
             for bit, (i, j) in enumerate(pairs):
                 if rows[perm[i]] >> perm[j] & 1:
-                    code |= 1 << bit
-            orbit.add(code)
+                    relabeled |= 1 << bit
+            orbit.add(relabeled)
         best = min(orbit)
         form = Graph.from_edges(n, [pairs[bit] for bit in range(len(pairs)) if best >> bit & 1])
         if n <= _CANONICAL_MAX_N:
             _CANONICAL.update(((n, c), form) for c in orbit)
     return form
+
+
+@lru_cache(maxsize=None)  # keyed by vertex count, at most 5 (orbit_closure's cap)
+def _switch_flips(n: int) -> tuple[int, ...]:
+    # per vertex subset s, in order of size then lexicographically, the edge
+    # code bits of the pairs that switching s flips
+    pairs = list(combinations(range(n), 2))
+    return tuple(
+        sum(1 << bit for bit, (i, j) in enumerate(pairs) if (i in s) != (j in s))
+        for size in range(n + 1)
+        for s in combinations(range(n), size)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -486,27 +511,29 @@ def all_graph_types(n: int) -> tuple[Graph, ...]:
     return tuple(sorted(seen, key=lambda t: sorted(t.edges())))
 
 
-def _type_images(t: Graph, gens: GeneratorSet):
+def _type_images(t: Graph, gens: GeneratorSet) -> Iterator[Graph]:
+    # canonical forms of the images of type t; the rewrites act on its edge
+    # code directly, so no image graph is built for them
+    n = t.n
+    every = (1 << n * (n - 1) // 2) - 1
+    code = _edge_code(t)
     for kind in sorted(gens.kinds):
-        if kind == "identity":
-            continue
         if kind == "minus":
-            yield complement_graph(t)
+            yield _canonical_of_code(n, code ^ every)
         elif kind == "switch":
-            for size in range(t.n + 1):
-                for subset in combinations(range(t.n), size):
-                    yield switch_graph(t, subset)
+            for flip in _switch_flips(n):
+                yield _canonical_of_code(n, code ^ flip)
         elif kind == "eE":
-            yield complete_graph(t.n)
+            yield _canonical_of_code(n, every)
         elif kind == "eN":
-            yield empty_graph(t.n)
+            yield _canonical_of_code(n, 0)
         elif kind == "const":
-            yield empty_graph(1)
+            yield _canonical_of_code(1, 0)
     for gadget in gens.extra:
         dom_mask = gadget.dom_mask()
         for mapping in iter_embedding_maps(t, gadget.src, allowed=dom_mask):
             image = sorted({gadget.apply(v) for v in mapping})
-            yield gadget.dst.induced(image)
+            yield canonical_form(gadget.dst.induced(image))
 
 
 def orbit_closure(start: Graph, gens: GeneratorSet) -> frozenset[Graph]:
@@ -523,8 +550,7 @@ def orbit_closure(start: Graph, gens: GeneratorSet) -> frozenset[Graph]:
     work = [first]
     while work:
         t = work.pop()
-        for img in _type_images(t, gens):
-            c = canonical_form(img)
+        for c in _type_images(t, gens):
             if c not in closed:
                 closed.add(c)
                 work.append(c)

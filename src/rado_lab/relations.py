@@ -15,9 +15,22 @@ small graph realizing each type; relations with the same definition (parity
 arity, or formula and arity) share one table.  Three facts read off the
 table hold on every graph: equality-definability, complement invariance and
 switch invariance.  When a fact holds, the matching check returns its
-positive verdict with ``checked == 0`` without scanning the host; otherwise
-the host scan runs and finds the least witness, if any.  Tuple sets have no
-table: their membership depends on the vertices themselves.
+positive verdict with ``checked == 0`` without scanning the host.  The
+facts also decide ``preserved_by_map`` for a map that is injective and
+flips the kind of a pair {x, y} exactly when c ^ s(x) ^ s(y) = 1, for a
+constant c and a cut s: it rewrites each tuple's type by complementing
+(c = 1) and switching the classes in s, and each such single rewrite is an
+involution on the types, so a table invariant under it keeps membership.
+
+Every other check runs one scan kernel on adjacency rows: the target graph
+pulled back along the map (a collapsed pair counts as equal), the
+complement, or g switched at v restricted to tuples containing v.  It walks
+(arity - 1)-prefixes in lexicographic order and tests the last coordinate
+for all candidates at once, as bit masks; ``checked`` counts the prefixes.
+The equality scan runs the same kernel against the membership of the least
+tuple of each equality pattern.  Tuple sets have no table: their membership
+depends on the vertices themselves, and preservation walks their sorted
+member tuples.
 """
 
 from __future__ import annotations
@@ -27,9 +40,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .graphs import Graph, complement_graph, switch_graph
+from .graphs import Graph
 
 
 class RelationSpecError(ValueError):
@@ -183,6 +196,8 @@ class TupleSetRelation(Relation):
     """Explicit tuple set; membership does not consult the graph."""
 
     def __init__(self, arity: int, tuples, graph_name: str | None = None):
+        if arity < 1:
+            raise ValueError("tuple sets need arity at least 1")
         self.arity = arity
         self.tuples = frozenset(tuple(t) for t in tuples)
         for t in self.tuples:
@@ -296,68 +311,197 @@ def eval_relation(r: Relation, t: tuple[int, ...], g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class PreservationResult:
-    """``preserved`` or the least violating tuple; ``checked`` counts the
-    tuples (or vertex subsets, on the parity fast path) examined."""
+    """``preserved`` or the least violating tuple.  ``checked`` counts the
+    (arity - 1)-prefixes whose last coordinate the scan kernel tested, all
+    candidates at once (sorted prefixes for parity relations, ordered ones
+    for formulas), or the member tuples walked for a tuple set; it is 0 when
+    the type table proved the verdict without a scan."""
 
     preserved: bool
     witness: tuple[int, ...] | None = None
     checked: int = 0
 
 
-def _identity_total(mapping: Mapping[int, int], src: Graph) -> bool:
-    return len(mapping) == src.n and all(mapping.get(v) == v for v in range(src.n))
+class _Rewrite(NamedTuple):
+    """A vertex map read in source vertex ids, as the scan kernel needs it."""
+
+    dom: tuple[int, ...]  # sorted domain
+    src: Sequence[int]  # source adjacency rows
+    # per domain vertex x, the domain vertices whose images are adjacent to
+    # the image of x, and the other domain vertices with the same image
+    dst: Sequence[int]
+    collapsed: Sequence[int]
+    image: Mapping[int, int] | range  # the map itself, read by tuple sets
 
 
-def _parity_bitparallel(arity: int, src: Graph, dst: Graph) -> PreservationResult:
-    """Identity-map parity scan over one host.
-
-    Enumerates sorted (arity-1)-subsets; the last coordinate is handled for
-    all candidates at once: xor of adjacency rows over the base gives, per
-    candidate bit, the parity of its edge count into the base.  First
-    violating sorted tuple is the least ordered witness because parity
-    relations are symmetric and empty on non-distinct tuples.
-    """
-    n = src.n
-    full = src.full_mask
-    checked = 0
-    for base in combinations(range(n), arity - 1):
-        checked += 1
-        k_src = sum(1 for x, y in combinations(base, 2) if src.has_edge(x, y))
-        k_dst = sum(1 for x, y in combinations(base, 2) if dst.has_edge(x, y))
-        p_src = 0
-        p_dst = 0
-        for x in base:
-            p_src ^= src.row(x)
-            p_dst ^= dst.row(x)
-        member_src = p_src if k_src % 2 == 0 else ~p_src & full
-        member_dst = p_dst if k_dst % 2 == 0 else ~p_dst & full
-        above = full ^ ((1 << (base[-1] + 1)) - 1)
-        violations = member_src & ~member_dst & above
-        if violations:
-            d = (violations & -violations).bit_length() - 1
-            return PreservationResult(False, base + (d,), checked)
-    return PreservationResult(True, None, checked)
+def _pullback(mapping: Mapping[int, int], src: Graph, dst: Graph) -> _Rewrite:
+    dom = tuple(sorted(mapping))
+    preimages: dict[int, int] = {}
+    for x in dom:
+        preimages[mapping[x]] = preimages.get(mapping[x], 0) | 1 << x
+    image_mask = sum(1 << y for y in preimages)
+    pulled = [0] * src.n
+    collapsed = [0] * src.n
+    for x in dom:
+        y = mapping[x]
+        row = 0
+        bits = dst.row(y) & image_mask
+        while bits:
+            b = bits & -bits
+            row |= preimages[b.bit_length() - 1]
+            bits ^= b
+        pulled[x] = row
+        collapsed[x] = preimages[y] ^ 1 << x
+    return _Rewrite(dom, [src.row(x) for x in range(src.n)], pulled, collapsed, mapping)
 
 
-def _parity_mapped(
-    arity: int, mapping: Mapping[int, int], src: Graph, dst: Graph
+def _table_proves(facts: TypeFacts, rw: _Rewrite) -> bool:
+    """Whether the map is injective and flips the kind of each domain pair
+    {x, y} exactly when c ^ s(x) ^ s(y) = 1, for a constant c and a cut s
+    that the facts allow: c = 0 or complement invariance, s empty or switch
+    invariance.  Such a map rewrites every tuple's QF type by complementing
+    (c = 1) and switching the classes in s, which keeps table membership."""
+    dom = rw.dom
+    if any(rw.collapsed[x] for x in dom):
+        return False
+    if not dom:
+        return True
+    dmask = sum(1 << x for x in dom)
+    flips = {x: (rw.src[x] ^ rw.dst[x]) & dmask for x in dom}
+    d0 = dom[0]
+    c = 0
+    if len(dom) >= 3:
+        # with s(d0) = 0, flip(x, y) ^ flip(d0, x) ^ flip(d0, y) = c for all x, y
+        d1, d2 = dom[1], dom[2]
+        c = (flips[d1] >> d2 ^ flips[d0] >> d1 ^ flips[d0] >> d2) & 1
+    cut = flips[d0] ^ (dmask ^ 1 << d0 if c else 0)
+    for x in dom:
+        want = cut ^ dmask if c ^ (cut >> x & 1) else cut
+        if flips[x] != want & ~(1 << x):
+            return False
+    return (not c or facts.complement_invariant) and (not cut or facts.switch_invariant)
+
+
+def _parity_mask(prefix: tuple[int, ...], rows, same, full: int) -> int:
+    # candidates c with prefix + (c,) pairwise distinct and spanning an odd
+    # number of edges: bit c of the xor of the prefix rows is the parity of
+    # the edges from c into the prefix
+    seen = taken = parity = odd = 0
+    for x in prefix:
+        if seen >> x & 1:
+            return 0
+        odd ^= (rows[x] & taken).bit_count() & 1
+        parity ^= rows[x]
+        taken |= 1 << x
+        seen |= same[x]
+    return (parity ^ full if odd else parity) & ~seen
+
+
+def _formula_mask(node, prefix: tuple[int, ...], rows, same, full: int) -> int:
+    # candidates c with prefix + (c,) satisfying the formula, evaluated on
+    # masks: an atom on the last position reads the row of the other entry
+    op = node[0]
+    if op == "not":
+        return full ^ _formula_mask(node[1], prefix, rows, same, full)
+    if op == "and":
+        return _formula_mask(node[1], prefix, rows, same, full) & _formula_mask(
+            node[2], prefix, rows, same, full
+        )
+    if op == "or":
+        return _formula_mask(node[1], prefix, rows, same, full) | _formula_mask(
+            node[2], prefix, rows, same, full
+        )
+    if op not in ("E", "eq"):
+        raise ValueError(f"unknown formula node {op!r}")
+    table = rows if op == "E" else same
+    i, j = node[1], node[2]
+    last = len(prefix)
+    if i == last and j == last:
+        return 0 if op == "E" else full
+    if j == last:
+        return table[prefix[i]]
+    if i == last:
+        return table[prefix[j]]
+    return full if table[prefix[i]] >> prefix[j] & 1 else 0
+
+
+def _least_bad(
+    r: Relation, dom: Sequence[int], n: int, bad, must: int | None = None
 ) -> PreservationResult:
-    """Parity scan for an arbitrary (possibly partial, possibly collapsing)
-    vertex map: sorted subsets of the domain, directly evaluated."""
-    dom = sorted(mapping)
+    """The scan kernel: the least tuple over ``dom`` (containing ``must`` if
+    given) whose last coordinate is in ``bad(prefix, member)``.
+
+    It enumerates (arity - 1)-prefixes in lexicographic order and tests the
+    last coordinate for all candidates at once.  ``member(prefix, rows,
+    same)`` is the mask of candidates c with prefix + (c,) in r, on the graph
+    whose adjacency is ``rows`` and whose equal vertices are ``same``.
+    Parity relations are symmetric and empty on repeated entries, so sorted
+    prefixes suffice and the member mask is the xor of the prefix rows;
+    formulas walk ordered prefixes and evaluate on masks; tuple sets read
+    an index of their members, which ignores the graph.
+    """
+    full = (1 << n) - 1
+    k = r.arity - 1
+    if isinstance(r, ParityRelation):
+        prefixes = combinations(dom, k)
+        if must is not None:
+            prefixes = (p for p in prefixes if must in p or p[-1] < must)
+
+        def member(prefix, rows, same):
+            return _parity_mask(prefix, rows, same, full)
+    elif isinstance(r, FormulaRelation):
+        prefixes = product(dom, repeat=k)
+
+        def member(prefix, rows, same):
+            return _formula_mask(r.root, prefix, rows, same, full)
+    elif isinstance(r, TupleSetRelation):
+        index: dict[tuple[int, ...], int] = {}
+        for t in r.tuples:
+            if all(0 <= x < n for x in t):
+                index[t[:-1]] = index.get(t[:-1], 0) | 1 << t[-1]
+        prefixes = product(dom, repeat=k)
+
+        def member(prefix, rows, same):
+            return index.get(prefix, 0)
+    else:
+        raise TypeError(f"no scan for relation {r!r}")
+    ascending = isinstance(r, ParityRelation)
+    dmask = sum(1 << x for x in dom)
     checked = 0
-    for subset in combinations(dom, arity):
+    for prefix in prefixes:
         checked += 1
-        edges = sum(1 for x, y in combinations(subset, 2) if src.has_edge(x, y))
-        if edges % 2 == 0:
-            continue
-        images = tuple(mapping[x] for x in subset)
-        if len(set(images)) != arity:
-            return PreservationResult(False, subset, checked)
-        img_edges = sum(1 for x, y in combinations(images, 2) if dst.has_edge(x, y))
-        if img_edges % 2 == 0:
-            return PreservationResult(False, subset, checked)
+        cand = dmask & ~((2 << prefix[-1]) - 1) if ascending else dmask
+        if must is not None and must not in prefix:
+            cand &= 1 << must
+        hit = cand and cand & bad(prefix, member)
+        if hit:
+            return PreservationResult(False, prefix + ((hit & -hit).bit_length() - 1,), checked)
     return PreservationResult(True, None, checked)
+
+
+def _scan(r: Relation, rw: _Rewrite, must: int | None = None) -> PreservationResult:
+    """Least tuple over ``rw.dom`` (containing ``must`` if given) in r on the
+    source whose image is not in r on the target.  The target side treats
+    collapsed pairs as equal.  Tuple sets walk their sorted member tuples
+    inside the domain instead, since their target membership needs the
+    image itself."""
+    if isinstance(r, TupleSetRelation):
+        inside = set(rw.dom)
+        checked = 0
+        for t in sorted(r.tuples):
+            if all(x in inside for x in t):
+                checked += 1
+                if tuple(rw.image[x] for x in t) not in r.tuples:
+                    return PreservationResult(False, t, checked)
+        return PreservationResult(True, None, checked)
+    n = len(rw.src)
+    src_same = [1 << x for x in range(n)]
+    dst_same = [1 << x | c for x, c in enumerate(rw.collapsed)]
+
+    def bad(prefix, member):
+        return member(prefix, rw.src, src_same) & ~member(prefix, rw.dst, dst_same)
+
+    return _least_bad(r, rw.dom, n, bad, must)
 
 
 def preserved_by_map(
@@ -365,31 +509,38 @@ def preserved_by_map(
 ) -> PreservationResult:
     """Least tuple t with t in r(src) and mapping(t) not in r(dst), if any.
 
-    Tuples with an entry outside the mapping's domain are skipped.
+    Tuples with an entry outside the mapping's domain are skipped.  A map
+    that is an embedding, an anti-embedding or a switch of one on its
+    domain, as far as the relation's type table is invariant under that
+    rewrite, preserves the relation on every graph: that verdict reports
+    ``checked == 0``.  Every other map goes to the scan kernel.
     """
     for x, y in mapping.items():
         if not 0 <= x < src.n:
             raise ValueError(f"domain vertex {x} out of range")
         if not 0 <= y < dst.n:
             raise ValueError(f"image vertex {y} out of range")
-    if isinstance(r, ParityRelation):
-        if src.n == dst.n and _identity_total(mapping, src):
-            return _parity_bitparallel(r.arity, src, dst)
-        return _parity_mapped(r.arity, mapping, src, dst)
-    dom = sorted(mapping)
-    checked = 0
-    for t in product(dom, repeat=r.arity):
-        checked += 1
-        if not r.holds(t, src):
-            continue
-        image = tuple(mapping[x] for x in t)
-        if not r.holds(image, dst):
-            return PreservationResult(False, t, checked)
-    return PreservationResult(True, None, checked)
+    rw = _pullback(mapping, src, dst)
+    facts = r.type_facts
+    if facts is not None and _table_proves(facts, rw):
+        return PreservationResult(True)
+    return _scan(r, rw)
 
 
-def _identity_mapping(g: Graph) -> dict[int, int]:
-    return {v: v for v in range(g.n)}
+def _scan_both_ways(
+    r: Relation, rows: Sequence[int], other: Sequence[int], must: int | None = None
+) -> PreservationResult:
+    # identity-map scans rows -> other, then other -> rows; the witness of
+    # the first failing direction is reported
+    n = len(rows)
+    dom, none = tuple(range(n)), [0] * n
+    forward = _scan(r, _Rewrite(dom, rows, other, none, range(n)), must)
+    if not forward.preserved:
+        return forward
+    backward = _scan(r, _Rewrite(dom, other, rows, none, range(n)), must)
+    return PreservationResult(
+        backward.preserved, backward.witness, forward.checked + backward.checked
+    )
 
 
 def invariant_under_complement(r: Relation, g: Graph) -> PreservationResult:
@@ -404,62 +555,9 @@ def invariant_under_complement(r: Relation, g: Graph) -> PreservationResult:
 
 
 def _complement_scan(r: Relation, g: Graph) -> PreservationResult:
-    comp = complement_graph(g)
-    forward = preserved_by_map(r, _identity_mapping(g), g, comp)
-    if not forward.preserved:
-        return forward
-    backward = preserved_by_map(r, _identity_mapping(g), comp, g)
-    return PreservationResult(
-        backward.preserved, backward.witness, forward.checked + backward.checked
-    )
-
-
-def _switch_scan_parity(
-    arity: int, src: Graph, dst: Graph, v: int
-) -> PreservationResult:
-    # only subsets containing v can change membership, and the map
-    # B -> sorted(B + {v}) is lexicographically monotone, so the first
-    # violation found here is the global least witness
-    n = src.n
-    others = [x for x in range(n) if x != v]
-    checked = 0
-    for rest in combinations(others, arity - 1):
-        checked += 1
-        subset = tuple(sorted(rest + (v,)))
-        src_edges = sum(1 for x, y in combinations(subset, 2) if src.has_edge(x, y))
-        if src_edges % 2 == 0:
-            continue
-        dst_edges = sum(1 for x, y in combinations(subset, 2) if dst.has_edge(x, y))
-        if dst_edges % 2 == 0:
-            return PreservationResult(False, subset, checked)
-    return PreservationResult(True, None, checked)
-
-
-def _tuples_containing(n: int, arity: int, v: int) -> Iterator[tuple[int, ...]]:
-    # ordered tuples over range(n) containing v, in lexicographic order,
-    # generated without visiting the tuples that avoid v
-    def rec(prefix: tuple[int, ...], has_v: bool) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == arity:
-            yield prefix
-            return
-        if not has_v and len(prefix) == arity - 1:
-            yield prefix + (v,)
-            return
-        for x in range(n):
-            yield from rec(prefix + (x,), has_v or x == v)
-
-    yield from rec((), False)
-
-
-def _switch_scan_generic(
-    r: Relation, src: Graph, dst: Graph, v: int
-) -> PreservationResult:
-    checked = 0
-    for t in _tuples_containing(src.n, r.arity, v):
-        checked += 1
-        if r.holds(t, src) and not r.holds(t, dst):
-            return PreservationResult(False, t, checked)
-    return PreservationResult(True, None, checked)
+    full = g.full_mask
+    rows = [g.row(u) for u in range(g.n)]
+    return _scan_both_ways(r, rows, [full ^ row ^ 1 << u for u, row in enumerate(rows)])
 
 
 def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
@@ -485,20 +583,11 @@ def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
 def _switch_scan(r: Relation, g: Graph, v: int) -> PreservationResult:
     if not isinstance(r, QuantifierFreeRelation):
         raise TypeError(f"switch scans need a quantifier-free relation, got {r!r}")
-    sw = switch_graph(g, {v})
-    if isinstance(r, ParityRelation):
-        forward = _switch_scan_parity(r.arity, g, sw, v)
-        if not forward.preserved:
-            return forward
-        backward = _switch_scan_parity(r.arity, sw, g, v)
-    else:
-        forward = _switch_scan_generic(r, g, sw, v)
-        if not forward.preserved:
-            return forward
-        backward = _switch_scan_generic(r, sw, g, v)
-    return PreservationResult(
-        backward.preserved, backward.witness, forward.checked + backward.checked
-    )
+    rows = [g.row(u) for u in range(g.n)]
+    bit = 1 << v
+    switched = [row ^ bit for row in rows]
+    switched[v] = rows[v] ^ g.full_mask ^ bit
+    return _scan_both_ways(r, rows, switched, must=v)
 
 
 @dataclass(frozen=True)
@@ -506,7 +595,9 @@ class EqualityDefinability:
     """Whether membership depends only on the equality pattern of the tuple.
 
     On a negative answer ``witness`` is (member tuple, non-member tuple) with
-    the same pattern, found first in the lexicographic scan.
+    the same pattern, found first in the lexicographic scan; one of the two
+    is the least tuple of that pattern.  ``checked`` counts the prefixes the
+    scan kernel tested, or is 0 when the type table decided.
     """
 
     definable: bool
@@ -514,8 +605,11 @@ class EqualityDefinability:
     checked: int = 0
 
 
-def _equality_pattern(t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(t.index(x) for x in t)
+def _least_of_pattern(t: tuple[int, ...]) -> tuple[int, ...]:
+    # the least tuple with the equality pattern of t: its restricted growth
+    # string, read as vertices
+    classes = list(dict.fromkeys(t))
+    return tuple(classes.index(x) for x in t)
 
 
 def definable_from_equality(r: Relation, g: Graph) -> EqualityDefinability:
@@ -529,21 +623,38 @@ def definable_from_equality(r: Relation, g: Graph) -> EqualityDefinability:
 
 
 def _equality_scan(r: Relation, g: Graph) -> EqualityDefinability:
-    first_in: dict[tuple[int, ...], tuple[int, ...]] = {}
-    first_out: dict[tuple[int, ...], tuple[int, ...]] = {}
-    checked = 0
-    for t in product(range(g.n), repeat=r.arity):
-        checked += 1
-        pattern = _equality_pattern(t)
-        if r.holds(t, g):
-            if pattern in first_out:
-                return EqualityDefinability(False, (t, first_out[pattern]), checked)
-            first_in.setdefault(pattern, t)
-        else:
-            if pattern in first_in:
-                return EqualityDefinability(False, (first_in[pattern], t), checked)
-            first_out.setdefault(pattern, t)
-    return EqualityDefinability(True, None, checked)
+    # the first tuple whose membership differs from that of the least tuple
+    # of its pattern is also the first with an earlier same-pattern tuple of
+    # the other membership, and that least tuple is the earliest such one
+    n = g.n
+    full = g.full_mask
+    rows = [g.row(u) for u in range(n)]
+    same = [1 << x for x in range(n)]
+    least_member: dict[tuple[int, ...], bool] = {}
+
+    def reference(prefix):
+        # candidates c whose least same-pattern tuple is in r
+        classes = list(dict.fromkeys(prefix))
+        rgs = _least_of_pattern(prefix)
+        mask = 0
+        for c in range(len(classes) + (len(classes) < n)):
+            pattern = rgs + (c,)
+            if pattern not in least_member:
+                least_member[pattern] = r.holds(pattern, g)
+            if least_member[pattern]:
+                mask |= 1 << classes[c] if c < len(classes) else full ^ sum(1 << x for x in classes)
+        return mask
+
+    def bad(prefix, member):
+        return member(prefix, rows, same) ^ reference(prefix)
+
+    res = _least_bad(r, range(n), n, bad)
+    if res.preserved:
+        return EqualityDefinability(True, None, res.checked)
+    t = res.witness
+    least = _least_of_pattern(t)
+    pair = (t, least) if r.holds(t, g) else (least, t)
+    return EqualityDefinability(False, pair, res.checked)
 
 
 # ---------------------------------------------------------------------------

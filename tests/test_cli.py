@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -225,3 +226,25 @@ class TestDeterminism:
         _, out = run_cli(capsys, "generate", "paley", "13", "--json")
         parsed = json.loads(out)
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == out
+
+
+# sha256 of stdout for each README --json example, run in this order in one
+# directory (the first writes paley13.g, which the others read)
+README_JSON_SHA256 = (
+    (("generate", "paley", "13"), "65b2ab79f5df98f8a7cf5e0f670c8819d842f0cdeaeb61935148be37fa07b0db"),
+    (("generate", "ec", "-k", "2", "--seed", "7"), "4f9f7a8694374b6c3e52594da7a9de120c8fd8cfc2910e4e766b8b8c4e9fe38c"),
+    (("classify-relation", "--spec", "parity:4", "--host", "paley13.g", "-k", "2"), "6610c8bc7f5c1b5fabd65a0c415496fd8a243e9a8242a8597792652590e7d3b2"),
+    (("classify-function", "--gadget", "minus.fg"), "82e4634a2aa05f646b3595f19f8417896958cff3a91a89e5a84295be655fded2"),
+)
+
+
+def test_readme_json_pinned(workspace, capsys):
+    paley = build_paley(13)
+    minus = make_named("minus", paley.graph, witness=paley.complement_witness)
+    (workspace / "minus.fg").write_text(format_gadget(minus, "paley13.g", "paley13.g"))
+    got = []
+    for argv, _ in README_JSON_SHA256:
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 0, argv
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert got == [want for _, want in README_JSON_SHA256]

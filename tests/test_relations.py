@@ -1,7 +1,7 @@
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rado_lab import (
@@ -18,16 +18,19 @@ from rado_lab import (
     eval_relation,
     invariant_under_complement,
     invariant_under_switch,
+    make_named,
     nonedge_relation,
     parity_relation,
     parse_relation_spec,
     path_graph,
     preserved_by_map,
     switch_graph,
+    violates,
 )
 from rado_lab import relations
 from rado_lab.relations import (
     MAX_TABLE_ARITY,
+    PreservationResult,
     RelationSpecError,
     TupleSetRelation,
     _complement_scan,
@@ -155,17 +158,16 @@ class TestSwitchInvariance:
         assert 0 in res.witness
 
     def test_restricted_scan_matches_full(self):
-        # the localized host scan must agree with the unrestricted one
+        # the localized host scan must agree with the naive oracle, which
+        # walks every ordered tuple of g and of its switch
         for seed in range(5):
             g = random_graph(6, seed)
-            sw = switch_graph(g, {2})
             for r in (parity_relation(3), parity_relation(4)):
+                tuples = list(product(range(g.n), repeat=r.arity))
+                in_g = [r.holds(t, g) for t in tuples]
+                want = naive_rewrite(r, tuples, in_g, naive_switch(g, 2))
                 fast = _switch_scan(r, g, 2)
-                slow_fwd = preserved_by_map(r, identity_map(g), g, sw)
-                slow_bwd = preserved_by_map(r, identity_map(g), sw, g)
-                assert fast.preserved == (slow_fwd.preserved and slow_bwd.preserved)
-                slow = slow_bwd if slow_fwd.preserved else slow_fwd
-                assert fast.witness == slow.witness
+                assert (fast.preserved, fast.witness) == want
 
 
 class TestEqualityDefinability:
@@ -230,6 +232,10 @@ class TestSpecLanguage:
         assert r.arity == 2
         assert eval_relation(r, (0, 1), path_graph(3))
         assert not eval_relation(r, (1, 0), path_graph(3))
+
+    def test_tuple_file_needs_positive_arity(self):
+        with pytest.raises(ValueError):
+            parse_relation_spec("tuples:@r", read_file=lambda path: "arity 0\n")
 
     @pytest.mark.parametrize(
         "spec",
@@ -428,3 +434,119 @@ class TestTypeTableOracle:
         assert r.type_table is None and r.type_facts is None
         result = classify_reduct(r, paley13.graph, 2)
         assert result.reduct_class is ReductClass.GRAPH
+
+
+# ---------------------------------------------------------------------------
+# preserved_by_map against a naive oracle that walks every ordered tuple of
+# the domain and evaluates ``holds`` on both graphs
+
+
+def naive_preserved(r, mapping, src, dst):
+    for t in product(sorted(mapping), repeat=r.arity):
+        if r.holds(t, src) and not r.holds(tuple(mapping[x] for x in t), dst):
+            return False, t
+    return True, None
+
+
+MINUS_FORMULA = "formula:x0!=x1 & x2!=x3 & (E(0,1) & E(2,3) | !E(0,1) & !E(2,3))"
+SELF_ATOMS = "formula:E(0,1) & x2=x2 | E(2,2)"  # atoms on one position twice
+# parity:6 and the arity-6 formula have no type table
+MAP_SPECS = tuple(f"parity:{a}" for a in range(2, 7)) + tuple(
+    "formula:" + f for f in ORACLE_FORMULAS
+) + (SELF_ATOMS, "formula:x0=x4 | E(1,3) & x2!=x3", "formula:E(0,5) & !E(1,2) | x3=x4")
+
+
+def graph_from_bits(n, bits):
+    pairs = list(combinations(range(n), 2))
+    return Graph.from_edges(n, [p for b, p in enumerate(pairs) if bits >> b & 1])
+
+
+@st.composite
+def map_instances(draw):
+    """(relation, mapping, src, dst, rewrite): partial, collapsing, injective
+    or canonical maps, where a canonical map flips the kind of pair {x, y}
+    exactly when c ^ (x in cut) ^ (y in cut); rewrite is (c, cut) for those."""
+    spec = draw(st.sampled_from(MAP_SPECS + ("tuples",)))
+    arity = draw(st.integers(1, 3)) if spec == "tuples" else parse_relation_spec(spec).arity
+    n = draw(st.integers(1, 7 if arity <= 4 else 6))
+    src = graph_from_bits(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+    if spec == "tuples":
+        member = st.tuples(*[st.integers(0, n)] * arity)
+        r = TupleSetRelation(arity, draw(st.lists(member, max_size=12)))
+    else:
+        r = parse_relation_spec(spec)
+    kind = draw(st.sampled_from(["partial", "collapsing", "injective", "canonical"]))
+    dom = sorted(draw(st.sets(st.integers(0, n - 1))))
+    m = draw(st.integers(max(1, len(dom)), 7))
+    if kind in ("injective", "canonical"):
+        images = draw(st.permutations(range(m)))[: len(dom)]
+    else:
+        top = min(1, m - 1) if kind == "collapsing" else m - 1
+        images = draw(st.lists(st.integers(0, top), min_size=len(dom), max_size=len(dom)))
+    mapping = dict(zip(dom, images))
+    dst = graph_from_bits(m, draw(st.integers(0, (1 << m * (m - 1) // 2) - 1)))
+    rewrite = None
+    if kind == "canonical":
+        c = draw(st.booleans())
+        cut = draw(st.sets(st.sampled_from(dom))) if dom else set()
+        rewrite = (c, cut)
+        rows = [dst.row(y) for y in range(m)]
+        for x, y in combinations(dom, 2):
+            fx, fy = mapping[x], mapping[y]
+            if src.has_edge(x, y) ^ c ^ (x in cut) ^ (y in cut) != dst.has_edge(fx, fy):
+                rows[fx] ^= 1 << fy
+                rows[fy] ^= 1 << fx
+        dst = Graph(m, tuple(rows))
+    return r, mapping, src, dst, rewrite
+
+
+@given(map_instances())
+@example((parity_relation(6), identity_map(complete_graph(6)), complete_graph(6), empty_graph(6), None))
+@example((parity_relation(3), {0: 0, 1: 0, 2: 2}, complete_graph(3), complete_graph(3), None))
+@example((parity_relation(4), {0: 0, 1: 1, 2: 2, 3: 0}, path_graph(4), graph_from_bits(3, 0b100), None))
+@example((parse_relation_spec(SELF_ATOMS), identity_map(complete_graph(3)), complete_graph(3),
+          empty_graph(3), (True, set())))
+@example((TupleSetRelation(2, [(0, 1), (1, 0), (2, 9)]), {0: 1, 1: 0}, path_graph(3), empty_graph(2), None))
+@example((parse_relation_spec(MINUS_FORMULA), identity_map(cycle_graph(5)), cycle_graph(5),
+          naive_complement(cycle_graph(5)), (True, set())))
+@settings(max_examples=250, deadline=None)
+def test_preserved_by_map_matches_naive_oracle(instance):
+    r, mapping, src, dst, rewrite = instance
+    got = preserved_by_map(r, mapping, src, dst)
+    assert (got.preserved, got.witness) == naive_preserved(r, mapping, src, dst)
+    if rewrite is not None and len(mapping) >= 3 and r.type_facts is not None:
+        # with three or more vertices c and the cut are determined up to
+        # complementing the cut, so the table decides whenever its facts allow
+        c, cut = rewrite
+        facts = r.type_facts
+        switched = 0 < len(cut) < len(mapping)
+        if (not c or facts.complement_invariant) and (not switched or facts.switch_invariant):
+            assert got == PreservationResult(True)
+
+
+class TestCanonicalMaps:
+    def test_automorphism_needs_no_scan(self, paley29):
+        g = paley29.graph
+        for auto in ({x: (x + 7) % 29 for x in range(29)}, {x: 4 * x % 29 for x in range(29)}):
+            for r in oracle_relations(4) + [parity_relation(5)]:
+                assert preserved_by_map(r, auto, g, g) == PreservationResult(True), r.name
+
+    def test_anti_automorphism_needs_no_scan(self, paley29):
+        g, w = paley29.graph, paley29.complement_witness
+        anti = {x: w[x] for x in range(29)}
+        for r in (parity_relation(4), parity_relation(5), parse_relation_spec(MINUS_FORMULA)):
+            assert preserved_by_map(r, anti, g, g) == PreservationResult(True), r.name
+
+    def test_switch_gadget_needs_no_scan(self, paley29):
+        f = make_named("switch", paley29.graph, s={0, 3, 11, 20})
+        assert violates(f, parity_relation(3)) == PreservationResult(True)
+
+    def test_minus_gadget_keeps_least_witness(self, paley29):
+        # parity:3 is not complement-invariant, so the kernel scans
+        g = paley29.graph
+        f = make_named("minus", g, witness=paley29.complement_witness)
+        got = violates(f, parity_relation(3))
+        want = naive_preserved(parity_relation(3), f.as_mapping(), g, g)
+        assert not want[0]
+        assert (got.preserved, got.witness) == want
+        assert got.checked > 0
