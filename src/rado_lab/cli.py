@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 from .canonicity import classify_on_set, profile_partitioned, is_canonical_constant_graph
 from .gadgets import GadgetConstructionError, pair_color, parse_gadget
@@ -316,9 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args still returns a fresh namespace per call
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.monotonic()
     try:
         code = args.func(args)

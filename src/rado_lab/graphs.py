@@ -440,10 +440,21 @@ def _degree_range(g: Graph) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=256)  # keyed by pattern; hits on the small patterns searched repeatedly
-def _later_adjacency(pattern: Graph) -> tuple[tuple[int, ...], ...]:
-    # entry u: adjacency of pattern vertex u to m-1, m-2, ..., u+1, in that order
+def _later_relations(
+    pattern: Graph, order: tuple[tuple[int, int], ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, bool], ...], ...]]:
+    # adjacency[u]: adjacency of pattern vertex u to m-1, m-2, ..., u+1, in
+    # that order; bounds[u]: (position in that order, must map above u) for
+    # each later vertex ordered against u
     m, rows = pattern.n, pattern._rows
-    return tuple(tuple(rows[u] >> v & 1 for v in range(m - 1, u, -1)) for u in range(m - 1))
+    bounds: list[list[tuple[int, bool]]] = [[] for _ in range(m)]
+    for a, b in order:
+        if a == b or not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"order pair ({a}, {b}) needs two distinct pattern vertices")
+        lo, hi = min(a, b), max(a, b)
+        bounds[lo].append((m - 1 - hi, a < b))
+    adjacency = tuple(tuple(rows[u] >> v & 1 for v in range(m - 1, u, -1)) for u in range(m - 1))
+    return adjacency, tuple(map(tuple, bounds))
 
 
 def _degree_filter(pattern: Graph, host: Graph, masks: list[int], avail: int) -> None:
@@ -471,6 +482,7 @@ def iter_embedding_maps(
     allowed: int | None = None,
     per_vertex: Mapping[int, int] | None = None,
     fixed: Mapping[int, int] | None = None,
+    order: Iterable[tuple[int, int]] = (),
     monotone: bool = False,
 ) -> Iterator[tuple[int, ...]]:
     """Injective induced-subgraph maps of ``pattern`` into ``host``, in
@@ -478,16 +490,19 @@ def iter_embedding_maps(
 
     ``allowed`` is a global host bitmask, ``per_vertex`` bitmasks restrict
     individual pattern vertices, ``fixed`` pins pattern vertices to host
-    vertices, ``monotone`` demands an order-preserving map (used for ordered
-    structures).
+    vertices.  ``order`` holds pairs (a, b) of distinct pattern vertices that
+    demand map[a] < map[b] (symmetry-breaking conditions); ``monotone``
+    demands an order-preserving map (used for ordered structures) and is the
+    same as ordering every pair a < b.
 
     Forward-checking search: pattern vertices are assigned in order 0..m-1,
     each to its candidate host vertices in increasing order, so the maps come
     out lexicographically and the first one is the least.  The search carries
     the candidate mask of every unassigned pattern vertex; mapping u to h ANDs
     each later mask with h's row or with h's non-neighbours other than h
-    (which keeps the map injective) and, for ``monotone``, with the vertices
-    above h.  A branch is cut as soon as a later mask is empty.
+    (which keeps the map injective) and, for a later vertex ordered against
+    u, with the vertices above or below h.  A branch is cut as soon as a
+    later mask is empty.
 
     Before the search, a degree filter keeps h as a candidate of u only if h
     has deg(u) neighbours and m-1-deg(u) other non-neighbours inside
@@ -497,6 +512,10 @@ def iter_embedding_maps(
     vertex passes, the common case of a small pattern in a large host.
     """
     m, n, full = pattern.n, host.n, host.full_mask
+    order = tuple(order)
+    if monotone:
+        order += tuple(combinations(range(m), 2))
+    later, bounds = _later_relations(pattern, order)
     if m == 0:
         yield ()
         return
@@ -523,7 +542,6 @@ def iter_embedding_maps(
         _degree_filter(pattern, host, masks, avail)
     if not all(masks):
         return
-    later = _later_adjacency(pattern)
     # level[u]: the masks of pattern vertices m-1, ..., u given im[:u], in
     # that order, so zip with later[u] drops u's own; cand[u]: the
     # candidates of u not tried yet
@@ -550,11 +568,11 @@ def iter_embedding_maps(
         im[u] = b.bit_length() - 1
         row = host.row(im[u])
         nrow = full ^ row ^ b
-        if monotone:
-            above = full ^ ((b << 1) - 1)
-            row &= above
-            nrow &= above
         nxt = [mk & row if adj else mk & nrow for mk, adj in zip(level[u], later[u])]
+        if bounds[u]:
+            above, below = full ^ ((b << 1) - 1), b - 1
+            for i, up in bounds[u]:
+                nxt[i] &= above if up else below
         if all(nxt):
             u += 1
             level[u] = nxt

@@ -2,16 +2,22 @@
 
 Copies of a pattern in a structure are vertex subsets inducing an isomorphic
 substructure; the canonical copy enumeration lists them as sorted tuples in
-lexicographic order.  Arrow verification searches colorings of the P-copies
-depth first in lexicographic order, with the first copy's color fixed (the
-only symmetry reduction used), and cuts a branch as soon as a monochromatic
-H-copy is complete.  The coloring budget refuses a query up front, before any
-search, and so also bounds the search.
+lexicographic order.  The embedding search behind it reaches each copy
+through exactly one map: order conditions derived from the pattern's
+automorphism group (Grochow–Kellis stabiliser-chain conditions) cut the
+other |Aut| - 1, and ordered patterns admit only the order-preserving map.
+Arrow verification searches colorings of the P-copies depth first in
+lexicographic order, with the first copy's color fixed (the only symmetry
+reduction on colorings), and cuts a branch as soon as a monochromatic H-copy
+is complete.  The copy budget bounds both the P- and the H-copies; the
+coloring budget refuses a query up front, before any search, and so also
+bounds the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Mapping
 
@@ -29,14 +35,13 @@ def _graph_of(s: Structure) -> Graph:
     return s if isinstance(s, Graph) else s.graph
 
 
-def _iter_copy_embeddings(
-    big: Structure, small: Structure, *, ordered: bool = False
-) -> Iterator[tuple[int, ...]]:
+def _copy_search(big: Structure, small: Structure) -> tuple[Graph, Graph, dict]:
+    # the pattern graph, the host graph and the per_vertex / fixed masks under
+    # which the maps of iter_embedding_maps respect the extra structure
     if isinstance(small, Graph):
         if not isinstance(big, Graph):
             raise TypeError("plain pattern needs a plain host")
-        yield from iter_embedding_maps(small, big, monotone=ordered)
-        return
+        return small, big, {}
     if isinstance(small, PartitionedGraph):
         if not isinstance(big, PartitionedGraph):
             raise TypeError("partitioned pattern needs a partitioned host")
@@ -52,34 +57,67 @@ def _iter_copy_embeddings(
         for i, part in enumerate(small.parts):
             for v in part:
                 per_vertex[v] = masks[i]
-        yield from iter_embedding_maps(
-            small.graph, big.graph, per_vertex=per_vertex, monotone=ordered
-        )
-        return
+        return small.graph, big.graph, {"per_vertex": per_vertex}
     if isinstance(small, ConstantGraph):
         if not isinstance(big, ConstantGraph):
             raise TypeError("constant pattern needs a constant host")
         if len(small.constants) != len(big.constants):
             raise ValueError("constant count mismatch")
-        fixed = dict(zip(small.constants, big.constants))
-        yield from iter_embedding_maps(
-            small.graph, big.graph, fixed=fixed, monotone=ordered
-        )
-        return
+        return small.graph, big.graph, {"fixed": dict(zip(small.constants, big.constants))}
     raise TypeError(f"unsupported structure type {type(small).__name__}")
+
+
+def _iter_copy_embeddings(big: Structure, small: Structure) -> Iterator[tuple[int, ...]]:
+    pattern, host, restrict = _copy_search(big, small)
+    return iter_embedding_maps(pattern, host, **restrict)
+
+
+@lru_cache(maxsize=256)  # keyed by pattern, like the embedding kernel's tables
+def _symmetry_breaking(p: Structure) -> tuple[tuple[int, int], ...]:
+    """Grochow–Kellis conditions: order pairs (a, b), demanding
+    map[a] < map[b], that exactly one embedding onto each copy of ``p`` meets.
+
+    The embeddings onto one copy are phi composed with Aut(p), the
+    automorphisms that keep parts and constants.  Walking the stabiliser
+    chain, take the least vertex v whose orbit under the current stabiliser
+    is nontrivial, demand phi(v) < phi(w) for every other w in that orbit
+    (all above v, since lesser vertices are fixed), then fix v.  Each orbit is
+    found by existence queries for an embedding of p into itself with v sent
+    to w, so Aut(p) itself (m! maps for K_m) is never listed.
+    """
+    graph, _, restrict = _copy_search(p, p)
+    per_vertex = restrict.get("per_vertex")
+    fixed = dict(restrict.get("fixed", {}))
+    order = []
+    for v in range(graph.n):
+        if v in fixed:
+            continue
+        for w in range(v + 1, graph.n):
+            queries = iter_embedding_maps(graph, graph, per_vertex=per_vertex, fixed={**fixed, v: w})
+            if next(queries, None) is not None:
+                order.append((v, w))
+        fixed[v] = v
+    return tuple(order)
 
 
 def enumerate_copies(
     big: Structure, small: Structure, *, ordered: bool = False, budget: int | None = None
 ) -> list[tuple[int, ...]]:
     """Canonical copy enumeration: distinct image sets as sorted tuples,
-    lexicographically ascending.  ``budget`` caps the number of copies."""
-    seen: set[tuple[int, ...]] = set()
-    for mapping in _iter_copy_embeddings(big, small, ordered=ordered):
-        seen.add(tuple(sorted(mapping)))
-        if budget is not None and len(seen) > budget:
-            raise CopyBudgetExceeded(len(seen))
-    return sorted(seen)
+    lexicographically ascending.  ``budget`` caps the number of copies.
+
+    Each copy is reached by exactly one map: ordered patterns through the
+    order-preserving one, the others through the one that meets the
+    symmetry-breaking conditions of the pattern's automorphism group."""
+    pattern, host, restrict = _copy_search(big, small)
+    order = () if ordered else _symmetry_breaking(small)
+    copies = []
+    for mapping in iter_embedding_maps(pattern, host, order=order, monotone=ordered, **restrict):
+        copies.append(tuple(sorted(mapping)))
+        if budget is not None and len(copies) > budget:
+            raise CopyBudgetExceeded(len(copies))
+    copies.sort()
+    return copies
 
 
 class CopyBudgetExceeded(RuntimeError):
@@ -176,9 +214,10 @@ def verify_arrow(q: ArrowQuery, budget: ArrowBudget | None = None) -> ArrowResul
     first leaf is the least witness coloring.  An H-copy containing no P-copy
     makes the arrow hold at once.
 
-    The query is refused up front when the k^(m-1) colorings exceed the
-    coloring budget, which also caps the search at k/(k-1) * k^(m-1) nodes
-    (m nodes when k = 1).
+    The query is refused up front when the P- or the H-copies exceed the copy
+    budget (``stats`` then holds ``copies_seen`` and ``budget_copies``), or
+    when the k^(m-1) colorings exceed the coloring budget, which also caps
+    the search at k/(k-1) * k^(m-1) nodes (m nodes when k = 1).
     ``stats["colorings_checked"]`` counts search nodes: one per color
     assigned to a copy, copy 0's fixed color included.
     """
@@ -186,9 +225,9 @@ def verify_arrow(q: ArrowQuery, budget: ArrowBudget | None = None) -> ArrowResul
         budget = ArrowBudget()
     try:
         p_copies = enumerate_copies(q.S, q.P, ordered=q.ordered, budget=budget.copies)
+        h_copies = enumerate_copies(q.S, q.H, ordered=q.ordered, budget=budget.copies)
     except CopyBudgetExceeded as exc:
         return ArrowResult("budget_exceeded", stats={"copies_seen": exc.count, "budget_copies": budget.copies})
-    h_copies = enumerate_copies(q.S, q.H, ordered=q.ordered)
     m = len(p_copies)
     stats = {"p_copies": m, "h_copies": len(h_copies), "colorings_checked": 0}
 

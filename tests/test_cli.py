@@ -11,6 +11,7 @@ from rado_lab import (
     make_named,
     parse_graph,
 )
+from rado_lab import cli
 from rado_lab.cli import main
 from rado_lab.gadgets import format_gadget
 from rado_lab.graphs import build_paley
@@ -93,6 +94,22 @@ class TestClassifyRelation:
         )
         assert code == 0
         assert json.loads(out)["verdict"]["class"] == "minus-switch"
+
+    def test_parser_built_once_namespaces_fresh(self, host29, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            specs = [
+                json.loads(run_cli(capsys, "classify-relation", "--spec", spec, "--host", host29, "-k", "2", "--json")[1])["specs"]
+                for spec in ("parity:3", "parity:4")
+            ]
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        # the appended --spec of the first call does not leak into the second
+        assert specs == [["parity:3"], ["parity:4"]]
 
     def test_bad_spec_is_error(self, host29, capsys):
         code, _ = run_cli(

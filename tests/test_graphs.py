@@ -269,7 +269,7 @@ def _naive_candidates(pattern, host, allowed, per_vertex, fixed):
     return out
 
 
-def _naive_embeddings(pattern, host, cands, monotone):
+def _naive_embeddings(pattern, host, cands, monotone, order):
     # every injective map in lexicographic order, filtered by the definition
     m = pattern.n
     return [
@@ -277,11 +277,12 @@ def _naive_embeddings(pattern, host, cands, monotone):
         for p in permutations(range(host.n), m)
         if all(p[u] in cands[u] for u in range(m))
         and (not monotone or list(p) == sorted(p))
+        and all(p[a] < p[b] for a, b in order)
         and all(pattern.has_edge(u, v) == host.has_edge(p[u], p[v]) for u, v in combinations(range(m), 2))
     ]
 
 
-def _naive_row_reads(pattern, host, cands, monotone):
+def _naive_row_reads(pattern, host, cands, monotone, order):
     # The rows a forward-checking search with the degree filter reads: one
     # per vertex of avail when the filter runs, plus one per search node that
     # assigns a pattern vertex other than the last.  A node is visited when
@@ -310,6 +311,8 @@ def _naive_row_reads(pattern, host, cands, monotone):
             h in cands[v]
             and h not in prefix
             and (not monotone or not prefix or h > prefix[-1])
+            and all(h < prefix[b] for a, b in order if a == v and b < len(prefix))
+            and all(prefix[a] < h for a, b in order if b == v and a < len(prefix))
             and all(pattern.has_edge(w, v) == host.has_edge(x, h) for w, x in enumerate(prefix))
         )
 
@@ -341,11 +344,20 @@ def embedding_instances(draw):
         "per_vertex": draw(st.none() | st.dictionaries(keys, masks)),
         "fixed": draw(st.none() | st.dictionaries(keys, st.integers(min_value=0, max_value=n))),
         "monotone": draw(st.booleans()),
+        # pairs (a, b) demanding map[a] < map[b], either way round
+        "order": draw(
+            st.lists(
+                st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda p: p[0] != p[1]),
+                max_size=4,
+            )
+            if m >= 2
+            else st.just([])
+        ),
     }
     return pattern, host, kwargs
 
 
-_NO_RESTRICTION = {"allowed": None, "per_vertex": None, "fixed": None, "monotone": False}
+_NO_RESTRICTION = {"allowed": None, "per_vertex": None, "fixed": None, "monotone": False, "order": ()}
 
 
 class TestEmbeddingKernel:
@@ -355,6 +367,9 @@ class TestEmbeddingKernel:
     @example((cycle_graph(5), cycle_graph(5), _NO_RESTRICTION))
     @example((complete_graph(3), complete_graph(6), {**_NO_RESTRICTION, "allowed": 0b000111}))
     @example((path_graph(3), complete_graph(4), {**_NO_RESTRICTION, "monotone": True}))
+    # an order pair both ways round admits no map
+    @example((complete_graph(2), complete_graph(3), {**_NO_RESTRICTION, "order": [(0, 1), (1, 0)]}))
+    @example((cycle_graph(4), cycle_graph(6), {**_NO_RESTRICTION, "order": [(2, 0), (1, 3)]}))
     # mapping the centre 0 to host vertex 1 empties the mask of pattern
     # vertex 2 (only host vertex 3) while vertex 1 still has candidates
     @example((Graph.from_edges(3, [(0, 1), (0, 2)]), path_graph(4), {**_NO_RESTRICTION, "per_vertex": {2: 0b1000}}))
@@ -364,10 +379,15 @@ class TestEmbeddingKernel:
         counter = _RowCounter(host)
         cands = _naive_candidates(pattern, host, kwargs["allowed"], kwargs["per_vertex"], kwargs["fixed"])
         assert list(iter_embedding_maps(pattern, counter, **kwargs)) == _naive_embeddings(
-            pattern, host, cands, kwargs["monotone"]
+            pattern, host, cands, kwargs["monotone"], kwargs["order"]
         )
         # forward checking and the degree filter read exactly these rows
-        assert counter.reads == _naive_row_reads(pattern, host, cands, kwargs["monotone"])
+        assert counter.reads == _naive_row_reads(pattern, host, cands, kwargs["monotone"], kwargs["order"])
+
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 3), (-1, 0)])
+    def test_order_pairs_name_two_pattern_vertices(self, pair):
+        with pytest.raises(ValueError):
+            next(iter_embedding_maps(path_graph(3), complete_graph(4), order=[pair]))
 
     def test_isomorphism_case_is_cut_by_degrees(self, paley13):
         # switching one vertex of a regular host leaves degrees no host

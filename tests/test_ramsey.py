@@ -1,7 +1,9 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rado_lab import (
     ArrowBudget,
@@ -20,7 +22,9 @@ from rado_lab import (
     path_graph,
     verify_arrow,
 )
-from rado_lab.graphs import Graph
+from rado_lab.graphs import Graph, build_paley, iter_embedding_maps
+from rado_lab.ramsey import CopyBudgetExceeded, _copy_search, _symmetry_breaking
+from rado_lab.structures import ConstantGraph, PartitionedGraph
 
 
 def edge_copies(g: Graph):
@@ -56,6 +60,111 @@ class TestCopies:
         plain = enumerate_copies(host, path_graph(2))
         ordered = enumerate_copies(host, path_graph(2), ordered=True)
         assert plain == ordered  # symmetric pattern: same sets either way
+
+
+def _naive_copies(big, small, ordered):
+    # every vertex subset of the pattern's size, kept when some bijection
+    # from the pattern onto it is induced and keeps parts, constants and, for
+    # ordered structures, the vertex order
+    bg, sg = (x if isinstance(x, Graph) else x.graph for x in (big, small))
+    m = sg.n
+
+    def respects(p):
+        if isinstance(small, PartitionedGraph):
+            return all(big.part_of(p[u]) == small.part_of(u) for u in range(m))
+        if isinstance(small, ConstantGraph):
+            return all(p[c] == d for c, d in zip(small.constants, big.constants))
+        return True
+
+    return [
+        subset
+        for subset in combinations(range(bg.n), m)
+        if any(
+            (not ordered or p == subset)
+            and respects(p)
+            and all(sg.has_edge(u, v) == bg.has_edge(p[u], p[v]) for u, v in combinations(range(m), 2))
+            for p in permutations(subset)
+        )
+    ]
+
+
+@st.composite
+def copy_instances(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    m = draw(st.integers(min_value=0, max_value=min(n, 4)))
+
+    def graph(size):
+        pairs = list(combinations(range(size), 2))
+        if draw(st.booleans()):  # cliques and empty graphs have the largest automorphism groups
+            return Graph.from_edges(size, pairs if draw(st.booleans()) else [])
+        code = draw(st.integers(min_value=0, max_value=2 ** len(pairs) - 1))
+        return Graph.from_edges(size, [p for b, p in enumerate(pairs) if code >> b & 1])
+
+    host, pattern = graph(n), graph(m)
+    kind = draw(st.sampled_from(["plain", "partitioned", "constant"]))
+    if kind == "partitioned":
+        count = draw(st.integers(min_value=1, max_value=3))
+
+        def parts(size):
+            label = draw(st.lists(st.integers(0, count - 1), min_size=size, max_size=size))
+            return tuple(frozenset(v for v in range(size) if label[v] == i) for i in range(count))
+
+        big, small = PartitionedGraph(host, parts(n)), PartitionedGraph(pattern, parts(m))
+    elif kind == "constant":
+        count = draw(st.integers(min_value=0, max_value=min(m, 2)))
+        big = ConstantGraph(host, tuple(draw(st.permutations(range(n)))[:count]))
+        small = ConstantGraph(pattern, tuple(draw(st.permutations(range(m)))[:count]))
+    else:
+        big, small = host, pattern
+    return big, small, draw(st.booleans())
+
+
+def _bipartite(a, b):
+    return Graph.from_edges(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+class TestCopiesOracle:
+    @given(copy_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_oracle(self, instance):
+        big, small, ordered = instance
+        want = _naive_copies(big, small, ordered)
+        assert enumerate_copies(big, small, ordered=ordered) == want
+        for budget in (0, 1, 3):
+            try:
+                enumerate_copies(big, small, ordered=ordered, budget=budget)
+                count = None
+            except CopyBudgetExceeded as exc:
+                count = exc.count
+            assert count == (budget + 1 if len(want) > budget else None)
+
+    @pytest.mark.parametrize(
+        "big,small",
+        [
+            (complete_graph(6), complete_graph(1)),
+            (complete_graph(6), complete_graph(4)),
+            (complete_graph(7), complete_graph(5)),
+            (build_paley(13).graph, cycle_graph(5)),
+            (build_paley(13).graph, path_graph(4)),
+            (_bipartite(3, 4), _bipartite(2, 3)),
+            (
+                PartitionedGraph(complete_graph(6), (frozenset({0, 2, 4}), frozenset({1, 3, 5}))),
+                PartitionedGraph(complete_graph(3), (frozenset({0, 1}), frozenset({2}))),
+            ),
+            (ConstantGraph(complete_graph(6), (2,)), ConstantGraph(complete_graph(4), (1,))),
+        ],
+    )
+    def test_one_map_per_copy(self, big, small):
+        pattern, host, restrict = _copy_search(big, small)
+        images = [
+            tuple(sorted(mapping))
+            for mapping in iter_embedding_maps(pattern, host, order=_symmetry_breaking(small), **restrict)
+        ]
+        assert len(images) == len(set(images))
+        assert sorted(images) == _naive_copies(big, small, False) != []
+
+    def test_clique_conditions_are_every_pair(self):
+        assert _symmetry_breaking(complete_graph(5)) == tuple(combinations(range(5), 2))
 
 
 class TestFindMonoCopy:
@@ -242,6 +351,14 @@ class TestVerifyArrow:
         q = ArrowQuery(complete_graph(6), complete_graph(3), complete_graph(2), 2)
         result = verify_arrow(q, ArrowBudget(copies=5))
         assert result.verdict == "budget_exceeded"
+
+    def test_copy_budget_covers_h_copies(self):
+        # 6 vertex copies fit the budget of 10, the 15 edge copies do not
+        q = ArrowQuery(complete_graph(6), complete_graph(2), complete_graph(1), 2)
+        assert verify_arrow(q).verdict == "holds"
+        result = verify_arrow(q, ArrowBudget(copies=10))
+        assert result.verdict == "budget_exceeded"
+        assert result.stats == {"copies_seen": 11, "budget_copies": 10}
 
     def test_partitioned_structures(self):
         from rado_lab import PartitionedGraph
