@@ -90,11 +90,13 @@ from .relations import (
 from .structures import (
     ConstantGraph,
     PartitionedGraph,
+    as_partitioned,
     associate_partitioned,
     find_const_embeddings,
     find_part_embeddings,
     format_constant,
     format_partitioned,
+    iter_structure_maps,
     parse_structure,
 )
 

@@ -12,16 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .gadgets import FunctionGadget, PairColor, pair_color
-from .graphs import Embedding, Graph, PairKind, iter_embedding_maps, pair_kind
+from .graphs import Embedding, PairKind, pair_kind
 from .structures import (
     ConstantGraph,
     PartitionedGraph,
+    Structure,
+    as_partitioned,
     associate_partitioned,
-    find_const_embeddings,
-    find_part_embeddings,
+    iter_structure_maps,
 )
 
 
@@ -40,15 +41,6 @@ _PREDICTED: dict[BehaviorClass, dict[PairKind, PairColor]] = {
     BehaviorClass.EN: {PairKind.EDGE: PairColor.NONEDGE, PairKind.NONEDGE: PairColor.NONEDGE},
     BehaviorClass.CONSTANT: {PairKind.EDGE: PairColor.COLLAPSED, PairKind.NONEDGE: PairColor.COLLAPSED},
 }
-
-LABEL_CLASS = {
-    "identity": BehaviorClass.IDENTITY,
-    "minus": BehaviorClass.MINUS,
-    "eE": BehaviorClass.EE,
-    "eN": BehaviorClass.EN,
-    "const": BehaviorClass.CONSTANT,
-}
-
 
 def _consistent_classes(
     f: FunctionGadget, pairs: Iterable[tuple[int, int]]
@@ -174,76 +166,32 @@ def is_canonical_constant_graph(f: FunctionGadget, cg: ConstantGraph) -> Behavio
     return _profile_over_parts(f, associate_partitioned(cg).parts)
 
 
-def _constant_image_parts(
-    f: FunctionGadget, image_constants: tuple[int, ...], image_rest: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    # associated partition of the copy, computed inside the host graph
-    n = len(image_constants)
-    buckets: dict[int, list[int]] = {p: [] for p in range(2**n)}
-    for v in image_rest:
-        p = 0
-        for i, c in enumerate(image_constants):
-            if f.src.has_edge(v, c):
-                p |= 1 << (n - 1 - i)
-        buckets[p].append(v)
-    parts: list[tuple[int, ...]] = [(c,) for c in image_constants]
-    parts.extend(tuple(buckets[p]) for p in range(2**n - 1, -1, -1))
-    return parts
-
-
 def find_canonical_copy(
-    f: FunctionGadget,
-    pattern: Graph | PartitionedGraph | ConstantGraph,
-    host: Graph | PartitionedGraph | ConstantGraph,
-    limit: int,
-):
-    """Least embedding of ``pattern`` into ``host`` (inside dom(f)) whose
+    f: FunctionGadget, pattern: Structure, host: Structure, limit: int
+) -> Embedding | None:
+    """Least embedding of ``pattern`` into ``host`` inside dom(f) whose
     induced profile has no non-canonical entry; None if no such copy shows up
-    within ``limit`` candidates.
+    among the first ``limit`` embeddings inside dom(f).
+
+    The profile is taken over the pattern's parts pushed through the map:
+    one part for a plain pattern, the parts of a partitioned one, the n + 2^n
+    associated partition of a constant one (the map fixes the constants, so
+    it keeps every vertex's adjacency toward them).  ``limit`` counts only
+    embeddings inside dom(f), for every kind of pattern.
 
     Absence within the budget is not evidence of nonexistence; only returned
     copies are certified (and re-verified here).
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    dom_mask = f.dom_mask()
-
-    def candidates() -> Iterator[tuple[Embedding, BehaviorProfile]]:
-        if isinstance(pattern, Graph):
-            if not isinstance(host, Graph) or host != f.src:
-                raise ValueError("plain pattern needs the gadget's source graph as host")
-            for mapping in islice(
-                iter_embedding_maps(pattern, host, allowed=dom_mask), limit
-            ):
-                emb = Embedding(pattern, host, mapping)
-                profile = _profile_over_parts(f, [emb.image()])
-                yield emb, profile
-        elif isinstance(pattern, PartitionedGraph):
-            if not isinstance(host, PartitionedGraph) or host.graph != f.src:
-                raise ValueError("partitioned pattern needs a partitioned host on f.src")
-            for emb in find_part_embeddings(pattern, host, limit):
-                if any(not dom_mask >> v & 1 for v in emb.mapping):
-                    continue
-                image_parts = [
-                    tuple(sorted(emb.mapping[v] for v in part)) for part in pattern.parts
-                ]
-                yield emb, _profile_over_parts(f, image_parts)
-        elif isinstance(pattern, ConstantGraph):
-            if not isinstance(host, ConstantGraph) or host.graph != f.src:
-                raise ValueError("constant pattern needs a constant host on f.src")
-            for emb in find_const_embeddings(pattern, host, limit):
-                if any(not dom_mask >> v & 1 for v in emb.mapping):
-                    continue
-                image_constants = tuple(emb.mapping[c] for c in pattern.constants)
-                rest = tuple(
-                    sorted(set(emb.mapping) - set(image_constants))
-                )
-                parts = _constant_image_parts(f, image_constants, rest)
-                yield emb, _profile_over_parts(f, parts)
-        else:
-            raise TypeError(f"unsupported pattern type {type(pattern).__name__}")
-
-    for emb, profile in candidates():
-        if profile.is_canonical:
+    maps = iter_structure_maps(pattern, host, allowed=f.dom_mask())
+    pattern_pg, host_graph = as_partitioned(pattern), as_partitioned(host).graph
+    if host_graph != f.src:
+        raise ValueError("host must live on the gadget's source graph")
+    for mapping in islice(maps, limit):
+        image_parts = [[mapping[v] for v in part] for part in pattern_pg.parts]
+        if _profile_over_parts(f, image_parts).is_canonical:
+            emb = Embedding(pattern_pg.graph, host_graph, mapping)
+            assert emb.verify()
             return emb
     return None

@@ -107,25 +107,24 @@ class FunctionGadget:
                     f"const gadget has {len(values)} distinct image vertices"
                 )
             return
+        # edge booleans, not pair kinds: the kinds only name a failing pair
+        src_edge, dst_edge = self.src.has_edge, self.dst.has_edge
         if label in ("eE", "eN"):
-            want = PairKind.EDGE if label == "eE" else PairKind.NONEDGE
+            want = label == "eE"
             for (x1, y1), (x2, y2) in combinations(self.mapping, 2):
-                got = pair_kind(self.dst, y1, y2)
-                if got is not want:
+                if y1 == y2 or dst_edge(y1, y2) != want:
+                    need = PairKind.EDGE if want else PairKind.NONEDGE
                     raise GadgetConstructionError(
                         f"{label} gadget images of ({x1}, {x2}) form a "
-                        f"{got.value} pair, need {want.value}"
+                        f"{pair_kind(self.dst, y1, y2).value} pair, need {need.value}"
                     )
             return
         if label == "minus":
-            flip = {PairKind.EDGE: PairKind.NONEDGE, PairKind.NONEDGE: PairKind.EDGE}
             for (x1, y1), (x2, y2) in combinations(self.mapping, 2):
-                src_kind = pair_kind(self.src, x1, x2)
-                got = pair_kind(self.dst, y1, y2)
-                if got is not flip[src_kind]:
+                if y1 == y2 or src_edge(x1, x2) == dst_edge(y1, y2):
                     raise GadgetConstructionError(
-                        f"minus gadget maps the {src_kind.value} pair "
-                        f"({x1}, {x2}) to a {got.value} pair"
+                        f"minus gadget maps the {pair_kind(self.src, x1, x2).value} pair "
+                        f"({x1}, {x2}) to a {pair_kind(self.dst, y1, y2).value} pair"
                     )
             return
         # switch: identity vertex map, dst equal to src switched at some cut

@@ -19,57 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .gadgets import FunctionGadget, PairColor, pair_color
-from .graphs import Embedding, Graph, iter_embedding_maps
-from .structures import ConstantGraph, PartitionedGraph
-
-Structure = Graph | PartitionedGraph | ConstantGraph
+from .graphs import Embedding, Graph
+from .structures import PartitionedGraph, Structure, as_partitioned, iter_structure_maps
 
 DEFAULT_COLORING_BUDGET = 2**24
 DEFAULT_COPY_BUDGET = 10**5
-
-
-def _graph_of(s: Structure) -> Graph:
-    return s if isinstance(s, Graph) else s.graph
-
-
-def _copy_search(big: Structure, small: Structure) -> tuple[Graph, Graph, dict]:
-    # the pattern graph, the host graph and the per_vertex / fixed masks under
-    # which the maps of iter_embedding_maps respect the extra structure
-    if isinstance(small, Graph):
-        if not isinstance(big, Graph):
-            raise TypeError("plain pattern needs a plain host")
-        return small, big, {}
-    if isinstance(small, PartitionedGraph):
-        if not isinstance(big, PartitionedGraph):
-            raise TypeError("partitioned pattern needs a partitioned host")
-        if len(small.parts) != len(big.parts):
-            raise ValueError("part count mismatch")
-        masks = []
-        for part in big.parts:
-            m = 0
-            for v in part:
-                m |= 1 << v
-            masks.append(m)
-        per_vertex = {}
-        for i, part in enumerate(small.parts):
-            for v in part:
-                per_vertex[v] = masks[i]
-        return small.graph, big.graph, {"per_vertex": per_vertex}
-    if isinstance(small, ConstantGraph):
-        if not isinstance(big, ConstantGraph):
-            raise TypeError("constant pattern needs a constant host")
-        if len(small.constants) != len(big.constants):
-            raise ValueError("constant count mismatch")
-        return small.graph, big.graph, {"fixed": dict(zip(small.constants, big.constants))}
-    raise TypeError(f"unsupported structure type {type(small).__name__}")
-
-
-def _iter_copy_embeddings(big: Structure, small: Structure) -> Iterator[tuple[int, ...]]:
-    pattern, host, restrict = _copy_search(big, small)
-    return iter_embedding_maps(pattern, host, **restrict)
 
 
 @lru_cache(maxsize=256)  # keyed by pattern, like the embedding kernel's tables
@@ -81,22 +38,26 @@ def _symmetry_breaking(p: Structure) -> tuple[tuple[int, int], ...]:
     automorphisms that keep parts and constants.  Walking the stabiliser
     chain, take the least vertex v whose orbit under the current stabiliser
     is nontrivial, demand phi(v) < phi(w) for every other w in that orbit
-    (all above v, since lesser vertices are fixed), then fix v.  Each orbit is
-    found by existence queries for an embedding of p into itself with v sent
-    to w, so Aut(p) itself (m! maps for K_m) is never listed.
+    (all above v, since lesser vertices are fixed), then fix v.  Fixing a
+    vertex splits it off its part of ``as_partitioned(p)`` as a singleton,
+    so w is in v's orbit when p, with v split off, maps into p with w split
+    off.  These existence queries never list Aut(p) itself (m! maps for K_m).
     """
-    graph, _, restrict = _copy_search(p, p)
-    per_vertex = restrict.get("per_vertex")
-    fixed = dict(restrict.get("fixed", {}))
+    pg = as_partitioned(p)
+    graph, parts = pg.graph, list(pg.parts)
     order = []
     for v in range(graph.n):
-        if v in fixed:
+        i = next(i for i, part in enumerate(parts) if v in part)
+        rest = parts[i] - {v}
+        if not rest:
             continue
-        for w in range(v + 1, graph.n):
-            queries = iter_embedding_maps(graph, graph, per_vertex=per_vertex, fixed={**fixed, v: w})
-            if next(queries, None) is not None:
+        pinned = PartitionedGraph(graph, (*parts[:i], rest, *parts[i + 1:], frozenset({v})))
+        for w in sorted(rest):
+            moved = (*parts[:i], parts[i] - {w}, *parts[i + 1:], frozenset({w}))
+            if next(iter_structure_maps(pinned, PartitionedGraph(graph, moved)), None) is not None:
                 order.append((v, w))
-        fixed[v] = v
+        parts[i] = rest
+        parts.append(frozenset({v}))
     return tuple(order)
 
 
@@ -109,10 +70,9 @@ def enumerate_copies(
     Each copy is reached by exactly one map: ordered patterns through the
     order-preserving one, the others through the one that meets the
     symmetry-breaking conditions of the pattern's automorphism group."""
-    pattern, host, restrict = _copy_search(big, small)
     order = () if ordered else _symmetry_breaking(small)
     copies = []
-    for mapping in iter_embedding_maps(pattern, host, order=order, monotone=ordered, **restrict):
+    for mapping in iter_structure_maps(small, big, order=order, monotone=ordered):
         copies.append(tuple(sorted(mapping)))
         if budget is not None and len(copies) > budget:
             raise CopyBudgetExceeded(len(copies))
@@ -186,12 +146,12 @@ def find_mono_copy(
 ) -> Embedding | None:
     """Least embedding of H into S all of whose internal P-copies share one
     color; None when no copy of H works."""
-    s_graph, h_graph = _graph_of(S), _graph_of(H)
+    s_graph, h_graph = as_partitioned(S).graph, as_partitioned(H).graph
     if set(coloring.copies) != set(enumerate_copies(S, P)):
         raise ValueError("coloring is not over the copies of P in S")
     copy_index = {c: i for i, c in enumerate(coloring.copies)}
     p_copies = coloring.copies
-    for mapping in _iter_copy_embeddings(S, H):
+    for mapping in iter_structure_maps(H, S):
         image = set(mapping)
         inside = [copy_index[c] for c in p_copies if set(c) <= image]
         palette = {coloring.colors[i] for i in inside}
@@ -301,7 +261,7 @@ def find_edge_nonedge_mono_copy(
     for u, v in host.nonedges():
         if (u, v) not in nonedge_coloring:
             raise ValueError(f"non-edge coloring missing pair ({u}, {v})")
-    for mapping in _iter_copy_embeddings(host, pattern):
+    for mapping in iter_structure_maps(pattern, host):
         edge_colors = set()
         nonedge_colors = set()
         ok = True

@@ -1,10 +1,16 @@
 """Partitioned and constant graphs, their translation, and copy search
-respecting the extra structure."""
+respecting the extra structure.
+
+``iter_structure_maps`` is the one search for maps between structures:
+parts become per-vertex candidate masks and constants become pinned
+vertices of ``iter_embedding_maps``.  It is the only place that dispatches on
+the structure kind."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterable, Iterator
 
 from .graphs import (
     Embedding,
@@ -85,11 +91,73 @@ def associate_partitioned(cg: ConstantGraph) -> PartitionedGraph:
     return PartitionedGraph(cg.graph, tuple(parts))
 
 
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+Structure = Graph | PartitionedGraph | ConstantGraph
+
+_KIND_NAMES = {
+    Graph: "plain graph",
+    PartitionedGraph: "partitioned graph",
+    ConstantGraph: "constant graph",
+}
+
+
+def as_partitioned(s: Structure) -> PartitionedGraph:
+    """``s`` as a partitioned graph: a plain graph as a single part, a
+    partitioned graph as itself, a constant graph as its n + 2^n associated
+    partition.  An embedding of structures of one kind maps each part into
+    the same part of the host's translation."""
+    if isinstance(s, Graph):
+        return PartitionedGraph(s, (frozenset(range(s.n)),))
+    if isinstance(s, ConstantGraph):
+        return associate_partitioned(s)
+    return s
+
+
+def iter_structure_maps(
+    small: Structure,
+    big: Structure,
+    *,
+    allowed: int | None = None,
+    order: Iterable[tuple[int, int]] = (),
+    monotone: bool = False,
+) -> Iterator[tuple[int, ...]]:
+    """The maps of ``iter_embedding_maps`` from ``small`` into ``big`` that
+    respect their extra structure: part i of a partitioned pattern goes into
+    part i of the host, constant i of a constant pattern to constant i of the
+    host.  ``allowed``, ``order`` and ``monotone`` pass through.
+
+    Both structures must be of one kind, with as many parts or constants;
+    otherwise ``ValueError`` is raised at the call.
+    """
+    kind, host_kind = _KIND_NAMES.get(type(small)), _KIND_NAMES.get(type(big))
+    if kind is None or host_kind is None:
+        unsupported = type(small if kind is None else big).__name__
+        raise TypeError(f"unsupported structure type {unsupported}")
+    if kind != host_kind:
+        raise ValueError(f"structure kind mismatch: pattern is a {kind}, host is a {host_kind}")
+    search = {"allowed": allowed, "order": order, "monotone": monotone}
+    if isinstance(small, Graph):
+        return iter_embedding_maps(small, big, **search)
+    if isinstance(small, PartitionedGraph):
+        if len(small.parts) != len(big.parts):
+            raise ValueError(
+                f"part count mismatch: pattern has {len(small.parts)}, "
+                f"host has {len(big.parts)}"
+            )
+        per_vertex = {}
+        for part, host_part in zip(small.parts, big.parts):
+            mask = 0
+            for h in host_part:
+                mask |= 1 << h
+            for v in part:
+                per_vertex[v] = mask
+        return iter_embedding_maps(small.graph, big.graph, per_vertex=per_vertex, **search)
+    if len(small.constants) != len(big.constants):
+        raise ValueError(
+            f"constant count mismatch: pattern has {len(small.constants)}, "
+            f"host has {len(big.constants)}"
+        )
+    fixed = dict(zip(small.constants, big.constants))
+    return iter_embedding_maps(small.graph, big.graph, fixed=fixed, **search)
 
 
 def find_part_embeddings(
@@ -99,20 +167,8 @@ def find_part_embeddings(
     lexicographic, up to ``limit``."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    if len(pattern.parts) != len(host.parts):
-        raise ValueError(
-            f"part count mismatch: pattern has {len(pattern.parts)}, "
-            f"host has {len(host.parts)}"
-        )
-    host_masks = [_mask(part) for part in host.parts]
-    per_vertex = {}
-    for i, part in enumerate(pattern.parts):
-        for v in part:
-            per_vertex[v] = host_masks[i]
     out = []
-    for mapping in islice(
-        iter_embedding_maps(pattern.graph, host.graph, per_vertex=per_vertex), limit
-    ):
+    for mapping in islice(iter_structure_maps(pattern, host), limit):
         emb = Embedding(pattern.graph, host.graph, mapping)
         assert emb.verify()
         for v in range(pattern.graph.n):
@@ -128,19 +184,11 @@ def find_const_embeddings(
     ``limit``."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    if len(pattern.constants) != len(host.constants):
-        raise ValueError(
-            f"constant count mismatch: pattern has {len(pattern.constants)}, "
-            f"host has {len(host.constants)}"
-        )
-    fixed = dict(zip(pattern.constants, host.constants))
     out = []
-    for mapping in islice(
-        iter_embedding_maps(pattern.graph, host.graph, fixed=fixed), limit
-    ):
+    for mapping in islice(iter_structure_maps(pattern, host), limit):
         emb = Embedding(pattern.graph, host.graph, mapping)
         assert emb.verify()
-        for pc, hc in fixed.items():
+        for pc, hc in zip(pattern.constants, host.constants):
             assert mapping[pc] == hc
         out.append(emb)
     return out
@@ -164,7 +212,7 @@ def format_constant(cg: ConstantGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_structure(text: str) -> Graph | PartitionedGraph | ConstantGraph:
+def parse_structure(text: str) -> Structure:
     """Parse the extended text format.
 
     Plain graphs, graphs with ``part i: ...`` lines, and graphs with a single

@@ -278,3 +278,16 @@ class TestFindCanonicalCopy:
         emb = find_canonical_copy(f, pattern, host, limit=50)
         assert emb is not None
         assert emb.mapping[1] == 0
+
+    def test_limit_counts_only_domain_maps(self, paley13):
+        # the least maps of both patterns leave dom(f); limit 1 still finds
+        # the least copy inside it
+        g = paley13.graph
+        f = make_named("identity", g, dom=range(5, 13))
+        pattern = ConstantGraph(path_graph(3), (1,))
+        emb = find_canonical_copy(f, pattern, ConstantGraph(g, (5,)), limit=1)
+        assert emb.mapping == (6, 5, 8)
+        pattern = PartitionedGraph(complete_graph(2), (frozenset({0}), frozenset({1})))
+        host = PartitionedGraph(g, (frozenset(range(7)), frozenset(range(7, 13))))
+        emb = find_canonical_copy(f, pattern, host, limit=1)
+        assert emb.mapping == (5, 8)

@@ -226,6 +226,25 @@ class TestRamseyCli:
         assert code == 0
         assert json.loads(out)["verdict"] == "holds"
 
+    @pytest.mark.parametrize(
+        "p_text,message",
+        [
+            ("n 2\n0 1\npart 0: 0\npart 1: 1\n", "pattern is a partitioned graph, host is a plain graph"),
+            ("n 2\n0 1\nconst: 0\n", "pattern is a constant graph, host is a plain graph"),
+        ],
+        ids=["partitioned", "constant"],
+    )
+    def test_kind_mismatch_is_error(self, workspace, clique_files, capsys, p_text, message):
+        (workspace / "k2p.g").write_text(p_text)
+        code = main([
+            "ramsey", "verify", "--S", clique_files["k3"],
+            "--H", clique_files["k3"], "--P", str(workspace / "k2p.g"), "-k", "2",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: structure kind mismatch: {message}"]
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, workspace, capsys):

@@ -7,6 +7,7 @@ from rado_lab import (
     GadgetConstructionError,
     PairColor,
     compose,
+    complement_graph,
     complete_graph,
     cycle_graph,
     edge_relation,
@@ -105,6 +106,19 @@ class TestLabelValidation:
             FunctionGadget(
                 path_graph(3), path_graph(3), ((0, 0), (1, 2)), "eE"
             )
+
+    @pytest.mark.parametrize(
+        "label,dst,message",
+        [
+            ("minus", complement_graph(path_graph(3)), "minus gadget maps the edge pair (0, 1) to a equal pair"),
+            ("eE", complete_graph(3), "eE gadget images of (0, 1) form a equal pair, need edge"),
+            ("eN", empty_graph(3), "eN gadget images of (0, 1) form a equal pair, need nonedge"),
+        ],
+    )
+    def test_collapsed_pair_rejected(self, label, dst, message):
+        with pytest.raises(GadgetConstructionError) as exc:
+            FunctionGadget(path_graph(3), dst, ((0, 0), (1, 0)), label)
+        assert str(exc.value) == message
 
     def test_switch_claim_rejected(self):
         with pytest.raises(GadgetConstructionError):

@@ -143,6 +143,24 @@ class TestInterpolate:
         )
         assert not verify_witness(bad)
 
+    @pytest.mark.parametrize(
+        "mapping,label",
+        [(((0, 5), (2, 5)), "const"), (((0, 0), (1, 2)), "custom")],
+        ids=["collapse", "edge-to-nonedge"],
+    )
+    def test_witness_verifier_rejects_non_embedding_reposition(self, paley13, mapping, label):
+        # one step agreeing pointwise with its target: accepted as a
+        # generator step, rejected as a reposition step, which must be an
+        # embedding (0 1 is an edge of Paley(13), 0 2 a non-edge)
+        from rado_lab import InterpolationWitness
+
+        g = paley13.graph
+        step = FunctionGadget(g, g, mapping, "custom")
+        target = FunctionGadget(g, g, mapping, label)
+        dom = step.dom
+        assert verify_witness(InterpolationWitness(target, dom, (step,), ("generator",)))
+        assert not verify_witness(InterpolationWitness(target, dom, (step,), ("reposition",)))
+
 
 class TestDeleteEdgeStep:
     def test_single_edge(self, paley13):

@@ -22,9 +22,9 @@ from rado_lab import (
     path_graph,
     verify_arrow,
 )
-from rado_lab.graphs import Graph, build_paley, iter_embedding_maps
-from rado_lab.ramsey import CopyBudgetExceeded, _copy_search, _symmetry_breaking
-from rado_lab.structures import ConstantGraph, PartitionedGraph
+from rado_lab.graphs import Graph, build_paley
+from rado_lab.ramsey import CopyBudgetExceeded, _symmetry_breaking
+from rado_lab.structures import ConstantGraph, PartitionedGraph, iter_structure_maps
 
 
 def edge_copies(g: Graph):
@@ -155,10 +155,9 @@ class TestCopiesOracle:
         ],
     )
     def test_one_map_per_copy(self, big, small):
-        pattern, host, restrict = _copy_search(big, small)
         images = [
             tuple(sorted(mapping))
-            for mapping in iter_embedding_maps(pattern, host, order=_symmetry_breaking(small), **restrict)
+            for mapping in iter_structure_maps(small, big, order=_symmetry_breaking(small))
         ]
         assert len(images) == len(set(images))
         assert sorted(images) == _naive_copies(big, small, False) != []

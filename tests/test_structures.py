@@ -1,3 +1,7 @@
+import random
+import re
+from itertools import combinations, permutations
+
 import pytest
 
 from rado_lab import (
@@ -12,10 +16,12 @@ from rado_lab import (
     find_part_embeddings,
     format_constant,
     format_partitioned,
+    iter_structure_maps,
     parse_structure,
     path_graph,
 )
 from rado_lab.graphs import Graph
+from conftest import random_graph
 
 
 class TestTypes:
@@ -143,6 +149,110 @@ class TestConstEmbeddings:
         host = ConstantGraph(complete_graph(3), (0, 1))
         with pytest.raises(ValueError):
             find_const_embeddings(pattern, host, 5)
+
+
+def _naive_structure_maps(small, big, allowed):
+    # every injective tuple in lexicographic order, kept when it is induced,
+    # stays inside ``allowed`` and keeps parts or constants
+    sg = small if isinstance(small, Graph) else small.graph
+    bg = big if isinstance(big, Graph) else big.graph
+    if allowed is None:
+        allowed = (1 << bg.n) - 1
+
+    def respects(p):
+        if isinstance(small, PartitionedGraph):
+            return all(p[v] in big.parts[small.part_of(v)] for v in range(sg.n))
+        if isinstance(small, ConstantGraph):
+            return all(p[c] == d for c, d in zip(small.constants, big.constants))
+        return True
+
+    return [
+        p
+        for p in permutations(range(bg.n), sg.n)
+        if all(allowed >> h & 1 for h in p)
+        and all(sg.has_edge(u, v) == bg.has_edge(p[u], p[v]) for u, v in combinations(range(sg.n), 2))
+        and respects(p)
+    ]
+
+
+def _structure_pairs():
+    # (small, big, allowed) of each kind: hand-picked ones, then seeded random
+    # graphs with random parts, constants and allowed masks
+    c6 = cycle_graph(6)
+    pairs = [
+        (path_graph(3), c6, None),
+        (path_graph(3), c6, 0b111011),
+        (
+            PartitionedGraph(path_graph(3), (frozenset({0, 2}), frozenset({1}))),
+            PartitionedGraph(c6, (frozenset({0, 2, 4}), frozenset({1, 3, 5}))),
+            0b101111,
+        ),
+        (ConstantGraph(path_graph(3), (1,)), ConstantGraph(c6, (3,)), 0b111101),
+        (ConstantGraph(path_graph(3), (1,)), ConstantGraph(c6, (3,)), 0b110111),
+    ]
+    for seed in range(36):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 7), rng.randint(0, 3)
+        m = min(m, n)
+        host, pattern = random_graph(n, 2 * seed), random_graph(m, 2 * seed + 1)
+        allowed = rng.choice([None, (1 << n) - 1 - (1 << rng.randrange(n))])
+        kind = seed % 3
+        if kind == 0:
+            pairs.append((pattern, host, allowed))
+        elif kind == 1:
+            count = rng.randint(1, 3)
+            label_h = [rng.randrange(count) for _ in range(n)]
+            label_p = [rng.randrange(count) for _ in range(m)]
+            pairs.append((
+                PartitionedGraph(pattern, tuple(frozenset(v for v in range(m) if label_p[v] == i) for i in range(count))),
+                PartitionedGraph(host, tuple(frozenset(v for v in range(n) if label_h[v] == i) for i in range(count))),
+                allowed,
+            ))
+        else:
+            count = rng.randint(0, m)
+            pairs.append((
+                ConstantGraph(pattern, tuple(rng.sample(range(m), count))),
+                ConstantGraph(host, tuple(rng.sample(range(n), count))),
+                allowed,
+            ))
+    return pairs
+
+
+class TestIterStructureMaps:
+    @pytest.mark.parametrize("small,big,allowed", _structure_pairs())
+    def test_matches_naive_filter(self, small, big, allowed):
+        want = _naive_structure_maps(small, big, allowed)
+        assert list(iter_structure_maps(small, big, allowed=allowed)) == want
+
+    @pytest.mark.parametrize(
+        "small,big,message",
+        [
+            (
+                path_graph(2),
+                PartitionedGraph(path_graph(2), (frozenset({0, 1}),)),
+                "structure kind mismatch: pattern is a plain graph, host is a partitioned graph",
+            ),
+            (
+                ConstantGraph(path_graph(2), (0,)),
+                PartitionedGraph(path_graph(2), (frozenset({0, 1}),)),
+                "structure kind mismatch: pattern is a constant graph, host is a partitioned graph",
+            ),
+            (
+                PartitionedGraph(path_graph(2), (frozenset({0, 1}),)),
+                PartitionedGraph(path_graph(3), (frozenset({0}), frozenset({1, 2}))),
+                "part count mismatch: pattern has 1, host has 2",
+            ),
+            (
+                ConstantGraph(path_graph(2), (0,)),
+                ConstantGraph(path_graph(3), (0, 1)),
+                "constant count mismatch: pattern has 1, host has 2",
+            ),
+        ],
+        ids=["kind", "kind-constant", "parts", "constants"],
+    )
+    def test_mismatch_raises_at_call(self, small, big, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            iter_structure_maps(small, big)
 
 
 class TestTextFormat:
