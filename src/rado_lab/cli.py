@@ -17,7 +17,7 @@ import time
 from functools import cache
 
 from .canonicity import classify_on_set, profile_partitioned, is_canonical_constant_graph
-from .gadgets import GadgetConstructionError, pair_color, parse_gadget
+from .gadgets import FunctionGadget, GadgetConstructionError, pair_color, parse_gadget
 from .generation import GeneratorSet, classify_reduct, interpolate
 from .graphs import (
     BuildBudgetError,
@@ -49,6 +49,13 @@ def _read_graph_file(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
+def _read_gadget_file(path: str) -> FunctionGadget:
+    # graph names inside a gadget file are relative to the file's directory
+    base = os.path.dirname(os.path.abspath(path))
+    with open(path, "r", encoding="ascii") as fh:
+        return parse_gadget(fh.read(), lambda name: _read_graph_file(os.path.join(base, name)))
+
+
 def _read_structure_file(path: str):
     with open(path, "r", encoding="ascii") as fh:
         return parse_structure(fh.read())
@@ -62,8 +69,6 @@ def _emit(report: dict, as_json: bool) -> None:
         if isinstance(value, dict):
             for key in sorted(value):
                 walk(f"{prefix}{key}.", value[key])
-        elif isinstance(value, list):
-            sys.stdout.write(f"{prefix[:-1]}: {value}\n")
         else:
             sys.stdout.write(f"{prefix[:-1]}: {value}\n")
     walk("", report)
@@ -141,12 +146,7 @@ def _parse_vertex_list(text: str) -> list[int]:
 
 
 def _cmd_classify_function(args) -> int:
-    def read_graph(name: str) -> Graph:
-        base = os.path.dirname(os.path.abspath(args.gadget))
-        return _read_graph_file(os.path.join(base, name))
-
-    with open(args.gadget, "r", encoding="ascii") as fh:
-        gadget = parse_gadget(fh.read(), read_graph)
+    gadget = _read_gadget_file(args.gadget)
     report = {
         "command": "classify-function",
         "seed": args.seed,
@@ -231,12 +231,7 @@ def _cmd_ramsey(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
-    def read_graph(name: str) -> Graph:
-        base = os.path.dirname(os.path.abspath(args.target))
-        return _read_graph_file(os.path.join(base, name))
-
-    with open(args.target, "r", encoding="ascii") as fh:
-        target = parse_gadget(fh.read(), read_graph)
+    target = _read_gadget_file(args.target)
     kinds = frozenset(x for x in args.gens.split(",") if x)
     hosts = [_read_graph_file(path) for path in args.hosts]
     witness = interpolate(target, GeneratorSet(kinds), args.depth, hosts)

@@ -43,14 +43,13 @@ class GeneratorSet:
     """Named gadget constructors available to a search, plus explicit extra
     gadgets; the identity is always included.
 
-    ``free_embeddings`` grants the search arbitrary repositioning embeddings
-    between applications (the finite stand-in for conjugating with
-    automorphisms); without it compositions must chain directly.
+    Repositioning between applications is always free: any embedding of the
+    current image into a gadget's domain may precede it (the finite stand-in
+    for conjugating with automorphisms).
     """
 
     kinds: frozenset[str] = frozenset()
     extra: tuple[FunctionGadget, ...] = ()
-    free_embeddings: bool = True
 
     def __post_init__(self):
         unknown = set(self.kinds) - set(NAMED_KINDS)
@@ -122,11 +121,41 @@ def _is_embedding(step: FunctionGadget) -> bool:
     return True
 
 
-def _embedding_step(
-    src: Graph, dst: Graph, assignment: dict[int, int]
-) -> FunctionGadget:
-    # verify_witness checks that each such step is an embedding
-    return FunctionGadget(src, dst, tuple(sorted(assignment.items())), "custom")
+# one link of a witness chain: (role, step, transcript line)
+_Link = tuple[str, FunctionGadget, str]
+
+
+def _witness(target: FunctionGadget, target_set, chain: list[_Link]) -> InterpolationWitness:
+    witness = InterpolationWitness(
+        target,
+        target_set,
+        tuple(step for _, step, _ in chain),
+        tuple(role for role, _, _ in chain),
+        tuple(line for _, _, line in chain),
+    )
+    assert verify_witness(witness)
+    return witness
+
+
+def _pinned_map(pattern: Graph, host: Graph, allowed: int, ends, pair) -> tuple[int, ...] | None:
+    # the least embedding inside ``allowed`` sending the pattern vertices
+    # ``ends`` onto ``pair``, in that orientation first, then reversed
+    (u, v), (a, b) = ends, pair
+    for fixed in ({u: a, v: b}, {u: b, v: a}):
+        mapping = next(iter_embedding_maps(pattern, host, allowed=allowed, fixed=fixed), None)
+        if mapping is not None:
+            return mapping
+    return None
+
+
+def _least_pair(gadget: FunctionGadget, before: PairKind, after: PairKind) -> tuple[int, int] | None:
+    # the least domain pair of kind ``before`` whose image pair is of kind ``after``
+    for x, y in combinations(gadget.dom, 2):
+        if pair_kind(gadget.src, x, y) is before and pair_kind(
+            gadget.dst, gadget.apply(x), gadget.apply(y)
+        ) is after:
+            return (x, y)
+    return None
 
 
 # switch and const need a vertex to cut at or map to; every other kind takes
@@ -155,9 +184,12 @@ def interpolate(
     """Bounded-depth search for a chain of generator gadgets, interleaved with
     repositioning embeddings, agreeing with ``target`` on its domain.
 
-    ``depth`` bounds the number of generator applications, ``embed_limit`` the
-    repositioning embeddings tried per application, ``max_nodes`` the total
-    search nodes.  None means nothing was found within those bounds.
+    Before each application the current image moves by an embedding into the
+    gadget's domain; every such embedding is allowed, tried in lexicographic
+    order.  ``depth`` bounds the number of generator applications,
+    ``embed_limit`` the repositioning embeddings tried per application,
+    ``max_nodes`` the total search nodes.  None means nothing was found
+    within those bounds.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -175,27 +207,7 @@ def interpolate(
                     return False
         return True
 
-    def final_step(graph: Graph, values: tuple[int, ...]) -> FunctionGadget:
-        assignment = {values[i]: target.apply(x) for i, x in enumerate(f_dom)}
-        return _embedding_step(graph, target.dst, assignment)
-
-    def reposition_candidates(graph: Graph, values: tuple[int, ...], gadget: FunctionGadget):
-        image = tuple(sorted(set(values)))
-        if gens.free_embeddings:
-            pattern = graph.induced(image)
-            maps = islice(
-                iter_embedding_maps(pattern, gadget.src, allowed=gadget.dom_mask()),
-                embed_limit,
-            )
-            for mapping in maps:
-                yield {image[i]: mapping[i] for i in range(len(image))}
-        else:
-            if graph == gadget.src and all(
-                gadget.dom_mask() >> v & 1 for v in image
-            ):
-                yield {v: v for v in image}
-
-    def dfs(graph: Graph, values: tuple[int, ...], remaining: int, steps, roles, log, seen):
+    def dfs(graph: Graph, values: tuple[int, ...], remaining: int, chain: list[_Link], seen):
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
@@ -206,35 +218,29 @@ def interpolate(
         if seen.get(state, -1) >= remaining:
             return None
         seen[state] = remaining
+        image = tuple(sorted(set(values)))
+        pattern = graph.induced(image)
         for gadget in pool:
-            for assignment in reposition_candidates(graph, values, gadget):
-                emb_step = _embedding_step(graph, gadget.src, assignment)
-                moved = tuple(assignment[v] for v in values)
-                applied = tuple(gadget.apply(v) for v in moved)
-                new_steps = steps + [emb_step, gadget]
-                new_roles = roles + ["reposition", "generator"]
-                new_log = log + [f"reposition into {gadget.label}", f"apply {gadget.label}"]
+            maps = iter_embedding_maps(pattern, gadget.src, allowed=gadget.dom_mask())
+            for mapping in islice(maps, embed_limit):
+                assignment = dict(zip(image, mapping))
+                applied = tuple(gadget.apply(assignment[v]) for v in values)
+                moved = FunctionGadget(graph, gadget.src, tuple(assignment.items()))
+                longer = chain + [
+                    ("reposition", moved, f"reposition into {gadget.label}"),
+                    ("generator", gadget, f"apply {gadget.label}"),
+                ]
                 if goal(gadget.dst, applied):
-                    closing = final_step(gadget.dst, applied)
-                    witness = InterpolationWitness(
-                        target,
-                        f_dom,
-                        tuple(new_steps + [closing]),
-                        tuple(new_roles + ["reposition"]),
-                        tuple(new_log + ["align with target"]),
-                    )
-                    assert verify_witness(witness)
-                    return witness
-                found = dfs(
-                    gadget.dst, applied, remaining - 1, new_steps, new_roles, new_log, seen
-                )
+                    align = dict(zip(applied, map(target.apply, f_dom)))
+                    closing = FunctionGadget(gadget.dst, target.dst, tuple(align.items()))
+                    return _witness(target, f_dom, longer + [("reposition", closing, "align with target")])
+                found = dfs(gadget.dst, applied, remaining - 1, longer, seen)
                 if found is not None:
                     return found
         return None
 
-    start_values = f_dom
     for d in range(1, depth + 1):
-        found = dfs(target.src, start_values, d, [], [], [], {})
+        found = dfs(target.src, f_dom, d, [], {})
         if found is not None:
             return found
     return None
@@ -248,14 +254,13 @@ class PatternNotFoundError(RuntimeError):
     """A required copy of a pattern does not exist in the host."""
 
 
-def delete_edge_step(f_marked: ConstantGraph, host: Graph, k: int) -> FunctionGadget:
+def delete_edge_step(f_marked: ConstantGraph, host: Graph) -> FunctionGadget:
     """Gadget defined on a copy of the marked graph in ``host`` that keeps
     every pair pattern except the constant pair, which becomes a non-edge.
 
     Built by locating a copy of the graph and a copy of the graph with the
-    marked edge removed, and mapping the first onto the second.  ``k`` is the
-    host's claimed extension level, needed large enough for both copies to
-    exist.
+    marked edge removed, and mapping the first onto the second; both copies
+    exist when the host is k-e.c. for k at least the graph's order minus one.
     """
     if len(f_marked.constants) != 2:
         raise ValueError("the marked graph needs exactly two constants")
@@ -267,18 +272,12 @@ def delete_edge_step(f_marked: ConstantGraph, host: Graph, k: int) -> FunctionGa
         source.n,
         [e for e in source.edges() if set(e) != {c0, c1}],
     )
-    try:
-        phi1 = next(iter_embedding_maps(source, host))
-    except StopIteration:
-        raise PatternNotFoundError(
-            f"host has no copy of the marked {source.n}-vertex graph"
-        ) from None
-    try:
-        phi2 = next(iter_embedding_maps(deleted, host))
-    except StopIteration:
-        raise PatternNotFoundError(
-            f"host has no copy of the edge-deleted {source.n}-vertex graph"
-        ) from None
+    phi1 = next(iter_embedding_maps(source, host), None)
+    if phi1 is None:
+        raise PatternNotFoundError(f"host has no copy of the marked {source.n}-vertex graph")
+    phi2 = next(iter_embedding_maps(deleted, host), None)
+    if phi2 is None:
+        raise PatternNotFoundError(f"host has no copy of the edge-deleted {source.n}-vertex graph")
     gadget = FunctionGadget(
         host, host, tuple((phi1[i], phi2[i]) for i in range(source.n)), "custom"
     )
@@ -300,71 +299,40 @@ def delete_all_edges(pattern: Graph, host: Graph, k: int) -> InterpolationWitnes
 
     The witness target is an eN-labeled gadget built from the final map, so
     its construction-time check independently confirms the empty image.
+    ``k`` is ignored; it is removed with the next change to the benchmark,
+    which passes it positionally.
     """
-    try:
-        placement = next(iter_embedding_maps(pattern, host))
-    except StopIteration:
-        raise PatternNotFoundError("host has no copy of the start pattern") from None
-    steps: list[FunctionGadget] = [
-        _embedding_step(pattern, host, {i: placement[i] for i in range(pattern.n)})
+    values = next(iter_embedding_maps(pattern, host), None)
+    if values is None:
+        raise PatternNotFoundError("host has no copy of the start pattern")
+    chain: list[_Link] = [
+        ("reposition", FunctionGadget(pattern, host, tuple(enumerate(values))),
+         "place the pattern in the host")
     ]
-    roles = ["reposition"]
-    log = ["place the pattern in the host"]
     current = pattern
-    values = placement
     while True:
         edges = list(current.edges())
         if not edges:
             break
         i, j = edges[0]
-        gadget = delete_edge_step(ConstantGraph(current, (i, j)), host, k)
-        dom_sorted = gadget.dom
-        dom_graph = host.induced(dom_sorted)
+        gadget = delete_edge_step(ConstantGraph(current, (i, j)), host)
         # align the current copy with the gadget's domain so the deleted
         # pair lands on the pair the gadget actually flips
-        flip_pair = next(
-            (x1, x2)
-            for x1, x2 in combinations(dom_sorted, 2)
-            if pair_kind(host, x1, x2) is PairKind.EDGE
-            and pair_kind(host, gadget.apply(x1), gadget.apply(x2)) is PairKind.NONEDGE
-        )
-        dom_index = {v: idx for idx, v in enumerate(dom_sorted)}
-        alignment = None
-        for pin in (flip_pair, flip_pair[::-1]):
-            fixed = {i: dom_index[pin[0]], j: dom_index[pin[1]]}
-            try:
-                mapping = next(iter_embedding_maps(current, dom_graph, fixed=fixed))
-            except StopIteration:
-                continue
-            alignment = {x: dom_sorted[mapping[x]] for x in range(current.n)}
-            break
+        flip_pair = _least_pair(gadget, PairKind.EDGE, PairKind.NONEDGE)
+        alignment = _pinned_map(current, host, gadget.dom_mask(), (i, j), flip_pair)
         if alignment is None:
             raise PatternNotFoundError("could not align the copy with the deletion gadget")
-        emb_step = _embedding_step(
-            host, host, {values[x]: alignment[x] for x in range(current.n)}
-        )
-        steps.extend([emb_step, gadget])
-        roles.extend(["reposition", "generator"])
-        log.extend(
-            [f"move copy onto the deletion gadget for edge ({i}, {j})", "delete the edge"]
-        )
-        values = tuple(gadget.apply(alignment[x]) for x in range(current.n))
+        moved = FunctionGadget(host, host, tuple(zip(values, alignment)))
+        chain += [
+            ("reposition", moved, f"move copy onto the deletion gadget for edge ({i}, {j})"),
+            ("generator", gadget, "delete the edge"),
+        ]
+        values = tuple(gadget.apply(v) for v in alignment)
         current = Graph.from_edges(
             current.n, [e for e in current.edges() if e != (i, j)]
         )
-    target = FunctionGadget(
-        pattern, host, tuple((x, values[x]) for x in range(pattern.n)), "eN"
-    )
-    witness = InterpolationWitness(target, tuple(range(pattern.n)), tuple(steps), tuple(roles), tuple(log))
-    assert verify_witness(witness)
-    return witness
-
-
-def _least_collapsing_pair(g: FunctionGadget, kind: PairKind) -> tuple[int, int] | None:
-    for x1, x2 in combinations(g.dom, 2):
-        if pair_kind(g.src, x1, x2) is kind and g.apply(x1) == g.apply(x2):
-            return (x1, x2)
-    return None
+    target = FunctionGadget(pattern, host, tuple(enumerate(values)), "eN")
+    return _witness(target, tuple(range(pattern.n)), chain)
 
 
 def collapse_all(
@@ -375,59 +343,39 @@ def collapse_all(
     non-edge-collapsing gadget ``h``; at most |F| generator steps.
     """
     f_sorted = tuple(sorted(set(f_set)))
+    collapsers = {}
     for gadget, kind, name in ((g, PairKind.EDGE, "g"), (h, PairKind.NONEDGE, "h")):
         if gadget.src != host or gadget.dst != host:
             raise ValueError(f"gadget {name} must map the host to itself")
-        if _least_collapsing_pair(gadget, kind) is None:
+        pair = _least_pair(gadget, kind, PairKind.EQUAL)
+        if pair is None:
             noun = "edge" if kind is PairKind.EDGE else "non-edge"
             raise ValueError(f"gadget {name} does not collapse any {noun}")
-    steps: list[FunctionGadget] = []
-    roles: list[str] = []
-    log: list[str] = []
+        collapsers[kind] = (gadget, pair)
+    chain: list[_Link] = []
     values = {x: x for x in f_sorted}
     for _ in range(len(f_sorted)):
         image = sorted(set(values.values()))
         if len(image) <= 1:
             break
         s0, s1 = image[0], image[1]
-        kind = pair_kind(host, s0, s1)
-        gadget = g if kind is PairKind.EDGE else h
-        a, b = _least_collapsing_pair(gadget, kind)
-        pattern = host.induced(image)
-        index = {v: i for i, v in enumerate(image)}
-        assignment = None
-        for pin in ((a, b), (b, a)):
-            fixed = {index[s0]: pin[0], index[s1]: pin[1]}
-            try:
-                mapping = next(
-                    iter_embedding_maps(
-                        pattern, host, allowed=gadget.dom_mask(), fixed=fixed
-                    )
-                )
-            except StopIteration:
-                continue
-            assignment = {image[i]: mapping[i] for i in range(len(image))}
-            break
-        if assignment is None:
+        gadget, (a, b) = collapsers[pair_kind(host, s0, s1)]
+        mapping = _pinned_map(host.induced(image), host, gadget.dom_mask(), (0, 1), (a, b))
+        if mapping is None:
             raise PatternNotFoundError(
                 f"no repositioning embedding pinning ({s0}, {s1}) onto ({a}, {b})"
             )
-        steps.extend(
-            [_embedding_step(host, host, assignment), gadget]
-        )
-        roles.extend(["reposition", "generator"])
-        log.extend(
-            [f"pin ({s0}, {s1}) onto the collapsing pair ({a}, {b})", "collapse"]
-        )
+        assignment = dict(zip(image, mapping))
+        chain += [
+            ("reposition", FunctionGadget(host, host, tuple(assignment.items())),
+             f"pin ({s0}, {s1}) onto the collapsing pair ({a}, {b})"),
+            ("generator", gadget, "collapse"),
+        ]
         values = {x: gadget.apply(assignment[v]) for x, v in values.items()}
     image = sorted(set(values.values()))
     assert len(image) == 1, "collapse loop exceeded its step bound"
     target = make_named("const", host, dom=f_sorted, target=image[0])
-    witness = InterpolationWitness(
-        target, f_sorted, tuple(steps), tuple(roles), tuple(log)
-    )
-    assert verify_witness(witness)
-    return witness
+    return _witness(target, f_sorted, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +456,7 @@ def all_graph_types(n: int) -> tuple[Graph, ...]:
     exhaustive enumeration (1, 2, 4, 11, 34 types for n = 1..5)."""
     if n > 5:
         raise ValueError("type tables are precomputed only up to 5 vertices")
-    pairs = list(combinations(range(n), 2))
-    seen: set[Graph] = set()
-    for code in range(1 << len(pairs)):
-        g = Graph.from_edges(n, [pairs[b] for b in range(len(pairs)) if code >> b & 1])
-        seen.add(canonical_form(g))
+    seen = {_canonical_of_code(n, code) for code in range(1 << n * (n - 1) // 2)}
     return tuple(sorted(seen, key=lambda t: sorted(t.edges())))
 
 

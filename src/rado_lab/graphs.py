@@ -483,7 +483,6 @@ def iter_embedding_maps(
     per_vertex: Mapping[int, int] | None = None,
     fixed: Mapping[int, int] | None = None,
     order: Iterable[tuple[int, int]] = (),
-    monotone: bool = False,
 ) -> Iterator[tuple[int, ...]]:
     """Injective induced-subgraph maps of ``pattern`` into ``host``, in
     lexicographic order of the mapped tuple.
@@ -491,9 +490,8 @@ def iter_embedding_maps(
     ``allowed`` is a global host bitmask, ``per_vertex`` bitmasks restrict
     individual pattern vertices, ``fixed`` pins pattern vertices to host
     vertices.  ``order`` holds pairs (a, b) of distinct pattern vertices that
-    demand map[a] < map[b] (symmetry-breaking conditions); ``monotone``
-    demands an order-preserving map (used for ordered structures) and is the
-    same as ordering every pair a < b.
+    demand map[a] < map[b] (symmetry-breaking conditions); ordering every
+    pair a < b demands an order-preserving map.
 
     Forward-checking search: pattern vertices are assigned in order 0..m-1,
     each to its candidate host vertices in increasing order, so the maps come
@@ -512,10 +510,7 @@ def iter_embedding_maps(
     vertex passes, the common case of a small pattern in a large host.
     """
     m, n, full = pattern.n, host.n, host.full_mask
-    order = tuple(order)
-    if monotone:
-        order += tuple(combinations(range(m), 2))
-    later, bounds = _later_relations(pattern, order)
+    later, bounds = _later_relations(pattern, tuple(order))
     if m == 0:
         yield ()
         return
@@ -629,13 +624,12 @@ class PartialIso:
         return True
 
 
-def extend_partial_iso(p: PartialIso, v: int, k: int) -> PartialIso | None:
+def extend_partial_iso(p: PartialIso, v: int) -> PartialIso | None:
     """Extend ``p`` to ``v``, choosing the least image vertex realizing v's
     adjacency pattern over the image of ``p``.
 
-    ``k`` documents the claimed extension level of the host; when the host
-    passes check_extension(., k) and len(p.pairs) <= k success is guaranteed.
-    Returns None when no witness exists.
+    Success is guaranteed when the host passes check_extension(., k) for some
+    k >= len(p.pairs).  Returns None when no witness exists.
     """
     if any(x == v for x, _ in p.pairs):
         raise ValueError(f"vertex {v} already in domain")

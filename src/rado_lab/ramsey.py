@@ -70,9 +70,12 @@ def enumerate_copies(
     Each copy is reached by exactly one map: ordered patterns through the
     order-preserving one, the others through the one that meets the
     symmetry-breaking conditions of the pattern's automorphism group."""
-    order = () if ordered else _symmetry_breaking(small)
+    if ordered:
+        order = tuple(combinations(range(as_partitioned(small).graph.n), 2))
+    else:
+        order = _symmetry_breaking(small)
     copies = []
-    for mapping in iter_structure_maps(small, big, order=order, monotone=ordered):
+    for mapping in iter_structure_maps(small, big, order=order):
         copies.append(tuple(sorted(mapping)))
         if budget is not None and len(copies) > budget:
             raise CopyBudgetExceeded(len(copies))

@@ -118,12 +118,11 @@ def iter_structure_maps(
     *,
     allowed: int | None = None,
     order: Iterable[tuple[int, int]] = (),
-    monotone: bool = False,
 ) -> Iterator[tuple[int, ...]]:
     """The maps of ``iter_embedding_maps`` from ``small`` into ``big`` that
     respect their extra structure: part i of a partitioned pattern goes into
     part i of the host, constant i of a constant pattern to constant i of the
-    host.  ``allowed``, ``order`` and ``monotone`` pass through.
+    host.  ``allowed`` and ``order`` pass through.
 
     Both structures must be of one kind, with as many parts or constants;
     otherwise ``ValueError`` is raised at the call.
@@ -134,7 +133,7 @@ def iter_structure_maps(
         raise TypeError(f"unsupported structure type {unsupported}")
     if kind != host_kind:
         raise ValueError(f"structure kind mismatch: pattern is a {kind}, host is a {host_kind}")
-    search = {"allowed": allowed, "order": order, "monotone": monotone}
+    search = {"allowed": allowed, "order": order}
     if isinstance(small, Graph):
         return iter_embedding_maps(small, big, **search)
     if isinstance(small, PartitionedGraph):

@@ -79,7 +79,7 @@ class TestInterpolate:
     def test_edge_deletion_depth_one(self, paley29):
         host = paley29.graph
         k4 = complete_graph(4)
-        gadget = delete_edge_step(ConstantGraph(k4, (0, 1)), host, 3)
+        gadget = delete_edge_step(ConstantGraph(k4, (0, 1)), host)
         emb = find_embeddings(k4, host, 1)[0]
         target = FunctionGadget(
             k4, host,
@@ -93,17 +93,6 @@ class TestInterpolate:
         # a constant target cannot come from the identity generator alone
         target = make_named("const", paley13.graph, dom=(0, 1), target=0)
         assert interpolate(target, GeneratorSet(), 2, [paley13.graph]) is None
-
-    def test_without_free_embeddings(self, paley13):
-        # in-place identity still works, moving to another host does not
-        pinned = GeneratorSet(free_embeddings=False)
-        target = make_named("identity", paley13.graph, dom=(0, 1, 2))
-        assert interpolate(target, pinned, 1, [paley13.graph]) is not None
-        moved = make_named("eN", path_graph(3), dst=empty_graph(3))
-        assert interpolate(
-            moved, GeneratorSet(frozenset({"eN"}), free_embeddings=False),
-            1, [paley13.graph],
-        ) is None
 
     def test_depth_one_witnesses_pinned(self, paley13, paley29):
         # witnesses take the first map of each embedding search, so these
@@ -165,14 +154,14 @@ class TestInterpolate:
 class TestDeleteEdgeStep:
     def test_single_edge(self, paley13):
         marked = ConstantGraph(complete_graph(2), (0, 1))
-        gadget = delete_edge_step(marked, paley13.graph, 2)
+        gadget = delete_edge_step(marked, paley13.graph)
         (x, y) = gadget.dom
         assert pair_kind(paley13.graph, x, y) is PairKind.EDGE
         assert pair_kind(paley13.graph, gadget.apply(x), gadget.apply(y)) is PairKind.NONEDGE
 
     def test_triangle_to_path(self, paley13):
         marked = ConstantGraph(complete_graph(3), (0, 1))
-        gadget = delete_edge_step(marked, paley13.graph, 2)
+        gadget = delete_edge_step(marked, paley13.graph)
         image = sorted({gadget.apply(v) for v in gadget.dom})
         assert len(image) == 3
         image_edges = sum(
@@ -183,7 +172,7 @@ class TestDeleteEdgeStep:
     def test_identity_pattern_except_marked_pair(self, paley29):
         host = paley29.graph
         marked = ConstantGraph(complete_graph(4), (1, 2))
-        gadget = delete_edge_step(marked, host, 3)
+        gadget = delete_edge_step(marked, host)
         flipped = [
             (x1, x2)
             for x1, x2 in combinations(gadget.dom, 2)
@@ -194,11 +183,11 @@ class TestDeleteEdgeStep:
 
     def test_requires_marked_edge(self, paley13):
         with pytest.raises(ValueError):
-            delete_edge_step(ConstantGraph(empty_graph(2), (0, 1)), paley13.graph, 2)
+            delete_edge_step(ConstantGraph(empty_graph(2), (0, 1)), paley13.graph)
 
     def test_missing_pattern(self):
         with pytest.raises(PatternNotFoundError):
-            delete_edge_step(ConstantGraph(complete_graph(3), (0, 1)), cycle_graph(5), 1)
+            delete_edge_step(ConstantGraph(complete_graph(3), (0, 1)), cycle_graph(5))
 
 
 class TestDeleteAllEdges:
@@ -264,6 +253,32 @@ class TestCollapseAll:
                 _chase(w, x) for x in subset
             }
             assert len(final) == 1
+
+    def test_witnesses_pinned(self, paley29):
+        # witnesses take the first map of each reposition search, so these
+        # digests pin the lexicographic order of the maps
+        digests = iter((
+            "09c32fa60b61007b97e79f1cc1952a54f70788c0e1138880b9b2a6f878bc6fda",
+            "75bca363b03c3b34f9287f1fcc6bd61ad3282cec35b74945acfc11794b5e2a5a",
+            "05f3b7bc6d0b4037ec60746c055803dcc393dd3bbf70b4b9912582b25ed0c688",
+            "270afedbc68138b3e43a9e103624496f343cfd0b5fba6708e75bc6d07d0381a5",
+            "a2d49522ca1bf7b694ef1445b5720c3d4719d3abf2606437a9c6383a9a9aa468",
+            "45eff50579818a9cabdc5b793ca3421a54b957e137f8028e84bc7fad72f99903",
+        ))
+        rng = random.Random(7)
+        used = set()
+        for host in (paley29.graph, build_paley(61).graph):
+            edges, nonedges = list(host.edges()), list(host.nonedges())
+            for size in (3, 5, 6):
+                g = collapsing_gadget(host, rng.choice(edges))
+                h = collapsing_gadget(host, rng.choice(nonedges))
+                subset = tuple(rng.sample(range(host.n), size))
+                w = collapse_all(subset, host, g, h)
+                assert verify_witness(w)
+                assert witness_digest(w) == next(digests), (host.n, subset)
+                used |= {"g" if s is g else "h" for s in w.steps if s is g or s is h}
+        # both an edge and a non-edge collapse occur among the pinned chains
+        assert used == {"g", "h"}
 
     def test_rejects_non_collapsing_gadget(self, paley29):
         host = paley29.graph
