@@ -180,7 +180,7 @@ def find_canonical_copy(
     embeddings inside dom(f), for every kind of pattern.
 
     Absence within the budget is not evidence of nonexistence; only returned
-    copies are certified (and re-verified here).
+    copies are certified (the ``Embedding`` verifies itself when built).
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -191,7 +191,5 @@ def find_canonical_copy(
     for mapping in islice(maps, limit):
         image_parts = [[mapping[v] for v in part] for part in pattern_pg.parts]
         if _profile_over_parts(f, image_parts).is_canonical:
-            emb = Embedding(pattern_pg.graph, host_graph, mapping)
-            assert emb.verify()
-            return emb
+            return Embedding(pattern_pg.graph, host_graph, mapping)
     return None

@@ -30,7 +30,7 @@ from .graphs import (
     pair_kind,
     parse_graph,
 )
-from .ramsey import ArrowBudget, ArrowQuery, verify_arrow
+from .ramsey import DEFAULT_COLORING_BUDGET, DEFAULT_COPY_BUDGET, ArrowBudget, ArrowQuery, verify_arrow
 from .relations import RelationSpecError, parse_relation_spec
 from .structures import ConstantGraph, PartitionedGraph, parse_structure
 
@@ -295,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--P", required=True)
     p_ver.add_argument("-k", type=int, required=True)
     p_ver.add_argument("--ordered", action="store_true")
-    p_ver.add_argument("--budget-colorings", type=int, default=2**24)
-    p_ver.add_argument("--budget-copies", type=int, default=10**5)
+    p_ver.add_argument("--budget-colorings", type=int, default=DEFAULT_COLORING_BUDGET)
+    p_ver.add_argument("--budget-copies", type=int, default=DEFAULT_COPY_BUDGET)
     p_ver.add_argument("--witness-out", default=None)
     _add_common(p_ver)
     p_ver.set_defaults(func=_cmd_ramsey)

@@ -24,7 +24,7 @@ from .graphs import (
     pair_kind,
     switch_graph,
 )
-from .relations import PreservationResult, Relation, preserved_by_map
+from .relations import PreservationResult, Relation, flip_form, preserved_by_map
 
 
 class GadgetConstructionError(ValueError):
@@ -127,26 +127,16 @@ class FunctionGadget:
                         f"({x1}, {x2}) to a {pair_kind(self.dst, y1, y2).value} pair"
                     )
             return
-        # switch: identity vertex map, dst equal to src switched at some cut
+        # switch: identity vertex map, dst equal to src switched at some cut,
+        # which is a flip form of the whole vertex set with c = 0
         for x, y in self.mapping:
             if x != y:
                 raise GadgetConstructionError("switch gadget must be the identity vertex map")
         if self.dst.n != self.src.n:
             raise GadgetConstructionError("switch gadget endpoints differ in size")
-        if self.src.n > 0 and not self._is_switch_pair():
-            raise GadgetConstructionError(
-                "destination graph is not a switching of the source graph"
-            )
-
-    def _is_switch_pair(self) -> bool:
-        # recover one side of the cut from vertex 0 and recheck every pair
-        side0 = 1
-        for v in range(1, self.src.n):
-            if self.src.has_edge(0, v) == self.dst.has_edge(0, v):
-                side0 |= 1 << v
-        return self.dst == switch_graph(self.src, (
-            v for v in range(self.src.n) if not side0 >> v & 1
-        ))
+        form = flip_form({v: v for v in range(self.src.n)}, self.src, self.dst)
+        if form is None or form[0]:
+            raise GadgetConstructionError("destination graph is not a switching of the source graph")
 
 
 def make_named(kind: str, src: Graph, **params) -> FunctionGadget:

@@ -20,8 +20,11 @@ from .graphs import (
     Graph,
     PairKind,
     check_extension,
+    edge_code,
+    graph_of_code,
     iter_embedding_maps,
     pair_kind,
+    switch_masks,
 )
 from .relations import (
     EqualityDefinability,
@@ -390,9 +393,9 @@ _CANONICAL_MAX_N = 5
 
 
 def canonical_form(g: Graph) -> Graph:
-    """Least relabeling of ``g``: the edge code (bit b set when the b-th
-    vertex pair in lexicographic order is an edge) minimized over all vertex
-    permutations.  Intended for tiny graphs only (at most 8 vertices).
+    """Least relabeling of ``g``: its ``edge_code`` minimized over all
+    vertex permutations.  Intended for tiny graphs only (at most 8
+    vertices).
 
     Memoized per orbit: a miss computes the code of every relabeling, all
     n! of them, and for n <= 5 records the least one for every code of the
@@ -402,15 +405,7 @@ def canonical_form(g: Graph) -> Graph:
     n = g.n
     if n > 8:
         raise ValueError("canonical_form is restricted to at most 8 vertices")
-    return _canonical_of_code(n, _edge_code(g))
-
-
-def _edge_code(g: Graph) -> int:
-    code = 0
-    for bit, (i, j) in enumerate(combinations(range(g.n), 2)):
-        if g.row(i) >> j & 1:
-            code |= 1 << bit
-    return code
+    return _canonical_of_code(n, edge_code(g))
 
 
 def _canonical_of_code(n: int, code: int) -> Graph:
@@ -419,11 +414,8 @@ def _canonical_of_code(n: int, code: int) -> Graph:
     form = _CANONICAL.get((n, code))
     if form is None:
         pairs = list(combinations(range(n), 2))
-        rows = [0] * n
-        for bit, (i, j) in enumerate(pairs):
-            if code >> bit & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        g = graph_of_code(n, code)
+        rows = [g.row(v) for v in range(n)]
         orbit = set()
         for perm in permutations(range(n)):
             relabeled = 0
@@ -431,23 +423,10 @@ def _canonical_of_code(n: int, code: int) -> Graph:
                 if rows[perm[i]] >> perm[j] & 1:
                     relabeled |= 1 << bit
             orbit.add(relabeled)
-        best = min(orbit)
-        form = Graph.from_edges(n, [pairs[bit] for bit in range(len(pairs)) if best >> bit & 1])
+        form = graph_of_code(n, min(orbit))
         if n <= _CANONICAL_MAX_N:
             _CANONICAL.update(((n, c), form) for c in orbit)
     return form
-
-
-@lru_cache(maxsize=None)  # keyed by vertex count, at most 5 (orbit_closure's cap)
-def _switch_flips(n: int) -> tuple[int, ...]:
-    # per vertex subset s, in order of size then lexicographically, the edge
-    # code bits of the pairs that switching s flips
-    pairs = list(combinations(range(n), 2))
-    return tuple(
-        sum(1 << bit for bit, (i, j) in enumerate(pairs) if (i in s) != (j in s))
-        for size in range(n + 1)
-        for s in combinations(range(n), size)
-    )
 
 
 @lru_cache(maxsize=None)
@@ -462,15 +441,17 @@ def all_graph_types(n: int) -> tuple[Graph, ...]:
 
 def _type_images(t: Graph, gens: GeneratorSet) -> Iterator[Graph]:
     # canonical forms of the images of type t; the rewrites act on its edge
-    # code directly, so no image graph is built for them
+    # code directly, so no image graph is built for them.  Switching uses
+    # single vertices: they generate every switching, so the closure is
+    # the same as with every subset
     n = t.n
     every = (1 << n * (n - 1) // 2) - 1
-    code = _edge_code(t)
+    code = edge_code(t)
     for kind in sorted(gens.kinds):
         if kind == "minus":
             yield _canonical_of_code(n, code ^ every)
         elif kind == "switch":
-            for flip in _switch_flips(n):
+            for flip in switch_masks(n):
                 yield _canonical_of_code(n, code ^ flip)
         elif kind == "eE":
             yield _canonical_of_code(n, every)
@@ -622,12 +603,13 @@ def classify_reduct(
     equality class; otherwise invariance under complement and under every
     single-vertex switch picks one of the remaining four classes.
 
-    Several relations classify jointly as the lattice join of their individual
+    ``relations`` is one relation or any iterable of them.  Several
+    relations classify jointly as the lattice join of their individual
     classes (the class of the group generated by everything each relation
     allows).  ``k`` is the host's claimed extension level and is verified
     up front unless ``check_host`` is disabled.
     """
-    rel_list = list(relations) if isinstance(relations, (list, tuple)) else [relations]
+    rel_list = [relations] if isinstance(relations, Relation) else list(relations)
     if not rel_list:
         raise ValueError("need at least one relation")
     max_arity = max(r.arity for r in rel_list)

@@ -215,6 +215,31 @@ def switch_graph(g: Graph, s: Iterable[int]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# edge codes of small graphs: bit b is the b-th vertex pair of
+# combinations(range(n), 2), set when that pair is an edge
+
+
+def edge_code(g: Graph) -> int:
+    code = 0
+    for bit, (i, j) in enumerate(combinations(range(g.n), 2)):
+        if g.row(i) >> j & 1:
+            code |= 1 << bit
+    return code
+
+
+@lru_cache(maxsize=1100)  # every graph on at most 5 vertices: 2^C(n, 2) summed over n = 0..5
+def graph_of_code(n: int, code: int) -> Graph:
+    return Graph.from_edges(n, [p for b, p in enumerate(combinations(range(n), 2)) if code >> b & 1])
+
+
+@lru_cache(maxsize=None)  # keyed by vertex count
+def switch_masks(n: int) -> tuple[int, ...]:
+    """Per vertex v, the code bits of the pairs that switching {v} flips."""
+    pairs = list(combinations(range(n), 2))
+    return tuple(sum(1 << bit for bit, p in enumerate(pairs) if v in p) for v in range(n))
+
+
+# ---------------------------------------------------------------------------
 # Paley graphs
 
 
@@ -408,11 +433,16 @@ def build_ec(k: int, seed: int = 0, *, max_vertices: int | None = None) -> Graph
 
 @dataclass(frozen=True)
 class Embedding:
-    """Injective map realizing ``source`` as an induced subgraph of ``target``."""
+    """Injective map realizing ``source`` as an induced subgraph of ``target``;
+    construction raises ``ValueError`` for any other map."""
 
     source: Graph
     target: Graph
     mapping: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.verify():
+            raise ValueError(f"map {self.mapping} is not an induced embedding of source into target")
 
     def apply(self, v: int) -> int:
         return self.mapping[v]
@@ -579,12 +609,7 @@ def find_embeddings(pattern: Graph, host: Graph, limit: int) -> list[Embedding]:
     tuple; empty list iff no copy exists."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    out = []
-    for mapping in islice(iter_embedding_maps(pattern, host), limit):
-        emb = Embedding(pattern, host, mapping)
-        assert emb.verify()
-        out.append(emb)
-    return out
+    return [Embedding(pattern, host, m) for m in islice(iter_embedding_maps(pattern, host), limit)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ Arrow verification searches colorings of the P-copies depth first in
 lexicographic order, with the first copy's color fixed (the only symmetry
 reduction on colorings), and cuts a branch as soon as a monochromatic H-copy
 is complete.  The copy budget bounds both the P- and the H-copies; the
-coloring budget refuses a query up front, before any search, and so also
-bounds the search.
+coloring budget refuses a query up front, as soon as the P-copies are known
+and before any H-copy is enumerated, and so also bounds the search.
 """
 
 from __future__ import annotations
@@ -159,9 +159,7 @@ def find_mono_copy(
         inside = [copy_index[c] for c in p_copies if set(c) <= image]
         palette = {coloring.colors[i] for i in inside}
         if len(palette) <= 1:
-            emb = Embedding(h_graph, s_graph, mapping)
-            assert emb.verify()
-            return emb
+            return Embedding(h_graph, s_graph, mapping)
     return None
 
 
@@ -177,10 +175,14 @@ def verify_arrow(q: ArrowQuery, budget: ArrowBudget | None = None) -> ArrowResul
     first leaf is the least witness coloring.  An H-copy containing no P-copy
     makes the arrow hold at once.
 
-    The query is refused up front when the P- or the H-copies exceed the copy
-    budget (``stats`` then holds ``copies_seen`` and ``budget_copies``), or
-    when the k^(m-1) colorings exceed the coloring budget, which also caps
-    the search at k/(k-1) * k^(m-1) nodes (m nodes when k = 1).
+    The query is refused up front, checked in this order: when the P-copies
+    exceed the copy budget; when their k^(m-1) colorings exceed the coloring
+    budget, before any H-copy is enumerated (``stats`` then holds
+    ``p_copies``, ``colorings_checked``, ``colorings_total`` and
+    ``budget_colorings``); when the H-copies exceed the copy budget.  A copy
+    refusal's ``stats`` holds ``copies_seen`` and ``budget_copies``.  The
+    coloring budget also caps the search at k/(k-1) * k^(m-1) nodes (m nodes
+    when k = 1).
     ``stats["colorings_checked"]`` counts search nodes: one per color
     assigned to a copy, copy 0's fixed color included.
     """
@@ -188,10 +190,16 @@ def verify_arrow(q: ArrowQuery, budget: ArrowBudget | None = None) -> ArrowResul
         budget = ArrowBudget()
     try:
         p_copies = enumerate_copies(q.S, q.P, ordered=q.ordered, budget=budget.copies)
+        m = len(p_copies)
+        total = q.k ** (m - 1) if m else 0
+        if m and total > budget.colorings:
+            return ArrowResult("budget_exceeded", stats={
+                "p_copies": m, "colorings_checked": 0,
+                "colorings_total": total, "budget_colorings": budget.colorings,
+            })
         h_copies = enumerate_copies(q.S, q.H, ordered=q.ordered, budget=budget.copies)
     except CopyBudgetExceeded as exc:
         return ArrowResult("budget_exceeded", stats={"copies_seen": exc.count, "budget_copies": budget.copies})
-    m = len(p_copies)
     stats = {"p_copies": m, "h_copies": len(h_copies), "colorings_checked": 0}
 
     if m == 0:
@@ -199,12 +207,6 @@ def verify_arrow(q: ArrowQuery, budget: ArrowBudget | None = None) -> ArrowResul
         if h_copies:
             return ArrowResult("holds", stats=stats)
         return ArrowResult("fails", witness=empty, stats=stats)
-
-    total = q.k ** (m - 1)
-    if total > budget.colorings:
-        stats["colorings_total"] = total
-        stats["budget_colorings"] = budget.colorings
-        return ArrowResult("budget_exceeded", stats=stats)
 
     # closing[i]: the other P-copies of each H-copy whose largest P-copy is i
     p_index = {c: i for i, c in enumerate(p_copies)}
@@ -265,29 +267,16 @@ def find_edge_nonedge_mono_copy(
         if (u, v) not in nonedge_coloring:
             raise ValueError(f"non-edge coloring missing pair ({u}, {v})")
     for mapping in iter_structure_maps(pattern, host):
-        edge_colors = set()
-        nonedge_colors = set()
-        ok = True
-        image = sorted(mapping)
-        for i in range(len(image)):
-            for j in range(i + 1, len(image)):
-                u, v = image[i], image[j]
-                if host.has_edge(u, v):
-                    edge_colors.add(edge_coloring[(u, v)])
-                    if len(edge_colors) > 1:
-                        ok = False
-                        break
-                else:
-                    nonedge_colors.add(nonedge_coloring[(u, v)])
-                    if len(nonedge_colors) > 1:
-                        ok = False
-                        break
-            if not ok:
+        edge_colors, nonedge_colors = set(), set()
+        for u, v in combinations(sorted(mapping), 2):
+            if host.has_edge(u, v):
+                edge_colors.add(edge_coloring[(u, v)])
+            else:
+                nonedge_colors.add(nonedge_coloring[(u, v)])
+            if len(edge_colors) > 1 or len(nonedge_colors) > 1:
                 break
-        if ok:
-            emb = Embedding(pattern, host, mapping)
-            assert emb.verify()
-            return emb
+        else:
+            return Embedding(pattern, host, mapping)
     return None
 
 

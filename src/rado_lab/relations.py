@@ -8,19 +8,21 @@ are reported in lexicographic order over ordered tuples.
 
 Parity and formula relations are quantifier-free: membership of a tuple
 depends only on its QF type, the equality pattern of its entries (a
-restricted-growth string) plus the edge bits among its classes.  Each such
-relation of arity at most ``MAX_TABLE_ARITY`` is compiled on first use into
-a truth table over all QF types of its arity, by evaluating ``holds`` on one
-small graph realizing each type; relations with the same definition (parity
-arity, or formula and arity) share one table.  Three facts read off the
-table hold on every graph: equality-definability, complement invariance and
-switch invariance.  When a fact holds, the matching check returns its
-positive verdict with ``checked == 0`` without scanning the host.  The
-facts also decide ``preserved_by_map`` for a map that is injective and
-flips the kind of a pair {x, y} exactly when c ^ s(x) ^ s(y) = 1, for a
-constant c and a cut s: it rewrites each tuple's type by complementing
-(c = 1) and switching the classes in s, and each such single rewrite is an
-involution on the types, so a table invariant under it keeps membership.
+restricted-growth string) plus the edge code of its classes (see
+``graphs.edge_code``).  Each such relation of arity at most
+``MAX_TABLE_ARITY`` is compiled on first use into a truth table over all QF
+types of its arity, by evaluating ``holds`` on ``graph_of_code`` of each
+type; relations with the same definition (parity arity, or formula and
+arity) share one table.  Three facts read off the table hold on every
+graph: equality-definability, complement invariance and switch invariance.
+When a fact holds, the matching check returns its positive verdict with
+``checked == 0`` without scanning the host.  The facts also decide
+``preserved_by_map`` for a map that ``flip_form`` recognizes: injective,
+flipping the kind of a pair {x, y} exactly when c ^ s(x) ^ s(y) = 1, for a
+constant c and a cut s.  Such a map rewrites each tuple's type by
+complementing (c = 1) and switching the classes in s, and each such single
+rewrite is an involution on the types, so a table invariant under it keeps
+membership.
 
 Every other check runs one scan kernel on adjacency rows: the target graph
 pulled back along the map (a collapsed pair counts as equal), the
@@ -40,9 +42,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, graph_of_code, switch_masks
 
 
 class RelationSpecError(ValueError):
@@ -84,39 +86,12 @@ class TypeFacts:
     switch_invariant: bool  # each type agrees with it after switching a class
 
 
-def _restricted_growth_strings(arity: int) -> Iterator[tuple[int, ...]]:
-    # equality patterns of arity-tuples: entry i names the class of position
-    # i, classes numbered in order of first appearance
-    def rec(prefix: tuple[int, ...], classes: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == arity:
-            yield prefix
-            return
-        for c in range(classes + 1):
-            yield from rec(prefix + (c,), max(classes, c + 1))
-
-    yield from rec((), 0)
-
-
 @lru_cache(maxsize=None)  # keyed by arity, at most MAX_TABLE_ARITY entries
-def _qf_types(arity: int) -> tuple[tuple[tuple[int, ...], tuple[Graph, ...]], ...]:
-    """Per equality pattern, one graph on its classes for each edge pattern;
-    bit b of the index is the b-th pair of classes in lexicographic order."""
-    out = []
-    for rgs in _restricted_growth_strings(arity):
-        classes = max(rgs) + 1
-        pairs = list(combinations(range(classes), 2))
-        graphs = tuple(
-            Graph.from_edges(classes, [p for b, p in enumerate(pairs) if bits >> b & 1])
-            for bits in range(1 << len(pairs))
-        )
-        out.append((rgs, graphs))
-    return tuple(out)
-
-
-def _switch_masks(classes: int) -> list[int]:
-    # per class, the edge bits of the pairs a switch of that class flips
-    pairs = list(combinations(range(classes), 2))
-    return [sum(1 << b for b, p in enumerate(pairs) if c in p) for c in range(classes)]
+def _qf_types(arity: int) -> tuple[tuple[int, ...], ...]:
+    """The equality patterns of arity-tuples, sorted: restricted growth
+    strings, whose entry i names the class of position i.  The QF types of
+    a pattern with c classes are its edge codes on c vertices."""
+    return tuple(sorted({_least_of_pattern(t) for t in product(range(arity), repeat=arity)}))
 
 
 class QuantifierFreeRelation(Relation):
@@ -153,10 +128,11 @@ def _compile(
     r = cls(*definition)
     if r.arity > MAX_TABLE_ARITY:
         return None
-    table = MappingProxyType(
-        {rgs: tuple(r.holds(rgs, g) for g in graphs) for rgs, graphs in _qf_types(r.arity)}
-    )
-    rows = [(row, _switch_masks(max(rgs) + 1)) for rgs, row in table.items()]
+    table = {}
+    for rgs in _qf_types(r.arity):
+        c = max(rgs) + 1
+        table[rgs] = tuple(r.holds(rgs, graph_of_code(c, e)) for e in range(1 << c * (c - 1) // 2))
+    rows = [(row, switch_masks(max(rgs) + 1)) for rgs, row in table.items()]
     facts = TypeFacts(
         equality_definable=all(len(set(row)) == 1 for row, _ in rows),
         complement_invariant=all(
@@ -166,7 +142,7 @@ def _compile(
             row[e] == row[e ^ m] for row, masks in rows for m in masks for e in range(len(row))
         ),
     )
-    return table, facts
+    return MappingProxyType(table), facts
 
 
 class ParityRelation(QuantifierFreeRelation):
@@ -355,17 +331,23 @@ def _pullback(mapping: Mapping[int, int], src: Graph, dst: Graph) -> _Rewrite:
     return _Rewrite(dom, [src.row(x) for x in range(src.n)], pulled, collapsed, mapping)
 
 
-def _table_proves(facts: TypeFacts, rw: _Rewrite) -> bool:
-    """Whether the map is injective and flips the kind of each domain pair
-    {x, y} exactly when c ^ s(x) ^ s(y) = 1, for a constant c and a cut s
-    that the facts allow: c = 0 or complement invariance, s empty or switch
-    invariance.  Such a map rewrites every tuple's QF type by complementing
-    (c = 1) and switching the classes in s, which keeps table membership."""
+def flip_form(mapping: Mapping[int, int], src: Graph, dst: Graph) -> tuple[int, int] | None:
+    """(c, cut) when the map is injective and flips the kind of each domain
+    pair {x, y} exactly when c ^ s(x) ^ s(y) = 1, where s is the indicator
+    of ``cut``, a mask of domain vertices without the least one; None when
+    the map is not injective or its flips have no such form.  (0, 0) is an
+    embedding of the domain, (1, 0) an anti-embedding, and a nonempty cut
+    switches either at the vertices of s.  Such a map rewrites every tuple's
+    QF type by complementing (c = 1) and switching the classes in s."""
+    return _flip_form(_pullback(mapping, src, dst))
+
+
+def _flip_form(rw: _Rewrite) -> tuple[int, int] | None:
     dom = rw.dom
     if any(rw.collapsed[x] for x in dom):
-        return False
+        return None
     if not dom:
-        return True
+        return 0, 0
     dmask = sum(1 << x for x in dom)
     flips = {x: (rw.src[x] ^ rw.dst[x]) & dmask for x in dom}
     d0 = dom[0]
@@ -378,8 +360,8 @@ def _table_proves(facts: TypeFacts, rw: _Rewrite) -> bool:
     for x in dom:
         want = cut ^ dmask if c ^ (cut >> x & 1) else cut
         if flips[x] != want & ~(1 << x):
-            return False
-    return (not c or facts.complement_invariant) and (not cut or facts.switch_invariant)
+            return None
+    return c, cut
 
 
 def _parity_mask(prefix: tuple[int, ...], rows, same, full: int) -> int:
@@ -522,7 +504,9 @@ def preserved_by_map(
             raise ValueError(f"image vertex {y} out of range")
     rw = _pullback(mapping, src, dst)
     facts = r.type_facts
-    if facts is not None and _table_proves(facts, rw):
+    form = _flip_form(rw) if facts is not None else None
+    # a rewrite the table is invariant under keeps every type's membership
+    if form and (facts.complement_invariant or not form[0]) and (facts.switch_invariant or not form[1]):
         return PreservationResult(True)
     return _scan(r, rw)
 

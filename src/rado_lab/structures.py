@@ -164,16 +164,7 @@ def find_part_embeddings(
 ) -> list[Embedding]:
     """Embeddings sending part i of the pattern into part i of the host,
     lexicographic, up to ``limit``."""
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
-    out = []
-    for mapping in islice(iter_structure_maps(pattern, host), limit):
-        emb = Embedding(pattern.graph, host.graph, mapping)
-        assert emb.verify()
-        for v in range(pattern.graph.n):
-            assert mapping[v] in host.parts[pattern.part_of(v)]
-        out.append(emb)
-    return out
+    return _structure_embeddings(pattern, host, limit)
 
 
 def find_const_embeddings(
@@ -181,15 +172,20 @@ def find_const_embeddings(
 ) -> list[Embedding]:
     """Embeddings sending constant i to constant i, lexicographic, up to
     ``limit``."""
+    return _structure_embeddings(pattern, host, limit)
+
+
+def _structure_embeddings(pattern: Structure, host: Structure, limit: int) -> list[Embedding]:
+    # every part of the pattern's translation lands in the same part of the
+    # host's: for constant graphs the first parts are the constants
     if limit < 1:
         raise ValueError("limit must be at least 1")
+    small, big = as_partitioned(pattern), as_partitioned(host)
     out = []
     for mapping in islice(iter_structure_maps(pattern, host), limit):
-        emb = Embedding(pattern.graph, host.graph, mapping)
-        assert emb.verify()
-        for pc, hc in zip(pattern.constants, host.constants):
-            assert mapping[pc] == hc
-        out.append(emb)
+        for part, host_part in zip(small.parts, big.parts):
+            assert all(mapping[v] in host_part for v in part)
+        out.append(Embedding(small.graph, big.graph, mapping))
     return out
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from itertools import combinations
 
 import pytest
 
@@ -10,11 +11,13 @@ from rado_lab import (
     format_graph,
     make_named,
     parse_graph,
+    path_graph,
 )
 from rado_lab import cli
 from rado_lab.cli import main
 from rado_lab.gadgets import format_gadget
 from rado_lab.graphs import build_paley
+from rado_lab.ramsey import DEFAULT_COLORING_BUDGET, DEFAULT_COPY_BUDGET
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -152,26 +155,44 @@ class TestClassifyFunction:
         assert json.loads(out)["verdict"]["classes"] == ["eE"]
 
     def test_noncanonical_report_lists_pairs(self, workspace, capsys):
-        from rado_lab import FunctionGadget
-
-        g = complete_graph(2)
-        host = build_paley(13).graph
-        # map one edge onto a non-edge of the image and another onto an edge
-        f = FunctionGadget(
-            build_paley(13).graph, build_paley(13).graph,
-            tuple((v, v) for v in range(13)), "identity",
-        )
-        scrambled = FunctionGadget(
-            host, host,
-            tuple((v, (3 * v) % 13) for v in range(13)), "custom",
-        )
-        path = self.write_gadget(workspace, scrambled)
+        # switching the path 0-1-2 at {2} keeps the edge 0 1 and flips the
+        # non-edge 0 2 and the edge 1 2: no class fits all three pairs
+        path = self.write_gadget(workspace, make_named("switch", path_graph(3), s={2}))
         code, out = run_cli(capsys, "classify-function", "--gadget", path, "--json")
         assert code == 0
-        verdict = json.loads(out)["verdict"]
-        if not verdict["classes"]:
-            assert verdict["noncanonical"] is True
-            assert verdict["pairs"]
+        assert json.loads(out)["verdict"] == {
+            "set": [0, 1, 2],
+            "classes": [],
+            "noncanonical": True,
+            "pairs": [
+                {"pair": [0, 1], "kind": "edge", "color": "edge"},
+                {"pair": [0, 2], "kind": "nonedge", "color": "edge"},
+                {"pair": [1, 2], "kind": "edge", "color": "nonedge"},
+            ],
+        }
+
+    def test_constant_graph_profile(self, workspace, capsys):
+        # the parts are the constants, then the other vertices by adjacency
+        # to (0, 1) from (edge, edge) down to (non-edge, non-edge); a minus
+        # map reads "minus" on every cell holding both pair kinds, and each
+        # cell at a constant holds one kind only
+        paley = build_paley(13)
+        g = paley.graph
+        path = self.write_gadget(workspace, make_named("minus", g, witness=paley.complement_witness))
+        code, out = run_cli(
+            capsys, "classify-function", "--gadget", path, "--constants", "0,1", "--json",
+        )
+        assert code == 0
+        profile = json.loads(out)["verdict"]["profile"]
+        adjacency = [(True, True), (True, False), (False, True), (False, False)]
+        assert profile["parts"] == [[0], [1]] + [
+            [v for v in range(2, 13) if (g.has_edge(v, 0), g.has_edge(v, 1)) == a] for a in adjacency
+        ]
+        assert profile["parts"][2] == [4, 10] and not g.has_edge(4, 10)
+        assert profile["diag"] == ["undetermined"] * 3 + ["minus"] * 3
+        assert profile["off"] == [
+            [i, j, "undetermined" if i < 2 else "minus"] for i, j in combinations(range(6), 2)
+        ]
 
     def test_partition_profile(self, workspace, capsys):
         g = build_paley(13).graph
@@ -195,6 +216,10 @@ class TestRamseyCli:
             p.write_text(format_graph(complete_graph(n)))
             paths[name] = str(p)
         return paths
+
+    def test_budget_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["ramsey", "verify", "--S", "s", "--H", "h", "--P", "p", "-k", "2"])
+        assert (args.budget_colorings, args.budget_copies) == (DEFAULT_COLORING_BUDGET, DEFAULT_COPY_BUDGET)
 
     def test_k6_holds(self, clique_files, capsys):
         code, out = run_cli(

@@ -21,7 +21,7 @@ from rado_lab import (
     violates,
 )
 from rado_lab.gadgets import format_gadget, parse_gadget
-from rado_lab.graphs import build_paley, format_graph, parse_graph
+from rado_lab.graphs import build_paley, format_graph, parse_graph, switch_graph
 from conftest import all_raw_graphs, random_graph
 
 
@@ -135,6 +135,28 @@ class TestLabelValidation:
             g, switch_graph(g, {1, 2}),
             tuple((v, v) for v in range(5)), "switch",
         )
+
+    def test_switch_label_matches_brute_force(self):
+        # accepted exactly when dst is src switched at some vertex subset,
+        # over every ordered pair of graphs on at most 4 vertices
+        pairs = 0
+        for n in range(5):
+            graphs = list(all_raw_graphs(n))
+            identity = tuple((v, v) for v in range(n))
+            for src in graphs:
+                switchings = {
+                    switch_graph(src, s) for size in range(n + 1) for s in combinations(range(n), size)
+                }
+                for dst in graphs:
+                    pairs += 1
+                    try:
+                        FunctionGadget(src, dst, identity, "switch")
+                    except GadgetConstructionError as exc:
+                        assert str(exc) == "destination graph is not a switching of the source graph"
+                        assert dst not in switchings, (src, dst)
+                    else:
+                        assert dst in switchings, (src, dst)
+        assert pairs == 4166
 
     def test_duplicate_domain_vertex(self):
         with pytest.raises(GadgetConstructionError):

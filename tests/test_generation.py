@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
@@ -149,6 +150,24 @@ class TestInterpolate:
         dom = step.dom
         assert verify_witness(InterpolationWitness(target, dom, (step,), ("generator",)))
         assert not verify_witness(InterpolationWitness(target, dom, (step,), ("reposition",)))
+
+
+    @pytest.mark.parametrize("tamper", ["roles", "chain", "final", "domain"])
+    def test_witness_verifier_rejects_tampered_chain(self, paley13, tamper):
+        w = delete_all_edges(path_graph(3), paley13.graph, 2)
+        assert verify_witness(w)
+        first = w.steps[0]
+        if tamper == "roles":  # one role fewer than steps
+            bad = replace(w, roles=w.roles[:-1])
+        elif tamper == "chain":  # the chain starts on the host, not on the pattern
+            bad = replace(w, steps=w.steps[1:], roles=w.roles[1:])
+        elif tamper == "final":  # the target lands in another graph
+            other = complement_graph(paley13.graph)
+            bad = replace(w, target=FunctionGadget(w.target.src, other, w.target.mapping))
+        else:  # the first step drops a point of the target set
+            short = FunctionGadget(first.src, first.dst, first.mapping[:-1])
+            bad = replace(w, steps=(short,) + w.steps[1:])
+        assert not verify_witness(bad)
 
 
 class TestDeleteEdgeStep:
@@ -439,6 +458,14 @@ class TestClassifyReduct:
         cert = result.certificates[0]
         assert cert.equality.definable
         assert cert.complement is None
+
+    def test_any_iterable_of_relations(self, paley13):
+        host = paley13.graph
+        joint = classify_reduct([parity_relation(3), parity_relation(4)], host, 2)
+        assert classify_reduct((parity_relation(k) for k in (3, 4)), host, 2) == joint
+        assert classify_reduct(iter([parity_relation(3)]), host, 2) == classify_reduct(parity_relation(3), host, 2)
+        both = classify_reduct({parity_relation(3), parity_relation(4)}, host, 2)
+        assert both.reduct_class is ReductClass.MINUS_SWITCH
 
     def test_host_verification(self):
         with pytest.raises(ValueError):

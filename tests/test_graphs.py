@@ -28,9 +28,13 @@ from rado_lab import (
 from rado_lab import graphs
 from rado_lab.graphs import (
     BuildBudgetError,
+    Embedding,
     _iter_failures_touching,
+    edge_code,
+    graph_of_code,
     iter_embedding_maps,
     iter_extension_failures,
+    switch_masks,
 )
 from conftest import all_raw_graphs, random_graph
 
@@ -421,6 +425,30 @@ class TestEmbeddings:
 
     def test_limit_respected(self, paley13):
         assert len(find_embeddings(complete_graph(2), paley13.graph, 7)) == 7
+
+    def test_construction_rejects_non_embeddings(self):
+        # a non-edge onto an edge, a collapse, a map missing a vertex
+        for target, mapping in ((complete_graph(3), (0, 1, 2)), (path_graph(4), (0, 0, 1)), (path_graph(4), (0, 1))):
+            with pytest.raises(ValueError, match="is not an induced embedding"):
+                Embedding(path_graph(3), target, mapping)
+        assert Embedding(path_graph(3), path_graph(4), (3, 2, 1)).image() == (1, 2, 3)
+
+
+class TestEdgeCodes:
+    def test_round_trip_every_small_graph(self):
+        for n in range(6):
+            for g in all_raw_graphs(n):
+                assert graph_of_code(n, edge_code(g)) == g
+        # bit b is the b-th pair of combinations(range(4), 2): (0, 2) and (2, 3)
+        assert edge_code(Graph.from_edges(4, [(0, 2), (2, 3)])) == 0b100010
+
+    def test_switch_masks_switch_one_vertex(self):
+        for n in range(6):
+            masks = switch_masks(n)
+            assert len(masks) == n
+            for g in all_raw_graphs(n):
+                for v, mask in enumerate(masks):
+                    assert edge_code(switch_graph(g, {v})) == edge_code(g) ^ mask
 
 
 class TestPartialIso:

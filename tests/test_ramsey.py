@@ -359,6 +359,29 @@ class TestVerifyArrow:
         assert result.verdict == "budget_exceeded"
         assert result.stats == {"copies_seen": 11, "budget_copies": 10}
 
+    def test_coloring_refusal_before_h_copies(self, monkeypatch):
+        # K6 has 15 edges (2^14 colorings) and 20 triangles: with both
+        # budgets exceeded the coloring refusal wins, and no H-copy is listed
+        from rado_lab import ramsey
+
+        listed = []
+        enumerate_real = ramsey.enumerate_copies
+        monkeypatch.setattr(
+            ramsey, "enumerate_copies",
+            lambda big, small, **kw: listed.append(small) or enumerate_real(big, small, **kw),
+        )
+        q = ArrowQuery(complete_graph(6), complete_graph(3), complete_graph(2), 2)
+        result = verify_arrow(q, ArrowBudget(colorings=100, copies=16))
+        assert result.verdict == "budget_exceeded"
+        assert result.stats == {
+            "p_copies": 15, "colorings_checked": 0, "colorings_total": 2**14, "budget_colorings": 100,
+        }
+        assert listed == [complete_graph(2)]
+        # with room for the colorings, the triangles exceed the copy budget
+        result = verify_arrow(q, ArrowBudget(copies=16))
+        assert result.verdict == "budget_exceeded"
+        assert result.stats == {"copies_seen": 17, "budget_copies": 16}
+
     def test_partitioned_structures(self):
         from rado_lab import PartitionedGraph
 
@@ -434,6 +457,19 @@ class TestEdgeNonedgeSearch:
             if not g.has_edge(u, v)
         }
         assert len(e_colors) == 1 and len(n_colors) == 1
+
+    def test_skips_copy_with_two_edge_colors(self):
+        # the least copy 0-1-2 has its edges colored 0 and 1
+        host = path_graph(4)
+        chi_e = {(0, 1): 0, (1, 2): 1, (2, 3): 1}
+        chi_n = {p: 0 for p in host.nonedges()}
+        assert find_edge_nonedge_mono_copy(host, path_graph(3), chi_e, chi_n).mapping == (1, 2, 3)
+
+    def test_skips_copies_with_two_nonedge_colors(self):
+        # every map through both 0 and 1 sees non-edge colors 1 and 0
+        host = empty_graph(4)
+        chi_n = {p: int(p == (0, 1)) for p in host.nonedges()}
+        assert find_edge_nonedge_mono_copy(host, empty_graph(3), {}, chi_n).mapping == (0, 2, 3)
 
     def test_missing_color_rejected(self):
         g = path_graph(3)

@@ -103,6 +103,14 @@ class TestPreservedByMap:
         res = preserved_by_map(parity_relation(3), {0: 0, 1: 1}, g, empty_graph(4))
         assert res.preserved
 
+    def test_tuple_set_violation(self):
+        # sorted members inside the domain: (0, 1) and (1, 2) map into the
+        # set, (2, 3) maps to (3, 0), which is not; (0, 4) is skipped
+        r = TupleSetRelation(2, [(0, 1), (0, 4), (1, 2), (2, 3)])
+        g = empty_graph(5)
+        got = preserved_by_map(r, {0: 1, 1: 2, 2: 3, 3: 0}, g, g)
+        assert got == PreservationResult(False, (2, 3), 3)
+
     def test_collapsing_map_witness(self):
         g = complete_graph(3)
         res = preserved_by_map(parity_relation(3), {0: 0, 1: 0, 2: 2}, g, g)
@@ -522,6 +530,46 @@ def test_preserved_by_map_matches_naive_oracle(instance):
         switched = 0 < len(cut) < len(mapping)
         if (not c or facts.complement_invariant) and (not switched or facts.switch_invariant):
             assert got == PreservationResult(True)
+
+
+class TestFlipForm:
+    def test_matches_brute_force_on_four_vertices(self):
+        # identity maps between all graphs on 4 vertices; with the cut
+        # leaving out vertex 0, at most one (c, cut) fits
+        pairs = list(combinations(range(4), 2))
+        for src in all_raw_graphs(4):
+            for dst in all_raw_graphs(4):
+                forms = [
+                    (c, cut)
+                    for c in (0, 1)
+                    for cut in range(0, 16, 2)
+                    if all(
+                        src.has_edge(x, y) ^ dst.has_edge(x, y) == c ^ (cut >> x & 1) ^ (cut >> y & 1)
+                        for x, y in pairs
+                    )
+                ]
+                got = relations.flip_form(identity_map(src), src, dst)
+                assert forms == ([] if got is None else [got]), (src, dst)
+
+    def test_collapses_and_small_domains(self):
+        g = path_graph(3)
+        assert relations.flip_form({0: 0, 1: 0}, g, g) is None
+        assert relations.flip_form({}, g, g) == (0, 0)
+        # one flipped pair reads as a switch at its other end
+        assert relations.flip_form({0: 0, 1: 2}, g, g) == (0, 0b10)
+
+    def test_read_only_for_relations_with_facts(self, paley13, monkeypatch):
+        # preserved_by_map runs the recognizer on the pullback it scans with
+        calls = []
+        flip_form = relations._flip_form
+        monkeypatch.setattr(relations, "_flip_form", lambda rw: calls.append(rw) or flip_form(rw))
+        g, w = paley13.graph, paley13.complement_witness
+        anti = {x: w[x] for x in range(13)}
+        for r in (TupleSetRelation(2, [(0, 1)]), parity_relation(6)):
+            preserved_by_map(r, anti, g, g)
+        assert calls == []
+        assert preserved_by_map(parity_relation(4), anti, g, g) == PreservationResult(True)
+        assert len(calls) == 1
 
 
 class TestCanonicalMaps:
