@@ -26,6 +26,7 @@ from .generation import (
     InterpolationWitness,
     ReductClass,
     ReductClassification,
+    Separation,
     all_graph_types,
     canonical_form,
     classify_reduct,
@@ -34,6 +35,8 @@ from .generation import (
     delete_edge_step,
     interpolate,
     orbit_closure,
+    separating_invariant,
+    verify_separation,
     verify_witness,
 )
 from .graphs import (
@@ -76,6 +79,7 @@ from .relations import (
     PreservationResult,
     Relation,
     TupleSetRelation,
+    TypeSetRelation,
     definable_from_equality,
     distinct_relation,
     edge_relation,
@@ -86,6 +90,7 @@ from .relations import (
     parity_relation,
     parse_relation_spec,
     preserved_by_map,
+    qf_type,
 )
 from .structures import (
     ConstantGraph,

@@ -18,7 +18,7 @@ from functools import cache
 
 from .canonicity import classify_on_set, profile_partitioned, is_canonical_constant_graph
 from .gadgets import FunctionGadget, GadgetConstructionError, pair_color, parse_gadget
-from .generation import GeneratorSet, classify_reduct, interpolate
+from .generation import GeneratorSet, classify_reduct, interpolate, separating_invariant, verify_separation
 from .graphs import (
     BuildBudgetError,
     Graph,
@@ -31,7 +31,7 @@ from .graphs import (
     parse_graph,
 )
 from .ramsey import DEFAULT_COLORING_BUDGET, DEFAULT_COPY_BUDGET, ArrowBudget, ArrowQuery, verify_arrow
-from .relations import RelationSpecError, parse_relation_spec
+from .relations import RelationSpecError, parse_relation_spec, qf_type
 from .structures import ConstantGraph, PartitionedGraph, parse_structure
 
 
@@ -230,11 +230,21 @@ def _cmd_ramsey(args) -> int:
     return 0
 
 
+def _type_json(t) -> dict:
+    pattern, code = t
+    return {"pattern": list(pattern), "code": code}
+
+
 def _cmd_interpolate(args) -> int:
     target = _read_gadget_file(args.target)
     kinds = frozenset(x for x in args.gens.split(",") if x)
     hosts = [_read_graph_file(path) for path in args.hosts]
-    witness = interpolate(target, GeneratorSet(kinds), args.depth, hosts)
+    gens = GeneratorSet(kinds)
+    if args.depth < 1:
+        raise CliError("depth must be at least 1")
+    # a certified miss makes interpolate return None without a search
+    sep = separating_invariant(target, gens)
+    witness = interpolate(target, gens, args.depth, hosts) if sep is None else None
     report = {
         "command": "interpolate",
         "seed": args.seed,
@@ -248,6 +258,15 @@ def _cmd_interpolate(args) -> int:
     if witness is not None:
         report["verdict"]["generator_steps"] = witness.generator_steps
         report["verdict"]["transcript"] = list(witness.transcript)
+    if sep is not None:
+        if not verify_separation(target, gens, hosts, sep):
+            raise RuntimeError("the separating invariant fails its independent check")
+        report["verdict"]["separated_by"] = {
+            "subset": list(sep.subset),
+            "source_type": _type_json(qf_type(sep.subset, target.src)),
+            "image_type": _type_json(sep.image_type),
+            "types": [_type_json(t) for t in sorted(sep.relation.types)],
+        }
     _emit(report, args.json)
     return 0
 

@@ -24,7 +24,7 @@ from .graphs import (
     pair_kind,
     switch_graph,
 )
-from .relations import PreservationResult, Relation, flip_form, preserved_by_map
+from .relations import PreservationResult, Relation, identity_flip_form, preserved_by_map
 
 
 class GadgetConstructionError(ValueError):
@@ -134,7 +134,7 @@ class FunctionGadget:
                 raise GadgetConstructionError("switch gadget must be the identity vertex map")
         if self.dst.n != self.src.n:
             raise GadgetConstructionError("switch gadget endpoints differ in size")
-        form = flip_form({v: v for v in range(self.src.n)}, self.src, self.dst)
+        form = identity_flip_form(self.src, self.dst)
         if form is None or form[0]:
             raise GadgetConstructionError("destination graph is not a switching of the source graph")
 

@@ -2,9 +2,14 @@
 edge-deletion and collapse loops, orbit closure on small graph types, and the
 five-class relation classifier.
 
-"Generates" is operationalized as bounded-depth interpolation witness search;
-a missing witness is inconclusive, never a proof of non-generation.  Every
-witness re-verifies through an evaluator that is independent of the search.
+"Generates" is operationalized as bounded-depth interpolation witness search.
+A missing witness is one of two things.  Either it is a certified
+separation: a set of labelled QF types, closed under the actions of the
+named generators, that contains the type of a few domain points but not the
+type of their images, so no chain of any depth reaches the target; or it is
+"not found within the budgets", which proves nothing.  Every witness and
+every separation re-verifies through a checker that is independent of the
+search that produced it.
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ from functools import lru_cache
 from itertools import combinations, islice, permutations
 from typing import Iterator
 
-from .gadgets import FunctionGadget, NAMED_KINDS, make_named
+from .gadgets import FunctionGadget, NAMED_KINDS, make_named, violates
 from .graphs import (
     Graph,
     PairKind,
     check_extension,
+    complete_graph,
     edge_code,
+    empty_graph,
     graph_of_code,
     iter_embedding_maps,
     pair_kind,
@@ -30,9 +37,13 @@ from .relations import (
     EqualityDefinability,
     PreservationResult,
     Relation,
+    TypeSetRelation,
     definable_from_equality,
+    flip_form,
     invariant_under_complement,
     invariant_under_switch,
+    preserved_by_map,
+    qf_type,
 )
 from .structures import ConstantGraph
 
@@ -187,15 +198,28 @@ def interpolate(
     """Bounded-depth search for a chain of generator gadgets, interleaved with
     repositioning embeddings, agreeing with ``target`` on its domain.
 
-    Before each application the current image moves by an embedding into the
-    gadget's domain; every such embedding is allowed, tried in lexicographic
-    order.  ``depth`` bounds the number of generator applications,
-    ``embed_limit`` the repositioning embeddings tried per application,
-    ``max_nodes`` the total search nodes.  None means nothing was found
-    within those bounds.
+    First ``separating_invariant`` looks for a certificate that no chain of
+    any depth agrees with the target; when it finds one the answer is None
+    at once, with no search.  Otherwise, before each application the
+    current image moves by an embedding into the gadget's domain; every
+    such embedding is allowed, tried in lexicographic order.  ``depth``
+    bounds the number of generator applications, ``embed_limit`` the
+    repositioning embeddings tried per application, ``max_nodes`` the total
+    search nodes.  None is therefore either a certified separation, which
+    holds at every depth, or "not found within those bounds".
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if separating_invariant(target, gens) is not None:
+        return None
+    return _search(target, gens, depth, hosts, embed_limit, max_nodes)[0]
+
+
+def _search(
+    target: FunctionGadget, gens: GeneratorSet, depth: int, hosts, embed_limit: int, max_nodes: int
+) -> tuple[InterpolationWitness | None, int]:
+    # the depth-first search behind ``interpolate``, with the number of
+    # nodes it visited (more than ``max_nodes`` when that budget stopped it)
     pool = _named_pool(gens.kinds, tuple(hosts)) + list(gens.extra)
     f_dom = target.dom
     nodes = 0
@@ -245,8 +269,149 @@ def interpolate(
     for d in range(1, depth + 1):
         found = dfs(target.src, f_dom, d, [], {})
         if found is not None:
-            return found
+            return found, nodes
+    return None, nodes
+
+
+# ---------------------------------------------------------------------------
+# separating invariants: certified misses
+
+
+# a labelled QF type: (equality pattern, edge code of its classes)
+QFType = tuple[tuple[int, ...], int]
+
+
+@dataclass(frozen=True)
+class Separation:
+    """A certificate that no chain of the named generators, at any depth,
+    agrees with a target: ``relation`` holds on ``subset`` in the target's
+    source graph but not on its image, whose type is ``image_type``, and
+    every generator preserves it."""
+
+    relation: TypeSetRelation
+    subset: tuple[int, ...]
+    image_type: QFType
+
+
+def _kind_images(kind: str, n: int, code: int) -> Iterator[tuple[int, int]]:
+    # (vertex count, edge code) of each image of an n-vertex edge code under
+    # one named kind: minus complements, switch switches one vertex at a
+    # time (single vertices generate every switching), eE and eN make every
+    # pair an edge or a non-edge, const collapses to one vertex; the
+    # identity adds nothing
+    every = (1 << n * (n - 1) // 2) - 1
+    if kind == "minus":
+        yield n, code ^ every
+    elif kind == "switch":
+        for flip in switch_masks(n):
+            yield n, code ^ flip
+    elif kind == "eE":
+        yield n, every
+    elif kind == "eN":
+        yield n, 0
+    elif kind == "const":
+        yield 1, 0
+
+
+@lru_cache(maxsize=256)  # keyed by (type, kinds); a closure holds at most the 1 895 types of arity 5
+def _type_closure(start: QFType, kinds: frozenset[str]) -> frozenset[QFType]:
+    # the labelled types reachable from ``start`` under the kinds' actions; a
+    # collapse to one vertex collapses the equality pattern to one class
+    closed = {start}
+    work = [start]
+    while work:
+        rgs, code = work.pop()
+        classes = max(rgs) + 1
+        for kind in kinds:
+            for n, image in _kind_images(kind, classes, code):
+                t = (rgs if n == classes else (0,) * len(rgs), image)
+                if t not in closed:
+                    closed.add(t)
+                    work.append(t)
+    return frozenset(closed)
+
+
+def _domain_reachable(target: FunctionGadget, kinds: frozenset[str]) -> bool:
+    # whether the target's type on its whole domain is reachable, in closed
+    # form: the collapsed type needs const; an injective image needs a base
+    # graph (the source, or a complete or empty one with eE or eN) against
+    # which the map has a flip form (c, cut), with c = 0 unless minus is a
+    # kind and an empty cut unless switch is.  Every action commutes with
+    # restriction to a subset, so then no subset can separate
+    if len(target.image()) < len(target.dom):
+        return len(target.image()) == 1 and "const" in kinds
+    n = target.src.n
+    bases = [target.src]
+    if "eE" in kinds:
+        bases.append(complete_graph(n))
+    if "eN" in kinds:
+        bases.append(empty_graph(n))
+    mapping = target.as_mapping()
+    for base in bases:
+        form = flip_form(mapping, base, target.dst)
+        if form and (not form[0] or "minus" in kinds) and (not form[1] or "switch" in kinds):
+            return True
+    return False
+
+
+def separating_invariant(target: FunctionGadget, gens: GeneratorSet) -> Separation | None:
+    """The least certificate that no chain of ``gens``, at any depth, agrees
+    with ``target`` on its domain, or None.
+
+    Each named generator, and each repositioning embedding, rewrites the QF
+    type of a tuple of current values by a fixed action, so the types that
+    an m-subset S of the domain can reach lie in R, the closure of its type
+    in the source graph under the actions.  When the target's image of S
+    has a type outside R, the type-set relation R separates.  Subsets are
+    tried by size m = 2..5, then in lexicographic order.  When the target's
+    type on its whole domain is reachable, which has a closed form, no
+    subset can separate and none is tried.  Extra gadgets are not closed
+    over: with ``gens.extra`` the answer is None.
+    """
+    kinds = gens.kinds
+    dom = target.dom
+    if gens.extra or len(dom) < 2:
+        return None
+    if len(dom) >= 3 and _domain_reachable(target, kinds):
+        return None
+    # with minus or switch every distinct pair reaches both distinct pair
+    # types, so a pair separates only by a collapse without const
+    pairs_reach = ("const" in kinds or len(target.image()) == len(dom)) and kinds & {"minus", "switch"}
+    src, dst = target.src, target.dst
+    for m in range(3 if pairs_reach else 2, min(5, len(dom)) + 1):
+        for subset in combinations(dom, m):
+            image_type = qf_type([target.apply(x) for x in subset], dst)
+            reach = _type_closure(qf_type(subset, src), kinds)
+            if image_type not in reach:
+                return Separation(TypeSetRelation(m, reach), subset, image_type)
     return None
+
+
+def verify_separation(
+    target: FunctionGadget, gens: GeneratorSet, hosts, sep: Separation
+) -> bool:
+    """Independent check of a separation; no type closure is consulted.
+
+    The target must violate the relation, the subset must lie in the
+    target's domain and in the relation on the source graph, its image must
+    have ``image_type`` and lie outside the relation, and every gadget the
+    search would apply on ``hosts`` must preserve the relation.
+    Repositioning embeddings preserve every QF relation, so then no chain
+    agrees with the target on the subset.
+    """
+    r = sep.relation
+    subset = tuple(sep.subset)
+    if len(subset) != r.arity or not set(subset) <= set(target.dom):
+        return False
+    if violates(target, r).preserved:
+        return False
+    image = tuple(target.apply(x) for x in subset)
+    if not r.holds(subset, target.src) or r.holds(image, target.dst):
+        return False
+    if qf_type(image, target.dst) != sep.image_type:
+        return False
+    pool = _named_pool(gens.kinds, tuple(hosts)) + list(gens.extra)
+    return all(preserved_by_map(r, g.as_mapping(), g.src, g.dst).preserved for g in pool)
 
 
 # ---------------------------------------------------------------------------
@@ -440,25 +605,12 @@ def all_graph_types(n: int) -> tuple[Graph, ...]:
 
 
 def _type_images(t: Graph, gens: GeneratorSet) -> Iterator[Graph]:
-    # canonical forms of the images of type t; the rewrites act on its edge
-    # code directly, so no image graph is built for them.  Switching uses
-    # single vertices: they generate every switching, so the closure is
-    # the same as with every subset
-    n = t.n
-    every = (1 << n * (n - 1) // 2) - 1
+    # canonical forms of the images of type t; the named kinds act on its
+    # edge code directly (``_kind_images``), so no image graph is built
     code = edge_code(t)
     for kind in sorted(gens.kinds):
-        if kind == "minus":
-            yield _canonical_of_code(n, code ^ every)
-        elif kind == "switch":
-            for flip in switch_masks(n):
-                yield _canonical_of_code(n, code ^ flip)
-        elif kind == "eE":
-            yield _canonical_of_code(n, every)
-        elif kind == "eN":
-            yield _canonical_of_code(n, 0)
-        elif kind == "const":
-            yield _canonical_of_code(1, 0)
+        for n, image in _kind_images(kind, t.n, code):
+            yield _canonical_of_code(n, image)
     for gadget in gens.extra:
         dom_mask = gadget.dom_mask()
         for mapping in iter_embedding_maps(t, gadget.src, allowed=dom_mask):

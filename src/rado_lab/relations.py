@@ -1,20 +1,21 @@
 """Finite-arity relations over a graph (parity relations, explicit tuple sets,
-quantifier-free formulas) and preservation checking.
+quantifier-free formulas, sets of QF types) and preservation checking.
 
 Preservation across a graph rewrite is read cross-structure: the identity
 vertex map from g to the rewritten graph must preserve the relation computed
 by the same defining spec on each side, in both directions.  Least witnesses
 are reported in lexicographic order over ordered tuples.
 
-Parity and formula relations are quantifier-free: membership of a tuple
-depends only on its QF type, the equality pattern of its entries (a
-restricted-growth string) plus the edge code of its classes (see
+Parity, formula and type-set relations are quantifier-free: membership of a
+tuple depends only on its QF type (``qf_type``), the equality pattern of its
+entries (a restricted-growth string) plus the edge code of its classes (see
 ``graphs.edge_code``).  Each such relation of arity at most
 ``MAX_TABLE_ARITY`` is compiled on first use into a truth table over all QF
 types of its arity, by evaluating ``holds`` on ``graph_of_code`` of each
-type; relations with the same definition (parity arity, or formula and
-arity) share one table.  Three facts read off the table hold on every
-graph: equality-definability, complement invariance and switch invariance.
+type, or for a type set by reading its set; relations with the same
+definition (parity arity, formula and arity, or type set) share one table.
+Three facts read off the table hold on every graph: equality-definability,
+complement invariance and switch invariance.
 When a fact holds, the matching check returns its positive verdict with
 ``checked == 0`` without scanning the host.  The facts also decide
 ``preserved_by_map`` for a map that ``flip_form`` recognizes: injective,
@@ -106,6 +107,10 @@ class QuantifierFreeRelation(Relation):
     def _definition(self) -> tuple:
         raise NotImplementedError
 
+    def _type_holds(self, rgs: tuple[int, ...], code: int) -> bool:
+        # membership of the QF type (rgs, code), read off its least tuple
+        return self.holds(rgs, graph_of_code(max(rgs) + 1, code))
+
     @cached_property
     def _compiled(self) -> tuple[Mapping[tuple[int, ...], tuple[bool, ...]], TypeFacts] | None:
         return _compile(type(self), self._definition)
@@ -131,7 +136,7 @@ def _compile(
     table = {}
     for rgs in _qf_types(r.arity):
         c = max(rgs) + 1
-        table[rgs] = tuple(r.holds(rgs, graph_of_code(c, e)) for e in range(1 << c * (c - 1) // 2))
+        table[rgs] = tuple(r._type_holds(rgs, e) for e in range(1 << c * (c - 1) // 2))
     rows = [(row, switch_masks(max(rgs) + 1)) for rgs, row in table.items()]
     facts = TypeFacts(
         equality_definable=all(len(set(row)) == 1 for row, _ in rows),
@@ -166,6 +171,69 @@ class ParityRelation(QuantifierFreeRelation):
             if g.has_edge(x, y):
                 count += 1
         return count % 2 == 1
+
+
+def qf_type(t: Sequence[int], g: Graph) -> tuple[tuple[int, ...], int]:
+    """The QF type of t in g: its equality pattern (``_least_of_pattern``)
+    and the ``edge_code`` of its classes, taken in order of first
+    occurrence."""
+    classes = list(dict.fromkeys(t))
+    code = 0
+    for bit, (x, y) in enumerate(combinations(classes, 2)):
+        if g.row(x) >> y & 1:
+            code |= 1 << bit
+    return tuple(classes.index(x) for x in t), code
+
+
+class TypeSetRelation(QuantifierFreeRelation):
+    """The union of a set of QF types of one arity, each given as
+    (equality pattern, edge code of its classes), as ``qf_type`` returns."""
+
+    def __init__(self, arity: int, types):
+        if arity < 1:
+            raise ValueError("type sets need arity at least 1")
+        self.arity = arity
+        self.types = frozenset(types)
+        for rgs, code in self.types:
+            c = max(rgs, default=-1) + 1
+            if len(rgs) != arity or _least_of_pattern(rgs) != rgs or not 0 <= code < 1 << c * (c - 1) // 2:
+                raise ValueError(f"{(rgs, code)} is not a QF type of arity {arity}")
+        self.name = f"types:{arity}[{len(self.types)}]"
+
+    @property
+    def _definition(self) -> tuple:
+        return (self.arity, self.types)
+
+    def holds(self, t: tuple[int, ...], g: Graph) -> bool:
+        return qf_type(t, g) in self.types
+
+    def _type_holds(self, rgs: tuple[int, ...], code: int) -> bool:
+        return (rgs, code) in self.types
+
+    @cached_property
+    def _mask_index(self) -> dict[tuple[tuple[int, ...], int], tuple[list[int], list[tuple[int, ...]]]]:
+        # per prefix type (pattern, code) of the member types: the prefix
+        # classes a member's last entry repeats, and for each member whose
+        # last entry is a new class, its edge bits to the prefix classes
+        index: dict = {}
+        for rgs, code in self.types:
+            prefix, last = rgs[:-1], rgs[-1]
+            c = max(prefix, default=-1) + 1
+            if last < c:
+                index.setdefault((prefix, code), ([], []))[0].append(last)
+                continue
+            # split the code on c + 1 classes into the prefix code and the
+            # bits of the pairs (i, c), which combinations interleaves
+            pcode = pbit = 0
+            adjacent = [0] * c
+            for bit, (i, j) in enumerate(combinations(range(c + 1), 2)):
+                if j == c:
+                    adjacent[i] = code >> bit & 1
+                else:
+                    pcode |= (code >> bit & 1) << pbit
+                    pbit += 1
+            index.setdefault((prefix, pcode), ([], []))[1].append(tuple(adjacent))
+        return index
 
 
 class TupleSetRelation(Relation):
@@ -342,6 +410,21 @@ def flip_form(mapping: Mapping[int, int], src: Graph, dst: Graph) -> tuple[int, 
     return _flip_form(_pullback(mapping, src, dst))
 
 
+def _identity_rewrite(rows: Sequence[int], other: Sequence[int]) -> _Rewrite:
+    # the identity map on all vertices, from the graph with adjacency rows
+    # ``rows`` to the one with ``other``
+    n = len(rows)
+    return _Rewrite(tuple(range(n)), rows, other, [0] * n, range(n))
+
+
+def identity_flip_form(src: Graph, dst: Graph) -> tuple[int, int] | None:
+    """``flip_form`` of the identity map on all vertices of two graphs of one
+    size, read straight off their rows."""
+    return _flip_form(_identity_rewrite(
+        [src.row(x) for x in range(src.n)], [dst.row(x) for x in range(dst.n)]
+    ))
+
+
 def _flip_form(rw: _Rewrite) -> tuple[int, int] | None:
     dom = rw.dom
     if any(rw.collapsed[x] for x in dom):
@@ -407,6 +490,44 @@ def _formula_mask(node, prefix: tuple[int, ...], rows, same, full: int) -> int:
     return full if table[prefix[i]] >> prefix[j] & 1 else 0
 
 
+def _type_set_mask(index, prefix: tuple[int, ...], rows, same, full: int) -> int:
+    # candidates c with prefix + (c,) of a member type: the prefix's own type
+    # (its classes under ``same``) picks the member types that extend it; a
+    # repeated class adds that class, a new class ANDs the prefix rows or
+    # non-rows one class at a time
+    reps: list[int] = []
+    rgs = []
+    for x in prefix:
+        for a, rep in enumerate(reps):
+            if same[rep] >> x & 1:
+                rgs.append(a)
+                break
+        else:
+            rgs.append(len(reps))
+            reps.append(x)
+    code = 0
+    for bit, (x, y) in enumerate(combinations(reps, 2)):
+        if rows[x] >> y & 1:
+            code |= 1 << bit
+    entry = index.get((tuple(rgs), code))
+    if entry is None:
+        return 0
+    repeats, news = entry
+    mask = 0
+    for a in repeats:
+        mask |= same[reps[a]]
+    if news:
+        fresh = full
+        for rep in reps:
+            fresh &= ~same[rep]
+        for adjacent in news:
+            m = fresh
+            for rep, bit in zip(reps, adjacent):
+                m &= rows[rep] if bit else ~rows[rep]
+            mask |= m
+    return mask
+
+
 def _least_bad(
     r: Relation, dom: Sequence[int], n: int, bad, must: int | None = None
 ) -> PreservationResult:
@@ -419,8 +540,9 @@ def _least_bad(
     whose adjacency is ``rows`` and whose equal vertices are ``same``.
     Parity relations are symmetric and empty on repeated entries, so sorted
     prefixes suffice and the member mask is the xor of the prefix rows;
-    formulas walk ordered prefixes and evaluate on masks; tuple sets read
-    an index of their members, which ignores the graph.
+    formulas walk ordered prefixes and evaluate on masks; type sets walk
+    ordered prefixes and read their member types off the prefix's type;
+    tuple sets read an index of their members, which ignores the graph.
     """
     full = (1 << n) - 1
     k = r.arity - 1
@@ -436,6 +558,12 @@ def _least_bad(
 
         def member(prefix, rows, same):
             return _formula_mask(r.root, prefix, rows, same, full)
+    elif isinstance(r, TypeSetRelation):
+        prefixes = product(dom, repeat=k)
+        type_index = r._mask_index
+
+        def member(prefix, rows, same):
+            return _type_set_mask(type_index, prefix, rows, same, full)
     elif isinstance(r, TupleSetRelation):
         index: dict[tuple[int, ...], int] = {}
         for t in r.tuples:
@@ -516,12 +644,10 @@ def _scan_both_ways(
 ) -> PreservationResult:
     # identity-map scans rows -> other, then other -> rows; the witness of
     # the first failing direction is reported
-    n = len(rows)
-    dom, none = tuple(range(n)), [0] * n
-    forward = _scan(r, _Rewrite(dom, rows, other, none, range(n)), must)
+    forward = _scan(r, _identity_rewrite(rows, other), must)
     if not forward.preserved:
         return forward
-    backward = _scan(r, _Rewrite(dom, other, rows, none, range(n)), must)
+    backward = _scan(r, _identity_rewrite(other, rows), must)
     return PreservationResult(
         backward.preserved, backward.witness, forward.checked + backward.checked
     )

@@ -271,6 +271,48 @@ class TestRamseyCli:
         assert captured.err.splitlines() == [f"error: structure kind mismatch: {message}"]
 
 
+class TestInterpolateCli:
+    @pytest.fixture()
+    def paley_files(self, workspace):
+        paley = build_paley(13)
+        (workspace / "p13.g").write_text(format_graph(paley.graph))
+        minus = make_named("minus", paley.graph, witness=paley.complement_witness)
+        (workspace / "minus.fg").write_text(format_gadget(minus, "p13.g", "p13.g"))
+        return paley
+
+    def test_certified_miss_reports_its_separation(self, paley_files, capsys):
+        # switching keeps the parity of each triple, the complement map of
+        # Paley(13) flips it: the first triple separates
+        args = ("interpolate", "--target", "minus.fg", "--gens", "switch",
+                "--hosts", "p13.g", "--depth", "2", "--json")
+        code, first = run_cli(capsys, *args)
+        assert code == 0
+        assert run_cli(capsys, *args) == (0, first)
+        verdict = json.loads(first)["verdict"]
+        assert verdict["found"] is False
+        sep = verdict["separated_by"]
+        assert sep["subset"] == [0, 1, 2]
+        types = sep["types"]
+        assert types == sorted(types, key=lambda t: (t["pattern"], t["code"]))
+        assert sep["source_type"] in types and sep["image_type"] not in types
+        assert {t["code"] for t in types} == {0, 3, 5, 6}  # the even triples
+        assert sep["image_type"] == {"pattern": [0, 1, 2], "code": 2}
+
+    def test_found_report_has_no_separation(self, paley_files, capsys):
+        code, out = run_cli(capsys, "interpolate", "--target", "minus.fg", "--gens", "minus",
+                            "--hosts", "p13.g", "--depth", "1", "--json")
+        assert code == 0
+        verdict = json.loads(out)["verdict"]
+        assert verdict["found"] is True and "separated_by" not in verdict
+
+    def test_depth_below_one_refused_before_the_certificate(self, paley_files, capsys):
+        code = main(["interpolate", "--target", "minus.fg", "--gens", "switch",
+                     "--hosts", "p13.g", "--depth", "0", "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: depth must be at least 1\n"
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, workspace, capsys):
         host = workspace / "p13.g"
@@ -296,6 +338,8 @@ README_JSON_SHA256 = (
     (("generate", "ec", "-k", "2", "--seed", "7"), "4f9f7a8694374b6c3e52594da7a9de120c8fd8cfc2910e4e766b8b8c4e9fe38c"),
     (("classify-relation", "--spec", "parity:4", "--host", "paley13.g", "-k", "2"), "6610c8bc7f5c1b5fabd65a0c415496fd8a243e9a8242a8597792652590e7d3b2"),
     (("classify-function", "--gadget", "minus.fg"), "82e4634a2aa05f646b3595f19f8417896958cff3a91a89e5a84295be655fded2"),
+    (("interpolate", "--target", "minus.fg", "--gens", "switch", "--hosts", "paley13.g", "--depth", "2"),
+     "10b9a9d7d85682f6b54e965918f7f259e766e245a8dd9a2513d4579044b30335"),
 )
 
 

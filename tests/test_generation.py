@@ -12,12 +12,14 @@ from rado_lab import (
     GeneratorSet,
     PairKind,
     ReductClass,
+    TypeSetRelation,
     all_graph_types,
     build_paley,
     canonical_form,
     classify_reduct,
     collapse_all,
     complete_graph,
+    compose,
     complement_graph,
     cycle_graph,
     delete_all_edges,
@@ -33,8 +35,12 @@ from rado_lab import (
     pair_kind,
     parity_relation,
     path_graph,
+    qf_type,
+    separating_invariant,
+    verify_separation,
     verify_witness,
 )
+from rado_lab import generation
 from rado_lab.generation import PatternNotFoundError, join_classes
 from conftest import all_raw_graphs, random_graph
 
@@ -168,6 +174,179 @@ class TestInterpolate:
             short = FunctionGadget(first.src, first.dst, first.mapping[:-1])
             bad = replace(w, steps=(short,) + w.steps[1:])
         assert not verify_witness(bad)
+
+
+KINDS = ("minus", "switch", "eE", "eN", "const")
+ALL_KIND_SETS = [
+    GeneratorSet(frozenset(k for i, k in enumerate(KINDS) if bits >> i & 1)) for bits in range(32)
+]
+
+
+def naive_least_separation(target, gens):
+    # the least (size, subset) whose image type lies outside the closure of
+    # its source type, tried on every subset: no whole-domain gate and no
+    # skipped pairs
+    for m in range(2, min(5, len(target.dom)) + 1):
+        for subset in combinations(target.dom, m):
+            image_type = qf_type([target.apply(x) for x in subset], target.dst)
+            reach = generation._type_closure(qf_type(subset, target.src), gens.kinds)
+            if image_type not in reach:
+                return subset, image_type, reach
+    return None
+
+
+def separation_target(host, rng, size, composite):
+    """A random map, or the composite of two random named gadgets, on a
+    random ``size``-point domain of ``host``."""
+    dom = sorted(rng.sample(range(host.n), size))
+    if not composite:
+        return FunctionGadget(host, host, tuple((x, rng.randrange(host.n)) for x in dom))
+    f = make_named("identity", host)
+    for kind in rng.sample(("identity",) + KINDS, 2):
+        params = {"switch": {"s": {rng.randrange(host.n)}}, "const": {"target": rng.randrange(host.n)}}
+        f = compose(make_named(kind, f.dst, **params.get(kind, {})), f)
+    return FunctionGadget(host, f.dst, tuple((x, f.apply(x)) for x in dom))
+
+
+# (size, composite) per host; the exhaustive depth-3 search on random
+# 5-point maps of Paley(29) takes about 20 s, so that host gets a composite
+SEPARATION_TARGETS = {
+    "paley13": ((3, False), (4, False), (5, True)),
+    "paley29": ((3, False), (5, True)),
+}
+
+
+class TestSeparatingInvariant:
+    def thomas(self, paley29):
+        target = make_named("minus", paley29.graph, witness=paley29.complement_witness)
+        return target, GeneratorSet(frozenset({"switch"})), [paley29.graph]
+
+    def test_thomas_certificate_is_parity_on_first_triple(self, paley29):
+        # switching keeps the parity of every triple, the complement map
+        # flips it: (0, 1, 2) spans two edges of Paley(29), so the invariant
+        # is the even distinct triples, and the image lies in parity:3
+        target, gens, hosts = self.thomas(paley29)
+        sep = separating_invariant(target, gens)
+        assert sep.subset == (0, 1, 2)
+        parity = parity_relation(3).type_table
+        assert sep.relation.type_table == {
+            rgs: tuple(not member for member in row) if rgs == (0, 1, 2) else row for rgs, row in parity.items()
+        }
+        assert sep.image_type[0] == (0, 1, 2) and parity[(0, 1, 2)][sep.image_type[1]]
+        assert verify_separation(target, gens, hosts, sep)
+
+    def test_collapse_without_const_separates_on_a_pair(self, paley13):
+        target = make_named("const", paley13.graph, dom=(0, 1), target=0)
+        sep = separating_invariant(target, GeneratorSet())
+        assert (sep.subset, sep.image_type) == ((0, 1), ((0, 0), 0))
+        assert sep.relation.types == {qf_type((0, 1), paley13.graph)}
+        assert verify_separation(target, GeneratorSet(), [paley13.graph], sep)
+
+    def test_positive_targets_get_no_certificate(self, paley13, paley29):
+        cases = (
+            (make_named("identity", paley13.graph, dom=(2, 7, 11)), GeneratorSet()),
+            (make_named("eN", path_graph(3), dst=empty_graph(3)), GeneratorSet(frozenset({"eN"}))),
+            (make_named("minus", paley29.graph, witness=paley29.complement_witness, dom=(3, 8, 19, 26)),
+             GeneratorSet(frozenset({"minus"}))),
+            (make_named("switch", paley29.graph, s={4, 9}), GeneratorSet(frozenset({"switch"}))),
+            (make_named("const", paley29.graph, dom=(1, 5, 6), target=3), GeneratorSet(frozenset({"const"}))),
+        )
+        for target, gens in cases:
+            assert separating_invariant(target, gens) is None, target.label
+
+    def test_certified_miss_runs_no_search(self, paley29, monkeypatch):
+        target, gens, hosts = self.thomas(paley29)
+
+        def refuse(*args):
+            raise AssertionError("searched after a certificate")
+
+        monkeypatch.setattr(generation, "_search", refuse)
+        monkeypatch.setattr(generation, "_named_pool", refuse)
+        assert interpolate(target, gens, 2, hosts) is None
+
+    def test_extra_gadgets_make_no_attempt(self, paley29, monkeypatch):
+        host = paley29.graph
+        k4 = complete_graph(4)
+        gadget = delete_edge_step(ConstantGraph(k4, (0, 1)), host)
+        emb = find_embeddings(k4, host, 1)[0]
+        target = FunctionGadget(k4, host, tuple((i, gadget.apply(emb.mapping[i])) for i in range(4)))
+
+        def refuse(*args):
+            raise AssertionError("certificate attempted with extra gadgets")
+
+        for name in ("_domain_reachable", "_type_closure", "qf_type"):
+            monkeypatch.setattr(generation, name, refuse)
+        gens = GeneratorSet(extra=(gadget,))
+        assert separating_invariant(target, gens) is None
+        assert verify_witness(interpolate(target, gens, 1, [host]))
+
+    def test_depth_checked_before_the_certificate(self, paley29, monkeypatch):
+        target, gens, hosts = self.thomas(paley29)
+
+        def refuse(*args):
+            raise AssertionError("certificate attempted before the depth check")
+
+        monkeypatch.setattr(generation, "separating_invariant", refuse)
+        with pytest.raises(ValueError):
+            interpolate(target, gens, 0, hosts)
+
+    def test_verifier_consults_no_closure(self, paley29, monkeypatch):
+        target, gens, hosts = self.thomas(paley29)
+        sep = separating_invariant(target, gens)
+
+        def refuse(*args):
+            raise AssertionError("the checker ran closure code")
+
+        monkeypatch.setattr(generation, "_type_closure", refuse)
+        monkeypatch.setattr(generation, "_kind_images", refuse)
+        assert verify_separation(target, gens, hosts, sep)
+
+    def test_verifier_rejects_tampering(self, paley29):
+        target, gens, hosts = self.thomas(paley29)
+        sep = separating_invariant(target, gens)
+        g = paley29.graph
+        # a triple whose own type is outside the relation
+        odd = next(t for t in combinations(range(29), 3) if not sep.relation.holds(t, g))
+        tampered = [replace(sep, subset=odd)]
+        # the relation without one of its types, each in turn
+        tampered += [
+            replace(sep, relation=TypeSetRelation(3, sep.relation.types - {t})) for t in sep.relation.types
+        ]
+        # an image type inside the relation
+        tampered += [replace(sep, image_type=t) for t in sep.relation.types]
+        for bad in tampered:
+            assert not verify_separation(target, gens, hosts, bad), bad
+        # a subset leaving a partial target's domain
+        partial = make_named("minus", g, witness=paley29.complement_witness, dom=(0, 1, 2, 5))
+        sep = separating_invariant(partial, gens)
+        assert verify_separation(partial, gens, hosts, sep)
+        assert not verify_separation(partial, gens, hosts, replace(sep, subset=(0, 1, 3)))
+
+    @pytest.mark.parametrize("fixture", ["paley13", "paley29"])
+    def test_certified_misses_agree_with_the_search(self, request, fixture):
+        # every certified miss is also a miss of the search at depth 3 run
+        # to exhaustion, and every certificate passes the independent check;
+        # the gate and the pair pass change no least certificate
+        host = request.getfixturevalue(fixture).graph
+        rng = random.Random(host.n)
+        budget = 10**7
+        certified = positives = 0
+        for size, composite in SEPARATION_TARGETS[fixture]:
+            target = separation_target(host, rng, size, composite)
+            for gens in ALL_KIND_SETS:
+                sep = separating_invariant(target, gens)
+                naive = naive_least_separation(target, gens)
+                if sep is None:
+                    assert naive is None, (target, gens)
+                    w, _ = generation._search(target, gens, 1, [host], 4, budget)
+                    positives += w is not None
+                    continue
+                certified += 1
+                assert (sep.subset, sep.image_type, sep.relation.types) == naive
+                assert verify_separation(target, gens, [host], sep)
+                w, nodes = generation._search(target, gens, 3, [host], 4, budget)
+                assert w is None and nodes <= budget, (target, gens)
+        assert certified and positives
 
 
 class TestDeleteEdgeStep:

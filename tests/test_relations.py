@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations, product
 
 import pytest
@@ -598,3 +599,124 @@ class TestCanonicalMaps:
         assert not want[0]
         assert (got.preserved, got.witness) == want
         assert got.checked > 0
+
+
+# ---------------------------------------------------------------------------
+# QF types of tuples and relations given by a set of them
+
+
+def naive_qf_type(t, g):
+    """(pattern, code) by hand: entry i of the pattern numbers the distinct
+    values in order of first occurrence; bit b of the code is the b-th pair
+    of those values, in lexicographic order, read with ``has_edge``."""
+    firsts, pattern = [], []
+    for x in t:
+        for c, y in enumerate(firsts):
+            if x == y:
+                pattern.append(c)
+                break
+        else:
+            pattern.append(len(firsts))
+            firsts.append(x)
+    code = bit = 0
+    for i in range(len(firsts)):
+        for j in range(i + 1, len(firsts)):
+            if g.has_edge(firsts[i], firsts[j]):
+                code |= 1 << bit
+            bit += 1
+    return tuple(pattern), code
+
+
+@st.composite
+def typed_tuples(draw):
+    """(graph, arity, member tuples, probe tuples) on a random graph."""
+    n = draw(st.integers(1, 7))
+    g = graph_from_bits(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+    arity = draw(st.integers(1, 5))
+    tuples = st.tuples(*[st.integers(0, n - 1)] * arity)
+    return g, arity, draw(st.lists(tuples, max_size=8)), draw(st.lists(tuples, min_size=1, max_size=8))
+
+
+@given(typed_tuples())
+@settings(max_examples=200, deadline=None)
+def test_qf_type_and_type_set_match_naive_oracle(instance):
+    g, arity, members, probes = instance
+    r = relations.TypeSetRelation(arity, {naive_qf_type(t, g) for t in members})
+    for t in members + probes:
+        assert relations.qf_type(t, g) == naive_qf_type(t, g)
+        assert r.holds(t, g) == (naive_qf_type(t, g) in r.types)
+        assert r.holds(t, g) == any(naive_qf_type(m, g) == naive_qf_type(t, g) for m in members)
+
+
+def type_set_of(r):
+    """The type-set relation with the same table as r."""
+    return relations.TypeSetRelation(
+        r.arity, {(rgs, e) for rgs, row in r.type_table.items() for e, member in enumerate(row) if member}
+    )
+
+
+def random_formula(rng, arity, depth=3):
+    if depth == 0 or rng.random() < 0.3:
+        return (rng.choice(("E", "eq")), rng.randrange(arity), rng.randrange(arity))
+    op = rng.choice(("not", "and", "or"))
+    if op == "not":
+        return ("not", random_formula(rng, arity, depth - 1))
+    return (op, random_formula(rng, arity, depth - 1), random_formula(rng, arity, depth - 1))
+
+
+def table_relations():
+    rels = [parity_relation(a) for a in range(2, 6)] + [edge_relation(), nonedge_relation()]
+    rels += [distinct_relation(a) for a in range(2, 5)]
+    rng = random.Random(20)
+    rels += [relations.FormulaRelation(random_formula(rng, a), arity=a) for a in (2, 3, 4) for _ in range(20)]
+    return rels
+
+
+class TestTypeSetRelation:
+    def test_rejects_non_types(self):
+        for bad in (((0, 0), 1), ((1, 0), 0), ((0, 1), 2), ((0,), 0)):
+            with pytest.raises(ValueError):
+                relations.TypeSetRelation(2, [bad])
+
+    def test_table_read_from_the_set(self, monkeypatch):
+        def refuse(self, t, g):
+            raise AssertionError("holds called while compiling")
+
+        monkeypatch.setattr(relations.TypeSetRelation, "holds", refuse)
+        r = relations.TypeSetRelation(3, {((0, 1, 2), 7), ((0, 0, 1), 1)})
+        assert r.type_table[(0, 1, 2)] == (False,) * 7 + (True,)
+        assert r.type_table[(0, 0, 1)] == (False, True)
+        assert not any(r.type_table[(0, 1, 1)])
+
+    def test_matches_small_graph_oracles(self):
+        # the equality, complement and switch scans on the table-driven mask
+        for g in (path_graph(4), cycle_graph(5), random_graph(6, 3)):
+            for r in oracle_relations(4):
+                assert_matches_oracle(type_set_of(r), g)
+
+    @pytest.mark.parametrize("fixture", ["paley13", "paley29"])
+    def test_matches_the_relation_it_tabulates(self, request, fixture):
+        paley = request.getfixturevalue(fixture)
+        g, n = paley.graph, paley.graph.n
+        rng = random.Random(n)
+        dom = rng.sample(range(n), 7)
+        maps = [
+            ({x: (x + 1) % n for x in dom}, g),  # an automorphism
+            ({x: paley.complement_witness[x] for x in dom}, g),  # an anti-automorphism
+            ({x: x for x in dom}, switch_graph(g, {dom[0], dom[3]})),
+            ({x: x for x in dom}, naive_complement(g)),
+        ]
+        maps += [({x: rng.randrange(n) for x in dom}, g) for _ in range(3)]  # collapses too
+        rels = table_relations()
+        assert len(rels) >= 69
+        for r in rels:
+            t = type_set_of(r)
+            assert t.type_table == r.type_table, r.name
+            assert t.type_facts == r.type_facts, r.name
+            for mapping, dst in maps:
+                want = preserved_by_map(r, mapping, g, dst)
+                got = preserved_by_map(t, mapping, g, dst)
+                assert (got.preserved, got.witness) == (want.preserved, want.witness), (r.name, mapping)
+            gadget = make_named("minus", g, dom=dom)
+            want, got = violates(gadget, r), violates(gadget, t)
+            assert (got.preserved, got.witness) == (want.preserved, want.witness), r.name
