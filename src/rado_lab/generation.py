@@ -155,8 +155,8 @@ def _pinned_map(pattern: Graph, host: Graph, allowed: int, ends, pair) -> tuple[
     # the least embedding inside ``allowed`` sending the pattern vertices
     # ``ends`` onto ``pair``, in that orientation first, then reversed
     (u, v), (a, b) = ends, pair
-    for fixed in ({u: a, v: b}, {u: b, v: a}):
-        mapping = next(iter_embedding_maps(pattern, host, allowed=allowed, fixed=fixed), None)
+    for pins in ({u: 1 << a, v: 1 << b}, {u: 1 << b, v: 1 << a}):
+        mapping = next(iter_embedding_maps(pattern, host, allowed=allowed, per_vertex=pins), None)
         if mapping is not None:
             return mapping
     return None
@@ -222,24 +222,16 @@ def _search(
     # nodes it visited (more than ``max_nodes`` when that budget stopped it)
     pool = _named_pool(gens.kinds, tuple(hosts)) + list(gens.extra)
     f_dom = target.dom
+    # the random graph is homogeneous, so a chain agrees with the target on
+    # its domain exactly when the current values have this QF type
+    want = qf_type([target.apply(x) for x in f_dom], target.dst)
     nodes = 0
 
-    def goal(graph: Graph, values: tuple[int, ...]) -> bool:
-        for i, x in enumerate(f_dom):
-            for j in range(i + 1, len(f_dom)):
-                y = f_dom[j]
-                if pair_kind(graph, values[i], values[j]) is not pair_kind(
-                    target.dst, target.apply(x), target.apply(y)
-                ):
-                    return False
-        return True
-
-    def dfs(graph: Graph, values: tuple[int, ...], remaining: int, chain: list[_Link], seen):
+    def dfs(graph: Graph, values: tuple[int, ...], remaining: int, seen) -> list[_Link] | None:
+        # the links from this state to the target, or None
         nonlocal nodes
         nodes += 1
-        if nodes > max_nodes:
-            return None
-        if remaining == 0:
+        if nodes > max_nodes or remaining == 0:
             return None
         state = (graph, values)
         if seen.get(state, -1) >= remaining:
@@ -252,24 +244,25 @@ def _search(
             for mapping in islice(maps, embed_limit):
                 assignment = dict(zip(image, mapping))
                 applied = tuple(gadget.apply(assignment[v]) for v in values)
-                moved = FunctionGadget(graph, gadget.src, tuple(assignment.items()))
-                longer = chain + [
-                    ("reposition", moved, f"reposition into {gadget.label}"),
-                    ("generator", gadget, f"apply {gadget.label}"),
-                ]
-                if goal(gadget.dst, applied):
+                if qf_type(applied, gadget.dst) == want:
                     align = dict(zip(applied, map(target.apply, f_dom)))
                     closing = FunctionGadget(gadget.dst, target.dst, tuple(align.items()))
-                    return _witness(target, f_dom, longer + [("reposition", closing, "align with target")])
-                found = dfs(gadget.dst, applied, remaining - 1, longer, seen)
-                if found is not None:
-                    return found
+                    rest = [("reposition", closing, "align with target")]
+                else:
+                    rest = dfs(gadget.dst, applied, remaining - 1, seen)
+                    if rest is None:
+                        continue
+                moved = FunctionGadget(graph, gadget.src, tuple(assignment.items()))
+                return [
+                    ("reposition", moved, f"reposition into {gadget.label}"),
+                    ("generator", gadget, f"apply {gadget.label}"),
+                ] + rest
         return None
 
     for d in range(1, depth + 1):
-        found = dfs(target.src, f_dom, d, [], {})
-        if found is not None:
-            return found, nodes
+        links = dfs(target.src, f_dom, d, {})
+        if links is not None:
+            return _witness(target, f_dom, links), nodes
     return None, nodes
 
 
@@ -297,8 +290,8 @@ def _kind_images(kind: str, n: int, code: int) -> Iterator[tuple[int, int]]:
     # (vertex count, edge code) of each image of an n-vertex edge code under
     # one named kind: minus complements, switch switches one vertex at a
     # time (single vertices generate every switching), eE and eN make every
-    # pair an edge or a non-edge, const collapses to one vertex; the
-    # identity adds nothing
+    # pair an edge or a non-edge, const collapses a nonempty tuple to one
+    # vertex; the identity adds nothing
     every = (1 << n * (n - 1) // 2) - 1
     if kind == "minus":
         yield n, code ^ every
@@ -309,7 +302,7 @@ def _kind_images(kind: str, n: int, code: int) -> Iterator[tuple[int, int]]:
         yield n, every
     elif kind == "eN":
         yield n, 0
-    elif kind == "const":
+    elif kind == "const" and n:
         yield 1, 0
 
 
@@ -446,18 +439,13 @@ def delete_edge_step(f_marked: ConstantGraph, host: Graph) -> FunctionGadget:
     phi2 = next(iter_embedding_maps(deleted, host), None)
     if phi2 is None:
         raise PatternNotFoundError(f"host has no copy of the edge-deleted {source.n}-vertex graph")
+    # phi1 and phi2 realize the two graphs and the gadget maps one onto the
+    # other position by position, so only the marked pair changes kind
+    assert qf_type(phi1, host) == (tuple(range(source.n)), edge_code(source))
+    assert qf_type(phi2, host) == (tuple(range(source.n)), edge_code(deleted))
     gadget = FunctionGadget(
         host, host, tuple((phi1[i], phi2[i]) for i in range(source.n)), "custom"
     )
-    marked_pair = {phi1[c0], phi1[c1]}
-    for (x1, _), (x2, _) in combinations(gadget.mapping, 2):
-        want = (
-            PairKind.NONEDGE
-            if {x1, x2} == marked_pair
-            else pair_kind(host, x1, x2)
-        )
-        got = pair_kind(host, gadget.apply(x1), gadget.apply(x2))
-        assert got is want
     return gadget
 
 

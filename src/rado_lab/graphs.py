@@ -511,17 +511,16 @@ def iter_embedding_maps(
     *,
     allowed: int | None = None,
     per_vertex: Mapping[int, int] | None = None,
-    fixed: Mapping[int, int] | None = None,
     order: Iterable[tuple[int, int]] = (),
 ) -> Iterator[tuple[int, ...]]:
     """Injective induced-subgraph maps of ``pattern`` into ``host``, in
     lexicographic order of the mapped tuple.
 
     ``allowed`` is a global host bitmask, ``per_vertex`` bitmasks restrict
-    individual pattern vertices, ``fixed`` pins pattern vertices to host
-    vertices.  ``order`` holds pairs (a, b) of distinct pattern vertices that
-    demand map[a] < map[b] (symmetry-breaking conditions); ordering every
-    pair a < b demands an order-preserving map.
+    individual pattern vertices (a one-bit mask pins a vertex).  ``order``
+    holds pairs (a, b) of distinct pattern vertices that demand map[a] <
+    map[b] (symmetry-breaking conditions); ordering every pair a < b demands
+    an order-preserving map.
 
     Forward-checking search: pattern vertices are assigned in order 0..m-1,
     each to its candidate host vertices in increasing order, so the maps come
@@ -546,14 +545,8 @@ def iter_embedding_maps(
         return
     avail = full if allowed is None else allowed & full
     masks = [avail] * m
-    if per_vertex is not None or fixed is not None:
-        for u in range(m):
-            mk = avail
-            if per_vertex is not None and u in per_vertex:
-                mk &= per_vertex[u]
-            if fixed is not None and u in fixed:
-                mk &= 1 << fixed[u]
-            masks[u] = mk
+    if per_vertex is not None:
+        masks = [avail & per_vertex.get(u, avail) for u in range(m)]
         avail = 0
         for mk in masks:
             avail |= mk

@@ -2,9 +2,9 @@
 respecting the extra structure.
 
 ``iter_structure_maps`` is the one search for maps between structures:
-parts become per-vertex candidate masks and constants become pinned
-vertices of ``iter_embedding_maps``.  It is the only place that dispatches on
-the structure kind."""
+parts become per-vertex candidate masks of ``iter_embedding_maps`` and
+constants one-bit masks that pin their vertices.  It is the only place that
+dispatches on the structure kind."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .graphs import (
     _parse_header,
     format_graph,
     iter_embedding_maps,
+    parse_graph,
 )
 
 
@@ -155,8 +156,8 @@ def iter_structure_maps(
             f"constant count mismatch: pattern has {len(small.constants)}, "
             f"host has {len(big.constants)}"
         )
-    fixed = dict(zip(small.constants, big.constants))
-    return iter_embedding_maps(small.graph, big.graph, fixed=fixed, **search)
+    pins = {c: 1 << h for c, h in zip(small.constants, big.constants)}
+    return iter_embedding_maps(small.graph, big.graph, per_vertex=pins, **search)
 
 
 def find_part_embeddings(
@@ -217,14 +218,14 @@ def parse_structure(text: str) -> Structure:
     lines = text.splitlines()
     if not lines:
         raise GraphFormatError("empty input")
-    n = _parse_header(lines[0], 1)
-    graph_lines = [lines[0]]
+    _parse_header(lines[0], 1)
+    # part and const lines are blanked, not dropped, so the graph reader
+    # numbers every line as the input does
+    graph_lines = list(lines)
     part_lines: list[tuple[int, str]] = []
     const_line: tuple[int, str] | None = None
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("part "):
             part_lines.append((lineno, line))
         elif line.startswith("const:"):
@@ -232,11 +233,9 @@ def parse_structure(text: str) -> Structure:
                 raise GraphFormatError(f"line {lineno}: duplicate const line")
             const_line = (lineno, line)
         else:
-            graph_lines.append(line)
-    from .graphs import parse_graph
-
+            continue
+        graph_lines[lineno - 1] = ""
     g = parse_graph("\n".join(graph_lines) + "\n")
-    assert g.n == n
     if part_lines and const_line:
         raise GraphFormatError("cannot mix part and const lines")
     if const_line is not None:

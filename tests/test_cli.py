@@ -1,7 +1,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +56,17 @@ class TestGenerate:
         assert report["extension_check"]["passed"]
         g = parse_graph((workspace / "ec_k2_s7.g").read_text())
         assert check_extension(g, 2).passed
+
+    def test_module_entry_point_matches_main(self, workspace, capsys):
+        # python -m rado_lab runs the same main, so the reports are equal
+        argv = ["generate", "paley", "13", "--json", "-o", str(workspace / "p13.g")]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "rado_lab", *argv], capture_output=True, text=True, env=env, check=True
+        )
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert done.stdout == out
 
     def test_bad_modulus_is_usage_error(self, workspace, capsys):
         code, _ = run_cli(capsys, "generate", "paley", "6")

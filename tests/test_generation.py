@@ -118,6 +118,20 @@ class TestInterpolate:
             assert verify_witness(w)
             assert witness_digest(w) == digest, target.label
 
+    def test_depth_two_witness_through_the_recursion(self, paley13):
+        # eE on a path is eN then minus: no certificate, no depth-1 witness,
+        # a 2-step witness found by recursing past a rejected first step,
+        # and a one-node budget stops the search before it finds it
+        target = make_named("eE", path_graph(3))
+        gens = GeneratorSet(frozenset({"eN", "minus"}))
+        hosts = [paley13.graph]
+        assert separating_invariant(target, gens) is None
+        assert interpolate(target, gens, 1, hosts) is None
+        w = interpolate(target, gens, 2, hosts)
+        assert verify_witness(w) and w.generator_steps == 2
+        assert witness_digest(w) == "d366589cfb87772fdfb2091842d0a55f5c90f5148b98b16c4b094dfbd6fb1a08"
+        assert interpolate(target, gens, 2, hosts, max_nodes=1) is None
+
     def test_switch_never_reaches_full_complement_map(self, paley29):
         # Thomas 1991: switching does not generate the complement map; at
         # depth 2 the search has to prove that switched Paley(29) has no
@@ -278,6 +292,8 @@ class TestSeparatingInvariant:
             monkeypatch.setattr(generation, name, refuse)
         gens = GeneratorSet(extra=(gadget,))
         assert separating_invariant(target, gens) is None
+        # the search itself compares QF types; the closures stay refused
+        monkeypatch.setattr(generation, "qf_type", qf_type)
         assert verify_witness(interpolate(target, gens, 1, [host]))
 
     def test_depth_checked_before_the_certificate(self, paley29, monkeypatch):
@@ -542,6 +558,13 @@ class TestOrbitClosure:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             orbit_closure(empty_graph(6), GeneratorSet())
+
+    def test_const_adds_nothing_to_no_vertices(self):
+        # the closure holds patterns of at most start.n vertices, so a
+        # collapse of no vertices is no 1-vertex pattern
+        for kinds in ({"const"}, set(KINDS)):
+            closure = orbit_closure(empty_graph(0), GeneratorSet(frozenset(kinds)))
+            assert closure == frozenset({empty_graph(0)})
 
 
 class TestTypeTables:

@@ -382,7 +382,14 @@ class TestEmbeddingKernel:
         pattern, host, kwargs = instance
         counter = _RowCounter(host)
         cands = _naive_candidates(pattern, host, kwargs["allowed"], kwargs["per_vertex"], kwargs["fixed"])
-        assert list(iter_embedding_maps(pattern, counter, **kwargs)) == _naive_embeddings(
+        # the kernel takes each drawn pin as a one-bit per-vertex mask
+        per_vertex = kwargs["per_vertex"]
+        if kwargs["fixed"] is not None:
+            per_vertex = dict(per_vertex or {})
+            for u, h in kwargs["fixed"].items():
+                per_vertex[u] = per_vertex.get(u, -1) & 1 << h
+        search = {"allowed": kwargs["allowed"], "per_vertex": per_vertex, "order": kwargs["order"]}
+        assert list(iter_embedding_maps(pattern, counter, **search)) == _naive_embeddings(
             pattern, host, cands, kwargs["order"]
         )
         # forward checking and the degree filter read exactly these rows

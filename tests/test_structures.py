@@ -283,3 +283,17 @@ class TestTextFormat:
         text = "n 2\n0 1\npart 1: 0 1\n"
         with pytest.raises(GraphFormatError):
             parse_structure(text)
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ("n 3\n\n0 5\n", 3),
+            ("n 3\npart 0: 0 1\npart 1: 2\n1 7\n", 4),
+            ("n 3\nconst: 1\n\n0 1\n1 1\n", 5),
+        ],
+        ids=["blank", "part", "const"],
+    )
+    def test_edge_errors_name_their_own_line(self, text, lineno):
+        # blank, part and const lines still count towards the line number
+        with pytest.raises(GraphFormatError, match=f"^line {lineno}: "):
+            parse_structure(text)
