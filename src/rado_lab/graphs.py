@@ -6,10 +6,10 @@ integer bitmask per vertex, so a pair query is one integer operation.  The
 extension check is one depth-first pass over supports that carries the
 candidate masks of all (U, U') splits of the prefix, one AND per split.
 Embedding search likewise carries the candidate mask of every unassigned
-pattern vertex and narrows them all when it assigns one (forward checking),
-after a degree filter on the host vertices.  It still assigns pattern
-vertices in order and host vertices in increasing order, so the first map
-found is the lexicographically least: callers take it as their witness.
+pattern vertex and narrows them all when it assigns one (forward checking).
+It assigns pattern vertices in order and host vertices in increasing order,
+so the first map found is the lexicographically least: callers take it as
+their witness.
 
 Determinism conventions used throughout the package:
 
@@ -58,11 +58,11 @@ class Graph:
     ``rows[u]`` is the neighbourhood of ``u`` as a bitmask.  Instances are
     hashable and compare structurally, so graphs can be used as dict keys and
     set members (orbit computations rely on this).  Like the hash, the
-    extension verdicts already computed (per k) and the degree range are kept
-    on the instance; equality and hashing ignore them.
+    extension verdicts already computed (per k) are kept on the instance;
+    equality and hashing ignore them.
     """
 
-    __slots__ = ("n", "_rows", "_hash", "_extension", "_degrees")
+    __slots__ = ("n", "_rows", "_hash", "_extension")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
         if n < 0:
@@ -87,7 +87,6 @@ class Graph:
         self._rows = rows
         self._hash = hash((n, rows))
         self._extension: dict[int, ExtensionResult] | None = None
-        self._degrees: tuple[int, int] | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -461,14 +460,6 @@ class Embedding:
         return True
 
 
-def _degree_range(g: Graph) -> tuple[int, int]:
-    # (min, max) vertex degree, kept on the instance like the extension verdicts
-    if g._degrees is None:
-        degrees = [row.bit_count() for row in g._rows] or [0]
-        g._degrees = (min(degrees), max(degrees))
-    return g._degrees
-
-
 @lru_cache(maxsize=256)  # keyed by pattern; hits on the small patterns searched repeatedly
 def _later_relations(
     pattern: Graph, order: tuple[tuple[int, int], ...]
@@ -485,24 +476,6 @@ def _later_relations(
         bounds[lo].append((m - 1 - hi, a < b))
     adjacency = tuple(tuple(rows[u] >> v & 1 for v in range(m - 1, u, -1)) for u in range(m - 1))
     return adjacency, tuple(map(tuple, bounds))
-
-
-def _degree_filter(pattern: Graph, host: Graph, masks: list[int], avail: int) -> None:
-    # h keeps pattern vertex u iff, with a neighbours of h inside avail,
-    # deg(u) <= a and m-1-deg(u) <= |avail|-1-a
-    m, size = pattern.n, avail.bit_count()
-    degrees = [pattern.degree(u) for u in range(m)]
-    fits = dict.fromkeys(degrees, 0)
-    bits = avail
-    while bits:
-        b = bits & -bits
-        bits ^= b
-        a = (host.row(b.bit_length() - 1) & avail).bit_count()
-        for d in fits:
-            if a + m - size <= d <= a:
-                fits[d] |= b
-    for u in range(m):
-        masks[u] &= fits[degrees[u]]
 
 
 def iter_embedding_maps(
@@ -530,15 +503,8 @@ def iter_embedding_maps(
     (which keeps the map injective) and, for a later vertex ordered against
     u, with the vertices above or below h.  A branch is cut as soon as a
     later mask is empty.
-
-    Before the search, a degree filter keeps h as a candidate of u only if h
-    has deg(u) neighbours and m-1-deg(u) other non-neighbours inside
-    ``avail``, the union of the initial masks, where the rest of the pattern
-    must land.  It costs a popcount per vertex of ``avail``, so it is skipped
-    when the degree range of the host (kept on the instance) shows that every
-    vertex passes, the common case of a small pattern in a large host.
     """
-    m, n, full = pattern.n, host.n, host.full_mask
+    m, full = pattern.n, host.full_mask
     later, bounds = _later_relations(pattern, tuple(order))
     if m == 0:
         yield ()
@@ -547,17 +513,6 @@ def iter_embedding_maps(
     masks = [avail] * m
     if per_vertex is not None:
         masks = [avail & per_vertex.get(u, avail) for u in range(m)]
-        avail = 0
-        for mk in masks:
-            avail |= mk
-    # inside avail every h has at least lo - outside neighbours and at least
-    # n-1-hi - outside other non-neighbours, so the filter can drop a vertex
-    # only when the pattern's degree range demands more
-    outside = n - avail.bit_count()
-    lo, hi = _degree_range(host)
-    plo, phi = _degree_range(pattern)
-    if phi > lo - outside or m - 1 - plo > n - 1 - hi - outside:
-        _degree_filter(pattern, host, masks, avail)
     if not all(masks):
         return
     # level[u]: the masks of pattern vertices m-1, ..., u given im[:u], in

@@ -23,7 +23,10 @@ flipping the kind of a pair {x, y} exactly when c ^ s(x) ^ s(y) = 1, for a
 constant c and a cut s.  Such a map rewrites each tuple's type by
 complementing (c = 1) and switching the classes in s, and each such single
 rewrite is an involution on the types, so a table invariant under it keeps
-membership.
+membership.  Three more facts decide the maps of the minimal functions eE,
+eN and const: an injective map onto a clique or an independent set sends
+each type to the same pattern with every pair an edge or a non-edge, and a
+map onto one vertex sends every tuple to the all-equal type.
 
 Every other check runs one scan kernel on adjacency rows: the target graph
 pulled back along the map (a collapsed pair counts as equal), the
@@ -85,6 +88,9 @@ class TypeFacts:
     equality_definable: bool  # membership constant on each equality pattern
     complement_invariant: bool  # each type agrees with its edge-complement
     switch_invariant: bool  # each type agrees with it after switching a class
+    preserved_by_eE: bool  # each member stays a member with all pairs edges
+    preserved_by_eN: bool  # each member stays a member with all pairs non-edges
+    preserved_by_const: bool  # the all-equal type is a member, or none is
 
 
 @lru_cache(maxsize=None)  # keyed by arity, at most MAX_TABLE_ARITY entries
@@ -146,6 +152,10 @@ def _compile(
         switch_invariant=all(
             row[e] == row[e ^ m] for row, masks in rows for m in masks for e in range(len(row))
         ),
+        # the last edge code of a pattern makes every pair an edge, code 0 none
+        preserved_by_eE=all(row[-1] or not any(row) for row, _ in rows),
+        preserved_by_eN=all(row[0] or not any(row) for row, _ in rows),
+        preserved_by_const=table[(0,) * r.arity][0] or not any(any(row) for row, _ in rows),
     )
     return MappingProxyType(table), facts
 
@@ -622,8 +632,10 @@ def preserved_by_map(
     Tuples with an entry outside the mapping's domain are skipped.  A map
     that is an embedding, an anti-embedding or a switch of one on its
     domain, as far as the relation's type table is invariant under that
-    rewrite, preserves the relation on every graph: that verdict reports
-    ``checked == 0``.  Every other map goes to the scan kernel.
+    rewrite, preserves the relation on every graph, and so does an
+    injective map onto a clique or an independent set, or a map onto one
+    vertex, when the table's eE, eN or const fact holds: those verdicts
+    report ``checked == 0``.  Every other map goes to the scan kernel.
     """
     for x, y in mapping.items():
         if not 0 <= x < src.n:
@@ -632,11 +644,25 @@ def preserved_by_map(
             raise ValueError(f"image vertex {y} out of range")
     rw = _pullback(mapping, src, dst)
     facts = r.type_facts
-    form = _flip_form(rw) if facts is not None else None
-    # a rewrite the table is invariant under keeps every type's membership
-    if form and (facts.complement_invariant or not form[0]) and (facts.switch_invariant or not form[1]):
+    if facts is not None and _table_proves(facts, rw):
         return PreservationResult(True)
     return _scan(r, rw)
+
+
+def _table_proves(facts: TypeFacts, rw: _Rewrite) -> bool:
+    # a rewrite the table is invariant under keeps every type's membership
+    form = _flip_form(rw)
+    if form and (facts.complement_invariant or not form[0]) and (facts.switch_invariant or not form[1]):
+        return True
+    dom = rw.dom
+    dmask = sum(1 << x for x in dom)
+    if all(rw.collapsed[x] == dmask ^ 1 << x for x in dom):
+        return facts.preserved_by_const
+    if any(rw.collapsed[x] for x in dom):
+        return False
+    if facts.preserved_by_eE and all(rw.dst[x] == dmask ^ 1 << x for x in dom):
+        return True
+    return facts.preserved_by_eN and not any(rw.dst[x] for x in dom)
 
 
 def _scan_both_ways(

@@ -68,6 +68,20 @@ class TestGenerate:
         assert code == 0
         assert done.stdout == out
 
+    def test_imports_only_the_standard_library(self):
+        # a fresh interpreter, so modules this suite loaded do not hide any;
+        # site hooks load before the snapshot and are not counted
+        code = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import rado_lab, rado_lab.cli\n"
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(json.dumps(sorted(new - {'rado_lab'} - set(sys.stdlib_module_names))))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert json.loads(done.stdout) == []
+
     def test_bad_modulus_is_usage_error(self, workspace, capsys):
         code, _ = run_cli(capsys, "generate", "paley", "6")
         assert code == 1

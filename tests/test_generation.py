@@ -338,6 +338,24 @@ class TestSeparatingInvariant:
         assert verify_separation(partial, gens, hosts, sep)
         assert not verify_separation(partial, gens, hosts, replace(sep, subset=(0, 1, 3)))
 
+    @pytest.mark.parametrize("kind", ["minus", "switch"])
+    def test_injective_pair_tries_no_subset(self, paley13, kind, monkeypatch):
+        # with minus or switch every distinct pair reaches both distinct pair
+        # types, so a 2-point injective target has no certificate to look for
+        g = paley13.graph
+        target = FunctionGadget(g, g, ((0, 0), (1, 2)))  # the edge (0, 1) onto the non-edge (0, 2)
+        gens = GeneratorSet(frozenset({kind}))
+
+        def refuse(*args):
+            raise AssertionError("tried a subset")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(generation, "_type_closure", refuse)
+            assert separating_invariant(target, gens) is None
+        w = interpolate(target, gens, 1, [g])
+        assert verify_witness(w)
+        assert w.transcript == (f"reposition into {kind}", f"apply {kind}", "align with target")
+
     @pytest.mark.parametrize("fixture", ["paley13", "paley29"])
     def test_certified_misses_agree_with_the_search(self, request, fixture):
         # every certified miss is also a miss of the search at depth 3 run
@@ -493,6 +511,16 @@ class TestCollapseAll:
                 used |= {"g" if s is g else "h" for s in w.steps if s is g or s is h}
         # both an edge and a non-edge collapse occur among the pinned chains
         assert used == {"g", "h"}
+
+    def test_gadgets_defined_on_their_pair_only(self, paley13):
+        # four vertices do not embed into a two-vertex domain, so no
+        # repositioning map pins the least pair onto the collapsing pair
+        host = paley13.graph
+        (a, b), (c, d) = next(host.edges()), next(host.nonedges())
+        g = FunctionGadget(host, host, ((a, b), (b, b)))
+        h = FunctionGadget(host, host, ((c, d), (d, d)))
+        with pytest.raises(PatternNotFoundError):
+            collapse_all((0, 1, 2, 3), host, g, h)
 
     def test_rejects_non_collapsing_gadget(self, paley29):
         host = paley29.graph

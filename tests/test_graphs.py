@@ -286,28 +286,14 @@ def _naive_embeddings(pattern, host, cands, order):
 
 
 def _naive_row_reads(pattern, host, cands, order):
-    # The rows a forward-checking search with the degree filter reads: one
-    # per vertex of avail when the filter runs, plus one per search node that
+    # The rows a forward-checking search reads: one per search node that
     # assigns a pattern vertex other than the last.  A node is visited when
     # its host vertex fits after its prefix and every later pattern vertex
     # still has a fitting host vertex after that prefix.
     m, n = pattern.n, host.n
     if m == 0:
         return 0
-    cands = [set(c) for c in cands]
-    avail = set().union(*cands)
-    pdeg = [sum(pattern.has_edge(u, v) for v in range(m) if v != u) for u in range(m)]
-    hdeg = [sum(host.has_edge(h, x) for x in range(n) if x != h) for h in range(n)]
-    lo, hi = min(hdeg, default=0), max(hdeg, default=0)
-    outside = n - len(avail)
     reads = 0
-    if max(pdeg) > lo - outside or m - 1 - min(pdeg) > n - 1 - hi - outside:
-        reads += len(avail)
-        inside = {h: sum(host.has_edge(h, x) for x in avail) for h in avail}
-        cands = [
-            {h for h in cands[u] if inside[h] >= pdeg[u] and len(avail) - 1 - inside[h] >= m - 1 - pdeg[u]}
-            for u in range(m)
-        ]
 
     def fits(prefix, v, h):
         return (
@@ -392,7 +378,7 @@ class TestEmbeddingKernel:
         assert list(iter_embedding_maps(pattern, counter, **search)) == _naive_embeddings(
             pattern, host, cands, kwargs["order"]
         )
-        # forward checking and the degree filter read exactly these rows
+        # forward checking reads exactly these rows
         assert counter.reads == _naive_row_reads(pattern, host, cands, kwargs["order"])
 
     @pytest.mark.parametrize("pair", [(1, 1), (0, 3), (-1, 0)])
@@ -402,10 +388,13 @@ class TestEmbeddingKernel:
 
     def test_isomorphism_case_is_cut_by_degrees(self, paley13):
         # switching one vertex of a regular host leaves degrees no host
-        # vertex has, so the filter empties the masks before any node
+        # vertex has, so no map exists; forward checking alone finds that
+        # only after searching, and reads the rows its oracle predicts
+        pattern = switch_graph(paley13.graph, {0})
         host = _RowCounter(paley13.graph)
-        assert list(iter_embedding_maps(switch_graph(paley13.graph, {0}), host)) == []
-        assert host.reads == 13
+        assert list(iter_embedding_maps(pattern, host)) == []
+        cands = [set(range(13))] * 13
+        assert host.reads == _naive_row_reads(pattern, paley13.graph, cands, ()) == 481
 
 
 class TestEmbeddings:

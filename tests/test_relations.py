@@ -405,6 +405,41 @@ class TestTypeTableOracle:
             assert (f.equality_definable, f.complement_invariant, f.switch_invariant) == want
         assert distinct_relation(3).type_facts.equality_definable
 
+    def test_minimal_function_facts(self):
+        # (eE, eN, const) per relation
+        cases = {
+            edge_relation(): (True, False, False),
+            nonedge_relation(): (False, True, False),
+            parity_relation(2): (True, False, False),
+            parity_relation(3): (True, False, False),
+            parity_relation(4): (False, False, False),
+            parity_relation(5): (False, False, False),
+            distinct_relation(2): (True, True, False),
+        }
+        for r, want in cases.items():
+            f = r.type_facts
+            assert (f.preserved_by_eE, f.preserved_by_eN, f.preserved_by_const) == want, r.name
+
+    def test_minimal_function_facts_agree_with_gadget_scans(self, paley29):
+        # Paley(29) realizes every QF type of arity at most 4, so the scan of
+        # each whole-host gadget preserves a relation exactly when its fact
+        # holds; violates then skips the scan, or reports the scan's witness
+        g = paley29.graph
+        gadgets = {"eE": make_named("eE", g), "eN": make_named("eN", g), "const": make_named("const", g, target=0)}
+        extra = ("x0=x1", "x0=x1 | E(0,1)", "E(0,1) & !E(0,1)", "x0=x1 & x1=x2 | E(0,2) & !E(1,2)")
+        rels = oracle_relations(4) + [edge_relation(), nonedge_relation()]
+        rels += [distinct_relation(a) for a in (2, 3, 4)] + [parse_relation_spec("formula:" + f) for f in extra]
+        seen = set()
+        for r in rels:
+            facts = r.type_facts
+            for kind, gadget in gadgets.items():
+                scan = relations._scan(r, relations._pullback(gadget.as_mapping(), g, gadget.dst))
+                assert scan.preserved == getattr(facts, f"preserved_by_{kind}"), (r.name, kind)
+                got = violates(gadget, r)
+                assert got == (PreservationResult(True) if scan.preserved else scan), (r.name, kind)
+                seen.add((kind, scan.preserved))
+        assert len(seen) == 6
+
     def test_table_sizes(self):
         assert [len(relations._qf_types(a)) for a in range(1, 6)] == [1, 2, 5, 15, 52]
         sizes = [sum(len(row) for row in parity_relation(a).type_table.values()) for a in (2, 3, 4, 5)]
