@@ -17,12 +17,11 @@ import time
 from functools import cache
 
 from .canonicity import classify_on_set, profile_partitioned, is_canonical_constant_graph
-from .gadgets import FunctionGadget, GadgetConstructionError, pair_color, parse_gadget
+from .gadgets import FunctionGadget, pair_color, parse_gadget
 from .generation import GeneratorSet, classify_reduct, interpolate, separating_invariant, verify_separation
 from .graphs import (
     BuildBudgetError,
     Graph,
-    GraphFormatError,
     build_ec,
     build_paley,
     check_extension,
@@ -31,7 +30,7 @@ from .graphs import (
     parse_graph,
 )
 from .ramsey import DEFAULT_COLORING_BUDGET, DEFAULT_COPY_BUDGET, ArrowBudget, ArrowQuery, verify_arrow
-from .relations import RelationSpecError, parse_relation_spec, qf_type
+from .relations import parse_relation_spec, qf_type
 from .structures import ConstantGraph, PartitionedGraph, parse_structure
 
 
@@ -342,15 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     try:
         code = args.func(args)
-    except (
-        CliError,
-        GraphFormatError,
-        GadgetConstructionError,
-        RelationSpecError,
-        BuildBudgetError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (CliError, BuildBudgetError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     sys.stderr.write(f"wall time: {time.monotonic() - start:.3f}s\n")

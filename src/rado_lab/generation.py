@@ -151,23 +151,21 @@ def _witness(target: FunctionGadget, target_set, chain: list[_Link]) -> Interpol
     return witness
 
 
-def _pinned_map(pattern: Graph, host: Graph, allowed: int, ends, pair) -> tuple[int, ...] | None:
-    # the least embedding inside ``allowed`` sending the pattern vertices
-    # ``ends`` onto ``pair``, in that orientation first, then reversed
-    (u, v), (a, b) = ends, pair
-    for pins in ({u: 1 << a, v: 1 << b}, {u: 1 << b, v: 1 << a}):
+def _pinned_map(pattern: Graph, host: Graph, allowed: int, pair) -> tuple[int, ...] | None:
+    # the least embedding inside ``allowed`` sending pattern vertices 0 and 1
+    # onto ``pair``, in that orientation first, then reversed
+    a, b = pair
+    for pins in ({0: 1 << a, 1: 1 << b}, {0: 1 << b, 1: 1 << a}):
         mapping = next(iter_embedding_maps(pattern, host, allowed=allowed, per_vertex=pins), None)
         if mapping is not None:
             return mapping
     return None
 
 
-def _least_pair(gadget: FunctionGadget, before: PairKind, after: PairKind) -> tuple[int, int] | None:
-    # the least domain pair of kind ``before`` whose image pair is of kind ``after``
+def _least_pair(gadget: FunctionGadget, kind: PairKind) -> tuple[int, int] | None:
+    # the least domain pair of kind ``kind`` that the gadget collapses
     for x, y in combinations(gadget.dom, 2):
-        if pair_kind(gadget.src, x, y) is before and pair_kind(
-            gadget.dst, gadget.apply(x), gadget.apply(y)
-        ) is after:
+        if pair_kind(gadget.src, x, y) is kind and gadget.apply(x) == gadget.apply(y):
             return (x, y)
     return None
 
@@ -450,8 +448,18 @@ def delete_edge_step(f_marked: ConstantGraph, host: Graph) -> FunctionGadget:
 
 
 def delete_all_edges(pattern: Graph, host: Graph, k: int) -> InterpolationWitness:
-    """Iterate delete_edge_step over the least remaining edge until the image
-    of ``pattern`` in ``host`` is edgeless; one generator step per edge.
+    """Apply delete_edge_step to the pattern's edges in lexicographic order,
+    the least remaining edge each time, until the image of ``pattern`` in
+    ``host`` is edgeless; one generator step per edge.
+
+    Every reposition after the placement is the identity, since each gadget
+    is built on the least copy of what remains and the chain already stands
+    there: it starts on the least copy of the pattern, and each gadget maps
+    the least copy of the current graph onto the least copy of the current
+    graph minus its least edge (i, j), the next current graph.  Pinning
+    (i, j) onto the flipped pair finds that same copy: every vertex below i
+    is isolated, so an automorphism swapping i and j can fix them, and a
+    least copy with phi[i] > phi[j] composed with it would be smaller.
 
     The witness target is an eN-labeled gadget built from the final map, so
     its construction-time check independently confirms the empty image.
@@ -465,28 +473,16 @@ def delete_all_edges(pattern: Graph, host: Graph, k: int) -> InterpolationWitnes
         ("reposition", FunctionGadget(pattern, host, tuple(enumerate(values))),
          "place the pattern in the host")
     ]
-    current = pattern
-    while True:
-        edges = list(current.edges())
-        if not edges:
-            break
-        i, j = edges[0]
+    edges = list(pattern.edges())
+    for s, (i, j) in enumerate(edges):
+        current = Graph.from_edges(pattern.n, edges[s:])
         gadget = delete_edge_step(ConstantGraph(current, (i, j)), host)
-        # align the current copy with the gadget's domain so the deleted
-        # pair lands on the pair the gadget actually flips
-        flip_pair = _least_pair(gadget, PairKind.EDGE, PairKind.NONEDGE)
-        alignment = _pinned_map(current, host, gadget.dom_mask(), (i, j), flip_pair)
-        if alignment is None:
-            raise PatternNotFoundError("could not align the copy with the deletion gadget")
-        moved = FunctionGadget(host, host, tuple(zip(values, alignment)))
         chain += [
-            ("reposition", moved, f"move copy onto the deletion gadget for edge ({i}, {j})"),
+            ("reposition", FunctionGadget(host, host, tuple(zip(values, values))),
+             f"move copy onto the deletion gadget for edge ({i}, {j})"),
             ("generator", gadget, "delete the edge"),
         ]
-        values = tuple(gadget.apply(v) for v in alignment)
-        current = Graph.from_edges(
-            current.n, [e for e in current.edges() if e != (i, j)]
-        )
+        values = tuple(gadget.apply(v) for v in values)
     target = FunctionGadget(pattern, host, tuple(enumerate(values)), "eN")
     return _witness(target, tuple(range(pattern.n)), chain)
 
@@ -503,32 +499,29 @@ def collapse_all(
     for gadget, kind, name in ((g, PairKind.EDGE, "g"), (h, PairKind.NONEDGE, "h")):
         if gadget.src != host or gadget.dst != host:
             raise ValueError(f"gadget {name} must map the host to itself")
-        pair = _least_pair(gadget, kind, PairKind.EQUAL)
+        pair = _least_pair(gadget, kind)
         if pair is None:
             noun = "edge" if kind is PairKind.EDGE else "non-edge"
             raise ValueError(f"gadget {name} does not collapse any {noun}")
         collapsers[kind] = (gadget, pair)
     chain: list[_Link] = []
-    values = {x: x for x in f_sorted}
+    image = list(f_sorted)
     for _ in range(len(f_sorted)):
-        image = sorted(set(values.values()))
         if len(image) <= 1:
             break
         s0, s1 = image[0], image[1]
         gadget, (a, b) = collapsers[pair_kind(host, s0, s1)]
-        mapping = _pinned_map(host.induced(image), host, gadget.dom_mask(), (0, 1), (a, b))
+        mapping = _pinned_map(host.induced(image), host, gadget.dom_mask(), (a, b))
         if mapping is None:
             raise PatternNotFoundError(
                 f"no repositioning embedding pinning ({s0}, {s1}) onto ({a}, {b})"
             )
-        assignment = dict(zip(image, mapping))
         chain += [
-            ("reposition", FunctionGadget(host, host, tuple(assignment.items())),
+            ("reposition", FunctionGadget(host, host, tuple(zip(image, mapping))),
              f"pin ({s0}, {s1}) onto the collapsing pair ({a}, {b})"),
             ("generator", gadget, "collapse"),
         ]
-        values = {x: gadget.apply(assignment[v]) for x, v in values.items()}
-    image = sorted(set(values.values()))
+        image = sorted({gadget.apply(v) for v in mapping})
     assert len(image) == 1, "collapse loop exceeded its step bound"
     target = make_named("const", host, dom=f_sorted, target=image[0])
     return _witness(target, f_sorted, chain)

@@ -145,16 +145,18 @@ class ArrowResult:
 
 
 def find_mono_copy(
-    S: Structure, H: Structure, P: Structure, coloring: CopyColoring
+    S: Structure, H: Structure, P: Structure, coloring: CopyColoring, *, ordered: bool = False
 ) -> Embedding | None:
     """Least embedding of H into S all of whose internal P-copies share one
-    color; None when no copy of H works."""
+    color; None when no copy of H works.  With ``ordered``, the coloring is
+    over the ordered copies of P and only order-preserving maps of H count."""
     s_graph, h_graph = as_partitioned(S).graph, as_partitioned(H).graph
-    if set(coloring.copies) != set(enumerate_copies(S, P)):
+    if set(coloring.copies) != set(enumerate_copies(S, P, ordered=ordered)):
         raise ValueError("coloring is not over the copies of P in S")
     copy_index = {c: i for i, c in enumerate(coloring.copies)}
     p_copies = coloring.copies
-    for mapping in iter_structure_maps(H, S):
+    order = tuple(combinations(range(h_graph.n), 2)) if ordered else ()
+    for mapping in iter_structure_maps(H, S, order=order):
         image = set(mapping)
         inside = [copy_index[c] for c in p_copies if set(c) <= image]
         palette = {coloring.colors[i] for i in inside}

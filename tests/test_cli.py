@@ -381,3 +381,27 @@ def test_readme_json_pinned(workspace, capsys):
         assert code == 0, argv
         got.append(hashlib.sha256(out.encode()).hexdigest())
     assert got == [want for _, want in README_JSON_SHA256]
+
+
+def test_readme_library_tour():
+    # run the python block under "Library tour" and check each value its
+    # comments show, on the expression's line or the comment line below it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace, values, shown = {}, [], []
+    for at, line in enumerate(lines):
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        if not code:
+            continue
+        try:
+            expression = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        values.append(eval(expression, namespace))
+        if not comment:
+            comment = lines[at + 1].strip().lstrip("#").strip()
+        shown.append(comment.split()[0].rstrip(",:"))
+    assert values == [True, namespace["ReductClass"].SWITCH, 6, True]
+    assert shown == ["True", "ReductClass.SWITCH", "6", "True"]

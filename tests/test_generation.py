@@ -454,6 +454,40 @@ class TestDeleteAllEdges:
         with pytest.raises(PatternNotFoundError):
             delete_all_edges(complete_graph(5), paley29.graph, 3)
 
+    def test_chain_walks_the_least_copies(self, paley13, paley29):
+        # independent oracle: the least copy is the first injective map, in
+        # lexicographic order, that keeps the kind of every pair
+        def least_copy(pattern, host):
+            pairs = list(combinations(range(pattern.n), 2))
+            return next(
+                phi for phi in permutations(range(host.n), pattern.n)
+                if all(pattern.has_edge(u, v) == host.has_edge(phi[u], phi[v]) for u, v in pairs)
+            )
+
+        rng = random.Random(14)
+        deleted = 0
+        # Paley(13) has no independent 4-set, so 4-vertex patterns run on
+        # Paley(29)
+        for n, host in [(3, paley13.graph)] * 30 + [(4, paley29.graph)] * 20:
+            pattern = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+            edges = list(pattern.edges())
+            w = delete_all_edges(pattern, host, n - 1)
+            steps = list(zip(w.roles, w.steps))
+            generators = [step for role, step in steps if role == "generator"]
+            repositions = [step for role, step in steps if role == "reposition"]
+            assert len(generators) == len(edges)
+            assert repositions[0].mapping == tuple(enumerate(least_copy(pattern, host)))
+            for s, gadget in enumerate(generators):
+                before = least_copy(Graph.from_edges(n, edges[s:]), host)
+                after = least_copy(Graph.from_edges(n, edges[s + 1:]), host)
+                assert tuple(gadget.apply(x) for x in before) == after, (pattern, s)
+            assert all(x == y for step in repositions[1:] for x, y in step.mapping)
+            independent = least_copy(empty_graph(n), host)
+            assert w.target.mapping == tuple(enumerate(independent))
+            assert w.target.image() == independent
+            deleted += len(edges)
+        assert deleted >= 50
+
 
 class TestCollapseAll:
     def test_singleton_needs_no_steps(self, paley29):

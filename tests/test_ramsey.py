@@ -25,6 +25,7 @@ from rado_lab import (
 from rado_lab.graphs import Graph, build_paley
 from rado_lab.ramsey import CopyBudgetExceeded, _symmetry_breaking
 from rado_lab.structures import ConstantGraph, PartitionedGraph, iter_structure_maps
+from conftest import random_graph as seeded_graph
 
 
 def edge_copies(g: Graph):
@@ -203,6 +204,20 @@ class TestFindMonoCopy:
             chi = CopyColoring(copies, tuple(rng.randrange(2) for _ in copies), 2)
             assert find_mono_copy(k6, complete_graph(3), complete_graph(2), chi) is not None
 
+    def test_ordered_witness_is_checked_over_ordered_copies(self):
+        s = seeded_graph(6, 0)
+        p = Graph.from_edges(3, [(0, 2), (1, 2)])
+        h = Graph.from_edges(4, [(0, 2), (0, 3), (1, 3), (2, 3)])
+        result = verify_arrow(ArrowQuery(s, h, p, 2, ordered=True))
+        assert result.verdict == "fails"
+        assert result.witness == CopyColoring(((0, 1, 4), (1, 3, 4)), (0, 1), 2)
+        # S has 5 unordered copies of P, so the default check refuses it
+        with pytest.raises(ValueError):
+            find_mono_copy(s, h, p, result.witness)
+        # the only ordered H-copy, (0, 1, 3, 4), holds both colors
+        assert enumerate_copies(s, h, ordered=True) == [(0, 1, 3, 4)]
+        assert find_mono_copy(s, h, p, result.witness, ordered=True) is None
+
 
 class TestVerifyArrow:
     def test_k6_arrow_holds(self):
@@ -337,6 +352,7 @@ class TestVerifyArrow:
                 assert result.verdict == "fails"
                 assert result.witness.copies == tuple(p_copies)
                 assert result.witness.colors == first_bad
+                assert find_mono_copy(s, h, p, result.witness, ordered=ordered) is None
             assert result.stats["p_copies"] == len(p_copies)
             assert result.stats["h_copies"] == len(h_copies)
 
