@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, islice
-from typing import Iterable
+from itertools import combinations, islice, product
+from typing import Iterable, Iterator, Sequence
 
-from .gadgets import FunctionGadget, PairColor, pair_color
-from .graphs import Embedding, PairKind, pair_kind
+from .gadgets import FunctionGadget, PairColor
+from .graphs import Embedding, PairKind
+from .relations import _Rewrite, _pullback
 from .structures import (
     ConstantGraph,
     PartitionedGraph,
@@ -42,24 +43,72 @@ _PREDICTED: dict[BehaviorClass, dict[PairKind, PairColor]] = {
     BehaviorClass.CONSTANT: {PairKind.EDGE: PairColor.COLLAPSED, PairKind.NONEDGE: PairColor.COLLAPSED},
 }
 
+# evidence bit 3 * k + c: some pair of the k-th kind got the c-th color
+_EVIDENCE = tuple(
+    product(
+        (PairKind.EDGE, PairKind.NONEDGE),
+        (PairColor.COLLAPSED, PairColor.EDGE, PairColor.NONEDGE),
+    )
+)
+
+# the classes consistent with each set of evidence bits
+_CONSISTENT = tuple(
+    frozenset(
+        c
+        for c in BehaviorClass
+        if all(
+            _PREDICTED[c][kind] is color
+            for bit, (kind, color) in enumerate(_EVIDENCE)
+            if seen >> bit & 1
+        )
+    )
+    for seen in range(1 << len(_EVIDENCE))
+)
+
+
 def _consistent_classes(
-    f: FunctionGadget, pairs: Iterable[tuple[int, int]]
+    rw: _Rewrite, cell: Iterable[tuple[int, int]]
 ) -> frozenset[BehaviorClass]:
-    alive = set(BehaviorClass)
-    for x, y in pairs:
-        kind = pair_kind(f.src, x, y)
-        color = pair_color(f, x, y)
-        alive = {c for c in alive if _PREDICTED[c][kind] is color}
-        if not alive:
-            break
-    return frozenset(alive)
+    """Classes consistent with the pairs {x, y}, y in ``partners``, over
+    (x, partners) in ``cell``, all inside the pullback's domain.  The source
+    row gives each partner's pair kind, the pulled row and the collapsed
+    mask its pair color."""
+    seen = 0
+    for x, partners in cell:
+        edges = rw.src[x] & partners
+        nonedges = partners ^ edges
+        collapsed, adjacent = rw.collapsed[x], rw.dst[x]
+        apart = ~(collapsed | adjacent)
+        seen |= (
+            bool(edges & collapsed) | bool(edges & adjacent) << 1 | bool(edges & apart) << 2
+            | bool(nonedges & collapsed) << 3 | bool(nonedges & adjacent) << 4
+            | bool(nonedges & apart) << 5
+        )
+    return _CONSISTENT[seen]
 
 
-def _require_dom(f: FunctionGadget, vertices: Iterable[int], what: str) -> None:
-    dom = set(f.dom)
-    outside = [v for v in vertices if v not in dom]
-    if outside:
-        raise ValueError(f"{what} contains vertices outside the gadget domain: {sorted(outside)}")
+def _inside(part: Sequence[int]) -> Iterator[tuple[int, int]]:
+    # the pairs inside ``part``, each seen from both ends
+    mask = sum(1 << v for v in part)
+    return ((x, mask ^ 1 << x) for x in part)
+
+
+def _between(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int]]:
+    mask = sum(1 << v for v in b)
+    return ((x, mask) for x in a)
+
+
+def _pullback_on(f: FunctionGadget, parts: Sequence[Sequence[int]], what: str) -> _Rewrite:
+    # the pullback of f restricted to the vertices of ``parts``, which must
+    # lie inside dom(f)
+    lookup = f.as_mapping()
+    for part in parts:
+        outside = [v for v in part if v not in lookup]
+        if outside:
+            raise ValueError(
+                f"{what} contains vertices outside the gadget domain: {sorted(outside)}"
+            )
+    return _pullback({v: lookup[v] for part in parts for v in part}, f.src, f.dst)
 
 
 def classify_on_set(f: FunctionGadget, s: Iterable[int]) -> frozenset[BehaviorClass]:
@@ -72,8 +121,7 @@ def classify_on_set(f: FunctionGadget, s: Iterable[int]) -> frozenset[BehaviorCl
     vs = sorted(set(s))
     if len(vs) < 2:
         raise ValueError("classification needs at least two vertices")
-    _require_dom(f, vs, "set")
-    return _consistent_classes(f, combinations(vs, 2))
+    return _consistent_classes(_pullback_on(f, (vs,), "set"), _inside(vs))
 
 
 def is_canonical_between(
@@ -86,8 +134,7 @@ def is_canonical_between(
         raise ValueError("both sets must be nonempty")
     if set(a) & set(b):
         raise ValueError("sets must be disjoint")
-    _require_dom(f, a + b, "set")
-    return _consistent_classes(f, ((x, y) for x in a for y in b))
+    return _consistent_classes(_pullback_on(f, (a + b,), "set"), _between(a, b))
 
 
 UNDETERMINED = "undetermined"
@@ -136,17 +183,13 @@ def _profile_over_parts(
     f: FunctionGadget, parts: Iterable[Iterable[int]]
 ) -> BehaviorProfile:
     sorted_parts = tuple(tuple(sorted(set(p))) for p in parts)
-    for part in sorted_parts:
-        _require_dom(f, part, "part")
+    rw = _pullback_on(f, sorted_parts, "part")
     m = len(sorted_parts)
-    matrix = [[frozenset(BehaviorClass)] * m for _ in range(m)]
+    matrix = [[None] * m for _ in range(m)]
     for i in range(m):
-        if len(sorted_parts[i]) >= 2:
-            matrix[i][i] = _consistent_classes(f, combinations(sorted_parts[i], 2))
+        matrix[i][i] = _consistent_classes(rw, _inside(sorted_parts[i]))
     for i, j in combinations(range(m), 2):
-        cross = _consistent_classes(
-            f, ((x, y) for x in sorted_parts[i] for y in sorted_parts[j])
-        )
+        cross = _consistent_classes(rw, _between(sorted_parts[i], sorted_parts[j]))
         matrix[i][j] = cross
         matrix[j][i] = cross
     return BehaviorProfile(sorted_parts, tuple(tuple(row) for row in matrix))

@@ -38,10 +38,10 @@ from .relations import (
     PreservationResult,
     Relation,
     TypeSetRelation,
+    _each_switch,
     definable_from_equality,
     flip_form,
     invariant_under_complement,
-    invariant_under_switch,
     preserved_by_map,
     qf_type,
 )
@@ -495,6 +495,8 @@ def collapse_all(
     non-edge-collapsing gadget ``h``; at most |F| generator steps.
     """
     f_sorted = tuple(sorted(set(f_set)))
+    if not f_sorted:
+        raise ValueError("collapse_all needs a nonempty vertex set")
     collapsers = {}
     for gadget, kind, name in ((g, PairKind.EDGE, "g"), (h, PairKind.NONEDGE, "h")):
         if gadget.src != host or gadget.dst != host:
@@ -710,8 +712,7 @@ def _classify_single(r: Relation, host: Graph) -> RelationCertificate:
     comp = invariant_under_complement(r, host)
     violations = []
     subsets = 0
-    for v in range(host.n):
-        res = invariant_under_switch(r, host, v)
+    for v, res in enumerate(_each_switch(r, host, range(host.n))):
         subsets += res.checked
         if not res.preserved:
             violations.append((v, res.witness))

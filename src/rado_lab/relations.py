@@ -538,11 +538,10 @@ def _type_set_mask(index, prefix: tuple[int, ...], rows, same, full: int) -> int
     return mask
 
 
-def _least_bad(
-    r: Relation, dom: Sequence[int], n: int, bad, must: int | None = None
-) -> PreservationResult:
-    """The scan kernel: the least tuple over ``dom`` (containing ``must`` if
-    given) whose last coordinate is in ``bad(prefix, member)``.
+def _scan_kernel(r: Relation, dom: Sequence[int], n: int):
+    """The scan kernel for ``r`` over ``dom`` on n-vertex graphs, set up once:
+    ``least_bad(bad, must=None)`` is the least tuple over ``dom`` (containing
+    ``must`` if given) whose last coordinate is in ``bad(prefix, member)``.
 
     It enumerates (arity - 1)-prefixes in lexicographic order and tests the
     last coordinate for all candidates at once.  ``member(prefix, rows,
@@ -557,19 +556,12 @@ def _least_bad(
     full = (1 << n) - 1
     k = r.arity - 1
     if isinstance(r, ParityRelation):
-        prefixes = combinations(dom, k)
-        if must is not None:
-            prefixes = (p for p in prefixes if must in p or p[-1] < must)
-
         def member(prefix, rows, same):
             return _parity_mask(prefix, rows, same, full)
     elif isinstance(r, FormulaRelation):
-        prefixes = product(dom, repeat=k)
-
         def member(prefix, rows, same):
             return _formula_mask(r.root, prefix, rows, same, full)
     elif isinstance(r, TypeSetRelation):
-        prefixes = product(dom, repeat=k)
         type_index = r._mask_index
 
         def member(prefix, rows, same):
@@ -579,7 +571,6 @@ def _least_bad(
         for t in r.tuples:
             if all(0 <= x < n for x in t):
                 index[t[:-1]] = index.get(t[:-1], 0) | 1 << t[-1]
-        prefixes = product(dom, repeat=k)
 
         def member(prefix, rows, same):
             return index.get(prefix, 0)
@@ -587,24 +578,33 @@ def _least_bad(
         raise TypeError(f"no scan for relation {r!r}")
     ascending = isinstance(r, ParityRelation)
     dmask = sum(1 << x for x in dom)
-    checked = 0
-    for prefix in prefixes:
-        checked += 1
-        cand = dmask & ~((2 << prefix[-1]) - 1) if ascending else dmask
-        if must is not None and must not in prefix:
-            cand &= 1 << must
-        hit = cand and cand & bad(prefix, member)
-        if hit:
-            return PreservationResult(False, prefix + ((hit & -hit).bit_length() - 1,), checked)
-    return PreservationResult(True, None, checked)
+
+    def least_bad(bad, must: int | None = None) -> PreservationResult:
+        if not ascending:
+            prefixes = product(dom, repeat=k)
+        elif must is None:
+            prefixes = combinations(dom, k)
+        else:
+            prefixes = (p for p in combinations(dom, k) if must in p or p[-1] < must)
+        checked = 0
+        for prefix in prefixes:
+            checked += 1
+            cand = dmask & ~((2 << prefix[-1]) - 1) if ascending else dmask
+            if must is not None and must not in prefix:
+                cand &= 1 << must
+            hit = cand and cand & bad(prefix, member)
+            if hit:
+                return PreservationResult(False, prefix + ((hit & -hit).bit_length() - 1,), checked)
+        return PreservationResult(True, None, checked)
+
+    return least_bad
 
 
-def _scan(r: Relation, rw: _Rewrite, must: int | None = None) -> PreservationResult:
-    """Least tuple over ``rw.dom`` (containing ``must`` if given) in r on the
-    source whose image is not in r on the target.  The target side treats
-    collapsed pairs as equal.  Tuple sets walk their sorted member tuples
-    inside the domain instead, since their target membership needs the
-    image itself."""
+def _scan(r: Relation, rw: _Rewrite) -> PreservationResult:
+    """Least tuple over ``rw.dom`` in r on the source whose image is not in
+    r on the target.  The target side treats collapsed pairs as equal.
+    Tuple sets walk their sorted member tuples inside the domain instead,
+    since their target membership needs the image itself."""
     if isinstance(r, TupleSetRelation):
         inside = set(rw.dom)
         checked = 0
@@ -621,7 +621,7 @@ def _scan(r: Relation, rw: _Rewrite, must: int | None = None) -> PreservationRes
     def bad(prefix, member):
         return member(prefix, rw.src, src_same) & ~member(prefix, rw.dst, dst_same)
 
-    return _least_bad(r, rw.dom, n, bad, must)
+    return _scan_kernel(r, rw.dom, n)(bad)
 
 
 def preserved_by_map(
@@ -665,15 +665,14 @@ def _table_proves(facts: TypeFacts, rw: _Rewrite) -> bool:
     return facts.preserved_by_eN and not any(rw.dst[x] for x in dom)
 
 
-def _scan_both_ways(
-    r: Relation, rows: Sequence[int], other: Sequence[int], must: int | None = None
-) -> PreservationResult:
-    # identity-map scans rows -> other, then other -> rows; the witness of
-    # the first failing direction is reported
-    forward = _scan(r, _identity_rewrite(rows, other), must)
+def _scan_both_ways(scan, rows: Sequence[int], other: Sequence[int]) -> PreservationResult:
+    # identity-map scans rows -> other, then other -> rows, each by
+    # ``scan(from_rows, to_rows)``; the witness of the first failing
+    # direction is reported
+    forward = scan(rows, other)
     if not forward.preserved:
         return forward
-    backward = _scan(r, _identity_rewrite(other, rows), must)
+    backward = scan(other, rows)
     return PreservationResult(
         backward.preserved, backward.witness, forward.checked + backward.checked
     )
@@ -693,7 +692,10 @@ def invariant_under_complement(r: Relation, g: Graph) -> PreservationResult:
 def _complement_scan(r: Relation, g: Graph) -> PreservationResult:
     full = g.full_mask
     rows = [g.row(u) for u in range(g.n)]
-    return _scan_both_ways(r, rows, [full ^ row ^ 1 << u for u, row in enumerate(rows)])
+    return _scan_both_ways(
+        lambda a, b: _scan(r, _identity_rewrite(a, b)),
+        rows, [full ^ row ^ 1 << u for u, row in enumerate(rows)],
+    )
 
 
 def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
@@ -708,20 +710,37 @@ def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
     """
     if not 0 <= v < g.n:
         raise ValueError(f"switch vertex {v} out of range")
-    if isinstance(r, TupleSetRelation):
-        return PreservationResult(True, None, 0)
+    return _each_switch(r, g, (v,))[0]
+
+
+def _each_switch(r: Relation, g: Graph, vertices: Sequence[int]) -> list[PreservationResult]:
+    # invariant_under_switch(r, g, v) for each v of ``vertices``
     facts = r.type_facts
-    if facts is not None and facts.switch_invariant:
-        return PreservationResult(True)
-    return _switch_scan(r, g, v)
+    if isinstance(r, TupleSetRelation) or facts is not None and facts.switch_invariant:
+        return [PreservationResult(True)] * len(vertices)
+    return _switch_scans(r, g, vertices)
 
 
-def _switch_scan(r: Relation, g: Graph, v: int) -> PreservationResult:
-    rows = [g.row(u) for u in range(g.n)]
-    bit = 1 << v
-    switched = [row ^ bit for row in rows]
-    switched[v] = rows[v] ^ g.full_mask ^ bit
-    return _scan_both_ways(r, rows, switched, must=v)
+def _switch_scans(r: Relation, g: Graph, vertices: Sequence[int]) -> list[PreservationResult]:
+    # the scans of g against g switched at v, both ways, restricted to
+    # tuples containing v, for each v of ``vertices``: the rows, the
+    # singleton same-masks and the scan kernel are built once, and each
+    # vertex builds only its switched rows
+    n = g.n
+    rows = [g.row(u) for u in range(n)]
+    same = [1 << x for x in range(n)]
+    least_bad = _scan_kernel(r, range(n), n)
+    results = []
+    for v in vertices:
+        bit = 1 << v
+        switched = [row ^ bit for row in rows]
+        switched[v] = rows[v] ^ g.full_mask ^ bit
+
+        def scan(a, b, v=v):
+            return least_bad(lambda prefix, member: member(prefix, a, same) & ~member(prefix, b, same), v)
+
+        results.append(_scan_both_ways(scan, rows, switched))
+    return results
 
 
 @dataclass(frozen=True)
@@ -782,7 +801,7 @@ def _equality_scan(r: Relation, g: Graph) -> EqualityDefinability:
     def bad(prefix, member):
         return member(prefix, rows, same) ^ reference(prefix)
 
-    res = _least_bad(r, range(n), n, bad)
+    res = _scan_kernel(r, range(n), n)(bad)
     if res.preserved:
         return EqualityDefinability(True, None, res.checked)
     t = res.witness

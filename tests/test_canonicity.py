@@ -1,7 +1,11 @@
+import hashlib
+import json
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rado_lab import (
     BehaviorClass,
@@ -10,18 +14,25 @@ from rado_lab import (
     Graph,
     PartitionedGraph,
     classify_on_set,
+    classify_reduct,
     complete_graph,
     cycle_graph,
+    distinct_relation,
+    edge_relation,
     empty_graph,
     find_canonical_copy,
     find_embeddings,
     is_canonical_between,
     is_canonical_constant_graph,
     make_named,
+    nonedge_relation,
+    parity_relation,
+    parse_relation_spec,
     path_graph,
     profile_partitioned,
 )
 from rado_lab.canonicity import UNDETERMINED
+from rado_lab.structures import associate_partitioned
 from conftest import random_graph
 
 
@@ -291,3 +302,160 @@ class TestFindCanonicalCopy:
         host = PartitionedGraph(g, (frozenset(range(7)), frozenset(range(7, 13))))
         emb = find_canonical_copy(f, pattern, host, limit=1)
         assert emb.mapping == (5, 8)
+
+
+
+# the five classes' rules, written out: (color of an edge, color of a non-edge)
+_RULES = {
+    BehaviorClass.IDENTITY: ("edge", "nonedge"),
+    BehaviorClass.MINUS: ("nonedge", "edge"),
+    BehaviorClass.EE: ("edge", "edge"),
+    BehaviorClass.EN: ("nonedge", "nonedge"),
+    BehaviorClass.CONSTANT: ("collapsed", "collapsed"),
+}
+
+
+def naive_classes(f, pairs):
+    """Classes whose rule matches every pair, one has_edge per pair."""
+    alive = set(BehaviorClass)
+    for x, y in pairs:
+        fx, fy = f.apply(x), f.apply(y)
+        color = "collapsed" if fx == fy else "edge" if f.dst.has_edge(fx, fy) else "nonedge"
+        kind = 0 if f.src.has_edge(x, y) else 1
+        alive = {c for c in alive if _RULES[c][kind] == color}
+    return frozenset(alive)
+
+
+def naive_matrix(f, parts):
+    m = len(parts)
+    return tuple(
+        tuple(
+            naive_classes(f, combinations(parts[i], 2) if i == j else product(parts[i], parts[j]))
+            for j in range(m)
+        )
+        for i in range(m)
+    )
+
+
+def naive_canonical_copy(f, pattern, limit):
+    """The least induced embedding of ``pattern`` inside dom(f) whose image
+    is canonical, among the first ``limit`` such embeddings, by brute force."""
+    dom, host = sorted(f.dom), f.src
+    seen = 0
+    for image in permutations(dom, pattern.n):
+        if all(
+            pattern.has_edge(a, b) == host.has_edge(image[a], image[b])
+            for a, b in combinations(range(pattern.n), 2)
+        ):
+            if seen == limit:
+                return None
+            seen += 1
+            if naive_classes(f, combinations(image, 2)):
+                return image
+    return None
+
+
+def _graph(draw, n):
+    pairs = list(combinations(range(n), 2))
+    code = draw(st.integers(min_value=0, max_value=2 ** len(pairs) - 1))
+    return Graph.from_edges(n, [p for b, p in enumerate(pairs) if code >> b & 1])
+
+
+@st.composite
+def gadgets_on(draw, whole_domain):
+    """A map from a random graph on 1-12 vertices into a random graph on 1-12
+    vertices, with images drawn from a random prefix of the destination, so
+    collapsing maps are common."""
+    src = _graph(draw, draw(st.integers(min_value=1, max_value=12)))
+    dst = _graph(draw, draw(st.integers(min_value=1, max_value=12)))
+    pool = draw(st.integers(min_value=1, max_value=dst.n))
+    if whole_domain:
+        dom = list(range(src.n))
+    else:
+        dom = sorted(draw(st.sets(st.integers(0, src.n - 1), min_size=1)))
+    images = draw(st.lists(st.integers(0, pool - 1), min_size=len(dom), max_size=len(dom)))
+    return FunctionGadget(src, dst, tuple(zip(dom, images)))
+
+
+class TestKernelAgainstNaiveOracle:
+    @given(gadgets_on(False), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_on_set_and_between(self, f, rng):
+        dom = list(f.dom)
+        if len(dom) >= 2:
+            s = rng.sample(dom, rng.randint(2, len(dom)))
+            assert classify_on_set(f, s) == naive_classes(f, combinations(s, 2))
+            a = rng.sample(dom, rng.randint(1, len(dom) - 1))
+            rest = [v for v in dom if v not in a]
+            b = rng.sample(rest, rng.randint(1, len(rest)))
+            assert is_canonical_between(f, a, b) == naive_classes(f, product(a, b))
+
+    @given(gadgets_on(True), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_profiles(self, f, rng):
+        n = f.src.n
+        m = rng.randint(1, 4)
+        labels = [rng.randrange(m) for _ in range(n)]
+        parts = tuple(frozenset(v for v in range(n) if labels[v] == i) for i in range(m))
+        prof = profile_partitioned(f, PartitionedGraph(f.src, parts))
+        assert prof.matrix == naive_matrix(f, [sorted(p) for p in parts])
+        cg = ConstantGraph(f.src, tuple(rng.sample(range(n), rng.randint(0, min(3, n)))))
+        prof = is_canonical_constant_graph(f, cg)
+        assert prof.matrix == naive_matrix(f, [sorted(p) for p in associate_partitioned(cg).parts])
+
+    @given(gadgets_on(False), st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=30))
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_copy(self, f, size, limit):
+        for pattern in (path_graph(size), complete_graph(size), empty_graph(size)):
+            if pattern.n <= f.src.n:
+                emb = find_canonical_copy(f, pattern, f.src, limit)
+                want = naive_canonical_copy(f, pattern, limit)
+                assert (emb and emb.mapping) == want
+
+
+def _json_battery(paleys):
+    """JSON of classifications, profiles and constant-graph profiles on the
+    given Paley graphs, named and random collapsing gadgets, one seeded rng."""
+    rng = random.Random(15)
+    relations = [edge_relation(), nonedge_relation(), distinct_relation(2)]
+    relations += [parity_relation(a) for a in range(2, 6)]
+    relations += [
+        parse_relation_spec("formula:" + f)
+        for f in ("E(0,1) & !E(1,2) | x2=x3", "x0!=x1 & (E(0,1) | E(1,2))")
+    ]
+    out = []
+    for paley, k in paleys:
+        g = paley.graph
+        n = g.n
+        for r in relations:
+            out.append(classify_reduct(r, g, k, check_host=False).to_json_dict())
+        out.append(classify_reduct(relations[:2], g, k, check_host=False).to_json_dict())
+        gadgets = [
+            make_named("identity", g),
+            make_named("minus", g, witness=paley.complement_witness),
+            make_named("eE", g, dst=complete_graph(n)),
+            make_named("eN", g, dst=empty_graph(n)),
+            make_named("const", g, target=rng.randrange(n)),
+            make_named("switch", g, s=rng.sample(range(n), rng.randint(1, n - 1))),
+        ]
+        for seed in range(4):
+            small = random_graph(rng.randint(2, 6), rng.randrange(1000))
+            gadgets.append(random_gadget(g, small, seed))
+            few = rng.sample(range(n), 3)
+            gadgets.append(FunctionGadget(g, g, tuple((v, rng.choice(few)) for v in range(n))))
+        for f in gadgets:
+            for _ in range(3):
+                m = rng.randint(1, 4)
+                labels = [rng.randrange(m) for _ in range(n)]
+                parts = tuple(frozenset(v for v in range(n) if labels[v] == i) for i in range(m))
+                out.append(profile_partitioned(f, PartitionedGraph(g, parts)).to_json_dict())
+            constants = tuple(rng.sample(range(n), rng.randint(1, 3)))
+            out.append(is_canonical_constant_graph(f, ConstantGraph(g, constants)).to_json_dict())
+    return [json.dumps(blob, sort_keys=True) for blob in out]
+
+
+def test_json_battery_pinned(paley13, paley29):
+    lines = _json_battery(((paley13, 2), (paley29, 3)))
+    assert len(lines) == 2 * (10 + 14 * 4)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b71fd31100454a673ad2d9db6f44625b06cc0652b7662450692923d9e6045ec0"

@@ -1,7 +1,11 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -562,6 +566,28 @@ class TestCollapseAll:
         g = collapsing_gadget(host, next(host.edges()))
         with pytest.raises(ValueError):
             collapse_all((0, 1), host, g, ident)
+
+    def test_rejects_empty_set(self, paley29):
+        host = paley29.graph
+        g = collapsing_gadget(host, next(host.edges()))
+        h = collapsing_gadget(host, next(host.nonedges()))
+        with pytest.raises(ValueError, match="nonempty vertex set"):
+            collapse_all((), host, g, h)
+        # the same error with assertions stripped
+        code = (
+            "from rado_lab import build_paley, collapse_all, FunctionGadget\n"
+            "host = build_paley(29).graph\n"
+            "(a, b), (c, d) = next(host.edges()), next(host.nonedges())\n"
+            "g = FunctionGadget(host, host, tuple((v, b if v == a else v) for v in range(host.n)))\n"
+            "h = FunctionGadget(host, host, tuple((v, d if v == c else v) for v in range(host.n)))\n"
+            "try:\n"
+            "    collapse_all((), host, g, h)\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout == "collapse_all needs a nonempty vertex set\n"
 
 
 def _chase(witness, x):

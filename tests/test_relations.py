@@ -36,7 +36,7 @@ from rado_lab.relations import (
     TupleSetRelation,
     _complement_scan,
     _equality_scan,
-    _switch_scan,
+    _switch_scans,
 )
 from conftest import all_raw_graphs, random_graph
 
@@ -175,8 +175,29 @@ class TestSwitchInvariance:
                 tuples = list(product(range(g.n), repeat=r.arity))
                 in_g = [r.holds(t, g) for t in tuples]
                 want = naive_rewrite(r, tuples, in_g, naive_switch(g, 2))
-                fast = _switch_scan(r, g, 2)
+                fast = _switch_scans(r, g, (2,))[0]
                 assert (fast.preserved, fast.witness) == want
+
+    @pytest.mark.parametrize("fixture", ["paley13", "paley29", "ec3_host"])
+    def test_classification_fields_match_single_switches(self, request, fixture):
+        # classify_reduct scans every switch on one set of host rows; its
+        # switch fields must equal those of one call per vertex
+        host = request.getfixturevalue(fixture)
+        g = getattr(host, "graph", host)
+        rels = [edge_relation(), nonedge_relation(), distinct_relation(2)]
+        rels += [parity_relation(a) for a in range(2, 6)] + oracle_relations(4)
+        scanned = 0
+        for r in rels:
+            cert = classify_reduct(r, g, 1, check_host=False).certificates[0]
+            if cert.equality.definable:
+                continue
+            results = [invariant_under_switch(r, g, v) for v in range(g.n)]
+            violations = tuple((v, res.witness) for v, res in enumerate(results) if not res.preserved)
+            assert cert.switch_violations == violations, r.name
+            assert cert.switches_checked == g.n, r.name
+            assert cert.switch_subsets_checked == sum(res.checked for res in results), r.name
+            scanned += cert.switch_subsets_checked > 0
+        assert scanned >= 5
 
 
 class TestEqualityDefinability:
@@ -347,7 +368,7 @@ def assert_matches_oracle(r, g):
         assert (got.preserved, got.witness) == want, (r.name, g)
     for v in range(g.n):
         want = naive_rewrite(r, tuples, in_g, naive_switch(g, v))
-        for got in (invariant_under_switch(r, g, v), _switch_scan(r, g, v)):
+        for got in (invariant_under_switch(r, g, v), _switch_scans(r, g, (v,))[0]):
             assert (got.preserved, got.witness) == want, (r.name, g, v)
 
 
@@ -390,7 +411,7 @@ class TestTypeTableOracle:
             facts = r.type_facts
             assert facts.equality_definable == _equality_scan(r, g).definable, r.name
             assert facts.complement_invariant == _complement_scan(r, g).preserved, r.name
-            switch = all(_switch_scan(r, g, v).preserved for v in range(g.n))
+            switch = all(res.preserved for res in _switch_scans(r, g, range(g.n)))
             assert facts.switch_invariant == switch, r.name
 
     def test_thomas_facts(self):
