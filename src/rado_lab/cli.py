@@ -92,10 +92,11 @@ def _cmd_generate(args) -> int:
         graph = build_ec(args.k, args.seed)
         default_name = f"ec_k{args.k}_s{args.seed}.g"
         check_k = args.check_k if args.check_k is not None else args.k
+    # checked first, so a refused check writes no file
+    verdict = check_extension(graph, check_k)
     out_path = args.output or default_name
     with open(out_path, "w", encoding="ascii") as fh:
         fh.write(format_graph(graph))
-    verdict = check_extension(graph, check_k)
     report = {
         "command": "generate",
         "kind": args.kind,
@@ -299,9 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fun = sub.add_parser("classify-function", help="behavior classification of a gadget")
     p_fun.add_argument("--gadget", required=True)
-    p_fun.add_argument("--set", default=None, help="comma-separated vertex set")
-    p_fun.add_argument("--parts", default=None, help="partition as v,v|v,v|...")
-    p_fun.add_argument("--constants", default=None, help="comma-separated constants")
+    evidence = p_fun.add_mutually_exclusive_group()
+    evidence.add_argument("--set", default=None, help="comma-separated vertex set")
+    evidence.add_argument("--parts", default=None, help="partition as v,v|v,v|...")
+    evidence.add_argument("--constants", default=None, help="comma-separated constants")
     _add_common(p_fun)
     p_fun.set_defaults(func=_cmd_classify_function)
 

@@ -25,9 +25,7 @@ from .graphs import (
     Graph,
     PairKind,
     check_extension,
-    complete_graph,
     edge_code,
-    empty_graph,
     graph_of_code,
     iter_embedding_maps,
     pair_kind,
@@ -38,9 +36,10 @@ from .relations import (
     PreservationResult,
     Relation,
     TypeSetRelation,
+    _acts_within,
     _each_switch,
+    _pullback,
     definable_from_equality,
-    flip_form,
     invariant_under_complement,
     preserved_by_map,
     qf_type,
@@ -322,29 +321,6 @@ def _type_closure(start: QFType, kinds: frozenset[str]) -> frozenset[QFType]:
     return frozenset(closed)
 
 
-def _domain_reachable(target: FunctionGadget, kinds: frozenset[str]) -> bool:
-    # whether the target's type on its whole domain is reachable, in closed
-    # form: the collapsed type needs const; an injective image needs a base
-    # graph (the source, or a complete or empty one with eE or eN) against
-    # which the map has a flip form (c, cut), with c = 0 unless minus is a
-    # kind and an empty cut unless switch is.  Every action commutes with
-    # restriction to a subset, so then no subset can separate
-    if len(target.image()) < len(target.dom):
-        return len(target.image()) == 1 and "const" in kinds
-    n = target.src.n
-    bases = [target.src]
-    if "eE" in kinds:
-        bases.append(complete_graph(n))
-    if "eN" in kinds:
-        bases.append(empty_graph(n))
-    mapping = target.as_mapping()
-    for base in bases:
-        form = flip_form(mapping, base, target.dst)
-        if form and (not form[0] or "minus" in kinds) and (not form[1] or "switch" in kinds):
-            return True
-    return False
-
-
 def separating_invariant(target: FunctionGadget, gens: GeneratorSet) -> Separation | None:
     """The least certificate that no chain of ``gens``, at any depth, agrees
     with ``target`` on its domain, or None.
@@ -354,16 +330,16 @@ def separating_invariant(target: FunctionGadget, gens: GeneratorSet) -> Separati
     an m-subset S of the domain can reach lie in R, the closure of its type
     in the source graph under the actions.  When the target's image of S
     has a type outside R, the type-set relation R separates.  Subsets are
-    tried by size m = 2..5, then in lexicographic order.  When the target's
-    type on its whole domain is reachable, which has a closed form, no
-    subset can separate and none is tried.  Extra gadgets are not closed
-    over: with ``gens.extra`` the answer is None.
+    tried by size m = 2..5, then in lexicographic order.  When the target
+    acts on types as a composite of the kinds (``relations._acts_within``),
+    its type on the whole domain is reachable; every action commutes with
+    restriction to a subset, so no subset can separate and none is tried.
+    Extra gadgets are not closed over: with ``gens.extra`` the answer is
+    None.
     """
     kinds = gens.kinds
     dom = target.dom
-    if gens.extra or len(dom) < 2:
-        return None
-    if len(dom) >= 3 and _domain_reachable(target, kinds):
+    if gens.extra or len(dom) < 2 or _acts_within(_pullback(target.as_mapping(), target.src, target.dst), kinds):
         return None
     # with minus or switch every distinct pair reaches both distinct pair
     # types, so a pair separates only by a collapse without const

@@ -14,19 +14,20 @@ entries (a restricted-growth string) plus the edge code of its classes (see
 types of its arity, by evaluating ``holds`` on ``graph_of_code`` of each
 type, or for a type set by reading its set; relations with the same
 definition (parity arity, formula and arity, or type set) share one table.
-Three facts read off the table hold on every graph: equality-definability,
-complement invariance and switch invariance.
-When a fact holds, the matching check returns its positive verdict with
-``checked == 0`` without scanning the host.  The facts also decide
-``preserved_by_map`` for a map that ``flip_form`` recognizes: injective,
-flipping the kind of a pair {x, y} exactly when c ^ s(x) ^ s(y) = 1, for a
-constant c and a cut s.  Such a map rewrites each tuple's type by
-complementing (c = 1) and switching the classes in s, and each such single
-rewrite is an involution on the types, so a table invariant under it keeps
-membership.  Three more facts decide the maps of the minimal functions eE,
-eN and const: an injective map onto a clique or an independent set sends
-each type to the same pattern with every pair an edge or a non-edge, and a
-map onto one vertex sends every tuple to the all-equal type.
+Two facts read off the table hold on every graph: equality-definability,
+and ``closed_under``, the kinds among minus, switch, eE, eN and const
+whose action on types keeps every member type a member.  minus
+complements a type's edges, switch switches one class, eE and eN make every
+pair an edge or a non-edge, and const collapses the tuple to the all-equal
+type.  When a fact holds, the matching check returns its positive verdict
+with ``checked == 0`` without scanning the host.  One recognizer,
+``_acts_within``, decides ``preserved_by_map`` from ``closed_under``: a map
+that rewrites every tuple's type by a composite of those kinds keeps
+membership.  A map onto one vertex acts as const.  An injective map acts as
+a composite when ``flip_form`` finds it flipping the kind of a pair {x, y}
+exactly when c ^ s(x) ^ s(y) = 1, for a constant c and a cut s, against the
+source, or against a clique (after eE) or an independent set (after eN):
+it then complements (c = 1) and switches the classes in s.
 
 Every other check runs one scan kernel on adjacency rows: the target graph
 pulled back along the map (a collapsed pair counts as equal), the
@@ -86,11 +87,9 @@ class TypeFacts:
     """Facts of a QF relation that hold on every graph, read off its table."""
 
     equality_definable: bool  # membership constant on each equality pattern
-    complement_invariant: bool  # each type agrees with its edge-complement
-    switch_invariant: bool  # each type agrees with it after switching a class
-    preserved_by_eE: bool  # each member stays a member with all pairs edges
-    preserved_by_eN: bool  # each member stays a member with all pairs non-edges
-    preserved_by_const: bool  # the all-equal type is a member, or none is
+    # the kinds among minus, switch, eE, eN and const whose action keeps
+    # every member type a member
+    closed_under: frozenset[str]
 
 
 @lru_cache(maxsize=None)  # keyed by arity, at most MAX_TABLE_ARITY entries
@@ -144,18 +143,19 @@ def _compile(
         c = max(rgs) + 1
         table[rgs] = tuple(r._type_holds(rgs, e) for e in range(1 << c * (c - 1) // 2))
     rows = [(row, switch_masks(max(rgs) + 1)) for rgs, row in table.items()]
+    # each kind's action by its own formula on the table, sharing no code
+    # with the closure that builds separations; the last edge code of a
+    # pattern makes every pair an edge, code 0 none
+    closed = {
+        "minus": all(row[e] == row[e ^ (len(row) - 1)] for row, _ in rows for e in range(len(row))),
+        "switch": all(row[e] == row[e ^ m] for row, masks in rows for m in masks for e in range(len(row))),
+        "eE": all(row[-1] or not any(row) for row, _ in rows),
+        "eN": all(row[0] or not any(row) for row, _ in rows),
+        "const": table[(0,) * r.arity][0] or not any(any(row) for row, _ in rows),
+    }
     facts = TypeFacts(
         equality_definable=all(len(set(row)) == 1 for row, _ in rows),
-        complement_invariant=all(
-            row[e] == row[e ^ (len(row) - 1)] for row, _ in rows for e in range(len(row))
-        ),
-        switch_invariant=all(
-            row[e] == row[e ^ m] for row, masks in rows for m in masks for e in range(len(row))
-        ),
-        # the last edge code of a pattern makes every pair an edge, code 0 none
-        preserved_by_eE=all(row[-1] or not any(row) for row, _ in rows),
-        preserved_by_eN=all(row[0] or not any(row) for row, _ in rows),
-        preserved_by_const=table[(0,) * r.arity][0] or not any(any(row) for row, _ in rows),
+        closed_under=frozenset(kind for kind, holds in closed.items() if holds),
     )
     return MappingProxyType(table), facts
 
@@ -630,12 +630,10 @@ def preserved_by_map(
     """Least tuple t with t in r(src) and mapping(t) not in r(dst), if any.
 
     Tuples with an entry outside the mapping's domain are skipped.  A map
-    that is an embedding, an anti-embedding or a switch of one on its
-    domain, as far as the relation's type table is invariant under that
-    rewrite, preserves the relation on every graph, and so does an
-    injective map onto a clique or an independent set, or a map onto one
-    vertex, when the table's eE, eN or const fact holds: those verdicts
-    report ``checked == 0``.  Every other map goes to the scan kernel.
+    that rewrites every tuple's QF type by a composite of the kinds the
+    relation's type table is closed under (``_acts_within``) preserves the
+    relation on every graph: that verdict reports ``checked == 0``.  Every
+    other map goes to the scan kernel.
     """
     for x, y in mapping.items():
         if not 0 <= x < src.n:
@@ -644,25 +642,37 @@ def preserved_by_map(
             raise ValueError(f"image vertex {y} out of range")
     rw = _pullback(mapping, src, dst)
     facts = r.type_facts
-    if facts is not None and _table_proves(facts, rw):
+    if facts is not None and _acts_within(rw, facts.closed_under):
         return PreservationResult(True)
     return _scan(r, rw)
 
 
-def _table_proves(facts: TypeFacts, rw: _Rewrite) -> bool:
-    # a rewrite the table is invariant under keeps every type's membership
-    form = _flip_form(rw)
-    if form and (facts.complement_invariant or not form[0]) and (facts.switch_invariant or not form[1]):
-        return True
+def _acts_within(rw: _Rewrite, kinds: frozenset[str]) -> bool:
+    # whether the map rewrites every tuple's QF type by a composite of the
+    # actions of ``kinds`` (minus, switch, eE, eN, const; the identity always
+    # counts).  A collapsing map must go onto one vertex, by const.  An
+    # injective map needs a flip form (c, cut) against a base: the source, a
+    # clique with eE or an independent set with eN; c = 1 needs minus and a
+    # nonempty cut needs switch.  On two vertices the one pair's flip reads
+    # as c = 1 as well as the cut that ``_flip_form`` reports
     dom = rw.dom
-    dmask = sum(1 << x for x in dom)
-    if all(rw.collapsed[x] == dmask ^ 1 << x for x in dom):
-        return facts.preserved_by_const
     if any(rw.collapsed[x] for x in dom):
-        return False
-    if facts.preserved_by_eE and all(rw.dst[x] == dmask ^ 1 << x for x in dom):
+        dmask = sum(1 << x for x in dom)
+        return "const" in kinds and all(rw.collapsed[x] == dmask ^ 1 << x for x in dom)
+    if len(dom) == 2 and "minus" in kinds:
         return True
-    return facts.preserved_by_eN and not any(rw.dst[x] for x in dom)
+    n = len(rw.src)
+    bases = [rw.src]
+    if "eE" in kinds:
+        full = (1 << n) - 1
+        bases.append([full ^ 1 << x for x in range(n)])
+    if "eN" in kinds:
+        bases.append([0] * n)
+    for base in bases:
+        form = _flip_form(rw._replace(src=base))
+        if form and (not form[0] or "minus" in kinds) and (not form[1] or "switch" in kinds):
+            return True
+    return False
 
 
 def _scan_both_ways(scan, rows: Sequence[int], other: Sequence[int]) -> PreservationResult:
@@ -684,7 +694,7 @@ def invariant_under_complement(r: Relation, g: Graph) -> PreservationResult:
     whose type table is complement-invariant is preserved on every graph:
     that verdict reports ``checked == 0``."""
     facts = r.type_facts
-    if facts is not None and facts.complement_invariant:
+    if facts is not None and "minus" in facts.closed_under:
         return PreservationResult(True)
     return _complement_scan(r, g)
 
@@ -716,7 +726,7 @@ def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
 def _each_switch(r: Relation, g: Graph, vertices: Sequence[int]) -> list[PreservationResult]:
     # invariant_under_switch(r, g, v) for each v of ``vertices``
     facts = r.type_facts
-    if isinstance(r, TupleSetRelation) or facts is not None and facts.switch_invariant:
+    if isinstance(r, TupleSetRelation) or facts is not None and "switch" in facts.closed_under:
         return [PreservationResult(True)] * len(vertices)
     return _switch_scans(r, g, vertices)
 

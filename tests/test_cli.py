@@ -86,6 +86,14 @@ class TestGenerate:
         code, _ = run_cli(capsys, "generate", "paley", "6")
         assert code == 1
 
+    def test_refused_check_writes_no_file(self, workspace, capsys):
+        code = main(["generate", "paley", "13", "-o", "x.g", "--check-k", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: k must be at least 1\n"
+        assert captured.out == ""
+        assert not (workspace / "x.g").exists()
+
 
 class TestClassifyRelation:
     @pytest.fixture()
@@ -233,6 +241,19 @@ class TestClassifyFunction:
         profile = json.loads(out)["verdict"]["profile"]
         assert profile["diag"] == ["minus", "minus"]
         assert profile["off"] == [[0, 1, "minus"]]
+
+
+    @pytest.mark.parametrize("first, second", [
+        (("--set", "0,1"), ("--parts", "0|1")),
+        (("--set", "0,1"), ("--constants", "0")),
+        (("--parts", "0|1"), ("--constants", "0")),
+    ])
+    def test_evidence_options_exclude_each_other(self, workspace, capsys, first, second):
+        path = self.write_gadget(workspace, make_named("identity", build_paley(13).graph))
+        with pytest.raises(SystemExit) as exc:
+            main(["classify-function", "--gadget", path, *first, *second])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestRamseyCli:

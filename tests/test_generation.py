@@ -35,6 +35,7 @@ from rado_lab import (
     format_graph,
     interpolate,
     make_named,
+    nonedge_relation,
     orbit_closure,
     pair_kind,
     parity_relation,
@@ -44,7 +45,7 @@ from rado_lab import (
     verify_separation,
     verify_witness,
 )
-from rado_lab import generation
+from rado_lab import generation, relations
 from rado_lab.generation import PatternNotFoundError, join_classes
 from conftest import all_raw_graphs, random_graph
 
@@ -292,7 +293,7 @@ class TestSeparatingInvariant:
         def refuse(*args):
             raise AssertionError("certificate attempted with extra gadgets")
 
-        for name in ("_domain_reachable", "_type_closure", "qf_type"):
+        for name in ("_acts_within", "_type_closure", "qf_type"):
             monkeypatch.setattr(generation, name, refuse)
         gens = GeneratorSet(extra=(gadget,))
         assert separating_invariant(target, gens) is None
@@ -385,6 +386,53 @@ class TestSeparatingInvariant:
                 w, nodes = generation._search(target, gens, 3, [host], 4, budget)
                 assert w is None and nodes <= budget, (target, gens)
         assert certified and positives
+
+
+class TestKindActions:
+    """The table's ``closed_under`` and the closure's ``_kind_images`` are
+    two definitions of the kinds' actions on types; they must agree."""
+
+    @staticmethod
+    def closed_by_images(r):
+        # the kinds under whose images every member type stays a member; a
+        # collapse goes to the all-equal pattern, as in ``_type_closure``
+        members = {
+            (rgs, code) for rgs, row in r.type_table.items() for code, member in enumerate(row) if member
+        }
+        closed = set()
+        for kind in ("minus", "switch", "eE", "eN", "const"):
+            if all(
+                (rgs if n == max(rgs) + 1 else (0,) * r.arity, image) in members
+                for rgs, code in members
+                for n, image in generation._kind_images(kind, max(rgs) + 1, code)
+            ):
+                closed.add(kind)
+        return closed
+
+    @staticmethod
+    def all_types(arity):
+        return [
+            (rgs, code)
+            for rgs in relations._qf_types(arity)
+            for code in range(1 << (max(rgs) + 1) * max(rgs) // 2)
+        ]
+
+    def test_closed_under_matches_kind_images(self):
+        pairs, triples = self.all_types(2), self.all_types(3)
+        assert (len(pairs), len(triples)) == (3, 15)
+        rels = [
+            TypeSetRelation(2, [t for b, t in enumerate(pairs) if bits >> b & 1]) for bits in range(1 << 3)
+        ]
+        for bits in random.Random(16).sample(range(1 << 15), 2048):
+            rels.append(TypeSetRelation(3, [t for b, t in enumerate(triples) if bits >> b & 1]))
+        rels += [parity_relation(a) for a in (2, 3, 4, 5)] + [edge_relation(), nonedge_relation()]
+        rels += [distinct_relation(a) for a in (2, 3, 4)]
+        seen = set()
+        for r in rels:
+            want = self.closed_by_images(r)
+            assert r.type_facts.closed_under == want, r.name
+            seen.update(want)
+        assert seen == {"minus", "switch", "eE", "eN", "const"}
 
 
 class TestDeleteEdgeStep:

@@ -410,9 +410,9 @@ class TestTypeTableOracle:
         for r in oracle_relations(max_arity):
             facts = r.type_facts
             assert facts.equality_definable == _equality_scan(r, g).definable, r.name
-            assert facts.complement_invariant == _complement_scan(r, g).preserved, r.name
+            assert ("minus" in facts.closed_under) == _complement_scan(r, g).preserved, r.name
             switch = all(res.preserved for res in _switch_scans(r, g, range(g.n)))
-            assert facts.switch_invariant == switch, r.name
+            assert ("switch" in facts.closed_under) == switch, r.name
 
     def test_thomas_facts(self):
         cases = {
@@ -423,7 +423,7 @@ class TestTypeTableOracle:
         }
         for arity, want in cases.items():
             f = parity_relation(arity).type_facts
-            assert (f.equality_definable, f.complement_invariant, f.switch_invariant) == want
+            assert (f.equality_definable, "minus" in f.closed_under, "switch" in f.closed_under) == want
         assert distinct_relation(3).type_facts.equality_definable
 
     def test_minimal_function_facts(self):
@@ -439,7 +439,7 @@ class TestTypeTableOracle:
         }
         for r, want in cases.items():
             f = r.type_facts
-            assert (f.preserved_by_eE, f.preserved_by_eN, f.preserved_by_const) == want, r.name
+            assert tuple(kind in f.closed_under for kind in ("eE", "eN", "const")) == want, r.name
 
     def test_minimal_function_facts_agree_with_gadget_scans(self, paley29):
         # Paley(29) realizes every QF type of arity at most 4, so the scan of
@@ -455,7 +455,7 @@ class TestTypeTableOracle:
             facts = r.type_facts
             for kind, gadget in gadgets.items():
                 scan = relations._scan(r, relations._pullback(gadget.as_mapping(), g, gadget.dst))
-                assert scan.preserved == getattr(facts, f"preserved_by_{kind}"), (r.name, kind)
+                assert scan.preserved == (kind in facts.closed_under), (r.name, kind)
                 got = violates(gadget, r)
                 assert got == (PreservationResult(True) if scan.preserved else scan), (r.name, kind)
                 seen.add((kind, scan.preserved))
@@ -585,7 +585,7 @@ def test_preserved_by_map_matches_naive_oracle(instance):
         c, cut = rewrite
         facts = r.type_facts
         switched = 0 < len(cut) < len(mapping)
-        if (not c or facts.complement_invariant) and (not switched or facts.switch_invariant):
+        if (not c or "minus" in facts.closed_under) and (not switched or "switch" in facts.closed_under):
             assert got == PreservationResult(True)
 
 
@@ -655,6 +655,76 @@ class TestCanonicalMaps:
         assert not want[0]
         assert (got.preserved, got.witness) == want
         assert got.checked > 0
+
+
+KINDS = ("minus", "switch", "eE", "eN", "const")
+
+
+def naive_acts_within(mapping, src, dst, kinds):
+    """Whether the map rewrites every type by a composite of ``kinds``, by
+    brute force: onto one vertex with const, or injective and equal, pair by
+    pair, to a base (the source, a clique with eE, an independent set with
+    eN) with every pair flipped by c (1 only with minus) and by a cut (any
+    vertex set only with switch)."""
+    dom = sorted(mapping)
+    image = set(mapping.values())
+    if len(image) < len(dom):
+        return "const" in kinds and len(image) == 1
+    bases = [src.has_edge]
+    if "eE" in kinds:
+        bases.append(lambda x, y: True)
+    if "eN" in kinds:
+        bases.append(lambda x, y: False)
+    cuts = [set(c) for k in range(len(dom) + 1) for c in combinations(dom, k)] if "switch" in kinds else [set()]
+    return any(
+        all(
+            dst.has_edge(mapping[x], mapping[y]) == base(x, y) ^ c ^ (x in cut) ^ (y in cut)
+            for x, y in combinations(dom, 2)
+        )
+        for base in bases
+        for c in ((0, 1) if "minus" in kinds else (0,))
+        for cut in cuts
+    )
+
+
+def acts_within_instances(rng):
+    """(mapping, src, dst) on at most 5 vertices: identity, injective,
+    partial and collapsing maps, and injective maps onto a base with a
+    random c and cut, so that every kind set meets both verdicts."""
+    for i in range(240):
+        n = rng.randint(1, 5)
+        src = random_graph(n, rng.randrange(10 ** 6))
+        shape = ("identity", "injective", "partial", "collapsing", "composite")[i % 5]
+        dom = list(range(n)) if shape != "partial" else sorted(rng.sample(range(n), rng.randint(0, n)))
+        m = rng.randint(len(dom), 5) if shape != "identity" else n
+        if shape == "collapsing":
+            images = [rng.randrange(rng.choice((1, m))) for _ in dom]
+        else:
+            images = rng.sample(range(m), len(dom)) if shape != "identity" else dom
+        mapping = dict(zip(dom, images))
+        dst = random_graph(m, rng.randrange(10 ** 6)) if shape != "identity" else src
+        if shape == "composite":
+            base = rng.choice((src.has_edge, lambda x, y: True, lambda x, y: False))
+            c, cut = rng.randrange(2), {x for x in dom if rng.randrange(2)}
+            rows = [0] * m
+            for x, y in combinations(dom, 2):
+                if base(x, y) ^ c ^ (x in cut) ^ (y in cut):
+                    rows[mapping[x]] |= 1 << mapping[y]
+                    rows[mapping[y]] |= 1 << mapping[x]
+            dst = Graph(m, tuple(rows))
+        yield mapping, src, dst
+
+
+def test_acts_within_matches_naive_oracle():
+    seen = set()
+    for mapping, src, dst in acts_within_instances(random.Random(16)):
+        rw = relations._pullback(mapping, src, dst)
+        for bits in range(1 << len(KINDS)):
+            kinds = frozenset(k for b, k in enumerate(KINDS) if bits >> b & 1)
+            got = relations._acts_within(rw, kinds)
+            assert got == naive_acts_within(mapping, src, dst, kinds), (mapping, src, dst, kinds)
+            seen.add((kinds, got))
+    assert len(seen) == 2 << len(KINDS)
 
 
 # ---------------------------------------------------------------------------
