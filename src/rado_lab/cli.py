@@ -145,6 +145,14 @@ def _parse_vertex_list(text: str) -> list[int]:
         raise CliError(f"malformed vertex list {text!r}") from None
 
 
+def _nonempty_vertex_list(option: str, text: str) -> list[int]:
+    # an evidence option that names no vertex is refused, not read as absent
+    vertices = _parse_vertex_list(text)
+    if not vertices:
+        raise CliError(f"{option} {text!r} names no vertex")
+    return vertices
+
+
 def _cmd_classify_function(args) -> int:
     gadget = _read_gadget_file(args.gadget)
     report = {
@@ -153,20 +161,22 @@ def _cmd_classify_function(args) -> int:
         "inputs": {args.gadget: _fingerprint(args.gadget)},
         "label": gadget.label,
     }
-    if args.parts:
+    if args.parts is not None:
         parts = tuple(
             frozenset(_parse_vertex_list(chunk)) for chunk in args.parts.split("|")
         )
+        if not any(parts):
+            raise CliError(f"--parts {args.parts!r} names no vertex")
         profile = profile_partitioned(gadget, PartitionedGraph(gadget.src, parts))
         report["verdict"] = {"profile": profile.to_json_dict()}
-    elif args.constants:
-        constants = tuple(_parse_vertex_list(args.constants))
+    elif args.constants is not None:
+        constants = tuple(_nonempty_vertex_list("--constants", args.constants))
         profile = is_canonical_constant_graph(
             gadget, ConstantGraph(gadget.src, constants)
         )
         report["verdict"] = {"profile": profile.to_json_dict()}
     else:
-        target = _parse_vertex_list(args.set) if args.set else list(gadget.dom)
+        target = list(gadget.dom) if args.set is None else _nonempty_vertex_list("--set", args.set)
         classes = classify_on_set(gadget, target)
         verdict: dict = {
             "set": sorted(set(target)),

@@ -5,6 +5,8 @@ Vertices are always the contiguous ids 0..n-1.  Adjacency is stored as one
 integer bitmask per vertex, so a pair query is one integer operation.  The
 extension check is one depth-first pass over supports that carries the
 candidate masks of all (U, U') splits of the prefix, one AND per split.
+From level 3 on, host automorphisms found by embedding search can stand in
+for all supports but those through a few representative vertices.
 Embedding search likewise carries the candidate mask of every unassigned
 pattern vertex and narrows them all when it assigns one (forward checking).
 It assigns pattern vertices in order and host vertices in increasing order,
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, islice
-from math import isqrt
+from math import comb, isqrt
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -282,17 +285,24 @@ def build_paley(q: int) -> SelfComplementaryGraph:
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """Verdict of the k-extension check; ``failing`` is the least bad pair."""
+    """Verdict of the k-extension check; ``failing`` is the least bad pair.
+
+    ``generators`` are the host automorphisms, as vertex maps, whose orbits
+    let the check skip supports from level 3 on; empty when every level was
+    scanned in full.
+    """
 
     passed: bool
     failing: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    generators: tuple[tuple[int, ...], ...] = ()
 
 
 def _failures_of_size(
-    g: Graph, t: int, lo: int = 0
+    g: Graph, t: int, lo: int = 0, through: tuple[int, ...] = ()
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # failing pairs with |U|+|U'| == t and a support vertex >= lo, in
-    # (support, split) order; bit i of a split puts support[i] in U'
+    # failing pairs with |U|+|U'| == t whose support contains the sorted
+    # vertices ``through`` and a vertex >= lo, in (support, split) order; bit
+    # i of a split puts support[i] in U'
     n, full = g.n, g.full_mask
     if t == 0:  # the empty pair has no witness only in the empty graph
         return iter([((), ())] if lo == 0 and not full else [])
@@ -300,14 +310,26 @@ def _failures_of_size(
     nrows = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
     support = [0] * t
 
-    def rec(d: int, start: int, masks: list[int]):
+    def rec(d: int, start: int, masks: list[int], need: tuple[int, ...]):
+        # support[d] leaves room for t - d - 1 more vertices and skips no
+        # vertex of ``need``, the part of ``through`` not yet in the support
+        stop = n - t + d + 1
+        if need:
+            stop = min(stop, need[0] + 1)
+            if len(need) == t - d:
+                start = need[0]
         if d + 1 < t:
-            for v in range(start, n - t + d + 1):
+            for v in range(start, stop):
                 support[d] = v
                 row, nrow = rows[v], nrows[v]
-                yield from rec(d + 1, v + 1, [m & row for m in masks] + [m & nrow for m in masks])
+                yield from rec(
+                    d + 1,
+                    v + 1,
+                    [m & row for m in masks] + [m & nrow for m in masks],
+                    need[1:] if need and v == need[0] else need,
+                )
             return
-        for v in range(max(start, lo), n):
+        for v in range(max(start, lo), stop):
             row, nrow = rows[v], nrows[v]
             # stop at the first empty split: only a failing support builds masks
             for m in masks:
@@ -321,7 +343,7 @@ def _failures_of_size(
                     u2 = [support[i] for i in range(t) if split >> i & 1]
                     yield tuple(x for x in support if x not in u2), tuple(u2)
 
-    return rec(0, 0, [full])
+    return rec(0, 0, [full], through)
 
 
 def iter_extension_failures(g: Graph, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -336,14 +358,194 @@ def iter_extension_failures(g: Graph, k: int) -> Iterator[tuple[tuple[int, ...],
 def check_extension(g: Graph, k: int) -> ExtensionResult:
     """Pass iff every disjoint (U, U') with |U|+|U'| <= k has an outside vertex
     adjacent to all of U and none of U'.  The verdict is kept on ``g``, so a
-    second check of the same instance at the same k does not scan."""
+    second check of the same instance at the same k does not scan.
+
+    Levels 0-2 are scanned in full.  From level 3 on, a regular host is first
+    scanned only on representative supports: those through vertex 0, or for
+    a strongly regular host those through {0, a} or {0, b}, which meet every
+    orbit of supports when the automorphisms are transitive on vertices (or
+    rank 3).  A failure there sends the level to the full scan, so
+    ``failing`` is always the least pair.  When they all pass, automorphisms
+    found by pinned embedding searches and checked against the rows must
+    prove that transitivity; ``generators`` holds them.  Otherwise, or when
+    the searches exceed about the cost of the scans they replace, every
+    level is scanned in full.
+    """
     if g._extension is None:
         g._extension = {}
     result = g._extension.get(k)
     if result is None:
-        failing = next(iter_extension_failures(g, k), None)
-        result = g._extension[k] = ExtensionResult(failing is None, failing)
+        result = g._extension[k] = _extension_verdict(g, k)
     return result
+
+
+def _extension_verdict(g: Graph, k: int) -> ExtensionResult:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    for t in range(min(k, 2) + 1):
+        failing = min(_failures_of_size(g, t), default=None)
+        if failing is not None:
+            return ExtensionResult(False, failing)
+    gens, first = _levels_passed_by_symmetry(g, k)
+    for t in range(first, k + 1):
+        failing = min(_failures_of_size(g, t), default=None)
+        if failing is not None:
+            return ExtensionResult(False, failing, gens)
+    return ExtensionResult(True, None, gens)
+
+
+# ---------------------------------------------------------------------------
+# symmetry certificates for the extension check
+#
+# A pair (U, U') fails exactly when its image under a host automorphism
+# fails.  If the automorphisms are transitive on vertices, every support meets
+# an image of one through vertex 0; if they are rank 3 (also transitive on
+# ordered edges and on ordered non-edges), every support of size >= 2 has an
+# image through {0, a} or {0, b}, a the least neighbour of 0 and b its least
+# non-neighbour.  Those sorted vertex sets are the bases below.
+
+
+def _least(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _orbit_bases(g: Graph) -> tuple[tuple[int, ...], ...]:
+    # the gates: rank 3 needs a strongly regular host and vertex-transitivity
+    # a regular one; () means no symmetry is tried.  Levels 0-2 passed, so 0
+    # has a neighbour and a non-neighbour
+    n, rows = g.n, g._rows
+    degree = rows[0].bit_count()
+    if any(row.bit_count() != degree for row in rows):
+        return ()
+    a, b = _least(rows[0]), _least(g.full_mask ^ rows[0] ^ 1)
+    common = ((rows[0] & rows[b]).bit_count(), (rows[0] & rows[a]).bit_count())
+    for u, row in enumerate(rows):
+        for v in range(u + 1, n):
+            if (row & rows[v]).bit_count() != common[row >> v & 1]:
+                return ((0,),)
+    return ((0, a), (0, b))
+
+
+def _first_failing_level(g: Graph, levels: range, bases: tuple[tuple[int, ...], ...]) -> int:
+    # the least level with a failing support through one of ``bases``, else
+    # levels.stop; such a failure is real, whatever the automorphisms are
+    for t in levels:
+        if any(next(_failures_of_size(g, t, through=base), None) for base in bases):
+            return t
+    return levels.stop
+
+
+def _levels_passed_by_symmetry(g: Graph, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    # (generators, first): every level from 3 up to first - 1 passes by the
+    # generators' orbits; first = 3 with no generators when nothing is proved
+    bases = _orbit_bases(g) if k >= 3 else ()
+    top = _first_failing_level(g, range(3, k + 1), bases) if bases else 3
+    if top > 3:
+        # the searches may cost about what the full scan of the levels they
+        # replace costs; a search node costs about n candidate pairs
+        budget = sum(comb(g.n, t) << t for t in range(3, top)) // g.n
+        gens, proved = _automorphisms(g, bases, budget)
+        if proved and proved != bases:
+            top = _first_failing_level(g, range(3, top), proved)
+        if proved and top > 3:
+            return gens, top
+    return (), 3
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+class _BudgetedHost:
+    """``g`` as the host of an embedding search that may read at most
+    ``budget`` adjacency rows; the search reads one per node."""
+
+    __slots__ = ("full_mask", "_rows", "_left")
+
+    def __init__(self, g: Graph, budget: int):
+        self.full_mask, self._rows, self._left = g.full_mask, g._rows, budget
+
+    def row(self, u: int) -> int:
+        self._left -= 1
+        if self._left < 0:
+            raise _OutOfBudget
+        return self._rows[u]
+
+
+def _is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
+    # permute the rows as bit strings: moving bit v of row u to perm[v] must
+    # give row perm[u]
+    n = g.n
+    if sorted(perm) != list(range(n)):
+        return False
+    inverse = [0] * n
+    for v, w in enumerate(perm):
+        inverse[w] = v
+    take = itemgetter(*inverse)
+    bits = [format(row, f"0{n}b")[::-1] for row in g._rows]  # bits[u][v] == "1" iff u ~ v
+    return all("".join(take(bits[u])) == bits[perm[u]] for u in range(n))
+
+
+def _find(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _unite(parent: list[int], perm: tuple[int, ...]) -> None:
+    for v, w in enumerate(perm):
+        rv, rw = _find(parent, v), _find(parent, w)
+        if rv != rw:
+            parent[max(rv, rw)] = min(rv, rw)
+
+
+def _automorphisms(
+    g: Graph, bases: tuple[tuple[int, ...], ...], budget: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Generators for a group of host automorphisms, and the bases its orbits
+    prove: ``bases`` itself, ((0,),) when only vertex-transitivity holds, or
+    () with no generators when the searches fail or exceed ``budget``.
+
+    Rank 3 first: the stabiliser of 0 must be transitive on the neighbours
+    and on the non-neighbours of 0, so search a map pinning 0 -> 0 and a -> w
+    (b -> w) for each w not yet in the orbit of a (of b).  Then the vertex
+    orbit of 0: pin 0 -> w for each w not yet in it, and, once the stabiliser
+    is transitive on the neighbours, also a -> the least neighbour of w.
+    Every map is checked against the rows before its orbits count.
+    """
+    n, rows = g.n, g._rows
+    host = _BudgetedHost(g, budget)
+    gens: list[tuple[int, ...]] = []
+    moved, fixed = list(range(n)), list(range(n))  # orbits of all gens, of those fixing 0
+
+    def found(pins: dict[int, int]) -> bool:
+        perm = next(iter_embedding_maps(g, host, per_vertex={p: 1 << w for p, w in pins.items()}), None)
+        if perm is None or not _is_automorphism(g, perm):
+            return False
+        gens.append(perm)
+        _unite(moved, perm)
+        if perm[0] == 0:
+            _unite(fixed, perm)
+        return True
+
+    rank3 = len(bases) == 2
+    cells = zip((root for _, root in bases), (rows[0], g.full_mask ^ rows[0] ^ 1)) if rank3 else ()
+    try:
+        for root, cell in cells:
+            while rank3 and cell:
+                w = _least(cell)
+                cell ^= 1 << w
+                if _find(fixed, w) != _find(fixed, root):
+                    rank3 = found({0: 0, root: w})
+        a = bases[0][1] if rank3 else None
+        for w in range(1, n):
+            if _find(moved, w) != _find(moved, 0):
+                if not found({0: w} if a is None else {0: w, a: _least(rows[w])}):
+                    return (), ()
+    except _OutOfBudget:
+        return (), ()
+    return tuple(gens), (bases if rank3 else ((0,),))
 
 
 def _iter_failures_touching(
@@ -460,8 +662,17 @@ class Embedding:
         return True
 
 
-@lru_cache(maxsize=256)  # keyed by pattern; hits on the small patterns searched repeatedly
 def _later_relations(
+    pattern: Graph, order: tuple[tuple[int, int], ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, bool], ...], ...]]:
+    # cached per (pattern, order).  An entry holds about m * m / 2 slots, so
+    # beside the many small patterns searched repeatedly only the last few
+    # large ones are kept: a whole host searched for its automorphisms is
+    # dropped once the next host comes
+    return (_later_small if pattern.n <= 16 else _later_large)(pattern, order)
+
+
+def _compute_later_relations(
     pattern: Graph, order: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, bool], ...], ...]]:
     # adjacency[u]: adjacency of pattern vertex u to m-1, m-2, ..., u+1, in
@@ -476,6 +687,10 @@ def _later_relations(
         bounds[lo].append((m - 1 - hi, a < b))
     adjacency = tuple(tuple(rows[u] >> v & 1 for v in range(m - 1, u, -1)) for u in range(m - 1))
     return adjacency, tuple(map(tuple, bounds))
+
+
+_later_small = lru_cache(maxsize=256)(_compute_later_relations)
+_later_large = lru_cache(maxsize=4)(_compute_later_relations)
 
 
 def iter_embedding_maps(

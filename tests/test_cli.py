@@ -243,6 +243,17 @@ class TestClassifyFunction:
         assert profile["off"] == [[0, 1, "minus"]]
 
 
+    @pytest.mark.parametrize("option, value", [
+        ("--set", ""), ("--set", ","), ("--parts", ""), ("--parts", "|"), ("--constants", ""),
+    ])
+    def test_evidence_naming_no_vertex_is_error(self, workspace, capsys, option, value):
+        path = self.write_gadget(workspace, make_named("identity", build_paley(13).graph))
+        code = main(["classify-function", "--gadget", path, option, value, "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"error: {option} {value!r} names no vertex" in captured.err
+
     @pytest.mark.parametrize("first, second", [
         (("--set", "0,1"), ("--parts", "0|1")),
         (("--set", "0,1"), ("--constants", "0")),

@@ -1,8 +1,9 @@
 import hashlib
+import random
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rado_lab import (
@@ -243,6 +244,239 @@ class TestExtensionKernel:
     def test_matches_naive_oracle(self, g, k, lo):
         assert list(iter_extension_failures(g, k)) == _naive_failures(g, k)
         assert list(_iter_failures_touching(g, k, lo)) == _naive_failures_touching(g, k, lo)
+
+
+def _relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _circulant(n: int, steps) -> Graph:
+    return Graph.from_edges(n, sorted({tuple(sorted((u, (u + s) % n))) for u in range(n) for s in steps}))
+
+
+def _quartic_circulant(p: int) -> Graph:
+    # p prime, p = 1 mod 8: x ~ y iff x - y is a fourth power or a fixed
+    # non-square times one.  The maps x -> cx + t, c a fourth power, act on
+    # it, so it is vertex-transitive, but it is not strongly regular
+    fourth = {pow(x, 4, p) for x in range(1, p)}
+    squares = {pow(x, 2, p) for x in range(1, p)}
+    c = min(x for x in range(2, p) if x not in squares)
+    return _circulant(p, fourth | {c * x % p for x in fourth})
+
+
+# the 4x4 rook's graph (rank 3) and the Shrikhande graph (vertex-transitive,
+# not rank 3): both strongly regular with parameters (16, 6, 2, 2)
+ROOK = Graph.from_edges(
+    16, [(u, v) for u, v in combinations(range(16), 2) if (u // 4 == v // 4) != (u % 4 == v % 4)]
+)
+SHRIKHANDE = Graph.from_edges(
+    16,
+    [
+        (u, v)
+        for u, v in combinations(range(16), 2)
+        if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    ],
+)
+
+
+def _full_scan(g: Graph, k: int):
+    return next(iter_extension_failures(g, k), None)
+
+
+def _assert_matches_full_scan(g: Graph, k: int):
+    # a fresh instance, so no verdict kept on g is reused
+    result = check_extension(Graph(g.n, tuple(g.row(v) for v in range(g.n))), k)
+    want = _full_scan(g, k)
+    assert (result.passed, result.failing) == (want is None, want)
+    return result
+
+
+@pytest.fixture()
+def no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("automorphism search started")
+
+    monkeypatch.setattr(graphs, "iter_embedding_maps", refuse)
+
+
+def _orbit(gens, start: int) -> set[int]:
+    seen, todo = {start}, [start]
+    while todo:
+        v = todo.pop()
+        for perm in gens:
+            if perm[v] not in seen:
+                seen.add(perm[v])
+                todo.append(perm[v])
+    return seen
+
+
+@st.composite
+def regular_graphs(draw):
+    # a circulant of about half density, perhaps with one degree-preserving
+    # swap of two edges (which usually leaves no symmetry), under a random
+    # labelling; on 13 to 17 vertices about half of them pass level 2 and so
+    # reach the symmetry path at level 3
+    n = draw(st.integers(min_value=13, max_value=17))
+    steps = draw(st.permutations(range(1, n // 2 + 1)))[: (n // 2 + 1) // 2]
+    edges = {tuple(sorted((u, (u + s) % n))) for u in range(n) for s in steps}
+    swap = draw(st.booleans())
+    if swap:
+        (a, b), (c, d) = draw(st.permutations(sorted(edges)))[:2]
+        new = {tuple(sorted((a, c))), tuple(sorted((b, d)))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges = (edges - {(a, b), (c, d)}) | new
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestSymmetryPath:
+    @pytest.mark.parametrize("q", [13, 17, 29, 37, 41, 53, 61])
+    def test_relabelled_paley_matches_full_scan(self, q):
+        g = _relabelled(build_paley(q).graph, q)
+        assert _assert_matches_full_scan(g, 2).generators == ()
+        result = _assert_matches_full_scan(g, 3)
+        # Paley(q) is 3-e.c. from q = 29 on, and then the certificate stands in
+        # for level 3; Paley(13) and (17) fail at a representative support
+        assert result.passed == bool(result.generators) == (q >= 29)
+
+    @pytest.mark.parametrize("q", [13, 17])
+    def test_failing_paley_never_searches(self, q, no_search):
+        g = _relabelled(build_paley(q).graph, 1)
+        assert not _assert_matches_full_scan(g, 3).passed
+        assert _assert_matches_full_scan(g, 4).failing == _full_scan(g, 3)
+
+    @pytest.mark.parametrize("g", [ROOK, SHRIKHANDE], ids=["rook", "shrikhande"])
+    def test_srg16_fail_at_level_3(self, g):
+        assert graphs._orbit_bases(g) != ((0,),)  # both strongly regular
+        for seed in range(3):
+            h = _relabelled(g, seed)
+            result = _assert_matches_full_scan(h, 3)
+            assert len(result.failing[0] + result.failing[1]) == 3
+
+    @pytest.mark.parametrize("n, steps", [(24, (3, 4, 8)), (30, (1, 4, 5, 6, 9, 10, 12, 14)), (41, (3, 4, 6, 8, 9, 13, 16))])
+    def test_failing_circulants(self, n, steps):
+        g = _circulant(n, steps)
+        assert graphs._orbit_bases(g) == ((0,),)  # regular, not strongly regular
+        assert not _assert_matches_full_scan(_relabelled(g, n), 3).passed
+
+    @pytest.mark.parametrize("p", [41, 73])
+    def test_vertex_transitive_circulant_passes_by_its_orbit(self, p):
+        g = _relabelled(_quartic_circulant(p), p)
+        assert graphs._orbit_bases(g) == ((0,),)
+        result = _assert_matches_full_scan(g, 3)
+        assert result.passed and result.generators
+
+    @pytest.mark.parametrize(
+        "g, passed",
+        [(_quartic_circulant(41), True), (_circulant(25, (1, 3, 8, 9, 10, 12)), False)],
+        ids=["quartic41", "circulant25"],
+    )
+    def test_rank3_gate_on_a_graph_that_is_not_rank_3(self, g, passed, monkeypatch):
+        # the gates only choose what to try.  Claimed strongly regular, a
+        # vertex-transitive host whose stabiliser of 0 is not transitive on
+        # its neighbours keeps the vertex orbit alone and rescans the
+        # supports through 0: the circulant on 25 vertices fails level 3 only
+        # at supports through neither {0, a} nor {0, b}, as labelled here
+        rows = [g.row(v) for v in range(g.n)]
+        a = next(v for v in range(g.n) if rows[0] >> v & 1)
+        b = next(v for v in range(1, g.n) if not rows[0] >> v & 1)
+        bases = ((0, a), (0, b))
+        gens, proved = graphs._automorphisms(g, bases, 10**6)
+        assert proved == ((0,),) and _orbit(gens, 0) == set(range(g.n))
+        assert graphs._first_failing_level(g, range(3, 4), bases) == 4
+        monkeypatch.setattr(graphs, "_orbit_bases", lambda h: bases)
+        result = _assert_matches_full_scan(g, 3)
+        assert result.passed == passed and bool(result.generators) == passed
+
+    @pytest.mark.parametrize("q", [29, 41])
+    def test_regular_graph_without_symmetry_scans_in_full(self, q, monkeypatch):
+        # Paley(q) with edges 0-b and c-d traded for 0-c and b-d stays
+        # regular and 3-e.c., but no map of 0 onto every vertex is left
+        g = build_paley(q).graph
+        edges = set(g.edges())
+        (_, b), (c, d) = next(
+            (e, f) for e, f in combinations(sorted(edges), 2)
+            if e[0] == 0 and len({*e, *f}) == 4 and not {(0, f[0]), tuple(sorted((e[1], f[1])))} & edges
+        )
+        h = _relabelled(Graph.from_edges(q, (edges - {(0, b), (c, d)}) | {(0, c), tuple(sorted((b, d)))}), q)
+        searched = []
+        automorphisms = graphs._automorphisms
+
+        def recorded(*args):
+            searched.append(automorphisms(*args))
+            return searched[-1]
+
+        monkeypatch.setattr(graphs, "_automorphisms", recorded)
+        result = _assert_matches_full_scan(h, 3)
+        assert result.passed and result.generators == ()
+        assert searched == [((), ())]
+        # not for want of budget
+        assert automorphisms(h, graphs._orbit_bases(h), 10**6) == ((), ())
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_build_ec_and_random_graphs_never_search(self, k, ec3_host, no_search):
+        for seed in range(4):
+            _assert_matches_full_scan(build_ec(2, seed), k)
+        for n in range(10, 17):
+            _assert_matches_full_scan(random_graph(n, n), k)
+        _assert_matches_full_scan(ec3_host, k)
+
+    def test_out_of_budget_scans_in_full(self, monkeypatch):
+        g = _relabelled(build_paley(29).graph, 5)
+        assert graphs._automorphisms(g, graphs._orbit_bases(g), 0) == ((), ())
+        budgeted = graphs._BudgetedHost
+        monkeypatch.setattr(graphs, "_BudgetedHost", lambda h, budget: budgeted(h, 30))
+        result = _assert_matches_full_scan(g, 3)
+        assert result.passed and result.generators == ()
+
+    def test_map_that_is_no_automorphism_is_not_used(self, monkeypatch):
+        g = _relabelled(build_paley(29).graph, 6)
+        swap01 = (1, 0) + tuple(range(2, g.n))
+        assert not graphs._is_automorphism(g, swap01)
+        monkeypatch.setattr(graphs, "iter_embedding_maps", lambda *args, **kwargs: iter([swap01]))
+        result = _assert_matches_full_scan(g, 3)
+        assert result.passed and result.generators == ()
+
+    @given(regular_graphs())
+    @settings(max_examples=25, deadline=None)
+    def test_regular_graphs_match_naive_oracle(self, g):
+        assume(check_extension(g, 2).passed)
+        result = check_extension(g, 3)
+        want = _naive_failures(g, 3)
+        assert (result.passed, result.failing) == (not want, want[0] if want else None)
+
+
+class TestSymmetryCertificate:
+    """Re-checks the generators a passing verdict relied on with has_edge
+    alone, and recomputes their orbits without union-find."""
+
+    @pytest.mark.parametrize("q", [29, 37, 41])
+    def test_paley_certificate_is_rank_3(self, q):
+        g = _relabelled(build_paley(q).graph, 7 * q)
+        gens = check_extension(g, 3).generators
+        self.assert_automorphisms(g, gens)
+        assert _orbit(gens, 0) == set(range(q))
+        neighbours = {v for v in range(q) if g.has_edge(0, v)}
+        others = set(range(1, q)) - neighbours
+        stabiliser = [perm for perm in gens if perm[0] == 0]
+        assert _orbit(stabiliser, min(neighbours)) == neighbours
+        assert _orbit(stabiliser, min(others)) == others
+
+    def test_circulant_certificate_is_vertex_transitive(self):
+        g = _relabelled(_quartic_circulant(41), 3)
+        gens = check_extension(g, 3).generators
+        self.assert_automorphisms(g, gens)
+        assert _orbit(gens, 0) == set(range(g.n))
+
+    @staticmethod
+    def assert_automorphisms(g, gens):
+        assert gens
+        for perm in gens:
+            assert sorted(perm) == list(range(g.n))
+            for u, v in combinations(range(g.n), 2):
+                assert g.has_edge(u, v) == g.has_edge(perm[u], perm[v])
 
 
 class _RowCounter(Graph):

@@ -402,16 +402,24 @@ class TestTypeTableOracle:
                 for r in oracle_relations(4 if n == 6 else 3):
                     assert_matches_oracle(r, g)
 
-    @pytest.mark.parametrize("fixture, max_arity", [("paley13", 3), ("paley29", 4)])
+    @pytest.mark.parametrize(
+        "fixture, max_arity", [("paley13", 3), ("paley29", 4), ("ec3_host", 3)]
+    )
     def test_facts_agree_with_full_host_scan(self, request, fixture, max_arity):
         # a k-e.c. host realizes every QF type of arity at most k + 1, so the
-        # host verdicts of the scans must equal the facts of the table
-        g = request.getfixturevalue(fixture).graph
+        # host verdicts of the scans must equal the facts of the table.  In a
+        # 3-e.c. host every vertex lies in a tuple of each arity-3 type, at
+        # each position, so switching any one vertex already breaks a
+        # relation that is not switch-invariant; on the 75-vertex host only
+        # four vertices are switched (all 75 take about 15 s)
+        host = request.getfixturevalue(fixture)
+        g = getattr(host, "graph", host)
+        switched = range(4) if fixture == "ec3_host" else range(g.n)
         for r in oracle_relations(max_arity):
             facts = r.type_facts
             assert facts.equality_definable == _equality_scan(r, g).definable, r.name
             assert ("minus" in facts.closed_under) == _complement_scan(r, g).preserved, r.name
-            switch = all(res.preserved for res in _switch_scans(r, g, range(g.n)))
+            switch = all(res.preserved for res in _switch_scans(r, g, switched))
             assert ("switch" in facts.closed_under) == switch, r.name
 
     def test_thomas_facts(self):
