@@ -486,6 +486,33 @@ def _is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
     return all("".join(take(bits[u])) == bits[perm[u]] for u in range(n))
 
 
+def _pin_signatures(g: Graph, points: list[int]) -> list[tuple[int, ...]]:
+    # per vertex: its adjacency to each of ``points``, then its number of
+    # neighbours in each cell of the other vertices, cut by adjacency to them
+    rows = g._rows
+    cells = [g.full_mask & ~sum(1 << p for p in points)]
+    for p in points:
+        cells = [c & rows[p] for c in cells] + [c & ~rows[p] for c in cells]
+    columns = [[row >> p & 1 for row in rows] for p in points]
+    columns += [[(row & c).bit_count() for row in rows] for c in cells]
+    return list(zip(*columns))
+
+
+def _pin_masks(g: Graph, pins: dict[int, int]) -> dict[int, int]:
+    # per_vertex masks for the maps of g onto itself that send each pinned p
+    # to pins[p].  Such a map keeps every vertex's signature against the
+    # pins (read against their images), so only vertices of equal signature
+    # are candidates: the masks drop no map, and the search finds the same
+    # first map with far fewer dead branches
+    by_signature: dict[tuple[int, ...], int] = {}
+    for h, sig in enumerate(_pin_signatures(g, list(pins.values()))):
+        by_signature[sig] = by_signature.get(sig, 0) | 1 << h
+    images = sum(1 << w for w in pins.values())
+    masks = {v: by_signature.get(sig, 0) & ~images for v, sig in enumerate(_pin_signatures(g, list(pins)))}
+    masks.update((p, 1 << w) for p, w in pins.items())
+    return masks
+
+
 def _find(parent: list[int], v: int) -> int:
     while parent[v] != v:
         parent[v] = parent[parent[v]]
@@ -520,7 +547,7 @@ def _automorphisms(
     moved, fixed = list(range(n)), list(range(n))  # orbits of all gens, of those fixing 0
 
     def found(pins: dict[int, int]) -> bool:
-        perm = next(iter_embedding_maps(g, host, per_vertex={p: 1 << w for p, w in pins.items()}), None)
+        perm = next(iter_embedding_maps(g, host, per_vertex=_pin_masks(g, pins)), None)
         if perm is None or not _is_automorphism(g, perm):
             return False
         gens.append(perm)

@@ -415,6 +415,19 @@ class TestSymmetryPath:
         # not for want of budget
         assert automorphisms(h, graphs._orbit_bases(h), 10**6) == ((), ())
 
+    def test_pin_masks_keep_every_automorphism(self):
+        # the maps x -> sx + t, s a nonzero square, are automorphisms of
+        # Paley(29): pinned at one or two of their values, each keeps every
+        # vertex inside its candidate mask
+        q = 29
+        g = build_paley(q).graph
+        for s in sorted({x * x % q for x in range(1, q)}):
+            for t in (0, 1, 17):
+                sigma = [(s * x + t) % q for x in range(q)]
+                for pinned in ((0,), (0, 1), (0, 2), (3, 5)):
+                    masks = graphs._pin_masks(g, {p: sigma[p] for p in pinned})
+                    assert all(masks[v] >> sigma[v] & 1 for v in range(q))
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_build_ec_and_random_graphs_never_search(self, k, ec3_host, no_search):
         for seed in range(4):
