@@ -181,9 +181,9 @@ def make_named(kind: str, src: Graph, **params) -> FunctionGadget:
         dst = params.pop("dst", None)
         _no_extra(params)
         size = len(dom)
-        if dst is None:
-            dst = complete_graph(size) if kind == "eE" else empty_graph(size)
         shape = complete_graph(size) if kind == "eE" else empty_graph(size)
+        if dst is None:
+            dst = shape
         try:
             target_tuple = next(iter_embedding_maps(shape, dst))
         except StopIteration:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, compress, islice, permutations
 from typing import Iterator
 
 from .gadgets import FunctionGadget, NAMED_KINDS, make_named, violates
@@ -616,6 +616,7 @@ _CLASS_GENS = {
     ReductClass.SWITCH: frozenset({"switch"}),
     ReductClass.MINUS_SWITCH: frozenset({"minus", "switch"}),
 }
+_CLASS_OF_GENS = {gens: cls for cls, gens in _CLASS_GENS.items()}
 
 
 def join_classes(a: ReductClass, b: ReductClass) -> ReductClass:
@@ -623,11 +624,7 @@ def join_classes(a: ReductClass, b: ReductClass) -> ReductClass:
     two groups together (equality on top, graph at the bottom)."""
     if ReductClass.EQUALITY in (a, b):
         return ReductClass.EQUALITY
-    merged = _CLASS_GENS[a] | _CLASS_GENS[b]
-    for cls, gens in _CLASS_GENS.items():
-        if gens == merged:
-            return cls
-    raise AssertionError("unreachable")
+    return _CLASS_OF_GENS[_CLASS_GENS[a] | _CLASS_GENS[b]]
 
 
 @dataclass(frozen=True)
@@ -692,15 +689,7 @@ def _classify_single(r: Relation, host: Graph) -> RelationCertificate:
         subsets += res.checked
         if not res.preserved:
             violations.append((v, res.witness))
-    switch_ok = not violations
-    if comp.preserved and switch_ok:
-        cls = ReductClass.MINUS_SWITCH
-    elif comp.preserved:
-        cls = ReductClass.MINUS
-    elif switch_ok:
-        cls = ReductClass.SWITCH
-    else:
-        cls = ReductClass.GRAPH
+    cls = _CLASS_OF_GENS[frozenset(compress(("minus", "switch"), (comp.preserved, not violations)))]
     return RelationCertificate(
         r.name, cls, eq, comp, tuple(violations), host.n, subsets
     )

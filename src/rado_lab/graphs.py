@@ -113,9 +113,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def degree(self, u: int) -> int:
-        return self._rows[u].bit_count()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as pairs (u, v) with u < v, lexicographic."""
         for u in range(self.n):
@@ -287,9 +284,9 @@ def build_paley(q: int) -> SelfComplementaryGraph:
 class ExtensionResult:
     """Verdict of the k-extension check; ``failing`` is the least bad pair.
 
-    ``generators`` are the host automorphisms, as vertex maps, whose orbits
-    let the check skip supports from level 3 on; empty when every level was
-    scanned in full.
+    ``generators`` are host automorphisms, as vertex maps, that generate a
+    rank 3 group and so let the check skip supports from level 3 on; empty
+    when every level was scanned in full.
     """
 
     passed: bool
@@ -361,15 +358,14 @@ def check_extension(g: Graph, k: int) -> ExtensionResult:
     second check of the same instance at the same k does not scan.
 
     Levels 0-2 are scanned in full.  From level 3 on, a regular host is first
-    scanned only on representative supports: those through vertex 0, or for
-    a strongly regular host those through {0, a} or {0, b}, which meet every
-    orbit of supports when the automorphisms are transitive on vertices (or
-    rank 3).  A failure there sends the level to the full scan, so
-    ``failing`` is always the least pair.  When they all pass, automorphisms
-    found by pinned embedding searches and checked against the rows must
-    prove that transitivity; ``generators`` holds them.  Otherwise, or when
-    the searches exceed about the cost of the scans they replace, every
-    level is scanned in full.
+    scanned only on representative supports: those through {0, a} or {0, b},
+    a and b the least neighbour and non-neighbour of 0, which meet every
+    orbit of supports when the automorphisms are rank 3.  A failure there
+    sends the level to the full scan, so ``failing`` is always the least
+    pair.  When they all pass, automorphisms found by pinned embedding
+    searches and checked against the rows must prove rank 3; ``generators``
+    holds them.  Otherwise, or when the searches exceed about the cost of the
+    scans they replace, every level is scanned in full.
     """
     if g._extension is None:
         g._extension = {}
@@ -398,32 +394,14 @@ def _extension_verdict(g: Graph, k: int) -> ExtensionResult:
 # symmetry certificates for the extension check
 #
 # A pair (U, U') fails exactly when its image under a host automorphism
-# fails.  If the automorphisms are transitive on vertices, every support meets
-# an image of one through vertex 0; if they are rank 3 (also transitive on
-# ordered edges and on ordered non-edges), every support of size >= 2 has an
-# image through {0, a} or {0, b}, a the least neighbour of 0 and b its least
+# fails.  If the automorphisms are rank 3 (transitive on vertices, on ordered
+# edges and on ordered non-edges), every support of size >= 2 has an image
+# through {0, a} or {0, b}, a the least neighbour of 0 and b its least
 # non-neighbour.  Those sorted vertex sets are the bases below.
 
 
 def _least(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
-
-
-def _orbit_bases(g: Graph) -> tuple[tuple[int, ...], ...]:
-    # the gates: rank 3 needs a strongly regular host and vertex-transitivity
-    # a regular one; () means no symmetry is tried.  Levels 0-2 passed, so 0
-    # has a neighbour and a non-neighbour
-    n, rows = g.n, g._rows
-    degree = rows[0].bit_count()
-    if any(row.bit_count() != degree for row in rows):
-        return ()
-    a, b = _least(rows[0]), _least(g.full_mask ^ rows[0] ^ 1)
-    common = ((rows[0] & rows[b]).bit_count(), (rows[0] & rows[a]).bit_count())
-    for u, row in enumerate(rows):
-        for v in range(u + 1, n):
-            if (row & rows[v]).bit_count() != common[row >> v & 1]:
-                return ((0,),)
-    return ((0, a), (0, b))
 
 
 def _first_failing_level(g: Graph, levels: range, bases: tuple[tuple[int, ...], ...]) -> int:
@@ -437,17 +415,20 @@ def _first_failing_level(g: Graph, levels: range, bases: tuple[tuple[int, ...], 
 
 def _levels_passed_by_symmetry(g: Graph, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     # (generators, first): every level from 3 up to first - 1 passes by the
-    # generators' orbits; first = 3 with no generators when nothing is proved
-    bases = _orbit_bases(g) if k >= 3 else ()
-    top = _first_failing_level(g, range(3, k + 1), bases) if bases else 3
+    # generators' orbits; first = 3 with no generators when nothing is proved.
+    # Rank 3 needs a regular host.  Levels 0-2 passed, so 0 has a neighbour
+    # and a non-neighbour
+    rows = g._rows
+    if k < 3 or any(row.bit_count() != rows[0].bit_count() for row in rows):
+        return (), 3
+    a, b = _least(rows[0]), _least(g.full_mask ^ rows[0] ^ 1)
+    top = _first_failing_level(g, range(3, k + 1), ((0, a), (0, b)))
     if top > 3:
         # the searches may cost about what the full scan of the levels they
         # replace costs; a search node costs about n candidate pairs
         budget = sum(comb(g.n, t) << t for t in range(3, top)) // g.n
-        gens, proved = _automorphisms(g, bases, budget)
-        if proved and proved != bases:
-            top = _first_failing_level(g, range(3, top), proved)
-        if proved and top > 3:
+        gens = _automorphisms(g, a, b, budget)
+        if gens:
             return gens, top
     return (), 3
 
@@ -527,18 +508,15 @@ def _unite(parent: list[int], perm: tuple[int, ...]) -> None:
             parent[max(rv, rw)] = min(rv, rw)
 
 
-def _automorphisms(
-    g: Graph, bases: tuple[tuple[int, ...], ...], budget: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Generators for a group of host automorphisms, and the bases its orbits
-    prove: ``bases`` itself, ((0,),) when only vertex-transitivity holds, or
-    () with no generators when the searches fail or exceed ``budget``.
+def _automorphisms(g: Graph, a: int, b: int, budget: int) -> tuple[tuple[int, ...], ...]:
+    """Generators for a rank 3 group of host automorphisms, or () when a
+    search fails or exceeds ``budget``; a and b are the least neighbour and
+    non-neighbour of 0.
 
-    Rank 3 first: the stabiliser of 0 must be transitive on the neighbours
-    and on the non-neighbours of 0, so search a map pinning 0 -> 0 and a -> w
-    (b -> w) for each w not yet in the orbit of a (of b).  Then the vertex
-    orbit of 0: pin 0 -> w for each w not yet in it, and, once the stabiliser
-    is transitive on the neighbours, also a -> the least neighbour of w.
+    The stabiliser of 0 must be transitive on the neighbours and on the
+    non-neighbours of 0, so search a map pinning 0 -> 0 and a -> w (b -> w)
+    for each w not yet in the orbit of a (of b).  Then the vertex orbit of 0:
+    pin 0 -> w and a -> the least neighbour of w for each w not yet in it.
     Every map is checked against the rows before its orbits count.
     """
     n, rows = g.n, g._rows
@@ -556,23 +534,19 @@ def _automorphisms(
             _unite(fixed, perm)
         return True
 
-    rank3 = len(bases) == 2
-    cells = zip((root for _, root in bases), (rows[0], g.full_mask ^ rows[0] ^ 1)) if rank3 else ()
     try:
-        for root, cell in cells:
-            while rank3 and cell:
+        for root, cell in ((a, rows[0]), (b, g.full_mask ^ rows[0] ^ 1)):
+            while cell:
                 w = _least(cell)
                 cell ^= 1 << w
-                if _find(fixed, w) != _find(fixed, root):
-                    rank3 = found({0: 0, root: w})
-        a = bases[0][1] if rank3 else None
+                if _find(fixed, w) != _find(fixed, root) and not found({0: 0, root: w}):
+                    return ()
         for w in range(1, n):
-            if _find(moved, w) != _find(moved, 0):
-                if not found({0: w} if a is None else {0: w, a: _least(rows[w])}):
-                    return (), ()
+            if _find(moved, w) != _find(moved, 0) and not found({0: w, a: _least(rows[w])}):
+                return ()
     except _OutOfBudget:
-        return (), ()
-    return tuple(gens), (bases if rank3 else ((0,),))
+        return ()
+    return tuple(gens)
 
 
 def _iter_failures_touching(

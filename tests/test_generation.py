@@ -46,7 +46,7 @@ from rado_lab import (
     verify_witness,
 )
 from rado_lab import generation, relations
-from rado_lab.generation import PatternNotFoundError, join_classes
+from rado_lab.generation import PatternNotFoundError, Separation, join_classes
 from conftest import all_raw_graphs, random_graph
 
 
@@ -335,6 +335,10 @@ class TestSeparatingInvariant:
         ]
         # an image type inside the relation
         tampered += [replace(sep, image_type=t) for t in sep.relation.types]
+        # a relation the target preserves: it holds on constant triples alone
+        constant = TypeSetRelation(3, {qf_type((0, 0, 0), g)})
+        image = tuple(target.apply(x) for x in (0, 0, 0))
+        tampered.append(Separation(constant, (0, 0, 0), qf_type(image, g)))
         for bad in tampered:
             assert not verify_separation(target, gens, hosts, bad), bad
         # a subset leaving a partial target's domain

@@ -492,6 +492,40 @@ class TestEdgeNonedgeSearch:
         with pytest.raises(ValueError):
             find_edge_nonedge_mono_copy(g, complete_graph(2), {}, {})
 
+    def test_none_exactly_when_a_naive_loop_finds_no_copy(self):
+        # every injective map in lexicographic order, filtered by the
+        # definition; the colorings are seeded, 3 colors per family
+        def naive(host, pattern, chi_e, chi_n):
+            for p in permutations(range(host.n), pattern.n):
+                pairs = list(combinations(range(pattern.n), 2))
+                if any(pattern.has_edge(u, v) != host.has_edge(p[u], p[v]) for u, v in pairs):
+                    continue
+                keys = [tuple(sorted((p[u], p[v]))) for u, v in pairs]
+                edge_colors = {chi_e[e] for e in keys if e in chi_e}
+                nonedge_colors = {chi_n[e] for e in keys if e in chi_n}
+                if len(edge_colors) <= 1 and len(nonedge_colors) <= 1:
+                    return p
+            return None
+
+        rng = random.Random(4)
+        misses = 0
+        for _ in range(60):
+            host = seeded_graph(6, rng.randrange(1000))
+            pattern = rng.choice([path_graph(3), complete_graph(3), empty_graph(3), path_graph(4)])
+            chi_e = {e: rng.randrange(3) for e in host.edges()}
+            chi_n = {e: rng.randrange(3) for e in host.nonedges()}
+            emb = find_edge_nonedge_mono_copy(host, pattern, chi_e, chi_n)
+            want = naive(host, pattern, chi_e, chi_n)
+            assert (emb and emb.mapping) == want
+            misses += want is None
+        assert misses >= 10
+        # the pentagon's edges in three colors, no two adjacent ones alike
+        c5 = cycle_graph(5)
+        chi_e = {(0, 1): 0, (1, 2): 1, (2, 3): 0, (3, 4): 1, (0, 4): 2}
+        chi_n = {e: 0 for e in c5.nonedges()}
+        assert find_edge_nonedge_mono_copy(c5, path_graph(3), chi_e, chi_n) is None
+        assert naive(c5, path_graph(3), chi_e, chi_n) is None
+
 
 class TestInducedColoring:
     def test_identity(self, paley13):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, permutations, product
 
 import pytest
@@ -281,6 +282,34 @@ class TestSpecLanguage:
     def test_rejects_malformed(self, spec):
         with pytest.raises(RelationSpecError):
             parse_relation_spec(spec)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "tuple file must start with 'arity <m>'"),
+            ("0 1\n", "tuple file must start with 'arity <m>'"),
+            ("arity x\n", "malformed arity header"),
+            ("arity 2\n0 1\n0 1 2\n", "line 3: expected 2 entries"),
+            ("arity 2\n0 a\n", "line 2: entries must be integers"),
+        ],
+        ids=["empty", "no-header", "arity", "entry-count", "entry-type"],
+    )
+    def test_tuple_file_errors(self, text, message):
+        with pytest.raises(RelationSpecError, match=f"^{re.escape(message)}$"):
+            parse_relation_spec("tuples:@r", read_file=lambda path: text)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("(E(0,1) & E(1,2)", "missing closing parenthesis"),
+            ("& E(0,1)", "unknown token '&'"),
+            ("E(0,1) E(1,2)", "trailing tokens from 'E(1,2)'"),
+        ],
+        ids=["parenthesis", "token", "trailing"],
+    )
+    def test_formula_errors(self, body, message):
+        with pytest.raises(RelationSpecError, match=f"^{re.escape(message)}$"):
+            parse_relation_spec(f"formula:{body}")
 
 
 @given(st.integers(min_value=0, max_value=2**10 - 1), st.integers(min_value=0, max_value=4))

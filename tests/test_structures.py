@@ -285,6 +285,22 @@ class TestTextFormat:
             parse_structure(text)
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 2\nconst: 0\nconst: 1\n", "line 3: duplicate const line"),
+            ("n 2\nconst: 0 x\n", "line 2: constants must be integers"),
+            ("n 2\npart 0 1: 0\n", "line 2: expected 'part <i>: ...'"),
+            ("n 2\npart x: 0 1\n", "line 2: malformed part line"),
+            ("n 2\npart 0: 0 y\n", "line 2: malformed part line"),
+            ("n 2\npart 0: 0\npart 0: 1\n", "line 3: duplicate part index 0"),
+        ],
+        ids=["duplicate-const", "non-integer-const", "part-head", "part-index", "part-member", "duplicate-part"],
+    )
+    def test_rejects_malformed_extra_lines(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            parse_structure(text)
+
+    @pytest.mark.parametrize(
         "text,lineno",
         [
             ("n 3\n\n0 5\n", 3),
