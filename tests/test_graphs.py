@@ -420,6 +420,16 @@ class TestSymmetryPath:
         result = _assert_matches_full_scan(_relabelled(_circulant(n, steps), n), 3)
         assert not result.passed and result.generators == ()
 
+    @pytest.mark.parametrize("p", [41])
+    def test_vertex_transitive_circulant_passes_by_its_orbit(self, p):
+        # the rotations make vertex 0 represent every vertex, and every
+        # support through 0 passes level 3; vertex transitivity alone is no
+        # certificate, so the verdict comes from the full scan
+        g = _relabelled(_quartic_circulant(p), p)
+        assert graphs._first_failing_level(g, range(3, 4), ((0,),)) == 4
+        result = _assert_matches_full_scan(g, 3)
+        assert result.passed and result.generators == ()
+
     @pytest.mark.parametrize(
         "g, passed",
         [
