@@ -588,11 +588,8 @@ def build_ec(k: int, seed: int = 0, *, max_vertices: int | None = None) -> Graph
     for _round in range(64):
         g = Graph(n, tuple(rows))
         failures = list(_iter_failures_touching(g, k, prev_n))
-        if not failures:
-            final = check_extension(g, k)
-            if final.passed:
-                return g
-            failures = list(iter_extension_failures(g, k))
+        if not failures and check_extension(g, k).passed:
+            return g
         bundles: list[dict[int, bool]] = []
         for u_set, u2 in failures:
             demand = {u: True for u in u_set}

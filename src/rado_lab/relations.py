@@ -31,13 +31,13 @@ it then complements (c = 1) and switches the classes in s.
 
 Every other check runs one scan kernel on adjacency rows: the target graph
 pulled back along the map (a collapsed pair counts as equal), the
-complement, or g switched at v restricted to tuples containing v.  It walks
-(arity - 1)-prefixes in lexicographic order and tests the last coordinate
-for all candidates at once, as bit masks; ``checked`` counts the prefixes.
-The equality scan runs the same kernel against the membership of the least
-tuple of each equality pattern.  Tuple sets have no table: their membership
-depends on the vertices themselves, and preservation walks their sorted
-member tuples.
+complement, or g switched at v restricted to tuples containing v (these two
+share one set-up).  It walks (arity - 1)-prefixes in lexicographic order and
+tests the last coordinate for all candidates at once, as bit masks;
+``checked`` counts the prefixes.  The equality scan runs the same kernel
+against the membership of the least tuple of each equality pattern.  Tuple
+sets have no table: membership ignores the graph, so identity-map rewrites
+keep them, and only ``preserved_by_map`` walks their sorted member tuples.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import Graph, graph_of_code, switch_masks
 
@@ -385,7 +385,6 @@ class _Rewrite(NamedTuple):
     # the image of x, and the other domain vertices with the same image
     dst: Sequence[int]
     collapsed: Sequence[int]
-    image: Mapping[int, int] | range  # the map itself, read by tuple sets
 
 
 def _pullback(mapping: Mapping[int, int], src: Graph, dst: Graph) -> _Rewrite:
@@ -406,7 +405,7 @@ def _pullback(mapping: Mapping[int, int], src: Graph, dst: Graph) -> _Rewrite:
             bits ^= b
         pulled[x] = row
         collapsed[x] = preimages[y] ^ 1 << x
-    return _Rewrite(dom, [src.row(x) for x in range(src.n)], pulled, collapsed, mapping)
+    return _Rewrite(dom, [src.row(x) for x in range(src.n)], pulled, collapsed)
 
 
 def flip_form(mapping: Mapping[int, int], src: Graph, dst: Graph) -> tuple[int, int] | None:
@@ -420,19 +419,11 @@ def flip_form(mapping: Mapping[int, int], src: Graph, dst: Graph) -> tuple[int, 
     return _flip_form(_pullback(mapping, src, dst))
 
 
-def _identity_rewrite(rows: Sequence[int], other: Sequence[int]) -> _Rewrite:
-    # the identity map on all vertices, from the graph with adjacency rows
-    # ``rows`` to the one with ``other``
-    n = len(rows)
-    return _Rewrite(tuple(range(n)), rows, other, [0] * n, range(n))
-
-
 def identity_flip_form(src: Graph, dst: Graph) -> tuple[int, int] | None:
     """``flip_form`` of the identity map on all vertices of two graphs of one
     size, read straight off their rows."""
-    return _flip_form(_identity_rewrite(
-        [src.row(x) for x in range(src.n)], [dst.row(x) for x in range(dst.n)]
-    ))
+    rows = [[h.row(x) for x in range(src.n)] for h in (src, dst)]
+    return _flip_form(_Rewrite(tuple(range(src.n)), *rows, [0] * src.n))
 
 
 def _flip_form(rw: _Rewrite) -> tuple[int, int] | None:
@@ -602,18 +593,7 @@ def _scan_kernel(r: Relation, dom: Sequence[int], n: int):
 
 def _scan(r: Relation, rw: _Rewrite) -> PreservationResult:
     """Least tuple over ``rw.dom`` in r on the source whose image is not in
-    r on the target.  The target side treats collapsed pairs as equal.
-    Tuple sets walk their sorted member tuples inside the domain instead,
-    since their target membership needs the image itself."""
-    if isinstance(r, TupleSetRelation):
-        inside = set(rw.dom)
-        checked = 0
-        for t in sorted(r.tuples):
-            if all(x in inside for x in t):
-                checked += 1
-                if tuple(rw.image[x] for x in t) not in r.tuples:
-                    return PreservationResult(False, t, checked)
-        return PreservationResult(True, None, checked)
+    r on the target.  The target side treats collapsed pairs as equal."""
     n = len(rw.src)
     src_same = [1 << x for x in range(n)]
     dst_same = [1 << x | c for x, c in enumerate(rw.collapsed)]
@@ -629,7 +609,8 @@ def preserved_by_map(
 ) -> PreservationResult:
     """Least tuple t with t in r(src) and mapping(t) not in r(dst), if any.
 
-    Tuples with an entry outside the mapping's domain are skipped.  A map
+    Tuples with an entry outside the mapping's domain are skipped.  A tuple
+    set walks its sorted member tuples, whose images it must look up.  A map
     that rewrites every tuple's QF type by a composite of the kinds the
     relation's type table is closed under (``_acts_within``) preserves the
     relation on every graph: that verdict reports ``checked == 0``.  Every
@@ -640,6 +621,14 @@ def preserved_by_map(
             raise ValueError(f"domain vertex {x} out of range")
         if not 0 <= y < dst.n:
             raise ValueError(f"image vertex {y} out of range")
+    if isinstance(r, TupleSetRelation):
+        checked = 0
+        for t in sorted(r.tuples):
+            if all(x in mapping for x in t):
+                checked += 1
+                if tuple(mapping[x] for x in t) not in r.tuples:
+                    return PreservationResult(False, t, checked)
+        return PreservationResult(True, None, checked)
     rw = _pullback(mapping, src, dst)
     facts = r.type_facts
     if facts is not None and _acts_within(rw, facts.closed_under):
@@ -675,26 +664,21 @@ def _acts_within(rw: _Rewrite, kinds: frozenset[str]) -> bool:
     return False
 
 
-def _scan_both_ways(scan, rows: Sequence[int], other: Sequence[int]) -> PreservationResult:
-    # identity-map scans rows -> other, then other -> rows, each by
-    # ``scan(from_rows, to_rows)``; the witness of the first failing
-    # direction is reported
-    forward = scan(rows, other)
-    if not forward.preserved:
-        return forward
-    backward = scan(other, rows)
-    return PreservationResult(
-        backward.preserved, backward.witness, forward.checked + backward.checked
-    )
+def _kept_by_identity(r: Relation, kind: str) -> bool:
+    # whether identity-map rewrites by ``kind`` keep r on every graph: a tuple
+    # set ignores the graph, a QF relation needs its table closed under kind
+    if isinstance(r, TupleSetRelation):
+        return True
+    facts = r.type_facts
+    return facts is not None and kind in facts.closed_under
 
 
 def invariant_under_complement(r: Relation, g: Graph) -> PreservationResult:
     """Identity-map preservation from g to its complement, both directions;
-    the witness of the first failing direction is reported.  A relation
-    whose type table is complement-invariant is preserved on every graph:
-    that verdict reports ``checked == 0``."""
-    facts = r.type_facts
-    if facts is not None and "minus" in facts.closed_under:
+    the witness of the first failing direction is reported.  A tuple set, or
+    a relation whose type table is complement-invariant, is preserved on
+    every graph: that verdict reports ``checked == 0``."""
+    if _kept_by_identity(r, "minus"):
         return PreservationResult(True)
     return _complement_scan(r, g)
 
@@ -702,21 +686,17 @@ def invariant_under_complement(r: Relation, g: Graph) -> PreservationResult:
 def _complement_scan(r: Relation, g: Graph) -> PreservationResult:
     full = g.full_mask
     rows = [g.row(u) for u in range(g.n)]
-    return _scan_both_ways(
-        lambda a, b: _scan(r, _identity_rewrite(a, b)),
-        rows, [full ^ row ^ 1 << u for u, row in enumerate(rows)],
-    )
+    return _rewrite_scans(r, rows, [([full ^ row ^ 1 << u for u, row in enumerate(rows)], None)])[0]
 
 
 def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
     """Identity-map preservation between g and switch_graph(g, {v}), both
     directions.
 
-    Tuple-set membership ignores the graph, so it is always preserved.  A QF
-    relation whose type table is switch-invariant is preserved on every
-    graph, reported with ``checked == 0``.  Otherwise only tuples containing
-    v can change QF type, so the scan is restricted to them; the restricted
-    least witness equals the global one.
+    A tuple set, or a QF relation whose type table is switch-invariant, is
+    preserved on every graph, reported with ``checked == 0``.  Otherwise
+    only tuples containing v can change QF type, so the scan is restricted
+    to them; the restricted least witness equals the global one.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"switch vertex {v} out of range")
@@ -725,31 +705,43 @@ def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
 
 def _each_switch(r: Relation, g: Graph, vertices: Sequence[int]) -> list[PreservationResult]:
     # invariant_under_switch(r, g, v) for each v of ``vertices``
-    facts = r.type_facts
-    if isinstance(r, TupleSetRelation) or facts is not None and "switch" in facts.closed_under:
+    if _kept_by_identity(r, "switch"):
         return [PreservationResult(True)] * len(vertices)
     return _switch_scans(r, g, vertices)
 
 
 def _switch_scans(r: Relation, g: Graph, vertices: Sequence[int]) -> list[PreservationResult]:
-    # the scans of g against g switched at v, both ways, restricted to
-    # tuples containing v, for each v of ``vertices``: the rows, the
-    # singleton same-masks and the scan kernel are built once, and each
-    # vertex builds only its switched rows
-    n = g.n
-    rows = [g.row(u) for u in range(n)]
+    # g against g switched at v, restricted to tuples containing v, for each
+    # v of ``vertices``
+    rows = [g.row(u) for u in range(g.n)]
+
+    def switched(v):
+        bit = 1 << v
+        other = [row ^ bit for row in rows]
+        other[v] ^= g.full_mask
+        return other, v
+
+    return _rewrite_scans(r, rows, map(switched, vertices))
+
+
+def _rewrite_scans(
+    r: Relation, rows: list[int], rewrites: Iterable[tuple[list[int], int | None]]
+) -> list[PreservationResult]:
+    # identity-map preservation from ``rows`` to each rewrite (its rows,
+    # must) and back, over the tuples containing must if given; one kernel
+    # serves every rewrite, and ``checked`` sums both directions
+    n = len(rows)
     same = [1 << x for x in range(n)]
     least_bad = _scan_kernel(r, range(n), n)
     results = []
-    for v in vertices:
-        bit = 1 << v
-        switched = [row ^ bit for row in rows]
-        switched[v] = rows[v] ^ g.full_mask ^ bit
-
-        def scan(a, b, v=v):
-            return least_bad(lambda prefix, member: member(prefix, a, same) & ~member(prefix, b, same), v)
-
-        results.append(_scan_both_ways(scan, rows, switched))
+    for other, must in rewrites:
+        checked = 0
+        for a, b in ((rows, other), (other, rows)):
+            res = least_bad(lambda prefix, member: member(prefix, a, same) & ~member(prefix, b, same), must)
+            checked += res.checked
+            if not res.preserved:
+                break
+        results.append(PreservationResult(res.preserved, res.witness, checked))
     return results
 
 

@@ -185,6 +185,35 @@ class TestProfiles:
             profile_partitioned(f, pg)
 
 
+class TestArgumentRejections:
+    # each rejection names what is wrong with the arguments
+    @pytest.mark.parametrize("s1, s2", [((), (0, 1)), ((0, 1), ())])
+    def test_between_needs_two_nonempty_sets(self, s1, s2):
+        f = make_named("identity", path_graph(3))
+        with pytest.raises(ValueError) as info:
+            is_canonical_between(f, s1, s2)
+        assert str(info.value) == "both sets must be nonempty"
+
+    def test_structures_on_another_graph(self):
+        f = make_named("identity", path_graph(3))
+        other = cycle_graph(3)
+        with pytest.raises(ValueError) as info:
+            profile_partitioned(f, PartitionedGraph(other, (frozenset(range(3)),)))
+        assert str(info.value) == "partitioned graph must live on the gadget's source graph"
+        with pytest.raises(ValueError) as info:
+            is_canonical_constant_graph(f, ConstantGraph(other, (0,)))
+        assert str(info.value) == "constant graph must live on the gadget's source graph"
+
+    def test_copy_search_limit_and_host(self):
+        f = make_named("identity", path_graph(3))
+        with pytest.raises(ValueError) as info:
+            find_canonical_copy(f, path_graph(2), path_graph(3), limit=0)
+        assert str(info.value) == "limit must be at least 1"
+        with pytest.raises(ValueError) as info:
+            find_canonical_copy(f, path_graph(2), cycle_graph(3), limit=1)
+        assert str(info.value) == "host must live on the gadget's source graph"
+
+
 class TestConstantGraphProfiles:
     def test_identity_always_canonical(self, paley13):
         f = make_named("identity", paley13.graph)

@@ -82,6 +82,16 @@ class TestGenerate:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert json.loads(done.stdout) == []
 
+    def test_failing_check_reports_least_pair(self, workspace, capsys):
+        # Paley(13) is 2-e.c. but not 3-e.c.: the file is still written, and
+        # the report names the least failing pair
+        code, out = run_cli(capsys, "generate", "paley", "13", "--check-k", "3", "--json")
+        assert code == 0
+        check = json.loads(out)["extension_check"]
+        assert check == {"k": 3, "passed": False, "failing": [[], [0, 1, 7]]}
+        assert check["failing"] == [list(part) for part in check_extension(build_paley(13).graph, 3).failing]
+        assert parse_graph((workspace / "paley13.g").read_text()) == build_paley(13).graph
+
     def test_bad_modulus_is_usage_error(self, workspace, capsys):
         code, _ = run_cli(capsys, "generate", "paley", "6")
         assert code == 1
@@ -149,6 +159,19 @@ class TestClassifyRelation:
         assert len(builds) == 1
         # the appended --spec of the first call does not leak into the second
         assert specs == [["parity:3"], ["parity:4"]]
+
+    def test_tuple_set_reports_no_scan(self, workspace, capsys):
+        # an identity-map rewrite keeps a tuple set without a scan
+        (workspace / "t.txt").write_text("arity 2\n0 1\n")
+        (workspace / "p13.g").write_text(format_graph(build_paley(13).graph))
+        code, out = run_cli(
+            capsys, "classify-relation", "--spec", "tuples:@t.txt",
+            "--host", "p13.g", "-k", "2", "--json",
+        )
+        assert code == 0
+        cert = json.loads(out)["verdict"]["relations"][0]
+        assert cert["class"] == "minus-switch"
+        assert cert["complement_checked"] == cert["switch_subsets_checked"] == 0
 
     def test_bad_spec_is_error(self, host29, capsys):
         code, _ = run_cli(

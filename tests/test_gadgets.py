@@ -285,3 +285,60 @@ class TestTextFormat:
     def test_missing_header(self):
         with pytest.raises(GadgetConstructionError):
             parse_gadget("0 -> 1\n", lambda name: path_graph(2))
+
+
+class TestArgumentRejections:
+    # each rejection names what is wrong with the arguments
+    @pytest.mark.parametrize(
+        "dst, mapping, label, message",
+        [
+            (path_graph(3), ((0, 0),), "bogus", "unknown label 'bogus'"),
+            (path_graph(3), ((3, 0),), "custom", "domain vertex 3 out of range"),
+            (path_graph(3), ((0, 3),), "custom", "image vertex 3 out of range"),
+            (cycle_graph(3), ((0, 0),), "identity", "identity gadget must map a graph to itself"),
+            (path_graph(3), ((0, 0), (1, 2)), "const", "const gadget has 2 distinct image vertices"),
+            (path_graph(3), ((0, 1),), "switch", "switch gadget must be the identity vertex map"),
+            (path_graph(4), ((0, 0),), "switch", "switch gadget endpoints differ in size"),
+        ],
+    )
+    def test_constructor(self, dst, mapping, label, message):
+        with pytest.raises(GadgetConstructionError) as info:
+            FunctionGadget(path_graph(3), dst, mapping, label)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("bogus", {}, "unknown gadget kind 'bogus'"),
+            ("const", {"target": 5}, "target vertex 5 out of range"),
+            ("switch", {}, "switch gadget needs a cut s"),
+            ("identity", {"target": 0}, "unexpected parameters: ['target']"),
+        ],
+    )
+    def test_make_named(self, kind, params, message):
+        with pytest.raises(GadgetConstructionError) as info:
+            make_named(kind, cycle_graph(5), **params)
+        assert str(info.value) == message
+
+    def test_minus_witness_with_another_dst(self):
+        result = build_paley(5)
+        with pytest.raises(GadgetConstructionError) as info:
+            make_named("minus", result.graph, witness=result.complement_witness, dst=complement_graph(result.graph))
+        assert str(info.value) == "a witness permutation keeps the destination equal to the source"
+
+    def test_pair_color_on_one_vertex(self):
+        with pytest.raises(ValueError) as info:
+            pair_color(make_named("identity", path_graph(3)), 1, 1)
+        assert str(info.value) == "pair_color needs two distinct vertices"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0 -> x", "line 3: malformed map line '0 -> x'"),
+            ("0 to 1", "line 3: unrecognized line '0 to 1'"),
+        ],
+    )
+    def test_gadget_file_lines(self, line, message):
+        with pytest.raises(GadgetConstructionError) as info:
+            parse_gadget(f"src p.g\ndst p.g\n{line}\n", lambda name: path_graph(2))
+        assert str(info.value) == message

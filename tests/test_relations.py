@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 from itertools import combinations, permutations, product
@@ -11,6 +13,7 @@ from rado_lab import (
     ReductClass,
     all_graph_types,
     classify_reduct,
+    complement_graph,
     complete_graph,
     cycle_graph,
     definable_from_equality,
@@ -399,6 +402,84 @@ def assert_matches_oracle(r, g):
         want = naive_rewrite(r, tuples, in_g, naive_switch(g, v))
         for got in (invariant_under_switch(r, g, v), _switch_scans(r, g, (v,))[0]):
             assert (got.preserved, got.witness) == want, (r.name, g, v)
+
+
+# ---------------------------------------------------------------------------
+# a pinned battery of relation checks on fixed hosts: complement and switch
+# scans, classify_reduct and preserved_by_map
+
+
+def battery_relations():
+    rng = random.Random(19)
+    rels = [parity_relation(a) for a in (2, 3, 4)]
+    rels += [edge_relation(), nonedge_relation(), distinct_relation(2), distinct_relation(3)]
+    rels += [parse_relation_spec("formula:" + f) for f in ORACLE_FORMULAS[3:8]]
+    for arity in (2, 2, 3, 3, 3, 3):
+        patterns = relations._qf_types(arity)
+        types = [(rgs, code) for rgs in patterns for code in range(1 << max(rgs) * (max(rgs) + 1) // 2)]
+        rels.append(relations.TypeSetRelation(arity, [t for t in types if rng.random() < 0.5]))
+    return rels
+
+
+BATTERY_TUPLE_SETS = (
+    TupleSetRelation(2, [(0, 1)]),
+    TupleSetRelation(2, [(0, 1), (1, 0), (2, 3), (4, 4)]),
+    TupleSetRelation(3, [(0, 1, 2), (2, 1, 0), (1, 1, 3), (0, 4, 2)]),
+)
+
+
+def battery_lines(g, max_arity, seed):
+    # one line per result; tuple sets only through preserved_by_map, the one
+    # check whose answer depends on the map's images
+    rng = random.Random(seed)
+    n = g.n
+    maps = []
+    for _ in range(3):
+        dom = rng.sample(range(n), rng.randint(2, n))
+        maps.append(({x: rng.randrange(n) for x in dom}, g))
+        maps.append((dict(zip(dom, rng.sample(range(n), len(dom)))), g))
+    for _ in range(2):
+        maps.append((dict(enumerate(rng.sample(range(n), n))), complement_graph(g)))
+    rels = [r for r in battery_relations() if r.arity <= max_arity]
+    lines = []
+    for r in rels:
+        cert = classify_reduct(r, g, 1, check_host=False)
+        lines.append(f"{r.name} classify {json.dumps(cert.to_json_dict(), sort_keys=True)}")
+        lines.append(f"{r.name} complement {_complement_scan(r, g)!r}")
+        lines.append(f"{r.name} switch {_switch_scans(r, g, range(n))!r}")
+    for r in rels + list(BATTERY_TUPLE_SETS):
+        for mapping, dst in maps:
+            lines.append(f"{r.name} map {preserved_by_map(r, mapping, g, dst)!r}")
+    return lines
+
+
+# sha256 over the battery's lines on the hosts of test_pinned_battery, in
+# order, as computed when the complement and the switch scans each had their
+# own code path
+BATTERY_DIGEST = "89a3453d0641c186bc18038a7b995b6b7e881383a3625df3920db782098652a1"
+
+
+class TestIdentityRewriteScans:
+    def test_pinned_battery(self, paley13, paley29, ec3_host):
+        # the 75-vertex host keeps to arity 2: at arity 3 its lines take
+        # about 7 s instead of 0.1 s
+        hosts = [(paley13.graph, 4), (paley29.graph, 4), (ec3_host, 2)]
+        hosts += [(random_graph(n, 19 * n), 4) for n in (5, 6, 7, 8)]
+        lines = []
+        for seed, (g, max_arity) in enumerate(hosts):
+            lines += battery_lines(g, max_arity, seed)
+        assert len(lines) == 1433
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BATTERY_DIGEST
+
+    def test_tuple_set_complement_skips_the_scan(self, paley13, monkeypatch):
+        # an identity-map rewrite keeps every tuple set, whatever the graph
+        def refuse(*args):
+            raise AssertionError("ran the scan kernel")
+
+        monkeypatch.setattr(relations, "_scan_kernel", refuse)
+        for r in BATTERY_TUPLE_SETS:
+            assert invariant_under_complement(r, paley13.graph) == PreservationResult(True)
+            assert invariant_under_switch(r, paley13.graph, 3) == PreservationResult(True)
 
 
 class TestTypeTableOracle:
