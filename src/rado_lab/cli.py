@@ -82,6 +82,8 @@ def _cmd_generate(args) -> int:
     if args.kind == "paley":
         if args.q is None:
             raise CliError("paley generation needs q")
+        if args.k is not None:
+            raise CliError("paley generation takes --check-k, not -k")
         result = build_paley(args.q)
         graph = result.graph
         default_name = f"paley{args.q}.g"
@@ -89,9 +91,10 @@ def _cmd_generate(args) -> int:
     else:
         if args.q is not None:
             raise CliError("ec generation takes -k, not a positional modulus")
-        graph = build_ec(args.k, args.seed)
-        default_name = f"ec_k{args.k}_s{args.seed}.g"
-        check_k = args.check_k if args.check_k is not None else args.k
+        k = 2 if args.k is None else args.k
+        graph = build_ec(k, args.seed)
+        default_name = f"ec_k{k}_s{args.seed}.g"
+        check_k = args.check_k if args.check_k is not None else k
     # checked first, so a refused check writes no file
     verdict = check_extension(graph, check_k)
     out_path = args.output or default_name
@@ -291,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="build a host graph and write it out")
     p_gen.add_argument("kind", choices=["paley", "ec"])
     p_gen.add_argument("q", type=int, nargs="?", default=None, help="paley modulus")
-    p_gen.add_argument("-k", type=int, default=2, help="extension level for ec builds")
+    p_gen.add_argument("-k", type=int, default=None, help="extension level for ec builds (default 2)")
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.add_argument("--check-k", type=int, default=None, help="extension level to report")
     _add_common(p_gen)

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations, compress, islice, permutations
 from typing import Iterator
 
-from .gadgets import FunctionGadget, NAMED_KINDS, make_named, violates
+from .gadgets import FunctionGadget, NAMED_KINDS, make_named
 from .graphs import (
     Graph,
     PairKind,
@@ -359,18 +359,16 @@ def verify_separation(
 ) -> bool:
     """Independent check of a separation; no type closure is consulted.
 
-    The target must violate the relation, the subset must lie in the
-    target's domain and in the relation on the source graph, its image must
-    have ``image_type`` and lie outside the relation, and every gadget the
-    search would apply on ``hosts`` must preserve the relation.
+    The subset must lie in the target's domain and in the relation on the
+    source graph, its image must have ``image_type`` and lie outside the
+    relation, so the target violates it, and every gadget the search would
+    apply on ``hosts`` must preserve the relation.
     Repositioning embeddings preserve every QF relation, so then no chain
     agrees with the target on the subset.
     """
     r = sep.relation
     subset = tuple(sep.subset)
     if len(subset) != r.arity or not set(subset) <= set(target.dom):
-        return False
-    if violates(target, r).preserved:
         return False
     image = tuple(target.apply(x) for x in subset)
     if not r.holds(subset, target.src) or r.holds(image, target.dst):

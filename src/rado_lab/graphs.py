@@ -467,15 +467,22 @@ def _is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
     return all("".join(take(bits[u])) == bits[perm[u]] for u in range(n))
 
 
-def _pin_signatures(g: Graph, points: list[int]) -> list[tuple[int, ...]]:
-    # per vertex: its adjacency to each of ``points``, then its number of
-    # neighbours in each cell of the other vertices, cut by adjacency to them
+def _adjacency_cells(g: Graph, points: Sequence[int]) -> list[int]:
+    # the vertices other than ``points`` cut by adjacency to them: bit i of a
+    # cell's index is set when its vertices are not adjacent to points[i]
     rows = g._rows
     cells = [g.full_mask & ~sum(1 << p for p in points)]
     for p in points:
         cells = [c & rows[p] for c in cells] + [c & ~rows[p] for c in cells]
+    return cells
+
+
+def _pin_signatures(g: Graph, points: list[int]) -> list[tuple[int, ...]]:
+    # per vertex: its adjacency to each of ``points``, then its number of
+    # neighbours in each cell of the other vertices, cut by adjacency to them
+    rows = g._rows
     columns = [[row >> p & 1 for row in rows] for p in points]
-    columns += [[(row & c).bit_count() for row in rows] for c in cells]
+    columns += [[(row & c).bit_count() for row in rows] for c in _adjacency_cells(g, points)]
     return list(zip(*columns))
 
 
@@ -494,18 +501,17 @@ def _pin_masks(g: Graph, pins: dict[int, int]) -> dict[int, int]:
     return masks
 
 
-def _find(parent: list[int], v: int) -> int:
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
-
-
-def _unite(parent: list[int], perm: tuple[int, ...]) -> None:
-    for v, w in enumerate(perm):
-        rv, rw = _find(parent, v), _find(parent, w)
-        if rv != rw:
-            parent[max(rv, rw)] = min(rv, rw)
+def _orbit(v: int, gens: list[tuple[int, ...]]) -> int:
+    # the orbit of v under the group the permutations generate, as a mask
+    orbit, todo = 1 << v, [v]
+    while todo:
+        u = todo.pop()
+        for perm in gens:
+            w = perm[u]
+            if not orbit >> w & 1:
+                orbit |= 1 << w
+                todo.append(w)
+    return orbit
 
 
 def _automorphisms(g: Graph, a: int, b: int, budget: int) -> tuple[tuple[int, ...], ...]:
@@ -519,30 +525,26 @@ def _automorphisms(g: Graph, a: int, b: int, budget: int) -> tuple[tuple[int, ..
     pin 0 -> w and a -> the least neighbour of w for each w not yet in it.
     Every map is checked against the rows before its orbits count.
     """
-    n, rows = g.n, g._rows
+    rows = g._rows
     host = _BudgetedHost(g, budget)
     gens: list[tuple[int, ...]] = []
-    moved, fixed = list(range(n)), list(range(n))  # orbits of all gens, of those fixing 0
 
     def found(pins: dict[int, int]) -> bool:
         perm = next(iter_embedding_maps(g, host, per_vertex=_pin_masks(g, pins)), None)
         if perm is None or not _is_automorphism(g, perm):
             return False
         gens.append(perm)
-        _unite(moved, perm)
-        if perm[0] == 0:
-            _unite(fixed, perm)
         return True
 
     try:
+        # the maps of this first loop all fix 0
         for root, cell in ((a, rows[0]), (b, g.full_mask ^ rows[0] ^ 1)):
-            while cell:
-                w = _least(cell)
-                cell ^= 1 << w
-                if _find(fixed, w) != _find(fixed, root) and not found({0: 0, root: w}):
+            while rest := cell & ~_orbit(root, gens):
+                if not found({0: 0, root: _least(rest)}):
                     return ()
-        for w in range(1, n):
-            if _find(moved, w) != _find(moved, 0) and not found({0: w, a: _least(rows[w])}):
+        while rest := g.full_mask & ~_orbit(0, gens):
+            w = _least(rest)
+            if not found({0: w, a: _least(rows[w])}):
                 return ()
     except _OutOfBudget:
         return ()

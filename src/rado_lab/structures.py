@@ -2,9 +2,10 @@
 respecting the extra structure.
 
 ``iter_structure_maps`` is the one search for maps between structures:
-parts become per-vertex candidate masks of ``iter_embedding_maps`` and
-constants one-bit masks that pin their vertices.  It is the only place that
-dispatches on the structure kind."""
+parts become per-vertex candidate masks of ``iter_embedding_maps``, and a
+constant graph is searched through its associated partition, where each
+constant is a one-vertex part.  It is the only place that dispatches on the
+structure kind."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from .graphs import (
     Embedding,
     Graph,
     GraphFormatError,
+    _adjacency_cells,
     _parse_header,
     format_graph,
     iter_embedding_maps,
@@ -76,20 +78,11 @@ def associate_partitioned(cg: ConstantGraph) -> PartitionedGraph:
     pattern parts are listed from the all-adjacent pattern downward.  Empty
     pattern parts are retained so indexing by pattern is stable.
     """
-    n = len(cg.constants)
-    const_set = set(cg.constants)
-    buckets: dict[int, set[int]] = {p: set() for p in range(2**n)}
-    for v in range(cg.graph.n):
-        if v in const_set:
-            continue
-        p = 0
-        for i, c in enumerate(cg.constants):
-            if cg.graph.has_edge(v, c):
-                p |= 1 << (n - 1 - i)
-        buckets[p].add(v)
+    g = cg.graph
+    cells = _adjacency_cells(g, cg.constants[::-1])  # constant 0 sets the top bit of a cell's index
     parts = [frozenset({c}) for c in cg.constants]
-    parts.extend(frozenset(buckets[p]) for p in range(2**n - 1, -1, -1))
-    return PartitionedGraph(cg.graph, tuple(parts))
+    parts.extend(frozenset(v for v in range(g.n) if cell >> v & 1) for cell in cells)
+    return PartitionedGraph(g, tuple(parts))
 
 
 Structure = Graph | PartitionedGraph | ConstantGraph
@@ -121,9 +114,11 @@ def iter_structure_maps(
     order: Iterable[tuple[int, int]] = (),
 ) -> Iterator[tuple[int, ...]]:
     """The maps of ``iter_embedding_maps`` from ``small`` into ``big`` that
-    respect their extra structure: part i of a partitioned pattern goes into
-    part i of the host, constant i of a constant pattern to constant i of the
-    host.  ``allowed`` and ``order`` pass through.
+    respect their extra structure: part i of ``as_partitioned(small)`` goes
+    into part i of ``as_partitioned(big)``.  For constant graphs the first
+    parts are the constants, one vertex each, so constant i goes to constant
+    i; the pattern parts add nothing, since such a map keeps every vertex's
+    adjacency to the constants.  ``allowed`` and ``order`` pass through.
 
     Both structures must be of one kind, with as many parts or constants;
     otherwise ``ValueError`` is raised at the call.
@@ -134,30 +129,23 @@ def iter_structure_maps(
         raise TypeError(f"unsupported structure type {unsupported}")
     if kind != host_kind:
         raise ValueError(f"structure kind mismatch: pattern is a {kind}, host is a {host_kind}")
-    search = {"allowed": allowed, "order": order}
     if isinstance(small, Graph):
-        return iter_embedding_maps(small, big, **search)
-    if isinstance(small, PartitionedGraph):
-        if len(small.parts) != len(big.parts):
-            raise ValueError(
-                f"part count mismatch: pattern has {len(small.parts)}, "
-                f"host has {len(big.parts)}"
-            )
-        per_vertex = {}
-        for part, host_part in zip(small.parts, big.parts):
-            mask = 0
-            for h in host_part:
-                mask |= 1 << h
-            for v in part:
-                per_vertex[v] = mask
-        return iter_embedding_maps(small.graph, big.graph, per_vertex=per_vertex, **search)
-    if len(small.constants) != len(big.constants):
+        return iter_embedding_maps(small, big, allowed=allowed, order=order)
+    if isinstance(small, ConstantGraph) and len(small.constants) != len(big.constants):
         raise ValueError(
             f"constant count mismatch: pattern has {len(small.constants)}, "
             f"host has {len(big.constants)}"
         )
-    pins = {c: 1 << h for c, h in zip(small.constants, big.constants)}
-    return iter_embedding_maps(small.graph, big.graph, per_vertex=pins, **search)
+    small, big = as_partitioned(small), as_partitioned(big)
+    if len(small.parts) != len(big.parts):
+        raise ValueError(
+            f"part count mismatch: pattern has {len(small.parts)}, "
+            f"host has {len(big.parts)}"
+        )
+    per_vertex = {}
+    for part, host_part in zip(small.parts, big.parts):
+        per_vertex.update(dict.fromkeys(part, sum(1 << h for h in host_part)))
+    return iter_embedding_maps(small.graph, big.graph, per_vertex=per_vertex, allowed=allowed, order=order)
 
 
 def find_part_embeddings(
@@ -177,17 +165,10 @@ def find_const_embeddings(
 
 
 def _structure_embeddings(pattern: Structure, host: Structure, limit: int) -> list[Embedding]:
-    # every part of the pattern's translation lands in the same part of the
-    # host's: for constant graphs the first parts are the constants
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    small, big = as_partitioned(pattern), as_partitioned(host)
-    out = []
-    for mapping in islice(iter_structure_maps(pattern, host), limit):
-        for part, host_part in zip(small.parts, big.parts):
-            assert all(mapping[v] in host_part for v in part)
-        out.append(Embedding(small.graph, big.graph, mapping))
-    return out
+    maps = islice(iter_structure_maps(pattern, host), limit)
+    return [Embedding(pattern.graph, host.graph, mapping) for mapping in maps]
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,20 @@ class TestGenerate:
         code, _ = run_cli(capsys, "generate", "paley", "6")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (("paley",), "paley generation needs q"),
+        (("ec", "13"), "ec generation takes -k, not a positional modulus"),
+        # Paley(13) fails at level 3, and -k would be dropped silently
+        (("paley", "13", "-k", "3"), "paley generation takes --check-k, not -k"),
+    ], ids=["paley-no-q", "ec-modulus", "paley-k"])
+    def test_misplaced_arguments_are_refused(self, workspace, capsys, argv, message):
+        code = main(["generate", *argv, "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert list(workspace.iterdir()) == []
+
     def test_refused_check_writes_no_file(self, workspace, capsys):
         code = main(["generate", "paley", "13", "-o", "x.g", "--check-k", "0"])
         captured = capsys.readouterr()
@@ -276,6 +290,14 @@ class TestClassifyFunction:
         assert code == 1
         assert captured.out == ""
         assert f"error: {option} {value!r} names no vertex" in captured.err
+
+    def test_malformed_vertex_list_is_error(self, workspace, capsys):
+        path = self.write_gadget(workspace, make_named("identity", build_paley(13).graph))
+        code = main(["classify-function", "--gadget", path, "--set", "0,x", "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: malformed vertex list '0,x'\n"
 
     @pytest.mark.parametrize("first, second", [
         (("--set", "0,1"), ("--parts", "0|1")),

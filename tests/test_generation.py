@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -335,7 +336,8 @@ class TestSeparatingInvariant:
         ]
         # an image type inside the relation
         tampered += [replace(sep, image_type=t) for t in sep.relation.types]
-        # a relation the target preserves: it holds on constant triples alone
+        # a relation the target preserves, so the image lies inside it: it
+        # holds on constant triples alone
         constant = TypeSetRelation(3, {qf_type((0, 0, 0), g)})
         image = tuple(target.apply(x) for x in (0, 0, 0))
         tampered.append(Separation(constant, (0, 0, 0), qf_type(image, g)))
@@ -834,3 +836,35 @@ class TestStability:
         hosts = [(paley13.graph, 2), (paley29.graph, 3), (ec3_host, 3)]
         for host, k in hosts:
             assert classify_reduct(parity_relation(3), host, k).reduct_class is ReductClass.SWITCH
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: delete_edge_step(ConstantGraph(complete_graph(2), (0,)), complete_graph(3)),
+            ValueError,
+            "the marked graph needs exactly two constants",
+        ),
+        (
+            # K4 has triangles but no induced path on three vertices
+            lambda: delete_edge_step(ConstantGraph(complete_graph(3), (0, 1)), complete_graph(4)),
+            PatternNotFoundError,
+            "host has no copy of the edge-deleted 3-vertex graph",
+        ),
+        (
+            lambda: collapse_all(
+                [0, 1], complete_graph(3), make_named("identity", path_graph(3)), make_named("identity", complete_graph(3))
+            ),
+            ValueError,
+            "gadget g must map the host to itself",
+        ),
+        (lambda: canonical_form(empty_graph(9)), ValueError, "canonical_form is restricted to at most 8 vertices"),
+        (lambda: all_graph_types(6), ValueError, "type tables are precomputed only up to 5 vertices"),
+        (lambda: classify_reduct([], build_paley(13).graph, 2), ValueError, "need at least one relation"),
+    ],
+    ids=["one-constant", "no-deleted-copy", "gadget-off-host", "canonical-9", "types-6", "no-relations"],
+)
+def test_argument_rejections(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -844,3 +845,41 @@ class TestTextFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(GraphFormatError):
             parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: graphs.cycle_graph(2), ValueError, "cycle needs at least 3 vertices"),
+        (lambda: graphs.switch_graph(graphs.path_graph(3), [1, 3]), ValueError, "switch set vertex 3 out of range"),
+        (lambda: graphs.build_paley(1), ValueError, "q=1 is not prime"),
+        (lambda: list(graphs.iter_extension_failures(graphs.path_graph(3), 0)), ValueError, "k must be at least 1"),
+        (lambda: graphs.build_ec(0), ValueError, "k must be at least 1"),
+        (lambda: graphs.find_embeddings(graphs.path_graph(2), graphs.path_graph(3), 0), ValueError, "limit must be at least 1"),
+        (
+            lambda: graphs.extend_partial_iso(graphs.PartialIso(graphs.path_graph(3), ((0, 1),)), 0),
+            ValueError,
+            "vertex 0 already in domain",
+        ),
+        (lambda: graphs.parse_graph("n x\n"), GraphFormatError, "line 1: vertex count is not an integer"),
+        (lambda: graphs.parse_graph("n -1\n"), GraphFormatError, "line 1: negative vertex count"),
+        (lambda: graphs.PartialIso(graphs.path_graph(3), ((0, 1),)).apply(2), KeyError, "2"),
+    ],
+    ids=[
+        "cycle-2", "switch-range", "paley-1", "failures-k0", "ec-k0", "embeddings-limit0",
+        "extend-domain-vertex", "header-not-integer", "header-negative", "apply-missing",
+    ],
+)
+def test_argument_rejections(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [((0, 1), (1, 1)), ((1, 0), (0, 1)), ((0, 0), (1, 2))],
+    ids=["non-injective", "unsorted", "kind-breaking"],
+)
+def test_partial_iso_verify_refuses(pairs):
+    # on P3 = 0-1-2: two values equal, pairs out of order, an edge onto a non-edge
+    assert not graphs.PartialIso(graphs.path_graph(3), pairs).verify()

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, permutations, product
 
 import pytest
@@ -569,3 +570,24 @@ class TestInducedColoring:
             assert emb is not None
             classes = classify_on_set(f, emb.image())
             assert 1 <= len(classes) <= 2
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: CopyColoring(((0, 1),), (), 2), ValueError, "coloring must be total on all copies"),
+        (lambda: CopyColoring(((0, 1),), (2,), 2), ValueError, "color out of range"),
+        (lambda: CopyColoring((), (), 0), ValueError, "need at least one color"),
+        (lambda: CopyColoring(((0, 1),), (0,), 1).color_of((2, 1)), KeyError, "'(1, 2) is not a copy in this coloring'"),
+        (lambda: ArrowQuery(path_graph(3), path_graph(2), path_graph(2), 0), ValueError, "need at least one color"),
+        (
+            lambda: find_edge_nonedge_mono_copy(path_graph(3), path_graph(2), {(0, 1): 0, (1, 2): 0}, {}),
+            ValueError,
+            "non-edge coloring missing pair (0, 2)",
+        ),
+    ],
+    ids=["not-total", "color-range", "no-colors", "unknown-copy", "query-no-colors", "nonedge-missing"],
+)
+def test_argument_rejections(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

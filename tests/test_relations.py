@@ -964,3 +964,38 @@ class TestTypeSetRelation:
             gadget = make_named("minus", g, dom=dom)
             want, got = violates(gadget, r), violates(gadget, t)
             assert (got.preserved, got.witness) == (want.preserved, want.witness), r.name
+
+
+class _Opaque(relations.Relation):
+    # membership given by code alone: no type table and no scan
+    arity, name = 2, "opaque"
+
+    def holds(self, t, g):
+        return True
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: relations.ParityRelation(1), ValueError, "parity relations need arity at least 2"),
+        (lambda: relations.TypeSetRelation(0, ()), ValueError, "type sets need arity at least 1"),
+        (lambda: relations.TupleSetRelation(2, [(0, 1, 2)]), ValueError, "tuple (0, 1, 2) does not have arity 2"),
+        (lambda: relations.FormulaRelation(("E", 0, 2), arity=2), ValueError, "formula mentions a position beyond the arity"),
+        (lambda: eval_relation(edge_relation(), (0, 5), path_graph(3)), ValueError, "tuple entry 5 is not a vertex of the graph"),
+        (lambda: preserved_by_map(edge_relation(), {5: 0}, path_graph(3), path_graph(3)), ValueError, "domain vertex 5 out of range"),
+        (lambda: preserved_by_map(edge_relation(), {0: 5}, path_graph(3), path_graph(3)), ValueError, "image vertex 5 out of range"),
+        (lambda: invariant_under_switch(edge_relation(), path_graph(3), 3), ValueError, "switch vertex 3 out of range"),
+        (
+            lambda: preserved_by_map(_Opaque(), {0: 0, 1: 1}, path_graph(3), path_graph(3)),
+            TypeError,
+            "no scan for relation <Relation opaque>",
+        ),
+    ],
+    ids=[
+        "parity-1", "type-set-0", "tuple-arity", "formula-position", "eval-entry",
+        "map-domain", "map-image", "switch-vertex", "no-scan",
+    ],
+)
+def test_argument_rejections(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

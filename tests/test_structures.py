@@ -1,26 +1,33 @@
+import hashlib
 import random
 import re
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
 from rado_lab import (
     ConstantGraph,
+    FunctionGadget,
     GraphFormatError,
     PartitionedGraph,
     associate_partitioned,
+    build_paley,
     complete_graph,
     cycle_graph,
+    enumerate_copies,
+    find_canonical_copy,
     find_const_embeddings,
     find_embeddings,
     find_part_embeddings,
     format_constant,
     format_partitioned,
     iter_structure_maps,
+    make_named,
     parse_structure,
     path_graph,
 )
 from rado_lab.graphs import Graph
+from rado_lab.ramsey import CopyBudgetExceeded, _symmetry_breaking
 from conftest import random_graph
 
 
@@ -293,8 +300,15 @@ class TestTextFormat:
             ("n 2\npart x: 0 1\n", "line 2: malformed part line"),
             ("n 2\npart 0: 0 y\n", "line 2: malformed part line"),
             ("n 2\npart 0: 0\npart 0: 1\n", "line 3: duplicate part index 0"),
+            ("", "empty input"),
+            # lines the constructors refuse
+            ("n 2\nconst: 1 1\n", "line 2: constants must be pairwise distinct"),
+            ("n 2\npart 0: 0\n", "parts do not cover the vertex set"),
         ],
-        ids=["duplicate-const", "non-integer-const", "part-head", "part-index", "part-member", "duplicate-part"],
+        ids=[
+            "duplicate-const", "non-integer-const", "part-head", "part-index", "part-member", "duplicate-part",
+            "empty", "const-refused", "part-refused",
+        ],
     )
     def test_rejects_malformed_extra_lines(self, text, message):
         with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
@@ -313,3 +327,94 @@ class TestTextFormat:
         # blank, part and const lines still count towards the line number
         with pytest.raises(GraphFormatError, match=f"^line {lineno}: "):
             parse_structure(text)
+
+
+# sha256 over the lines of _constant_battery, taken while each constant was
+# still pinned by a one-bit mask: searching through the associated partition
+# changes no output
+CONSTANT_BATTERY = "815e422ae41913ce4f2bc06b65b4cbb8ab4a4e0e120eeadcb53a2b430b3f3d5c"
+
+
+def _sorted_parts(pg: PartitionedGraph) -> list[list[int]]:
+    return [sorted(part) for part in pg.parts]
+
+
+def _constant_battery() -> list[str]:
+    # seeded constant structures with 0-3 constants on Paley(13), Paley(29)
+    # and eight random hosts on 5-12 vertices, each pattern an induced
+    # subgraph of its host: their maps under random ``allowed`` masks and
+    # ``order`` pairs, copies, symmetry-breaking orders, embeddings,
+    # canonical copies and associated partitions (parts sorted)
+    hosts = [build_paley(13).graph, build_paley(29).graph]
+    hosts += [random_graph(n, 500 + n) for n in range(5, 13)]
+    lines = []
+    for index, host in enumerate(hosts):
+        rng = random.Random(index)
+        for _ in range(25):
+            m = rng.randint(2, 5)
+            count = rng.randint(0, 3 if m > 3 else m)
+            # mostly a copy of an induced subgraph whose constants the host
+            # shares, so that maps exist
+            image = rng.sample(range(host.n), m)
+            constants = tuple(rng.sample(range(m), count))
+            host_constants = tuple(image[c] for c in constants)
+            if rng.random() < 0.25:
+                host_constants = tuple(rng.sample(range(host.n), count))
+            small = ConstantGraph(host.induced(image), constants)
+            big = ConstantGraph(host, host_constants)
+            allowed = rng.choice([None, host.full_mask & ~(1 << rng.randrange(host.n)), rng.getrandbits(host.n)])
+            if allowed is not None:
+                allowed |= sum(1 << h for h in host_constants)
+            order = tuple(tuple(rng.sample(range(m), 2)) for _ in range(rng.randint(0, 2)))
+            maps = list(islice(iter_structure_maps(small, big, allowed=allowed, order=order), 40))
+            try:
+                copies = enumerate_copies(big, small, budget=150)
+            except CopyBudgetExceeded as exc:
+                copies = exc.count
+            embeddings = [e.mapping for e in find_const_embeddings(small, big, 20)]
+            dom = sorted(rng.sample(range(host.n), rng.randint(m, host.n)))
+            kind = rng.randrange(3)
+            if kind == 0:
+                f = make_named("identity", host, dom=dom)
+            elif kind == 1:
+                f = make_named("minus", host, dom=dom)
+            else:
+                f = FunctionGadget(host, host, tuple((x, rng.randrange(host.n)) for x in dom))
+            canonical = find_canonical_copy(f, small, big, 30)
+            lines += [
+                repr(("maps", small, big, allowed, order, maps)),
+                repr(("copies", copies)),
+                repr(("order", _symmetry_breaking(small))),
+                repr(("embeddings", embeddings)),
+                repr(("canonical", f.mapping, f.label, canonical and canonical.mapping)),
+                repr(("partition", _sorted_parts(associate_partitioned(small)), _sorted_parts(associate_partitioned(big)))),
+            ]
+    return lines
+
+
+def test_constant_battery_pinned():
+    lines = _constant_battery()
+    assert len(lines) == 1500
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CONSTANT_BATTERY
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PartitionedGraph(path_graph(2), (frozenset({0, 1, 2}),)), ValueError, "part 0 contains out-of-range vertex 2"),
+        (lambda: PartitionedGraph(path_graph(2), (frozenset({0, 1}),)).part_of(2), KeyError, "2"),
+        (lambda: ConstantGraph(path_graph(2), (2,)), ValueError, "constant 2 out of range"),
+        (lambda: iter_structure_maps(path_graph(2), "n 2\n"), TypeError, "unsupported structure type str"),
+        (
+            lambda: find_part_embeddings(
+                PartitionedGraph(path_graph(2), (frozenset({0, 1}),)), PartitionedGraph(path_graph(2), (frozenset({0, 1}),)), 0
+            ),
+            ValueError,
+            "limit must be at least 1",
+        ),
+    ],
+    ids=["part-range", "part-of-missing", "constant-range", "unsupported", "limit-0"],
+)
+def test_argument_rejections(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
