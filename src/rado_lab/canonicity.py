@@ -21,9 +21,8 @@ from .structures import (
     ConstantGraph,
     PartitionedGraph,
     Structure,
-    as_partitioned,
+    _structure_search,
     associate_partitioned,
-    iter_structure_maps,
 )
 
 
@@ -227,12 +226,11 @@ def find_canonical_copy(
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    maps = iter_structure_maps(pattern, host, allowed=f.dom_mask())
-    pattern_pg, host_graph = as_partitioned(pattern), as_partitioned(host).graph
+    parts, pattern_graph, host_graph, maps = _structure_search(pattern, host, allowed=f.dom_mask())
     if host_graph != f.src:
         raise ValueError("host must live on the gadget's source graph")
     for mapping in islice(maps, limit):
-        image_parts = [[mapping[v] for v in part] for part in pattern_pg.parts]
+        image_parts = [[mapping[v] for v in part] for part in parts]
         if _profile_over_parts(f, image_parts).is_canonical:
-            return Embedding(pattern_pg.graph, host_graph, mapping)
+            return Embedding(pattern_graph, host_graph, mapping)
     return None

@@ -111,6 +111,19 @@ class FunctionGadget:
         src_edge, dst_edge = self.src.has_edge, self.dst.has_edge
         if label in ("eE", "eN"):
             want = label == "eE"
+            # the rows decide: the map is injective when its image has as many
+            # bits as it has points, and then each image row must cover (eE)
+            # or miss (eN) the other images.  Only a failure walks the pairs,
+            # to name the least failing one
+            image = 0
+            for _, y in self.mapping:
+                image |= 1 << y
+            dst_row = self.dst.row
+            if image.bit_count() == len(self.mapping) and all(
+                (dst_row(y) | 1 << y) & image == image if want else not dst_row(y) & image
+                for _, y in self.mapping
+            ):
+                return
             for (x1, y1), (x2, y2) in combinations(self.mapping, 2):
                 if y1 == y2 or dst_edge(y1, y2) != want:
                     need = PairKind.EDGE if want else PairKind.NONEDGE

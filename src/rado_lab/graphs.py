@@ -92,6 +92,18 @@ class Graph:
         self._extension: dict[int, ExtensionResult] | None = None
 
     @classmethod
+    def _derived(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        # a graph on rows the library derived itself, in range, loop-free and
+        # symmetric by construction: none of __init__'s checks run.  Rows
+        # from outside the library enter through __init__ or from_edges
+        g = object.__new__(cls)
+        g.n = n
+        g._rows = rows
+        g._hash = hash((n, rows))
+        g._extension = None
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -131,15 +143,12 @@ class Graph:
                 yield (u, v)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
-        """Induced subgraph, relabelled to 0..len(vertices)-1 in given order."""
+        """Induced subgraph on ``vertices``, which must be vertices of this
+        graph, relabelled to 0..len(vertices)-1 in given order."""
         vs = list(vertices)
-        return Graph.from_edges(
-            len(vs),
-            [
-                (i, j)
-                for i, j in combinations(range(len(vs)), 2)
-                if self.has_edge(vs[i], vs[j])
-            ],
+        rows = [self._rows[v] for v in vs]
+        return Graph._derived(
+            len(vs), tuple(sum(1 << i for i, w in enumerate(vs) if row >> w & 1) for row in rows)
         )
 
     def __eq__(self, other: object) -> bool:
@@ -165,12 +174,16 @@ def pair_kind(g: Graph, u: int, v: int) -> PairKind:
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    return Graph._derived(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << u) for u in range(n)))
+    return Graph._derived(n, tuple(full ^ (1 << u) for u in range(n)))
 
 
 def path_graph(n: int) -> Graph:
@@ -189,7 +202,7 @@ def cycle_graph(n: int) -> Graph:
 
 def complement_graph(g: Graph) -> Graph:
     full = g.full_mask
-    return Graph(g.n, tuple(~g.row(u) & full & ~(1 << u) for u in range(g.n)))
+    return Graph._derived(g.n, tuple(~g.row(u) & full & ~(1 << u) for u in range(g.n)))
 
 
 def switch_graph(g: Graph, s: Iterable[int]) -> Graph:
@@ -210,7 +223,7 @@ def switch_graph(g: Graph, s: Iterable[int]) -> Graph:
         else:
             flip = smask
         out.append((g.row(u) ^ flip) & full & ~(1 << u))
-    return Graph(g.n, tuple(out))
+    return Graph._derived(g.n, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +601,7 @@ def build_ec(k: int, seed: int = 0, *, max_vertices: int | None = None) -> Graph
 
     prev_n = 0
     for _round in range(64):
-        g = Graph(n, tuple(rows))
+        g = Graph._derived(n, tuple(rows))  # every bit is set with its mirror
         failures = list(_iter_failures_touching(g, k, prev_n))
         if not failures and check_extension(g, k).passed:
             return g
@@ -621,10 +634,11 @@ def build_ec(k: int, seed: int = 0, *, max_vertices: int | None = None) -> Graph
                     rows[v] |= 1 << n
             rows.append(new_row)
             n += 1
+    g = Graph._derived(n, tuple(rows))
     raise BuildBudgetError(
         "repair loop did not converge within 64 rounds",
-        partial=Graph(n, tuple(rows)),
-        failing=next(iter_extension_failures(Graph(n, tuple(rows)), k)),
+        partial=g,
+        failing=next(iter_extension_failures(g, k)),
     )
 
 

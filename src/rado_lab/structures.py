@@ -123,6 +123,18 @@ def iter_structure_maps(
     Both structures must be of one kind, with as many parts or constants;
     otherwise ``ValueError`` is raised at the call.
     """
+    return _structure_search(small, big, allowed=allowed, order=order)[3]
+
+
+def _structure_search(
+    small: Structure,
+    big: Structure,
+    *,
+    allowed: int | None,
+    order: Iterable[tuple[int, int]] = (),
+) -> tuple[tuple[Iterable[int], ...], Graph, Graph, Iterator[tuple[int, ...]]]:
+    # the parts of as_partitioned(small), the two graphs searched and the
+    # maps of iter_structure_maps, so a caller needs no second translation
     kind, host_kind = _KIND_NAMES.get(type(small)), _KIND_NAMES.get(type(big))
     if kind is None or host_kind is None:
         unsupported = type(small if kind is None else big).__name__
@@ -130,7 +142,8 @@ def iter_structure_maps(
     if kind != host_kind:
         raise ValueError(f"structure kind mismatch: pattern is a {kind}, host is a {host_kind}")
     if isinstance(small, Graph):
-        return iter_embedding_maps(small, big, allowed=allowed, order=order)
+        maps = iter_embedding_maps(small, big, allowed=allowed, order=order)
+        return (range(small.n),), small, big, maps
     if isinstance(small, ConstantGraph) and len(small.constants) != len(big.constants):
         raise ValueError(
             f"constant count mismatch: pattern has {len(small.constants)}, "
@@ -145,7 +158,8 @@ def iter_structure_maps(
     per_vertex = {}
     for part, host_part in zip(small.parts, big.parts):
         per_vertex.update(dict.fromkeys(part, sum(1 << h for h in host_part)))
-    return iter_embedding_maps(small.graph, big.graph, per_vertex=per_vertex, allowed=allowed, order=order)
+    maps = iter_embedding_maps(small.graph, big.graph, per_vertex=per_vertex, allowed=allowed, order=order)
+    return small.parts, small.graph, big.graph, maps
 
 
 def find_part_embeddings(

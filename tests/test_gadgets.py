@@ -1,9 +1,13 @@
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rado_lab import (
     FunctionGadget,
+    Graph,
     GadgetConstructionError,
     PairColor,
     compose,
@@ -86,6 +90,17 @@ class TestMakeNamed:
             make_named("const", path_graph(3))
 
 
+def _naive_label_error(label, dst, mapping):
+    # the message an eE / eN label check raises: the least pair of domain
+    # points whose images are equal or of the wrong adjacency, by has_edge
+    need = "edge" if label == "eE" else "nonedge"
+    for (x1, y1), (x2, y2) in combinations(sorted(mapping), 2):
+        kind = "equal" if y1 == y2 else "edge" if dst.has_edge(y1, y2) else "nonedge"
+        if kind != need:
+            return f"{label} gadget images of ({x1}, {x2}) form a {kind} pair, need {need}"
+    return None
+
+
 class TestLabelValidation:
     def test_minus_claim_rejected(self):
         with pytest.raises(GadgetConstructionError):
@@ -157,6 +172,39 @@ class TestLabelValidation:
                     else:
                         assert dst in switchings, (src, dst)
         assert pairs == 4166
+
+    @given(
+        st.sampled_from(["eE", "eN"]),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example("eE", 0, 0)
+    @example("eN", 1, 0)
+    @example("eE", 2, 0)
+    @example("eN", 2, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_ee_en_labels_match_naive_pair_oracle(self, label, size, seed):
+        # a domain of ``size`` points of the source, not necessarily all of
+        # it, mapped one-to-one or with collisions into a sparse or dense
+        # destination
+        rng = random.Random(seed)
+        src = random_graph(rng.randint(size, 10), seed)
+        density = rng.choice([0.0, 0.3, 0.7, 1.0])
+        n = rng.randint(1 if size else 0, 10)
+        dst = Graph.from_edges(n, [p for p in combinations(range(n), 2) if rng.random() < density])
+        dom = rng.sample(range(src.n), size)
+        if size <= n and rng.random() < 0.5:
+            images = rng.sample(range(n), size)
+        else:
+            images = rng.choices(range(n), k=size)
+        mapping = tuple(zip(dom, images))
+        want = _naive_label_error(label, dst, mapping)
+        try:
+            FunctionGadget(src, dst, mapping, label)
+        except GadgetConstructionError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
 
     def test_duplicate_domain_vertex(self):
         with pytest.raises(GadgetConstructionError):

@@ -247,6 +247,40 @@ def graphs_up_to_12(draw):
     return Graph.from_edges(n, [p for b, p in enumerate(pairs) if code >> b & 1])
 
 
+def _assert_same_graph(derived: Graph, validated: Graph):
+    assert derived == validated and validated == derived
+    assert hash(derived) == hash(validated)
+    assert [derived.row(u) for u in range(derived.n)] == [validated.row(u) for u in range(validated.n)]
+
+
+class TestDerivedConstructors:
+    """The constructors that skip ``Graph.__init__``'s checks build the graph
+    the validated constructors build."""
+
+    @given(graphs_up_to_12(), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(Graph(0, ()), 0)
+    @example(Graph(1, (0,)), 0)
+    @example(Graph(1, (0,)), 1)
+    @settings(max_examples=150, deadline=None)
+    def test_match_validated_construction(self, g, seed):
+        rng = random.Random(seed)
+        n, pairs = g.n, list(combinations(range(g.n), 2))
+        _assert_same_graph(empty_graph(n), Graph(n, (0,) * n))
+        _assert_same_graph(complete_graph(n), Graph.from_edges(n, pairs))
+        _assert_same_graph(complement_graph(g), Graph.from_edges(n, [p for p in pairs if not g.has_edge(*p)]))
+        cut = set(rng.sample(range(n), rng.randint(0, n)))
+        flipped = [(u, v) for u, v in pairs if g.has_edge(u, v) != ((u in cut) != (v in cut))]
+        _assert_same_graph(switch_graph(g, cut), Graph.from_edges(n, flipped))
+        vs = rng.sample(range(n), rng.randint(0, n))  # any subset, in any order
+        kept = [(i, j) for i, j in combinations(range(len(vs)), 2) if g.has_edge(vs[i], vs[j])]
+        _assert_same_graph(g.induced(vs), Graph.from_edges(len(vs), kept))
+
+    @pytest.mark.parametrize("build", [empty_graph, complete_graph])
+    def test_negative_vertex_count_rejected(self, build):
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            build(-1)
+
+
 class TestExtensionKernel:
     @given(
         graphs_up_to_12(),
