@@ -8,8 +8,6 @@ from .canonicity import (
     BehaviorProfile,
     classify_on_set,
     find_canonical_copy,
-    is_canonical_between,
-    is_canonical_constant_graph,
     profile_partitioned,
 )
 from .gadgets import (
@@ -45,7 +43,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     PairKind,
-    PartialIso,
     build_ec,
     build_paley,
     check_extension,
@@ -53,7 +50,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
-    extend_partial_iso,
     find_embeddings,
     format_graph,
     pair_kind,

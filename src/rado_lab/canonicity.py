@@ -1,5 +1,5 @@
-"""Behavior classification of gadgets on vertex sets, between sets, and over
-partitioned or constant graphs, plus canonical-copy search.
+"""Behavior classification of gadgets on vertex sets and over partitioned
+graphs, plus canonical-copy search.
 
 A gadget is canonical on a region when its pair behavior there depends only
 on the pair kind.  Sets carrying only one pair kind cannot separate all
@@ -17,13 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from .gadgets import FunctionGadget, PairColor
 from .graphs import Embedding, PairKind
 from .relations import _Rewrite, _pullback
-from .structures import (
-    ConstantGraph,
-    PartitionedGraph,
-    Structure,
-    _structure_search,
-    associate_partitioned,
-)
+from .structures import PartitionedGraph, Structure, _structure_search
 
 
 class BehaviorClass(Enum):
@@ -123,19 +117,6 @@ def classify_on_set(f: FunctionGadget, s: Iterable[int]) -> frozenset[BehaviorCl
     return _consistent_classes(_pullback_on(f, (vs,), "set"), _inside(vs))
 
 
-def is_canonical_between(
-    f: FunctionGadget, s1: Iterable[int], s2: Iterable[int]
-) -> frozenset[BehaviorClass]:
-    """Classes consistent with every cross pair between disjoint ``s1``,
-    ``s2``."""
-    a, b = sorted(set(s1)), sorted(set(s2))
-    if not a or not b:
-        raise ValueError("both sets must be nonempty")
-    if set(a) & set(b):
-        raise ValueError("sets must be disjoint")
-    return _consistent_classes(_pullback_on(f, (a + b,), "set"), _between(a, b))
-
-
 UNDETERMINED = "undetermined"
 NON_CANONICAL = "noncanonical"
 
@@ -199,13 +180,6 @@ def profile_partitioned(f: FunctionGadget, pg: PartitionedGraph) -> BehaviorProf
     if pg.graph != f.src:
         raise ValueError("partitioned graph must live on the gadget's source graph")
     return _profile_over_parts(f, pg.parts)
-
-
-def is_canonical_constant_graph(f: FunctionGadget, cg: ConstantGraph) -> BehaviorProfile:
-    """Profile over the n + 2^n partition associated with ``cg``."""
-    if cg.graph != f.src:
-        raise ValueError("constant graph must live on the gadget's source graph")
-    return _profile_over_parts(f, associate_partitioned(cg).parts)
 
 
 def find_canonical_copy(

@@ -16,7 +16,7 @@ import sys
 import time
 from functools import cache
 
-from .canonicity import classify_on_set, profile_partitioned, is_canonical_constant_graph
+from .canonicity import classify_on_set, profile_partitioned
 from .gadgets import FunctionGadget, pair_color, parse_gadget
 from .generation import GeneratorSet, classify_reduct, interpolate, separating_invariant, verify_separation
 from .graphs import (
@@ -31,7 +31,7 @@ from .graphs import (
 )
 from .ramsey import DEFAULT_COLORING_BUDGET, DEFAULT_COPY_BUDGET, ArrowBudget, ArrowQuery, verify_arrow
 from .relations import parse_relation_spec, qf_type
-from .structures import ConstantGraph, PartitionedGraph, parse_structure
+from .structures import ConstantGraph, PartitionedGraph, associate_partitioned, parse_structure
 
 
 class CliError(Exception):
@@ -164,20 +164,19 @@ def _cmd_classify_function(args) -> int:
         "inputs": {args.gadget: _fingerprint(args.gadget)},
         "label": gadget.label,
     }
+    pg = None
     if args.parts is not None:
         parts = tuple(
             frozenset(_parse_vertex_list(chunk)) for chunk in args.parts.split("|")
         )
         if not any(parts):
             raise CliError(f"--parts {args.parts!r} names no vertex")
-        profile = profile_partitioned(gadget, PartitionedGraph(gadget.src, parts))
-        report["verdict"] = {"profile": profile.to_json_dict()}
+        pg = PartitionedGraph(gadget.src, parts)
     elif args.constants is not None:
         constants = tuple(_nonempty_vertex_list("--constants", args.constants))
-        profile = is_canonical_constant_graph(
-            gadget, ConstantGraph(gadget.src, constants)
-        )
-        report["verdict"] = {"profile": profile.to_json_dict()}
+        pg = associate_partitioned(ConstantGraph(gadget.src, constants))
+    if pg is not None:
+        report["verdict"] = {"profile": profile_partitioned(gadget, pg).to_json_dict()}
     else:
         target = list(gadget.dom) if args.set is None else _nonempty_vertex_list("--set", args.set)
         classes = classify_on_set(gadget, target)

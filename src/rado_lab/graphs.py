@@ -666,12 +666,11 @@ class Embedding:
         return tuple(sorted(self.mapping))
 
     def verify(self) -> bool:
-        if len(set(self.mapping)) != self.source.n:
+        m, n = self.mapping, self.source.n
+        if len(m) != n or len(set(m)) != n or (m and not 0 <= min(m) <= max(m) < self.target.n):
             return False
-        for u, v in combinations(range(self.source.n), 2):
-            if self.source.has_edge(u, v) != self.target.has_edge(
-                self.mapping[u], self.mapping[v]
-            ):
+        for u, v in combinations(range(n), 2):
+            if self.source.has_edge(u, v) != self.target.has_edge(m[u], m[v]):
                 return False
         return True
 
@@ -787,65 +786,6 @@ def find_embeddings(pattern: Graph, host: Graph, limit: int) -> list[Embedding]:
     if limit < 1:
         raise ValueError("limit must be at least 1")
     return [Embedding(pattern, host, m) for m in islice(iter_embedding_maps(pattern, host), limit)]
-
-
-# ---------------------------------------------------------------------------
-# partial isomorphisms
-
-
-@dataclass(frozen=True)
-class PartialIso:
-    """Isomorphism between two induced subgraphs of ``host``, given as a
-    sorted tuple of (domain vertex, image vertex) pairs."""
-
-    host: Graph
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def dom(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self.pairs)
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(y for _, y in self.pairs)
-
-    def apply(self, v: int) -> int:
-        for x, y in self.pairs:
-            if x == v:
-                return y
-        raise KeyError(v)
-
-    def verify(self) -> bool:
-        if len(set(self.values)) != len(self.pairs):
-            return False
-        if list(self.pairs) != sorted(self.pairs):
-            return False
-        for (x1, y1), (x2, y2) in combinations(self.pairs, 2):
-            if self.host.has_edge(x1, x2) != self.host.has_edge(y1, y2):
-                return False
-        return True
-
-
-def extend_partial_iso(p: PartialIso, v: int) -> PartialIso | None:
-    """Extend ``p`` to ``v``, choosing the least image vertex realizing v's
-    adjacency pattern over the image of ``p``.
-
-    Success is guaranteed when the host passes check_extension(., k) for some
-    k >= len(p.pairs).  Returns None when no witness exists.
-    """
-    if any(x == v for x, _ in p.pairs):
-        raise ValueError(f"vertex {v} already in domain")
-    g = p.host
-    cand = g.full_mask
-    block = 0
-    for x, y in p.pairs:
-        cand &= g.row(y) if g.has_edge(v, x) else ~g.row(y)
-        block |= 1 << y
-    cand &= ~block & g.full_mask
-    if not cand:
-        return None
-    w = (cand & -cand).bit_length() - 1
-    return PartialIso(g, tuple(sorted(p.pairs + ((v, w),))))
 
 
 # ---------------------------------------------------------------------------

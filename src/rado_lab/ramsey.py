@@ -23,7 +23,13 @@ from typing import Mapping
 
 from .gadgets import FunctionGadget, PairColor, pair_color
 from .graphs import Embedding, Graph
-from .structures import PartitionedGraph, Structure, as_partitioned, iter_structure_maps
+from .structures import (
+    PartitionedGraph,
+    Structure,
+    _structure_search,
+    as_partitioned,
+    iter_structure_maps,
+)
 
 DEFAULT_COLORING_BUDGET = 2**24
 DEFAULT_COPY_BUDGET = 10**5
@@ -61,6 +67,12 @@ def _symmetry_breaking(p: Structure) -> tuple[tuple[int, int], ...]:
     return tuple(order)
 
 
+def _order_preserving(p: Structure) -> tuple[tuple[int, int], ...]:
+    # the pairs a < b of p's vertices: only the order-preserving map meets them all
+    n = (p if isinstance(p, Graph) else p.graph).n
+    return tuple(combinations(range(n), 2))
+
+
 def enumerate_copies(
     big: Structure, small: Structure, *, ordered: bool = False, budget: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -70,10 +82,7 @@ def enumerate_copies(
     Each copy is reached by exactly one map: ordered patterns through the
     order-preserving one, the others through the one that meets the
     symmetry-breaking conditions of the pattern's automorphism group."""
-    if ordered:
-        order = tuple(combinations(range(as_partitioned(small).graph.n), 2))
-    else:
-        order = _symmetry_breaking(small)
+    order = _order_preserving(small) if ordered else _symmetry_breaking(small)
     copies = []
     for mapping in iter_structure_maps(small, big, order=order):
         copies.append(tuple(sorted(mapping)))
@@ -105,13 +114,6 @@ class CopyColoring:
         if self.k < 1:
             raise ValueError("need at least one color")
 
-    def color_of(self, copy: tuple[int, ...]) -> int:
-        key = tuple(sorted(copy))
-        try:
-            return self.colors[self.copies.index(key)]
-        except ValueError:
-            raise KeyError(f"{key} is not a copy in this coloring") from None
-
 
 @dataclass(frozen=True)
 class ArrowQuery:
@@ -124,11 +126,6 @@ class ArrowQuery:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need at least one color")
-
-    @property
-    def vacuous(self) -> bool:
-        """True when P has no copy in H, making the arrow trivially true."""
-        return not enumerate_copies(self.H, self.P, ordered=self.ordered)
 
 
 @dataclass(frozen=True)
@@ -150,13 +147,13 @@ def find_mono_copy(
     """Least embedding of H into S all of whose internal P-copies share one
     color; None when no copy of H works.  With ``ordered``, the coloring is
     over the ordered copies of P and only order-preserving maps of H count."""
-    s_graph, h_graph = as_partitioned(S).graph, as_partitioned(H).graph
     if set(coloring.copies) != set(enumerate_copies(S, P, ordered=ordered)):
         raise ValueError("coloring is not over the copies of P in S")
     copy_index = {c: i for i, c in enumerate(coloring.copies)}
     p_copies = coloring.copies
-    order = tuple(combinations(range(h_graph.n), 2)) if ordered else ()
-    for mapping in iter_structure_maps(H, S, order=order):
+    order = _order_preserving(H) if ordered else ()
+    _, h_graph, s_graph, maps = _structure_search(H, S, allowed=None, order=order)
+    for mapping in maps:
         image = set(mapping)
         inside = [copy_index[c] for c in p_copies if set(c) <= image]
         palette = {coloring.colors[i] for i in inside}

@@ -22,8 +22,6 @@ from rado_lab import (
     empty_graph,
     find_canonical_copy,
     find_embeddings,
-    is_canonical_between,
-    is_canonical_constant_graph,
     make_named,
     nonedge_relation,
     parity_relation,
@@ -112,28 +110,27 @@ class TestClassifyOnSet:
 
 
 class TestBetween:
+    # between-set classes are the off-diagonal cells of a covering profile
     def test_identity_between(self):
-        g = path_graph(4)  # cross pairs of (0,) and (1, 3): edge and non-edge
+        g = path_graph(4)  # cross pairs of {0} and {1, 3}: edge and non-edge
         f = make_named("identity", g)
-        assert is_canonical_between(f, (0,), (1, 3)) == frozenset({BehaviorClass.IDENTITY})
+        pg = PartitionedGraph(g, (frozenset({0}), frozenset({1, 3}), frozenset({2})))
+        assert profile_partitioned(f, pg).classes(0, 1) == frozenset({BehaviorClass.IDENTITY})
 
     def test_switch_between_cut_sides(self):
         g = path_graph(3)
         f = make_named("switch", g, s={0})
         # (0,1) edge flipped, (0,2) non-edge flipped: both kinds of evidence
-        assert is_canonical_between(f, (0,), (1, 2)) == frozenset({BehaviorClass.MINUS})
+        pg = PartitionedGraph(g, (frozenset({0}), frozenset({1, 2})))
+        assert profile_partitioned(f, pg).classes(0, 1) == frozenset({BehaviorClass.MINUS})
 
     def test_switch_away_from_cut(self):
         g = path_graph(4)
         f = make_named("switch", g, s={0})
-        result = is_canonical_between(f, (1,), (2, 3))
+        pg = PartitionedGraph(g, (frozenset({0}), frozenset({1}), frozenset({2, 3})))
+        result = profile_partitioned(f, pg).classes(1, 2)
         assert BehaviorClass.IDENTITY in result
         assert BehaviorClass.MINUS not in result
-
-    def test_overlap_rejected(self):
-        f = make_named("identity", path_graph(3))
-        with pytest.raises(ValueError):
-            is_canonical_between(f, (0, 1), (1, 2))
 
 
 class TestProfiles:
@@ -187,22 +184,12 @@ class TestProfiles:
 
 class TestArgumentRejections:
     # each rejection names what is wrong with the arguments
-    @pytest.mark.parametrize("s1, s2", [((), (0, 1)), ((0, 1), ())])
-    def test_between_needs_two_nonempty_sets(self, s1, s2):
-        f = make_named("identity", path_graph(3))
-        with pytest.raises(ValueError) as info:
-            is_canonical_between(f, s1, s2)
-        assert str(info.value) == "both sets must be nonempty"
-
     def test_structures_on_another_graph(self):
         f = make_named("identity", path_graph(3))
         other = cycle_graph(3)
         with pytest.raises(ValueError) as info:
             profile_partitioned(f, PartitionedGraph(other, (frozenset(range(3)),)))
         assert str(info.value) == "partitioned graph must live on the gadget's source graph"
-        with pytest.raises(ValueError) as info:
-            is_canonical_constant_graph(f, ConstantGraph(other, (0,)))
-        assert str(info.value) == "constant graph must live on the gadget's source graph"
 
     def test_copy_search_limit_and_host(self):
         f = make_named("identity", path_graph(3))
@@ -218,7 +205,7 @@ class TestConstantGraphProfiles:
     def test_identity_always_canonical(self, paley13):
         f = make_named("identity", paley13.graph)
         for constants in [(0,), (0, 1)]:
-            prof = is_canonical_constant_graph(f, ConstantGraph(paley13.graph, constants))
+            prof = profile_partitioned(f, associate_partitioned(ConstantGraph(paley13.graph, constants)))
             assert prof.is_canonical
             for i in range(len(prof.parts)):
                 for j in range(len(prof.parts)):
@@ -232,7 +219,7 @@ class TestConstantGraphProfiles:
         )
         deleted = Graph.from_edges(6, [e for e in host.edges() if e != (0, 1)])
         f = FunctionGadget(host, deleted, tuple((v, v) for v in range(6)), "custom")
-        prof = is_canonical_constant_graph(f, ConstantGraph(host, (0, 1)))
+        prof = profile_partitioned(f, associate_partitioned(ConstantGraph(host, (0, 1))))
         assert prof.is_canonical
         # between the two constant singletons: the edge was deleted
         cell = prof.classes(0, 1)
@@ -247,7 +234,7 @@ class TestConstantGraphProfiles:
     def test_en_gadget_profile_entries(self, paley13):
         g = paley13.graph
         f = make_named("eN", g, dst=empty_graph(13))
-        prof = is_canonical_constant_graph(f, ConstantGraph(g, (0,)))
+        prof = profile_partitioned(f, associate_partitioned(ConstantGraph(g, (0,))))
         m = len(prof.parts)
         for i in range(m):
             for j in range(m):
@@ -413,11 +400,8 @@ class TestKernelAgainstNaiveOracle:
         dom = list(f.dom)
         if len(dom) >= 2:
             s = rng.sample(dom, rng.randint(2, len(dom)))
+            # classes between two sets: test_profiles checks the off-diagonal cells
             assert classify_on_set(f, s) == naive_classes(f, combinations(s, 2))
-            a = rng.sample(dom, rng.randint(1, len(dom) - 1))
-            rest = [v for v in dom if v not in a]
-            b = rng.sample(rest, rng.randint(1, len(rest)))
-            assert is_canonical_between(f, a, b) == naive_classes(f, product(a, b))
 
     @given(gadgets_on(True), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
@@ -429,7 +413,7 @@ class TestKernelAgainstNaiveOracle:
         prof = profile_partitioned(f, PartitionedGraph(f.src, parts))
         assert prof.matrix == naive_matrix(f, [sorted(p) for p in parts])
         cg = ConstantGraph(f.src, tuple(rng.sample(range(n), rng.randint(0, min(3, n)))))
-        prof = is_canonical_constant_graph(f, cg)
+        prof = profile_partitioned(f, associate_partitioned(cg))
         assert prof.matrix == naive_matrix(f, [sorted(p) for p in associate_partitioned(cg).parts])
 
     @given(gadgets_on(False), st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=30))
@@ -479,7 +463,8 @@ def _json_battery(paleys):
                 parts = tuple(frozenset(v for v in range(n) if labels[v] == i) for i in range(m))
                 out.append(profile_partitioned(f, PartitionedGraph(g, parts)).to_json_dict())
             constants = tuple(rng.sample(range(n), rng.randint(1, 3)))
-            out.append(is_canonical_constant_graph(f, ConstantGraph(g, constants)).to_json_dict())
+            cg = ConstantGraph(g, constants)
+            out.append(profile_partitioned(f, associate_partitioned(cg)).to_json_dict())
     return [json.dumps(blob, sort_keys=True) for blob in out]
 
 

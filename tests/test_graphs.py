@@ -12,7 +12,6 @@ from rado_lab import (
     Graph,
     GraphFormatError,
     PairKind,
-    PartialIso,
     build_ec,
     build_paley,
     check_extension,
@@ -20,7 +19,6 @@ from rado_lab import (
     complete_graph,
     cycle_graph,
     empty_graph,
-    extend_partial_iso,
     find_embeddings,
     format_graph,
     pair_kind,
@@ -778,40 +776,6 @@ class TestEdgeCodes:
                     assert edge_code(switch_graph(g, {v})) == edge_code(g) ^ mask
 
 
-class TestPartialIso:
-    def test_empty_extends_to_zero(self, paley13):
-        p = PartialIso(paley13.graph, ())
-        q = extend_partial_iso(p, 5)
-        assert q.pairs == ((5, 0),)
-
-    def test_extends_to_least_neighbor(self, paley13):
-        g = paley13.graph
-        p = PartialIso(g, ((0, 0),))
-        neighbor = next(v for v in range(1, 13) if g.has_edge(0, v))
-        q = extend_partial_iso(p, neighbor)
-        assert q is not None
-        image = q.apply(neighbor)
-        assert g.has_edge(0, image)
-        assert image == min(v for v in range(13) if g.has_edge(0, v))
-
-    def test_fail_when_no_witness(self):
-        # one edge plus an isolated vertex: nothing is adjacent to vertex 2
-        g = Graph.from_edges(3, [(0, 1)])
-        p = PartialIso(g, ((0, 2),))
-        assert extend_partial_iso(p, 1) is None
-
-    def test_property_extends_in_ec_host(self, paley13):
-        g = paley13.graph
-        for a in range(13):
-            for b in range(13):
-                p = PartialIso(g, ((a, b),))
-                for v in range(13):
-                    if v == a:
-                        continue
-                    q = extend_partial_iso(p, v)
-                    assert q is not None and q.verify()
-
-
 class TestRewrites:
     def test_switch_k3_at_vertex(self):
         g = switch_graph(complete_graph(3), {0})
@@ -890,30 +854,30 @@ class TestTextFormat:
         (lambda: list(graphs.iter_extension_failures(graphs.path_graph(3), 0)), ValueError, "k must be at least 1"),
         (lambda: graphs.build_ec(0), ValueError, "k must be at least 1"),
         (lambda: graphs.find_embeddings(graphs.path_graph(2), graphs.path_graph(3), 0), ValueError, "limit must be at least 1"),
-        (
-            lambda: graphs.extend_partial_iso(graphs.PartialIso(graphs.path_graph(3), ((0, 1),)), 0),
-            ValueError,
-            "vertex 0 already in domain",
-        ),
         (lambda: graphs.parse_graph("n x\n"), GraphFormatError, "line 1: vertex count is not an integer"),
         (lambda: graphs.parse_graph("n -1\n"), GraphFormatError, "line 1: negative vertex count"),
-        (lambda: graphs.PartialIso(graphs.path_graph(3), ((0, 1),)).apply(2), KeyError, "2"),
+        (
+            lambda: graphs.Embedding(graphs.path_graph(2), graphs.path_graph(3), (0, 1, 1)),
+            ValueError,
+            "map (0, 1, 1) is not an induced embedding of source into target",
+        ),
+        (
+            lambda: graphs.Embedding(graphs.empty_graph(1), graphs.complete_graph(3), (7,)),
+            ValueError,
+            "map (7,) is not an induced embedding of source into target",
+        ),
+        (
+            lambda: graphs.Embedding(graphs.empty_graph(2), graphs.complete_graph(3), (5, 9)),
+            ValueError,
+            "map (5, 9) is not an induced embedding of source into target",
+        ),
     ],
     ids=[
         "cycle-2", "switch-range", "paley-1", "failures-k0", "ec-k0", "embeddings-limit0",
-        "extend-domain-vertex", "header-not-integer", "header-negative", "apply-missing",
+        "header-not-integer", "header-negative", "embedding-long-map", "embedding-image-range",
+        "embedding-images-range",
     ],
 )
 def test_argument_rejections(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
-
-
-@pytest.mark.parametrize(
-    "pairs",
-    [((0, 1), (1, 1)), ((1, 0), (0, 1)), ((0, 0), (1, 2))],
-    ids=["non-injective", "unsorted", "kind-breaking"],
-)
-def test_partial_iso_verify_refuses(pairs):
-    # on P3 = 0-1-2: two values equal, pairs out of order, an edge onto a non-edge
-    assert not graphs.PartialIso(graphs.path_graph(3), pairs).verify()

@@ -253,19 +253,14 @@ class TestVerifyArrow:
         g = cycle_graph(5)
         assert verify_arrow(ArrowQuery(g, g, complete_graph(2), 1)).verdict == "holds"
 
-    def test_vacuous_query_flagged(self):
-        q = ArrowQuery(complete_graph(4), complete_graph(2), complete_graph(3), 2)
-        assert q.vacuous
-
     def test_antitone_witness_transport(self):
         # a failing coloring on K5 restricts to a failing coloring on K4
         k5_result = verify_arrow(ArrowQuery(complete_graph(5), complete_graph(3), complete_graph(2), 2))
         assert k5_result.verdict == "fails"
         k4 = complete_graph(4)
         restricted_copies = tuple(edge_copies(k4))
-        restricted_colors = tuple(
-            k5_result.witness.color_of(c) for c in restricted_copies
-        )
+        witness = k5_result.witness
+        restricted_colors = tuple(witness.colors[witness.copies.index(c)] for c in restricted_copies)
         chi = CopyColoring(restricted_copies, restricted_colors, 2)
         assert find_mono_copy(k4, complete_graph(3), complete_graph(2), chi) is None
         assert verify_arrow(ArrowQuery(k4, complete_graph(3), complete_graph(2), 2)).verdict == "fails"
@@ -578,7 +573,6 @@ class TestInducedColoring:
         (lambda: CopyColoring(((0, 1),), (), 2), ValueError, "coloring must be total on all copies"),
         (lambda: CopyColoring(((0, 1),), (2,), 2), ValueError, "color out of range"),
         (lambda: CopyColoring((), (), 0), ValueError, "need at least one color"),
-        (lambda: CopyColoring(((0, 1),), (0,), 1).color_of((2, 1)), KeyError, "'(1, 2) is not a copy in this coloring'"),
         (lambda: ArrowQuery(path_graph(3), path_graph(2), path_graph(2), 0), ValueError, "need at least one color"),
         (
             lambda: find_edge_nonedge_mono_copy(path_graph(3), path_graph(2), {(0, 1): 0, (1, 2): 0}, {}),
@@ -586,7 +580,7 @@ class TestInducedColoring:
             "non-edge coloring missing pair (0, 2)",
         ),
     ],
-    ids=["not-total", "color-range", "no-colors", "unknown-copy", "query-no-colors", "nonedge-missing"],
+    ids=["not-total", "color-range", "no-colors", "query-no-colors", "nonedge-missing"],
 )
 def test_argument_rejections(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
