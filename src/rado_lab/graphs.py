@@ -3,10 +3,12 @@ and embedding search.
 
 Vertices are always the contiguous ids 0..n-1.  Adjacency is stored as one
 integer bitmask per vertex, so a pair query is one integer operation.  The
-extension check is one depth-first pass over supports that carries the
-candidate masks of all (U, U') splits of the prefix, one AND per split.
-From level 3 on, host automorphisms found by embedding search can stand in
-for all supports but those through a few representative vertices.
+extension check tells whether a level fails by one depth-first pass over
+supports that carries the candidate masks of all (U, U') splits of the
+prefix, one AND per split; on a failing level, a walk in (U, U') order stops
+at the least failing pair.  Host automorphisms found by embedding search can
+stand in for all supports but those through a few representative vertices,
+on every level below the first where one of those fails.
 Embedding search likewise carries the candidate mask of every unassigned
 pattern vertex and narrows them all when it assigns one (forward checking).
 It assigns pattern vertices in order and host vertices in increasing order,
@@ -298,8 +300,9 @@ class ExtensionResult:
     """Verdict of the k-extension check; ``failing`` is the least bad pair.
 
     ``generators`` are host automorphisms, as vertex maps, that generate a
-    rank 3 group and so let the check skip supports from level 3 on; empty
-    when every level was scanned in full.
+    rank 3 group and so let the check skip all supports but representative
+    ones on the levels below the first where one of those fails; empty when
+    every level was scanned in full.
     """
 
     passed: bool
@@ -370,15 +373,20 @@ def check_extension(g: Graph, k: int) -> ExtensionResult:
     adjacent to all of U and none of U'.  The verdict is kept on ``g``, so a
     second check of the same instance at the same k does not scan.
 
-    Levels 0-2 are scanned in full.  From level 3 on, a regular host is first
-    scanned only on representative supports: those through {0, a} or {0, b},
-    a and b the least neighbour and non-neighbour of 0, which meet every
-    orbit of supports when the automorphisms are rank 3.  A failure there
-    sends the level to the full scan, so ``failing`` is always the least
-    pair.  When they all pass, automorphisms found by pinned embedding
-    searches and checked against the rows must prove rank 3; ``generators``
-    holds them.  Otherwise, or when the searches exceed about the cost of the
-    scans they replace, every level is scanned in full.
+    For k >= 3, a regular host in which 0 has a neighbour and a non-neighbour
+    is first scanned only on representative supports, from level 2 on: those
+    through {0, a} or {0, b}, a and b the least neighbour and non-neighbour
+    of 0, which meet every orbit of supports of size 2 or more when the
+    automorphisms are rank 3 (and {0} meets every orbit at level 1).  If
+    they pass at least level 3, automorphisms found by pinned embedding
+    searches and checked against the rows may prove rank 3; then every level
+    below the first with a failing representative passes, ``generators``
+    holds the automorphisms, and only the levels from there up are scanned
+    in full.  Otherwise, or when the searches exceed about the cost of the
+    level 3 and higher scans they replace, every level is scanned in full.
+    A level is scanned until its first failure, and a failing one is walked
+    again in (U, U') order up to its least pair, so ``failing`` is always
+    the least pair.
     """
     if g._extension is None:
         g._extension = {}
@@ -391,16 +399,47 @@ def check_extension(g: Graph, k: int) -> ExtensionResult:
 def _extension_verdict(g: Graph, k: int) -> ExtensionResult:
     if k < 1:
         raise ValueError("k must be at least 1")
-    for t in range(min(k, 2) + 1):
-        failing = min(_failures_of_size(g, t), default=None)
-        if failing is not None:
-            return ExtensionResult(False, failing)
     gens, first = _levels_passed_by_symmetry(g, k)
     for t in range(first, k + 1):
-        failing = min(_failures_of_size(g, t), default=None)
-        if failing is not None:
-            return ExtensionResult(False, failing, gens)
+        if next(_failures_of_size(g, t), None) is not None:
+            return ExtensionResult(False, _least_failure(g, t), gens)
     return ExtensionResult(True, None, gens)
+
+
+def _least_failure(g: Graph, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    # the least failing pair with |U| + |U'| == t, walking pairs in (U, U')
+    # order: U over sorted tuples, each before its extensions, and for each
+    # U, U' over the sorted (t - |U|)-sets outside U.  The witness mask of a
+    # pair is the AND of U's rows and U''s non-neighbour rows; it fails when
+    # that is empty, and then so does every pair that extends U'
+    n, full, rows = g.n, g.full_mask, g._rows
+    nrows = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
+
+    def least_u2(free: list[int], s: int, i: int, mask: int) -> tuple[int, ...] | None:
+        # the least s-set of free[i:] that empties ``mask``
+        if not s:
+            return None if mask else ()
+        for j in range(i, len(free) - s + 1):
+            m = mask & nrows[free[j]]
+            if not m:
+                return tuple(free[j : j + s])
+            tail = least_u2(free, s - 1, j + 1, m)
+            if tail is not None:
+                return (free[j], *tail)
+        return None
+
+    def walk(u_set: tuple[int, ...], mask: int, start: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        u2 = least_u2([v for v in range(n) if v not in u_set], t - len(u_set), 0, mask)
+        if u2 is not None:
+            return u_set, u2
+        if len(u_set) < t:
+            for v in range(start, n):
+                pair = walk((*u_set, v), mask & rows[v], v + 1)
+                if pair is not None:
+                    return pair
+        return None
+
+    return walk((), full, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +449,9 @@ def _extension_verdict(g: Graph, k: int) -> ExtensionResult:
 # fails.  If the automorphisms are rank 3 (transitive on vertices, on ordered
 # edges and on ordered non-edges), every support of size >= 2 has an image
 # through {0, a} or {0, b}, a the least neighbour of 0 and b its least
-# non-neighbour.  Those sorted vertex sets are the bases below.
+# non-neighbour; those sorted vertex sets are the bases below.  Every
+# support of size 1 has the image {0}, whose pairs pass when 0 has both a
+# neighbour and a non-neighbour.
 
 
 def _least(mask: int) -> int:
@@ -427,23 +468,26 @@ def _first_failing_level(g: Graph, levels: range, bases: tuple[tuple[int, ...], 
 
 
 def _levels_passed_by_symmetry(g: Graph, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    # (generators, first): every level from 3 up to first - 1 passes by the
-    # generators' orbits; first = 3 with no generators when nothing is proved.
-    # Rank 3 needs a regular host.  Levels 0-2 passed, so 0 has a neighbour
-    # and a non-neighbour
+    # (generators, first): every level below first passes by the generators'
+    # orbits; first = 0 with no generators when nothing is proved.  Rank 3
+    # needs a regular host in which 0 has a neighbour and a non-neighbour;
+    # then the pairs of level 1 through {0} pass, and level 0 too
     rows = g._rows
-    if k < 3 or any(row.bit_count() != rows[0].bit_count() for row in rows):
-        return (), 3
+    degree = rows[0].bit_count() if rows else 0
+    if k < 3 or not 0 < degree < g.n - 1 or any(row.bit_count() != degree for row in rows):
+        return (), 0
     a, b = _least(rows[0]), _least(g.full_mask ^ rows[0] ^ 1)
-    top = _first_failing_level(g, range(3, k + 1), ((0, a), (0, b)))
+    top = _first_failing_level(g, range(2, k + 1), ((0, a), (0, b)))
     if top > 3:
-        # the searches may cost about what the full scan of the levels they
-        # replace costs; a search node costs about n candidate pairs
+        # the searches may cost about what the full scan of levels 3..top - 1
+        # costs, a search node about n candidate pairs.  Levels 0-2, cheap
+        # beside those, stay out of the budget: it decides which searches
+        # finish, and so which generators a verdict reports
         budget = sum(comb(g.n, t) << t for t in range(3, top)) // g.n
         gens = _automorphisms(g, a, b, budget)
         if gens:
             return gens, top
-    return (), 3
+    return (), 0
 
 
 class _OutOfBudget(Exception):
@@ -675,9 +719,12 @@ class Embedding:
         return True
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _later_relations(
     pattern: Graph, order: tuple[tuple[int, int], ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, bool], ...], ...]]:
+) -> tuple[tuple[bytes, ...], tuple[tuple[tuple[int, bool], ...], ...]]:
     # cached per (pattern, order).  An entry holds about m * m / 2 slots, so
     # beside the many small patterns searched repeatedly only the last few
     # large ones are kept: a whole host searched for its automorphisms is
@@ -687,9 +734,10 @@ def _later_relations(
 
 def _compute_later_relations(
     pattern: Graph, order: tuple[tuple[int, int], ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, bool], ...], ...]]:
+) -> tuple[tuple[bytes, ...], tuple[tuple[tuple[int, bool], ...], ...]]:
     # adjacency[u]: adjacency of pattern vertex u to m-1, m-2, ..., u+1, in
-    # that order; bounds[u]: (position in that order, must map above u) for
+    # that order, as 0/1 bytes read off the binary digits of its row above u;
+    # bounds[u]: (position in that order, must map above u) for
     # each later vertex ordered against u
     m, rows = pattern.n, pattern._rows
     bounds: list[list[tuple[int, bool]]] = [[] for _ in range(m)]
@@ -698,7 +746,7 @@ def _compute_later_relations(
             raise ValueError(f"order pair ({a}, {b}) needs two distinct pattern vertices")
         lo, hi = min(a, b), max(a, b)
         bounds[lo].append((m - 1 - hi, a < b))
-    adjacency = tuple(tuple(rows[u] >> v & 1 for v in range(m - 1, u, -1)) for u in range(m - 1))
+    adjacency = tuple(format(rows[u] >> u + 1, f"0{m - u - 1}b").encode().translate(_BITS) for u in range(m - 1))
     return adjacency, tuple(map(tuple, bounds))
 
 

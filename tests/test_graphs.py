@@ -291,8 +291,15 @@ class TestExtensionKernel:
     @example(empty_graph(3), 4, 2)
     @settings(max_examples=80, deadline=None)
     def test_matches_naive_oracle(self, g, k, lo):
-        assert list(iter_extension_failures(g, k)) == _naive_failures(g, k)
+        want = _naive_failures(g, k)
+        assert list(iter_extension_failures(g, k)) == want
         assert list(_iter_failures_touching(g, k, lo)) == _naive_failures_touching(g, k, lo)
+        # a fresh instance, so no verdict kept on g is reused
+        result = check_extension(Graph(g.n, tuple(g.row(v) for v in range(g.n))), k)
+        assert (result.passed, result.failing) == (not want, want[0] if want else None)
+        for t in range(k + 1):
+            level = [(u_set, u2) for u_set, u2 in want if len(u_set) + len(u2) == t]
+            assert graphs._least_failure(g, t) == (level[0] if level else None)
 
 
 def _relabelled(g: Graph, seed: int) -> Graph:
@@ -562,6 +569,36 @@ class TestSymmetryPath:
         assert (result.passed, result.failing) == (not want, want[0] if want else None)
         if result.generators:
             _assert_rank_3(g, result.generators)
+
+    @given(regular_graphs())
+    @settings(max_examples=25, deadline=None)
+    def test_regular_graphs_failing_below_level_3_match_naive_oracle(self, g):
+        # hosts that fail level 1 or 2 meet the representative scans, and
+        # perhaps a search, before the full scan
+        result = check_extension(g, 3)
+        want = _naive_failures(g, 3)
+        assert (result.passed, result.failing) == (not want, want[0] if want else None)
+        if want and len(want[0][0] + want[0][1]) < 3:
+            assert result.generators == ()
+        if result.generators:
+            _assert_rank_3(g, result.generators)
+
+    @pytest.mark.parametrize("q", [29, 61])
+    def test_passing_paley_scans_representatives_only(self, q, monkeypatch):
+        # the certificate covers levels 0-2 as well as level 3, so every scan
+        # is one through a representative support
+        g = _relabelled(build_paley(q).graph, q + 1)
+        throughs = []
+        failures_of_size = graphs._failures_of_size
+
+        def recorded(h, t, lo=0, through=()):
+            throughs.append(through)
+            return failures_of_size(h, t, lo, through)
+
+        monkeypatch.setattr(graphs, "_failures_of_size", recorded)
+        result = check_extension(g, 3)
+        assert result.passed and result.generators
+        assert throughs and all(throughs)
 
 
 class TestSymmetryCertificate:
