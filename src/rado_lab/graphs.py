@@ -41,8 +41,8 @@ class GraphFormatError(ValueError):
 class BuildBudgetError(RuntimeError):
     """Raised when the repair loop of :func:`build_ec` exceeds its size budget.
 
-    Carries the partial graph and the least still-failing pair so callers can
-    report progress.
+    Carries the partial graph and ``check_extension(partial, k).failing``,
+    its least failing pair, so callers can report progress.
     """
 
     def __init__(self, message: str, partial: "Graph", failing: tuple):
@@ -95,9 +95,9 @@ class Graph:
 
     @classmethod
     def _derived(cls, n: int, rows: tuple[int, ...]) -> "Graph":
-        # a graph on rows the library derived itself, in range, loop-free and
-        # symmetric by construction: none of __init__'s checks run.  Rows
-        # from outside the library enter through __init__ or from_edges
+        # a graph on rows in range, loop-free and symmetric by construction:
+        # none of __init__'s checks run.  Only a direct Graph(n, rows) walks
+        # rows from outside the library
         g = object.__new__(cls)
         g.n = n
         g._rows = rows
@@ -107,6 +107,10 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on 0..n-1 with ``edges``; n and each edge are checked, and
+        rows set bit by bit with their mirrors need no symmetry walk."""
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -115,7 +119,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        return cls._derived(n, tuple(rows))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._rows[u] >> v & 1)
@@ -359,15 +363,6 @@ def _failures_of_size(
     return rec(0, 0, [full], through)
 
 
-def iter_extension_failures(g: Graph, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All failing (U, U') pairs with |U|+|U'| <= k, ordered by (size, U, U');
-    each size level is found in full and sorted before its first pair comes out."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    for t in range(k + 1):
-        yield from sorted(_failures_of_size(g, t))
-
-
 def check_extension(g: Graph, k: int) -> ExtensionResult:
     """Pass iff every disjoint (U, U') with |U|+|U'| <= k has an outside vertex
     adjacent to all of U and none of U'.  The verdict is kept on ``g``, so a
@@ -608,21 +603,6 @@ def _automorphisms(g: Graph, a: int, b: int, budget: int) -> tuple[tuple[int, ..
     return tuple(gens)
 
 
-def _iter_failures_touching(
-    g: Graph, k: int, lo: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # failing pairs touching a vertex >= lo, in (size, support, split) order:
-    # build_ec packs demands greedily in this order, so it fixes the build.
-    # Adding vertices never invalidates a witness, so after a repair round
-    # only these pairs need rechecking
-    for t in range(k + 1):
-        yield from _failures_of_size(g, t, lo)
-
-
-def _ec_start_size(k: int) -> int:
-    return max(6, k * k * 2**k)
-
-
 def build_ec(k: int, seed: int = 0, *, max_vertices: int | None = None) -> Graph:
     """Build a graph passing ``check_extension(g, k)``, deterministically.
 
@@ -634,7 +614,7 @@ def build_ec(k: int, seed: int = 0, *, max_vertices: int | None = None) -> Graph
     if k < 1:
         raise ValueError("k must be at least 1")
     rng = random.Random(seed)
-    n = _ec_start_size(k)
+    n = max(6, k * k * 2**k)
     if max_vertices is None:
         max_vertices = 4 * n + 32
     rows = [0] * n
@@ -646,7 +626,11 @@ def build_ec(k: int, seed: int = 0, *, max_vertices: int | None = None) -> Graph
     prev_n = 0
     for _round in range(64):
         g = Graph._derived(n, tuple(rows))  # every bit is set with its mirror
-        failures = list(_iter_failures_touching(g, k, prev_n))
+        # failing pairs touching a vertex >= prev_n, in (size, support, split)
+        # order: demands are packed greedily in this order, so it fixes the
+        # build.  Adding vertices never invalidates a witness, so after a
+        # repair round only these pairs need rechecking
+        failures = [pair for t in range(k + 1) for pair in _failures_of_size(g, t, prev_n)]
         if not failures and check_extension(g, k).passed:
             return g
         bundles: list[dict[int, bool]] = []
@@ -664,7 +648,7 @@ def build_ec(k: int, seed: int = 0, *, max_vertices: int | None = None) -> Graph
                 f"size budget {max_vertices} exceeded at n={n} with "
                 f"{len(failures)} failing pairs",
                 partial=g,
-                failing=failures[0],
+                failing=check_extension(g, k).failing,
             )
         prev_n = n
         for demand in bundles:
@@ -682,7 +666,7 @@ def build_ec(k: int, seed: int = 0, *, max_vertices: int | None = None) -> Graph
     raise BuildBudgetError(
         "repair loop did not converge within 64 rounds",
         partial=g,
-        failing=next(iter_extension_failures(g, k)),
+        failing=check_extension(g, k).failing,
     )
 
 

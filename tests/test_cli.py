@@ -187,6 +187,19 @@ class TestClassifyRelation:
         assert cert["class"] == "minus-switch"
         assert cert["complement_checked"] == cert["switch_subsets_checked"] == 0
 
+    @pytest.mark.parametrize(
+        "lines, least", [("0 1\n0 99\n", "(0, 99)"), ("-3 5\n0 1\n13 2\n", "(-3, 5)")], ids=["above", "negative"]
+    )
+    def test_tuple_outside_host_is_error(self, workspace, capsys, lines, least):
+        # refused before classification: the scan would skip such a tuple
+        (workspace / "t.txt").write_text("arity 2\n" + lines)
+        (workspace / "p13.g").write_text(format_graph(build_paley(13).graph))
+        code = main(["classify-relation", "--spec", "tuples:@t.txt", "--host", "p13.g", "-k", "2", "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: tuple {least} in t.txt is not over the host's vertices 0..12\n"
+        assert captured.out == ""
+
     def test_bad_spec_is_error(self, host29, capsys):
         code, _ = run_cli(
             capsys, "classify-relation", "--spec", "parity:banana",

@@ -30,11 +30,9 @@ from rado_lab import graphs
 from rado_lab.graphs import (
     BuildBudgetError,
     Embedding,
-    _iter_failures_touching,
     edge_code,
     graph_of_code,
     iter_embedding_maps,
-    iter_extension_failures,
     switch_masks,
 )
 from conftest import all_raw_graphs, random_graph
@@ -49,12 +47,16 @@ small_graphs = st.integers(min_value=0, max_value=2**15 - 1).map(
 
 class TestGraphBasics:
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 0$"):
             Graph.from_edges(3, [(0, 0)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range for n=3$"):
             Graph.from_edges(3, [(0, 3)])
+
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            Graph.from_edges(-1, [])
 
     @pytest.mark.parametrize(
         "n, rows, message",
@@ -171,13 +173,21 @@ class TestBuildEc:
         assert build_ec(2, seed=4) == build_ec(2, seed=4)
 
     def test_budget_error_reports_partial(self):
-        with pytest.raises(BuildBudgetError) as info:
-            build_ec(3, seed=0, max_vertices=20)
-        # the random start graph already has 72 vertices, so the first round
-        # exceeds the budget
-        partial, (u_set, u2) = info.value.partial, info.value.failing
-        assert partial.n == 72
-        assert not _naive_has_witness(partial, u_set, u2)
+        # k = 3: the random start graph already has 72 vertices, so the first
+        # round exceeds the budget; k = 2 stops after one repair round
+        for k, seed, max_vertices, n, least in [
+            (3, 0, 20, 72, ((), (13, 38, 71))),
+            (2, 2, 17, 16, ((), (1, 4))),
+        ]:
+            with pytest.raises(BuildBudgetError) as info:
+                build_ec(k, seed=seed, max_vertices=max_vertices)
+            partial = info.value.partial
+            assert partial.n == n
+            # the least failing pair of a fresh instance, not the first pair
+            # of the repair round
+            fresh = Graph(partial.n, tuple(partial.row(v) for v in range(partial.n)))
+            assert info.value.failing == check_extension(fresh, k).failing == least
+            assert not _naive_has_witness(partial, *least)
 
     @pytest.mark.parametrize(
         "k,seed,digest",
@@ -292,8 +302,9 @@ class TestExtensionKernel:
     @settings(max_examples=80, deadline=None)
     def test_matches_naive_oracle(self, g, k, lo):
         want = _naive_failures(g, k)
-        assert list(iter_extension_failures(g, k)) == want
-        assert list(_iter_failures_touching(g, k, lo)) == _naive_failures_touching(g, k, lo)
+        assert list(_sorted_failures(g, k)) == want
+        touching = [pair for t in range(k + 1) for pair in graphs._failures_of_size(g, t, lo)]
+        assert touching == _naive_failures_touching(g, k, lo)
         # a fresh instance, so no verdict kept on g is reused
         result = check_extension(Graph(g.n, tuple(g.row(v) for v in range(g.n))), k)
         assert (result.passed, result.failing) == (not want, want[0] if want else None)
@@ -342,8 +353,15 @@ SHRIKHANDE = Graph.from_edges(
 PALEY_CERTIFICATES = "6a133f8d38531e3cea249e4e91a81b446b7c4e11aed9079969b1f3da0f25b163"
 
 
+def _sorted_failures(g: Graph, k: int):
+    # the full-scan reference: every failing pair with |U|+|U'| <= k in
+    # (size, U, U') order, each level found in full and sorted
+    for t in range(k + 1):
+        yield from sorted(graphs._failures_of_size(g, t))
+
+
 def _full_scan(g: Graph, k: int):
-    return next(iter_extension_failures(g, k), None)
+    return next(_sorted_failures(g, k), None)
 
 
 def _assert_matches_full_scan(g: Graph, k: int):
@@ -888,7 +906,6 @@ class TestTextFormat:
         (lambda: graphs.cycle_graph(2), ValueError, "cycle needs at least 3 vertices"),
         (lambda: graphs.switch_graph(graphs.path_graph(3), [1, 3]), ValueError, "switch set vertex 3 out of range"),
         (lambda: graphs.build_paley(1), ValueError, "q=1 is not prime"),
-        (lambda: list(graphs.iter_extension_failures(graphs.path_graph(3), 0)), ValueError, "k must be at least 1"),
         (lambda: graphs.build_ec(0), ValueError, "k must be at least 1"),
         (lambda: graphs.find_embeddings(graphs.path_graph(2), graphs.path_graph(3), 0), ValueError, "limit must be at least 1"),
         (lambda: graphs.parse_graph("n x\n"), GraphFormatError, "line 1: vertex count is not an integer"),
@@ -910,7 +927,7 @@ class TestTextFormat:
         ),
     ],
     ids=[
-        "cycle-2", "switch-range", "paley-1", "failures-k0", "ec-k0", "embeddings-limit0",
+        "cycle-2", "switch-range", "paley-1", "ec-k0", "embeddings-limit0",
         "header-not-integer", "header-negative", "embedding-long-map", "embedding-image-range",
         "embedding-images-range",
     ],
