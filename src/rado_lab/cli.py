@@ -30,7 +30,7 @@ from .graphs import (
     parse_graph,
 )
 from .ramsey import DEFAULT_COLORING_BUDGET, DEFAULT_COPY_BUDGET, ArrowBudget, ArrowQuery, verify_arrow
-from .relations import TupleSetRelation, parse_relation_spec, qf_type
+from .relations import parse_relation_spec, qf_type
 from .structures import ConstantGraph, PartitionedGraph, associate_partitioned, parse_structure
 
 
@@ -126,14 +126,6 @@ def _cmd_generate(args) -> int:
 def _cmd_classify_relation(args) -> int:
     relations = [parse_relation_spec(spec) for spec in args.spec]
     host = _read_graph_file(args.host)
-    for relation in relations:
-        if isinstance(relation, TupleSetRelation):
-            # a tuple file is read without the host, so its ids are checked here
-            outside = min((t for t in relation.tuples if not all(0 <= x < host.n for x in t)), default=None)
-            if outside is not None:
-                raise CliError(
-                    f"tuple {outside} in {relation.graph_name} is not over the host's vertices 0..{host.n - 1}"
-                )
     classification = classify_reduct(
         relations, host, args.k, check_host=not args.no_check_host
     )

@@ -35,6 +35,7 @@ from .relations import (
     EqualityDefinability,
     PreservationResult,
     Relation,
+    TupleSetRelation,
     TypeSetRelation,
     _acts_within,
     _each_switch,
@@ -704,11 +705,21 @@ def classify_reduct(
     relations classify jointly as the lattice join of their individual
     classes (the class of the group generated by everything each relation
     allows).  ``k`` is the host's claimed extension level and is verified
-    up front unless ``check_host`` is disabled.
+    up front unless ``check_host`` is disabled.  A tuple set with an id
+    outside ``0..host.n - 1`` raises ``ValueError`` naming its least such
+    tuple.
     """
     rel_list = [relations] if isinstance(relations, Relation) else list(relations)
     if not rel_list:
         raise ValueError("need at least one relation")
+    for r in rel_list:
+        if isinstance(r, TupleSetRelation):
+            # the scans would skip a tuple with an id outside the host
+            outside = min((t for t in r.tuples if not all(0 <= x < host.n for x in t)), default=None)
+            if outside is not None:
+                raise ValueError(
+                    f"tuple {outside} in {r.graph_name or r.name} is not over the host's vertices 0..{host.n - 1}"
+                )
     max_arity = max(r.arity for r in rel_list)
     if host.n < max_arity:
         raise ValueError(

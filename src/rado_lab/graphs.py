@@ -10,7 +10,8 @@ at the least failing pair.  Host automorphisms found by embedding search can
 stand in for all supports but those through a few representative vertices,
 on every level below the first where one of those fails.
 Embedding search likewise carries the candidate mask of every unassigned
-pattern vertex and narrows them all when it assigns one (forward checking).
+pattern vertex, all packed into one integer, and narrows them all when it
+assigns one (forward checking).
 It assigns pattern vertices in order and host vertices in increasing order,
 so the first map found is the lexicographically least: callers take it as
 their witness.
@@ -538,17 +539,18 @@ def _pin_signatures(g: Graph, points: list[int]) -> list[tuple[int, ...]]:
     return list(zip(*columns))
 
 
-def _pin_masks(g: Graph, pins: dict[int, int]) -> dict[int, int]:
+def _pin_masks(g: Graph, pins: dict[int, int], signatures: list[tuple[int, ...]]) -> dict[int, int]:
     # per_vertex masks for the maps of g onto itself that send each pinned p
-    # to pins[p].  Such a map keeps every vertex's signature against the
-    # pins (read against their images), so only vertices of equal signature
-    # are candidates: the masks drop no map, and the search finds the same
-    # first map with far fewer dead branches
+    # to pins[p], given each vertex's signature against the pinned sources
+    # (``_pin_signatures(g, list(pins))``).  Such a map keeps every vertex's
+    # signature against the pins (read against their images), so only
+    # vertices of equal signature are candidates: the masks drop no map, and
+    # the search finds the same first map with far fewer dead branches
     by_signature: dict[tuple[int, ...], int] = {}
     for h, sig in enumerate(_pin_signatures(g, list(pins.values()))):
         by_signature[sig] = by_signature.get(sig, 0) | 1 << h
     images = sum(1 << w for w in pins.values())
-    masks = {v: by_signature.get(sig, 0) & ~images for v, sig in enumerate(_pin_signatures(g, list(pins)))}
+    masks = {v: by_signature.get(sig, 0) & ~images for v, sig in enumerate(signatures)}
     masks.update((p, 1 << w) for p, w in pins.items())
     return masks
 
@@ -580,9 +582,11 @@ def _automorphisms(g: Graph, a: int, b: int, budget: int) -> tuple[tuple[int, ..
     rows = g._rows
     host = _BudgetedHost(g, budget)
     gens: list[tuple[int, ...]] = []
+    # every search pins the sources 0 and a, or 0 and b
+    signatures = {root: _pin_signatures(g, [0, root]) for root in (a, b)}
 
-    def found(pins: dict[int, int]) -> bool:
-        perm = next(iter_embedding_maps(g, host, per_vertex=_pin_masks(g, pins)), None)
+    def found(root: int, pins: dict[int, int]) -> bool:
+        perm = next(iter_embedding_maps(g, host, per_vertex=_pin_masks(g, pins, signatures[root])), None)
         if perm is None or not _is_automorphism(g, perm):
             return False
         gens.append(perm)
@@ -592,11 +596,11 @@ def _automorphisms(g: Graph, a: int, b: int, budget: int) -> tuple[tuple[int, ..
         # the maps of this first loop all fix 0
         for root, cell in ((a, rows[0]), (b, g.full_mask ^ rows[0] ^ 1)):
             while rest := cell & ~_orbit(root, gens):
-                if not found({0: 0, root: _least(rest)}):
+                if not found(root, {0: 0, root: _least(rest)}):
                     return ()
         while rest := g.full_mask & ~_orbit(0, gens):
             w = _least(rest)
-            if not found({0: w, a: _least(rows[w])}):
+            if not found(a, {0: w, a: _least(rows[w])}):
                 return ()
     except _OutOfBudget:
         return ()
@@ -703,35 +707,55 @@ class Embedding:
         return True
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
+# per pattern vertex: (adj, nadj, low, guard, bounds), see below
+_Level = tuple[int, int, int, int, tuple[tuple[int, bool], ...]]
 
 
-def _later_relations(
-    pattern: Graph, order: tuple[tuple[int, int], ...]
-) -> tuple[tuple[bytes, ...], tuple[tuple[tuple[int, bool], ...], ...]]:
-    # cached per (pattern, order).  An entry holds about m * m / 2 slots, so
-    # beside the many small patterns searched repeatedly only the last few
-    # large ones are kept: a whole host searched for its automorphisms is
-    # dropped once the next host comes
-    return (_later_small if pattern.n <= 16 else _later_large)(pattern, order)
+def _later_relations(pattern: Graph, order: tuple[tuple[int, int], ...], n: int) -> tuple[int, tuple[_Level, ...]]:
+    # cached per (pattern, order, host size).  An entry holds about 2 m * m * w
+    # bits, so beside the many small patterns searched repeatedly only the
+    # last few large ones are kept: a whole host searched for its
+    # automorphisms is dropped once the next host comes
+    return (_later_small if pattern.n <= 16 else _later_large)(pattern, order, n)
 
 
 def _compute_later_relations(
-    pattern: Graph, order: tuple[tuple[int, int], ...]
-) -> tuple[tuple[bytes, ...], tuple[tuple[tuple[int, bool], ...], ...]]:
-    # adjacency[u]: adjacency of pattern vertex u to m-1, m-2, ..., u+1, in
-    # that order, as 0/1 bytes read off the binary digits of its row above u;
-    # bounds[u]: (position in that order, must map above u) for
-    # each later vertex ordered against u
+    pattern: Graph, order: tuple[tuple[int, int], ...], n: int
+) -> tuple[int, tuple[_Level, ...]]:
+    # (w, levels): levels[u] describes, for pattern vertex u < m - 1, the
+    # packed layout of the search state after u is assigned, one field of
+    # width w per later vertex, u + 1 at the bottom.  It holds adj and nadj,
+    # a 1 at the foot of each field whose vertex is adjacent / not adjacent
+    # to u; low, the n bits of each field below its guard bit n, and guard,
+    # those guard bits; and bounds, (shift of the field, must map above u)
+    # for each later vertex ordered against u
     m, rows = pattern.n, pattern._rows
+    w = max(m, n) + 1  # room for a pattern row, and for a host mask below its guard
     bounds: list[list[tuple[int, bool]]] = [[] for _ in range(m)]
     for a, b in order:
         if a == b or not (0 <= a < m and 0 <= b < m):
             raise ValueError(f"order pair ({a}, {b}) needs two distinct pattern vertices")
         lo, hi = min(a, b), max(a, b)
-        bounds[lo].append((m - 1 - hi, a < b))
-    adjacency = tuple(format(rows[u] >> u + 1, f"0{m - u - 1}b").encode().translate(_BITS) for u in range(m - 1))
-    return adjacency, tuple(map(tuple, bounds))
+        bounds[lo].append(((hi - lo - 1) * w, a < b))
+    # field v of the matrix holds row v, so by symmetry the feet of
+    # matrix >> u spell row u
+    matrix = _packed(rows, w)
+    feet = ((1 << m * w) - 1) // ((1 << w) - 1)
+    levels: list[_Level] = []
+    for u in range(m - 1):
+        shift = (u + 1) * w
+        later = feet >> shift
+        adj = matrix >> u + shift & later
+        levels.append((adj, later ^ adj, (later << n) - later, later << n, tuple(bounds[u])))
+    return w, tuple(levels)
+
+
+def _packed(values: Sequence[int], w: int) -> int:
+    # values[i] in the field of width w at bit i * w
+    packed = 0
+    for value in reversed(values):
+        packed = packed << w | value
+    return packed
 
 
 _later_small = lru_cache(maxsize=256)(_compute_later_relations)
@@ -758,14 +782,21 @@ def iter_embedding_maps(
     Forward-checking search: pattern vertices are assigned in order 0..m-1,
     each to its candidate host vertices in increasing order, so the maps come
     out lexicographically and the first one is the least.  The search carries
-    the candidate mask of every unassigned pattern vertex; mapping u to h ANDs
-    each later mask with h's row or with h's non-neighbours other than h
-    (which keeps the map injective) and, for a later vertex ordered against
-    u, with the vertices above or below h.  A branch is cut as soon as a
-    later mask is empty.
+    the candidate mask of every unassigned pattern vertex, packed into one
+    integer: a field of width w = max(m, n) + 1 per vertex, the next one at
+    the bottom.  Mapping u to h ANDs each later field with h's row or with
+    h's non-neighbours other than h (which keeps the map injective) by two
+    multiplications, the rows spread over the feet of the adjacent and of the
+    non-adjacent fields, and, for a later vertex ordered against u, ANDs its
+    field with the vertices above or below h.  A branch is cut as soon as a
+    later field is empty, which one addition tells: it carries into a guard
+    bit at position n of each nonempty field.  Each node reads one host row,
+    as an unpacked search would, and the maps come in the same order; the
+    state costs O(m * n) bits a node, so hosts of a few hundred vertices pay
+    for the multiplications.
     """
     m, full = pattern.n, host.full_mask
-    later, bounds = _later_relations(pattern, tuple(order))
+    w, levels = _later_relations(pattern, tuple(order), full.bit_length())
     if m == 0:
         yield ()
         return
@@ -775,10 +806,9 @@ def iter_embedding_maps(
         masks = [avail & per_vertex.get(u, avail) for u in range(m)]
     if not all(masks):
         return
-    # level[u]: the masks of pattern vertices m-1, ..., u given im[:u], in
-    # that order, so zip with later[u] drops u's own; cand[u]: the
-    # candidates of u not tried yet
-    level = [masks[::-1]] * m
+    # rest[u]: the fields of pattern vertices u+1, ..., m-1 given im[:u],
+    # u + 1 at the bottom; cand[u]: the candidates of u not tried yet
+    rest = [_packed(masks, w) >> w] * m
     cand = [masks[0]] * m
     im = [0] * m
     last = m - 1
@@ -800,16 +830,14 @@ def iter_embedding_maps(
         cand[u] = c ^ b
         im[u] = b.bit_length() - 1
         row = host.row(im[u])
-        nrow = full ^ row ^ b
-        nxt = [mk & row if adj else mk & nrow for mk, adj in zip(level[u], later[u])]
-        if bounds[u]:
-            above, below = full ^ ((b << 1) - 1), b - 1
-            for i, up in bounds[u]:
-                nxt[i] &= above if up else below
-        if all(nxt):
+        adj, nadj, low, guard, bounds = levels[u]
+        state = rest[u] & (row * adj | (full ^ row ^ b) * nadj)
+        for shift, up in bounds:
+            state &= ~((b - 1 if up else full ^ ((b << 1) - 1)) << shift)
+        if (state + low) & guard == guard:
             u += 1
-            level[u] = nxt
-            cand[u] = nxt[-1]
+            rest[u] = state >> w
+            cand[u] = state & full
 
 
 def find_embeddings(pattern: Graph, host: Graph, limit: int) -> list[Embedding]:

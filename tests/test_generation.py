@@ -830,6 +830,19 @@ class TestClassifyReduct:
         # graph-independent membership survives every rewrite
         assert result.reduct_class in (ReductClass.MINUS_SWITCH, ReductClass.EQUALITY)
 
+    @pytest.mark.parametrize(
+        "tuples, least", [([(0, 1), (0, 99)], "(0, 99)"), ([(-3, 5), (0, 1), (13, 2)], "(-3, 5)")],
+        ids=["above", "negative"],
+    )
+    def test_tuple_outside_host_is_refused(self, paley13, tuples, least):
+        # the scans would skip such a tuple and report equality
+        from rado_lab import TupleSetRelation
+
+        r = TupleSetRelation(2, tuples)
+        message = f"tuple {least} in {r.name} is not over the host's vertices 0..12"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classify_reduct([edge_relation(), r], paley13.graph, 2)
+
 
 class TestStability:
     def test_verdicts_stable_across_hosts(self, paley13, paley29, ec3_host):

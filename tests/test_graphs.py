@@ -543,7 +543,8 @@ class TestSymmetryPath:
             for t in (0, 1, 17):
                 sigma = [(s * x + t) % q for x in range(q)]
                 for pinned in ((0,), (0, 1), (0, 2), (3, 5)):
-                    masks = graphs._pin_masks(g, {p: sigma[p] for p in pinned})
+                    pins = {p: sigma[p] for p in pinned}
+                    masks = graphs._pin_masks(g, pins, graphs._pin_signatures(g, list(pins)))
                     assert all(masks[v] >> sigma[v] & 1 for v in range(q))
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -701,7 +702,7 @@ def _naive_row_reads(pattern, host, cands, order):
 @st.composite
 def embedding_instances(draw):
     n = draw(st.integers(min_value=0, max_value=7))
-    m = draw(st.integers(min_value=0, max_value=n))
+    m = draw(st.integers(min_value=0, max_value=n + 2))  # a pattern may outgrow the host
 
     def graph(size):
         pairs = list(combinations(range(size), 2))
@@ -747,6 +748,9 @@ class TestEmbeddingKernel:
     # mapping the centre 0 to host vertex 1 empties the mask of pattern
     # vertex 2 (only host vertex 3) while vertex 1 still has candidates
     @example((Graph.from_edges(3, [(0, 1), (0, 2)]), path_graph(4), {**_NO_RESTRICTION, "per_vertex": {2: 0b1000}}))
+    # a pattern larger than its host makes each packed field wider than
+    # n + 1 bits: a field's emptiness is read at its bit n, not at its top
+    @example((path_graph(4), path_graph(3), {**_NO_RESTRICTION, "per_vertex": {3: 0b001}}))
     @settings(max_examples=150, deadline=None)
     def test_matches_naive_oracle(self, instance):
         pattern, host, kwargs = instance
@@ -764,6 +768,27 @@ class TestEmbeddingKernel:
         )
         # forward checking reads exactly these rows
         assert counter.reads == _naive_row_reads(pattern, host, cands, kwargs["order"])
+
+    @pytest.mark.parametrize(
+        "pattern, order",
+        [
+            (path_graph(3), [(0, 2)]),
+            (cycle_graph(4), [(0, 1), (0, 3)]),
+            (Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), [(1, 2), (2, 3)]),
+            (Graph.from_edges(4, [(0, 1), (2, 3)]), [(3, 0)]),
+        ],
+        ids=["P3", "C4", "K13", "2K2"],
+    )
+    def test_matches_naive_oracle_on_paley29(self, paley29, pattern, order):
+        # each packed field is 30 bits or more wide, past one CPython digit;
+        # relabelled, so that consecutive vertices are not always adjacent
+        g = _relabelled(paley29.graph, 29)
+        host = _RowCounter(g)
+        allowed, per_vertex = g.full_mask ^ 0b1011 << 9, {1: 0b111 << 4}
+        cands = _naive_candidates(pattern, g, allowed, per_vertex, None)
+        maps = list(iter_embedding_maps(pattern, host, allowed=allowed, per_vertex=per_vertex, order=order))
+        assert maps and maps == _naive_embeddings(pattern, g, cands, order)
+        assert host.reads == _naive_row_reads(pattern, g, cands, order)
 
     @pytest.mark.parametrize("pair", [(1, 1), (0, 3), (-1, 0)])
     def test_order_pairs_name_two_pattern_vertices(self, pair):
