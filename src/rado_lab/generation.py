@@ -388,6 +388,15 @@ class PatternNotFoundError(RuntimeError):
     """A required copy of a pattern does not exist in the host."""
 
 
+def _least_copy(g: Graph, host: Graph, name: str) -> tuple[int, ...]:
+    # the least copy of g in host, checked to realize g
+    copy = next(iter_embedding_maps(g, host), None)
+    if copy is None:
+        raise PatternNotFoundError(f"host has no copy of the {name}")
+    assert qf_type(copy, host) == (tuple(range(g.n)), edge_code(g))
+    return copy
+
+
 def delete_edge_step(f_marked: ConstantGraph, host: Graph) -> FunctionGadget:
     """Gadget defined on a copy of the marked graph in ``host`` that keeps
     every pair pattern except the constant pair, which becomes a non-edge.
@@ -402,63 +411,46 @@ def delete_edge_step(f_marked: ConstantGraph, host: Graph) -> FunctionGadget:
     if not f_marked.graph.has_edge(c0, c1):
         raise ValueError("the two constants must be joined by an edge")
     source = f_marked.graph
-    deleted = Graph.from_edges(
-        source.n,
-        [e for e in source.edges() if set(e) != {c0, c1}],
-    )
-    phi1 = next(iter_embedding_maps(source, host), None)
-    if phi1 is None:
-        raise PatternNotFoundError(f"host has no copy of the marked {source.n}-vertex graph")
-    phi2 = next(iter_embedding_maps(deleted, host), None)
-    if phi2 is None:
-        raise PatternNotFoundError(f"host has no copy of the edge-deleted {source.n}-vertex graph")
-    # phi1 and phi2 realize the two graphs and the gadget maps one onto the
+    deleted = Graph.from_edges(source.n, [e for e in source.edges() if set(e) != {c0, c1}])
+    # both copies realize their graphs and the gadget maps one onto the
     # other position by position, so only the marked pair changes kind
-    assert qf_type(phi1, host) == (tuple(range(source.n)), edge_code(source))
-    assert qf_type(phi2, host) == (tuple(range(source.n)), edge_code(deleted))
-    gadget = FunctionGadget(
-        host, host, tuple((phi1[i], phi2[i]) for i in range(source.n)), "custom"
-    )
-    return gadget
+    phi1 = _least_copy(source, host, f"marked {source.n}-vertex graph")
+    phi2 = _least_copy(deleted, host, f"edge-deleted {source.n}-vertex graph")
+    return FunctionGadget(host, host, tuple(zip(phi1, phi2)), "custom")
 
 
 def delete_all_edges(pattern: Graph, host: Graph, k: int) -> InterpolationWitness:
-    """Apply delete_edge_step to the pattern's edges in lexicographic order,
-    the least remaining edge each time, until the image of ``pattern`` in
-    ``host`` is edgeless; one generator step per edge.
+    """Delete the pattern's edges in lexicographic order until the image of
+    ``pattern`` in ``host`` is edgeless; one generator step per edge.
 
-    Every reposition after the placement is the identity, since each gadget
-    is built on the least copy of what remains and the chain already stands
-    there: it starts on the least copy of the pattern, and each gadget maps
-    the least copy of the current graph onto the least copy of the current
-    graph minus its least edge (i, j), the next current graph.  Pinning
-    (i, j) onto the flipped pair finds that same copy: every vertex below i
-    is isolated, so an automorphism swapping i and j can fix them, and a
-    least copy with phi[i] > phi[j] composed with it would be smaller.
+    The chain walks the least copies of the pattern minus its first s
+    edges, s = 0..|E|, each searched and checked once.  Generator s maps
+    copy s onto copy s + 1 position by position, so only the pair of edge
+    s changes kind; the reposition ahead of it is the identity on copy s,
+    where the chain already stands.
 
-    The witness target is an eN-labeled gadget built from the final map, so
+    The witness target is an eN-labeled gadget built from the last copy, so
     its construction-time check independently confirms the empty image.
     ``k`` is ignored; it is removed with the next change to the benchmark,
     which passes it positionally.
     """
-    values = next(iter_embedding_maps(pattern, host), None)
-    if values is None:
-        raise PatternNotFoundError("host has no copy of the start pattern")
+    edges = list(pattern.edges())
+    copies = [
+        _least_copy(Graph.from_edges(pattern.n, edges[s:]), host,
+                    f"edge-deleted {pattern.n}-vertex graph" if s else "start pattern")
+        for s in range(len(edges) + 1)
+    ]
     chain: list[_Link] = [
-        ("reposition", FunctionGadget(pattern, host, tuple(enumerate(values))),
+        ("reposition", FunctionGadget(pattern, host, tuple(enumerate(copies[0]))),
          "place the pattern in the host")
     ]
-    edges = list(pattern.edges())
-    for s, (i, j) in enumerate(edges):
-        current = Graph.from_edges(pattern.n, edges[s:])
-        gadget = delete_edge_step(ConstantGraph(current, (i, j)), host)
+    for (i, j), before, after in zip(edges, copies, copies[1:]):
         chain += [
-            ("reposition", FunctionGadget(host, host, tuple(zip(values, values))),
+            ("reposition", FunctionGadget(host, host, tuple(zip(before, before))),
              f"move copy onto the deletion gadget for edge ({i}, {j})"),
-            ("generator", gadget, "delete the edge"),
+            ("generator", FunctionGadget(host, host, tuple(zip(before, after)), "custom"), "delete the edge"),
         ]
-        values = tuple(gadget.apply(v) for v in values)
-    target = FunctionGadget(pattern, host, tuple(enumerate(values)), "eN")
+    target = FunctionGadget(pattern, host, tuple(enumerate(copies[-1])), "eN")
     return _witness(target, tuple(range(pattern.n)), chain)
 
 
@@ -472,6 +464,9 @@ def collapse_all(
     f_sorted = tuple(sorted(set(f_set)))
     if not f_sorted:
         raise ValueError("collapse_all needs a nonempty vertex set")
+    outside = next((v for v in f_sorted if not 0 <= v < host.n), None)
+    if outside is not None:
+        raise ValueError(f"vertex {outside} is not among the host's vertices 0..{host.n - 1}")
     collapsers = {}
     for gadget, kind, name in ((g, PairKind.EDGE, "g"), (h, PairKind.NONEDGE, "h")):
         if gadget.src != host or gadget.dst != host:

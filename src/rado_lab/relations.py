@@ -188,6 +188,10 @@ def qf_type(t: Sequence[int], g: Graph) -> tuple[tuple[int, ...], int]:
     and the ``edge_code`` of its classes, taken in order of first
     occurrence."""
     classes = list(dict.fromkeys(t))
+    if classes:
+        low, high = min(classes), max(classes)
+        if low < 0 or high >= g.n:
+            raise ValueError(f"tuple entry {low if low < 0 else high} is not a vertex of the graph")
     code = 0
     for bit, (x, y) in enumerate(combinations(classes, 2)):
         if g.row(x) >> y & 1:

@@ -547,6 +547,33 @@ class TestDeleteAllEdges:
         assert deleted >= 50
 
 
+    def test_each_copy_searched_and_checked_once(self, paley29, monkeypatch):
+        # |E| + 1 least copies, each found by one search and checked by one
+        # qf_type, with no per-edge marked graph or deletion step
+        searches, checks = [], []
+
+        def counted(log, call):
+            def wrapped(*args, **kwargs):
+                log.append(args)
+                return call(*args, **kwargs)
+            return wrapped
+
+        def refused(*args, **kwargs):
+            raise AssertionError("delete_all_edges took a per-edge deletion step")
+
+        monkeypatch.setattr(generation, "iter_embedding_maps", counted(searches, generation.iter_embedding_maps))
+        monkeypatch.setattr(generation, "qf_type", counted(checks, generation.qf_type))
+        monkeypatch.setattr(generation, "delete_edge_step", refused)
+        monkeypatch.setattr(generation, "ConstantGraph", refused)
+        for pattern in (complete_graph(4), path_graph(4)):
+            searches.clear()
+            checks.clear()
+            w = delete_all_edges(pattern, paley29.graph, 3)
+            edges = len(list(pattern.edges()))
+            assert w.generator_steps == edges
+            assert (len(searches), len(checks)) == (edges + 1, edges + 1), pattern
+
+
 class TestCollapseAll:
     def test_singleton_needs_no_steps(self, paley29):
         host = paley29.graph
@@ -851,6 +878,12 @@ class TestStability:
             assert classify_reduct(parity_relation(3), host, k).reduct_class is ReductClass.SWITCH
 
 
+def _collapse_on_paley13(vertices):
+    # Paley(13) joins 0 to 1 and not to 2
+    host = build_paley(13).graph
+    return collapse_all(vertices, host, collapsing_gadget(host, (0, 1)), collapsing_gadget(host, (0, 2)))
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -866,17 +899,43 @@ class TestStability:
             "host has no copy of the edge-deleted 3-vertex graph",
         ),
         (
+            # K4 has a triangle but no induced path on three vertices, so the
+            # chain stops at its second copy
+            lambda: delete_all_edges(complete_graph(3), complete_graph(4), 2),
+            PatternNotFoundError,
+            "host has no copy of the edge-deleted 3-vertex graph",
+        ),
+        (
+            # Paley(29) has clique number 4
+            lambda: delete_all_edges(complete_graph(5), build_paley(29).graph, 3),
+            PatternNotFoundError,
+            "host has no copy of the start pattern",
+        ),
+        (
             lambda: collapse_all(
                 [0, 1], complete_graph(3), make_named("identity", path_graph(3)), make_named("identity", complete_graph(3))
             ),
             ValueError,
             "gadget g must map the host to itself",
         ),
+        (
+            lambda: _collapse_on_paley13([0, 13]),
+            ValueError,
+            "vertex 13 is not among the host's vertices 0..12",
+        ),
+        (
+            lambda: _collapse_on_paley13([-1, 0]),
+            ValueError,
+            "vertex -1 is not among the host's vertices 0..12",
+        ),
         (lambda: canonical_form(empty_graph(9)), ValueError, "canonical_form is restricted to at most 8 vertices"),
         (lambda: all_graph_types(6), ValueError, "type tables are precomputed only up to 5 vertices"),
         (lambda: classify_reduct([], build_paley(13).graph, 2), ValueError, "need at least one relation"),
     ],
-    ids=["one-constant", "no-deleted-copy", "gadget-off-host", "canonical-9", "types-6", "no-relations"],
+    ids=[
+        "one-constant", "no-deleted-copy", "no-deleted-copy-in-chain", "no-start-copy", "gadget-off-host",
+        "collapse-beyond", "collapse-negative", "canonical-9", "types-6", "no-relations",
+    ],
 )
 def test_argument_rejections(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -12,6 +12,7 @@ from rado_lab import (
     Graph,
     ReductClass,
     all_graph_types,
+    build_paley,
     classify_reduct,
     complement_graph,
     complete_graph,
@@ -29,6 +30,7 @@ from rado_lab import (
     parse_relation_spec,
     path_graph,
     preserved_by_map,
+    qf_type,
     switch_graph,
     violates,
 )
@@ -985,6 +987,9 @@ class _Opaque(relations.Relation):
         (lambda: preserved_by_map(edge_relation(), {5: 0}, path_graph(3), path_graph(3)), ValueError, "domain vertex 5 out of range"),
         (lambda: preserved_by_map(edge_relation(), {0: 5}, path_graph(3), path_graph(3)), ValueError, "image vertex 5 out of range"),
         (lambda: invariant_under_switch(edge_relation(), path_graph(3), 3), ValueError, "switch vertex 3 out of range"),
+        # a negative id would read a row from the end
+        (lambda: qf_type((-1, 0), build_paley(13).graph), ValueError, "tuple entry -1 is not a vertex of the graph"),
+        (lambda: qf_type((13, 0), build_paley(13).graph), ValueError, "tuple entry 13 is not a vertex of the graph"),
         (
             lambda: preserved_by_map(_Opaque(), {0: 0, 1: 1}, path_graph(3), path_graph(3)),
             TypeError,
@@ -993,7 +998,7 @@ class _Opaque(relations.Relation):
     ],
     ids=[
         "parity-1", "type-set-0", "tuple-arity", "formula-position", "eval-entry",
-        "map-domain", "map-image", "switch-vertex", "no-scan",
+        "map-domain", "map-image", "switch-vertex", "type-negative", "type-beyond", "no-scan",
     ],
 )
 def test_argument_rejections(call, error, message):
