@@ -35,7 +35,6 @@ from .relations import (
     EqualityDefinability,
     PreservationResult,
     Relation,
-    TupleSetRelation,
     TypeSetRelation,
     _acts_within,
     _each_switch,
@@ -174,14 +173,18 @@ def _least_pair(gadget: FunctionGadget, kind: PairKind) -> tuple[int, int] | Non
 # make_named's defaults
 _POOL_PARAMS = {"switch": {"s": {0}}, "const": {"target": 0}}
 
+# the repositioning embeddings the search tries per generator application
+_EMBED_LIMIT = 4
 
-def _named_pool(kinds: frozenset[str], hosts: tuple[Graph, ...]) -> list[FunctionGadget]:
+
+def _named_pool(gens: GeneratorSet, hosts) -> list[FunctionGadget]:
+    # what the search applies and verify_separation re-checks, extras last
     return [
         make_named(kind, host, **_POOL_PARAMS.get(kind, {}))
         for host in hosts
-        for kind in sorted(kinds)
+        for kind in sorted(gens.kinds)
         if host.n >= 1 or kind not in _POOL_PARAMS
-    ]
+    ] + list(gens.extra)
 
 
 def interpolate(
@@ -190,7 +193,6 @@ def interpolate(
     depth: int,
     hosts: list[Graph],
     *,
-    embed_limit: int = 4,
     max_nodes: int = 100_000,
 ) -> InterpolationWitness | None:
     """Bounded-depth search for a chain of generator gadgets, interleaved with
@@ -200,25 +202,25 @@ def interpolate(
     any depth agrees with the target; when it finds one the answer is None
     at once, with no search.  Otherwise, before each application the
     current image moves by an embedding into the gadget's domain; every
-    such embedding is allowed, tried in lexicographic order.  ``depth``
-    bounds the number of generator applications, ``embed_limit`` the
-    repositioning embeddings tried per application, ``max_nodes`` the total
-    search nodes.  None is therefore either a certified separation, which
-    holds at every depth, or "not found within those bounds".
+    application tries the first 4 such embeddings, in lexicographic order.
+    ``depth`` bounds the number of generator applications, ``max_nodes``
+    the total search nodes.  None is therefore either a certified
+    separation, which holds at every depth, or "not found within those
+    bounds".
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if separating_invariant(target, gens) is not None:
         return None
-    return _search(target, gens, depth, hosts, embed_limit, max_nodes)[0]
+    return _search(target, gens, depth, hosts, max_nodes)[0]
 
 
 def _search(
-    target: FunctionGadget, gens: GeneratorSet, depth: int, hosts, embed_limit: int, max_nodes: int
+    target: FunctionGadget, gens: GeneratorSet, depth: int, hosts, max_nodes: int
 ) -> tuple[InterpolationWitness | None, int]:
     # the depth-first search behind ``interpolate``, with the number of
     # nodes it visited (more than ``max_nodes`` when that budget stopped it)
-    pool = _named_pool(gens.kinds, tuple(hosts)) + list(gens.extra)
+    pool = _named_pool(gens, hosts)
     f_dom = target.dom
     # the random graph is homogeneous, so a chain agrees with the target on
     # its domain exactly when the current values have this QF type
@@ -239,7 +241,7 @@ def _search(
         pattern = graph.induced(image)
         for gadget in pool:
             maps = iter_embedding_maps(pattern, gadget.src, allowed=gadget.dom_mask())
-            for mapping in islice(maps, embed_limit):
+            for mapping in islice(maps, _EMBED_LIMIT):
                 assignment = dict(zip(image, mapping))
                 applied = tuple(gadget.apply(assignment[v]) for v in values)
                 if qf_type(applied, gadget.dst) == want:
@@ -376,7 +378,7 @@ def verify_separation(
         return False
     if qf_type(image, target.dst) != sep.image_type:
         return False
-    pool = _named_pool(gens.kinds, tuple(hosts)) + list(gens.extra)
+    pool = _named_pool(gens, hosts)
     return all(preserved_by_map(r, g.as_mapping(), g.src, g.dst).preserved for g in pool)
 
 
@@ -702,19 +704,11 @@ def classify_reduct(
     allows).  ``k`` is the host's claimed extension level and is verified
     up front unless ``check_host`` is disabled.  A tuple set with an id
     outside ``0..host.n - 1`` raises ``ValueError`` naming its least such
-    tuple.
+    tuple; the refusal comes from the equality scan, after the host checks.
     """
     rel_list = [relations] if isinstance(relations, Relation) else list(relations)
     if not rel_list:
         raise ValueError("need at least one relation")
-    for r in rel_list:
-        if isinstance(r, TupleSetRelation):
-            # the scans would skip a tuple with an id outside the host
-            outside = min((t for t in r.tuples if not all(0 <= x < host.n for x in t)), default=None)
-            if outside is not None:
-                raise ValueError(
-                    f"tuple {outside} in {r.graph_name or r.name} is not over the host's vertices 0..{host.n - 1}"
-                )
     max_arity = max(r.arity for r in rel_list)
     if host.n < max_arity:
         raise ValueError(

@@ -35,9 +35,11 @@ complement, or g switched at v restricted to tuples containing v (these two
 share one set-up).  It walks (arity - 1)-prefixes in lexicographic order and
 tests the last coordinate for all candidates at once, as bit masks;
 ``checked`` counts the prefixes.  The equality scan runs the same kernel
-against the membership of the least tuple of each equality pattern.  Tuple
-sets have no table: membership ignores the graph, so identity-map rewrites
-keep them, and only ``preserved_by_map`` walks their sorted member tuples.
+against the membership of the least tuple of each equality pattern; it
+refuses a tuple set with an id outside the host, naming the least such
+tuple.  Tuple sets have no table: membership ignores the graph, so
+identity-map rewrites keep them, and only ``preserved_by_map`` walks their
+sorted member tuples.
 """
 
 from __future__ import annotations
@@ -116,19 +118,17 @@ class QuantifierFreeRelation(Relation):
         # membership of the QF type (rgs, code), read off its least tuple
         return self.holds(rgs, graph_of_code(max(rgs) + 1, code))
 
-    @cached_property
-    def _compiled(self) -> tuple[Mapping[tuple[int, ...], tuple[bool, ...]], TypeFacts] | None:
-        return _compile(type(self), self._definition)
-
     @property
     def type_table(self) -> Mapping[tuple[int, ...], tuple[bool, ...]] | None:
         """Membership per equality pattern, indexed by edge bits (read-only,
         shared by equal relations); None above ``MAX_TABLE_ARITY``."""
-        return None if self._compiled is None else self._compiled[0]
+        compiled = _compile(type(self), self._definition)
+        return None if compiled is None else compiled[0]
 
     @property
     def type_facts(self) -> TypeFacts | None:
-        return None if self._compiled is None else self._compiled[1]
+        compiled = _compile(type(self), self._definition)
+        return None if compiled is None else compiled[1]
 
 
 @lru_cache(maxsize=256)  # keyed by relation definition, shared by equal relations
@@ -546,7 +546,8 @@ def _scan_kernel(r: Relation, dom: Sequence[int], n: int):
     prefixes suffice and the member mask is the xor of the prefix rows;
     formulas walk ordered prefixes and evaluate on masks; type sets walk
     ordered prefixes and read their member types off the prefix's type;
-    tuple sets read an index of their members, which ignores the graph.
+    tuple sets read an index of their members, which ignores the graph,
+    and refuse the least member with an id outside 0..n - 1.
     """
     full = (1 << n) - 1
     k = r.arity - 1
@@ -562,10 +563,12 @@ def _scan_kernel(r: Relation, dom: Sequence[int], n: int):
         def member(prefix, rows, same):
             return _type_set_mask(type_index, prefix, rows, same, full)
     elif isinstance(r, TupleSetRelation):
+        least = min((t for t in r.tuples if not all(0 <= x < n for x in t)), default=None)
+        if least is not None:
+            raise ValueError(f"tuple {least} in {r.graph_name or r.name} is not over the host's vertices 0..{n - 1}")
         index: dict[tuple[int, ...], int] = {}
         for t in r.tuples:
-            if all(0 <= x < n for x in t):
-                index[t[:-1]] = index.get(t[:-1], 0) | 1 << t[-1]
+            index[t[:-1]] = index.get(t[:-1], 0) | 1 << t[-1]
 
         def member(prefix, rows, same):
             return index.get(prefix, 0)
@@ -774,7 +777,8 @@ def _least_of_pattern(t: tuple[int, ...]) -> tuple[int, ...]:
 def definable_from_equality(r: Relation, g: Graph) -> EqualityDefinability:
     """Whether membership on g is constant on each equality pattern.  A
     relation whose type table says so is equality-definable on every graph:
-    that verdict reports ``checked == 0``."""
+    that verdict reports ``checked == 0``.  A tuple set with an id outside
+    g's vertices raises ``ValueError``."""
     facts = r.type_facts
     if facts is not None and facts.equality_definable:
         return EqualityDefinability(True)
@@ -903,8 +907,8 @@ def parse_tuple_file(text: str, graph_name: str | None = None) -> TupleSetRelati
     if not lines or not lines[0].startswith("arity "):
         raise RelationSpecError("tuple file must start with 'arity <m>'")
     try:
-        arity = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        (arity,) = map(int, lines[0].split()[1:])
+    except ValueError:
         raise RelationSpecError("malformed arity header") from None
     tuples = []
     for lineno, line in enumerate(lines[1:], start=2):

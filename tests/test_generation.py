@@ -383,13 +383,13 @@ class TestSeparatingInvariant:
                 naive = naive_least_separation(target, gens)
                 if sep is None:
                     assert naive is None, (target, gens)
-                    w, _ = generation._search(target, gens, 1, [host], 4, budget)
+                    w, _ = generation._search(target, gens, 1, [host], budget)
                     positives += w is not None
                     continue
                 certified += 1
                 assert (sep.subset, sep.image_type, sep.relation.types) == naive
                 assert verify_separation(target, gens, [host], sep)
-                w, nodes = generation._search(target, gens, 3, [host], 4, budget)
+                w, nodes = generation._search(target, gens, 3, [host], budget)
                 assert w is None and nodes <= budget, (target, gens)
         assert certified and positives
 
@@ -869,6 +869,15 @@ class TestClassifyReduct:
         message = f"tuple {least} in {r.name} is not over the host's vertices 0..12"
         with pytest.raises(ValueError, match=re.escape(message)):
             classify_reduct([edge_relation(), r], paley13.graph, 2)
+
+    def test_host_checks_come_before_the_tuple_ids(self, paley13):
+        # the ids are refused by the equality scan, which runs after the
+        # host's extension check
+        from rado_lab import TupleSetRelation
+
+        message = "host fails the 3-extension check at ((), (0, 1, 7))"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify_reduct(TupleSetRelation(2, [(0, 99)]), paley13.graph, 3)
 
 
 class TestStability:

@@ -294,10 +294,11 @@ class TestSpecLanguage:
             ("", "tuple file must start with 'arity <m>'"),
             ("0 1\n", "tuple file must start with 'arity <m>'"),
             ("arity x\n", "malformed arity header"),
+            ("arity 2 3\n0 1\n", "malformed arity header"),
             ("arity 2\n0 1\n0 1 2\n", "line 3: expected 2 entries"),
             ("arity 2\n0 a\n", "line 2: entries must be integers"),
         ],
-        ids=["empty", "no-header", "arity", "entry-count", "entry-type"],
+        ids=["empty", "no-header", "arity", "arity-extra", "entry-count", "entry-type"],
     )
     def test_tuple_file_errors(self, text, message):
         with pytest.raises(RelationSpecError, match=f"^{re.escape(message)}$"):
@@ -990,6 +991,19 @@ class _Opaque(relations.Relation):
         # a negative id would read a row from the end
         (lambda: qf_type((-1, 0), build_paley(13).graph), ValueError, "tuple entry -1 is not a vertex of the graph"),
         (lambda: qf_type((13, 0), build_paley(13).graph), ValueError, "tuple entry 13 is not a vertex of the graph"),
+        # the equality scan refuses ids outside the host, which its index would
+        # skip; invariant_under_complement on the same set still returns
+        # preserved with checked 0, since identity rewrites never read ids
+        (
+            lambda: definable_from_equality(TupleSetRelation(2, [(0, 1), (0, 99)]), build_paley(13).graph),
+            ValueError,
+            "tuple (0, 99) in tuples:<anon>[2] is not over the host's vertices 0..12",
+        ),
+        (
+            lambda: definable_from_equality(TupleSetRelation(2, [(-3, 5), (0, 1)]), build_paley(13).graph),
+            ValueError,
+            "tuple (-3, 5) in tuples:<anon>[2] is not over the host's vertices 0..12",
+        ),
         (
             lambda: preserved_by_map(_Opaque(), {0: 0, 1: 1}, path_graph(3), path_graph(3)),
             TypeError,
@@ -998,7 +1012,8 @@ class _Opaque(relations.Relation):
     ],
     ids=[
         "parity-1", "type-set-0", "tuple-arity", "formula-position", "eval-entry",
-        "map-domain", "map-image", "switch-vertex", "type-negative", "type-beyond", "no-scan",
+        "map-domain", "map-image", "switch-vertex", "type-negative", "type-beyond",
+        "tuple-beyond-host", "tuple-negative", "no-scan",
     ],
 )
 def test_argument_rejections(call, error, message):
