@@ -283,19 +283,17 @@ def parse_gadget(text: str, read_graph) -> FunctionGadget:
     Validation of the label property happens in the constructor, so a gadget
     file claiming e.g. ``label minus`` for a non-flipping map is rejected.
     """
-    src = dst = None
-    label = "custom"
+    named = {}  # src, dst and label, each named once
     mapping = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("src "):
-            src = read_graph(line[4:].strip())
-        elif line.startswith("dst "):
-            dst = read_graph(line[4:].strip())
-        elif line.startswith("label "):
-            label = line[6:].strip()
+        head, _, rest = line.partition(" ")
+        if head in ("src", "dst", "label") and rest:
+            if head in named:
+                raise GadgetConstructionError(f"line {lineno}: duplicate {head} line")
+            named[head] = rest.strip() if head == "label" else read_graph(rest.strip())
         elif "->" in line:
             left, _, right = line.partition("->")
             try:
@@ -306,6 +304,6 @@ def parse_gadget(text: str, read_graph) -> FunctionGadget:
                 ) from None
         else:
             raise GadgetConstructionError(f"line {lineno}: unrecognized line {line!r}")
-    if src is None or dst is None:
+    if "src" not in named or "dst" not in named:
         raise GadgetConstructionError("gadget file must name src and dst graphs")
-    return FunctionGadget(src, dst, tuple(mapping), label)
+    return FunctionGadget(named["src"], named["dst"], tuple(mapping), named.get("label", "custom"))

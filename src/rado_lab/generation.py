@@ -37,7 +37,7 @@ from .relations import (
     Relation,
     TypeSetRelation,
     _acts_within,
-    _each_switch,
+    _identity_rewrites,
     _pullback,
     definable_from_equality,
     invariant_under_complement,
@@ -206,10 +206,13 @@ def interpolate(
     ``depth`` bounds the number of generator applications, ``max_nodes``
     the total search nodes.  None is therefore either a certified
     separation, which holds at every depth, or "not found within those
-    bounds".
+    bounds".  The named generators act on ``hosts``, which must not be
+    empty.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if not hosts:
+        raise ValueError("interpolation needs at least one host")
     if separating_invariant(target, gens) is not None:
         return None
     return _search(target, gens, depth, hosts, max_nodes)[0]
@@ -365,10 +368,12 @@ def verify_separation(
     The subset must lie in the target's domain and in the relation on the
     source graph, its image must have ``image_type`` and lie outside the
     relation, so the target violates it, and every gadget the search would
-    apply on ``hosts`` must preserve the relation.
+    apply on ``hosts``, which must not be empty, must preserve the relation.
     Repositioning embeddings preserve every QF relation, so then no chain
     agrees with the target on the subset.
     """
+    if not hosts:
+        raise ValueError("interpolation needs at least one host")
     r = sep.relation
     subset = tuple(sep.subset)
     if len(subset) != r.arity or not set(subset) <= set(target.dom):
@@ -681,7 +686,7 @@ def _classify_single(r: Relation, host: Graph) -> RelationCertificate:
     comp = invariant_under_complement(r, host)
     violations = []
     subsets = 0
-    for v, res in enumerate(_each_switch(r, host, range(host.n))):
+    for v, res in enumerate(_identity_rewrites(r, host, range(host.n))):
         subsets += res.checked
         if not res.preserved:
             violations.append((v, res.witness))

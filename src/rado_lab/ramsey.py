@@ -133,6 +133,12 @@ class ArrowBudget:
     colorings: int = DEFAULT_COLORING_BUDGET
     copies: int = DEFAULT_COPY_BUDGET
 
+    def __post_init__(self):
+        if self.colorings < 0:
+            raise ValueError("coloring budget must be non-negative")
+        if self.copies < 0:
+            raise ValueError("copy budget must be non-negative")
+
 
 @dataclass(frozen=True)
 class ArrowResult:

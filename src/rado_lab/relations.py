@@ -31,15 +31,15 @@ it then complements (c = 1) and switches the classes in s.
 
 Every other check runs one scan kernel on adjacency rows: the target graph
 pulled back along the map (a collapsed pair counts as equal), the
-complement, or g switched at v restricted to tuples containing v (these two
-share one set-up).  It walks (arity - 1)-prefixes in lexicographic order and
-tests the last coordinate for all candidates at once, as bit masks;
-``checked`` counts the prefixes.  The equality scan runs the same kernel
-against the membership of the least tuple of each equality pattern; it
-refuses a tuple set with an id outside the host, naming the least such
-tuple.  Tuple sets have no table: membership ignores the graph, so
-identity-map rewrites keep them, and only ``preserved_by_map`` walks their
-sorted member tuples.
+complement, or g switched at v restricted to tuples containing v.  It walks
+(arity - 1)-prefixes in lexicographic order and tests the last coordinate
+for all candidates at once, as bit masks; ``checked`` counts the prefixes.
+The equality scan runs it against the membership of the least tuple of
+each pattern and refuses a tuple set with an id outside the host.
+Complement and switch checks are one gate, ``_identity_rewrites``, over one
+scan, ``_rewrite_scans``, which sets up the rows and the kernel once for
+every rewrite.  Tuple sets have no table: membership ignores the graph, so
+the gate keeps them, and only ``preserved_by_map`` walks their members.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .graphs import Graph, graph_of_code, switch_masks
 
@@ -297,7 +297,9 @@ def _max_index(node) -> int:
         return max(node[1], node[2])
     if op == "not":
         return _max_index(node[1])
-    return max(_max_index(node[1]), _max_index(node[2]))
+    if op in ("and", "or"):
+        return max(_max_index(node[1]), _max_index(node[2]))
+    raise ValueError(f"unknown formula node {op!r}")
 
 
 def _eval_node(node, t: tuple[int, ...], g: Graph) -> bool:
@@ -311,9 +313,7 @@ def _eval_node(node, t: tuple[int, ...], g: Graph) -> bool:
         return not _eval_node(node[1], t, g)
     if op == "and":
         return _eval_node(node[1], t, g) and _eval_node(node[2], t, g)
-    if op == "or":
-        return _eval_node(node[1], t, g) or _eval_node(node[2], t, g)
-    raise ValueError(f"unknown formula node {op!r}")
+    return _eval_node(node[1], t, g) or _eval_node(node[2], t, g)
 
 
 def format_formula(node) -> str:
@@ -347,6 +347,8 @@ def nonedge_relation() -> FormulaRelation:
 
 
 def distinct_relation(arity: int = 2) -> FormulaRelation:
+    if arity < 2:
+        raise ValueError("distinct relations need arity at least 2")
     node = None
     for i, j in combinations(range(arity), 2):
         atom = ("not", ("eq", i, j))
@@ -481,8 +483,6 @@ def _formula_mask(node, prefix: tuple[int, ...], rows, same, full: int) -> int:
         return _formula_mask(node[1], prefix, rows, same, full) | _formula_mask(
             node[2], prefix, rows, same, full
         )
-    if op not in ("E", "eq"):
-        raise ValueError(f"unknown formula node {op!r}")
     table = rows if op == "E" else same
     i, j = node[1], node[2]
     last = len(prefix)
@@ -671,29 +671,12 @@ def _acts_within(rw: _Rewrite, kinds: frozenset[str]) -> bool:
     return False
 
 
-def _kept_by_identity(r: Relation, kind: str) -> bool:
-    # whether identity-map rewrites by ``kind`` keep r on every graph: a tuple
-    # set ignores the graph, a QF relation needs its table closed under kind
-    if isinstance(r, TupleSetRelation):
-        return True
-    facts = r.type_facts
-    return facts is not None and kind in facts.closed_under
-
-
 def invariant_under_complement(r: Relation, g: Graph) -> PreservationResult:
     """Identity-map preservation from g to its complement, both directions;
     the witness of the first failing direction is reported.  A tuple set, or
     a relation whose type table is complement-invariant, is preserved on
     every graph: that verdict reports ``checked == 0``."""
-    if _kept_by_identity(r, "minus"):
-        return PreservationResult(True)
-    return _complement_scan(r, g)
-
-
-def _complement_scan(r: Relation, g: Graph) -> PreservationResult:
-    full = g.full_mask
-    rows = [g.row(u) for u in range(g.n)]
-    return _rewrite_scans(r, rows, [([full ^ row ^ 1 << u for u, row in enumerate(rows)], None)])[0]
+    return _identity_rewrites(r, g, None)[0]
 
 
 def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
@@ -707,20 +690,28 @@ def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
     """
     if not 0 <= v < g.n:
         raise ValueError(f"switch vertex {v} out of range")
-    return _each_switch(r, g, (v,))[0]
+    return _identity_rewrites(r, g, (v,))[0]
 
 
-def _each_switch(r: Relation, g: Graph, vertices: Sequence[int]) -> list[PreservationResult]:
-    # invariant_under_switch(r, g, v) for each v of ``vertices``
-    if _kept_by_identity(r, "switch"):
-        return [PreservationResult(True)] * len(vertices)
-    return _switch_scans(r, g, vertices)
+def _identity_rewrites(r: Relation, g: Graph, at: Sequence[int] | None) -> list[PreservationResult]:
+    # the gate: identity-map rewrites keep a tuple set, which ignores the
+    # graph, and a QF relation whose table is closed under the kind (minus
+    # when ``at`` is None, switch otherwise) on every graph; else the scan
+    facts = r.type_facts
+    kind = "minus" if at is None else "switch"
+    if isinstance(r, TupleSetRelation) or facts is not None and kind in facts.closed_under:
+        return [PreservationResult(True)] * (1 if at is None else len(at))
+    return _rewrite_scans(r, g, at)
 
 
-def _switch_scans(r: Relation, g: Graph, vertices: Sequence[int]) -> list[PreservationResult]:
-    # g against g switched at v, restricted to tuples containing v, for each
-    # v of ``vertices``
-    rows = [g.row(u) for u in range(g.n)]
+def _rewrite_scans(r: Relation, g: Graph, at: Sequence[int] | None) -> list[PreservationResult]:
+    # the scan: identity-map preservation from g to its complement (``at``
+    # None) or to g switched at each v of ``at``, over the tuples through v,
+    # and back; one kernel serves every rewrite, ``checked`` sums both ways
+    n = g.n
+    rows = [g.row(u) for u in range(n)]
+    same = [1 << x for x in range(n)]
+    least_bad = _scan_kernel(r, range(n), n)
 
     def switched(v):
         bit = 1 << v
@@ -728,18 +719,10 @@ def _switch_scans(r: Relation, g: Graph, vertices: Sequence[int]) -> list[Preser
         other[v] ^= g.full_mask
         return other, v
 
-    return _rewrite_scans(r, rows, map(switched, vertices))
-
-
-def _rewrite_scans(
-    r: Relation, rows: list[int], rewrites: Iterable[tuple[list[int], int | None]]
-) -> list[PreservationResult]:
-    # identity-map preservation from ``rows`` to each rewrite (its rows,
-    # must) and back, over the tuples containing must if given; one kernel
-    # serves every rewrite, and ``checked`` sums both directions
-    n = len(rows)
-    same = [1 << x for x in range(n)]
-    least_bad = _scan_kernel(r, range(n), n)
+    if at is None:
+        rewrites = [([g.full_mask ^ row ^ 1 << u for u, row in enumerate(rows)], None)]
+    else:
+        rewrites = map(switched, at)
     results = []
     for other, must in rewrites:
         checked = 0

@@ -370,6 +370,23 @@ class TestRamseyCli:
         assert json.loads(out)["verdict"] == "holds"
 
     @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("--budget-colorings", "coloring budget must be non-negative"),
+            ("--budget-copies", "copy budget must be non-negative"),
+        ],
+    )
+    def test_negative_budget_is_error(self, clique_files, capsys, option, message):
+        code = main([
+            "ramsey", "verify", "--S", clique_files["k5"],
+            "--H", clique_files["k3"], "--P", clique_files["k2"], "-k", "2", option, "-1", "--json",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "p_text,message",
         [
             ("n 2\n0 1\npart 0: 0\npart 1: 1\n", "pattern is a partitioned graph, host is a plain graph"),

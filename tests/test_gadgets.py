@@ -384,6 +384,10 @@ class TestArgumentRejections:
         [
             ("0 -> x", "line 3: malformed map line '0 -> x'"),
             ("0 to 1", "line 3: unrecognized line '0 to 1'"),
+            ("src q.g", "line 3: duplicate src line"),
+            ("dst q.g", "line 3: duplicate dst line"),
+            # a later label line would skip the check of the first one
+            ("label eE\nlabel custom", "line 4: duplicate label line"),
         ],
     )
     def test_gadget_file_lines(self, line, message):

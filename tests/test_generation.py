@@ -312,6 +312,58 @@ class TestSeparatingInvariant:
         with pytest.raises(ValueError):
             interpolate(target, gens, 0, hosts)
 
+    def test_no_host_is_refused(self, paley13):
+        # the minus map on {0, 1, 2} acts as minus, so no certificate ends
+        # the call early; with no host the search would have no generator
+        # and the checker none to check
+        target = make_named("minus", paley13.graph, witness=paley13.complement_witness, dom=(0, 1, 2))
+        gens = GeneratorSet(frozenset({"minus"}))
+        assert interpolate(target, gens, 1, [paley13.graph]) is not None
+        with pytest.raises(ValueError, match="^interpolation needs at least one host$"):
+            interpolate(target, gens, 1, [])
+        switch = GeneratorSet(frozenset({"switch"}))
+        sep = separating_invariant(target, switch)
+        assert verify_separation(target, switch, [paley13.graph], sep)
+        with pytest.raises(ValueError, match="^interpolation needs at least one host$"):
+            verify_separation(target, switch, [], sep)
+
+    def test_certified_misses_are_complete(self, paley13, paley29):
+        # a seeded battery of random targets: the certificate is missing
+        # exactly when the target acts on types as a composite of the kinds,
+        # so no target with two or more domain points reaches the final
+        # ``return None`` of separating_invariant, and every certificate
+        # passes the independent check on the target's source host
+        rng = random.Random(28)
+        sources = (paley13.graph, paley29.graph)
+        dsts = sources + (complete_graph(8), empty_graph(8))
+        acting = separated = 0
+        for _ in range(2000):
+            src = rng.choice(sources)
+            style = rng.choice(("injective", "few-valued", "near-identity"))
+            dst = src if style == "near-identity" else rng.choice(dsts)
+            size = rng.randint(2, min(10, dst.n) if style == "injective" else 10)
+            dom = sorted(rng.sample(range(src.n), size))
+            if style == "injective":
+                images = rng.sample(range(dst.n), size)
+            elif style == "few-valued":
+                values = rng.sample(range(dst.n), rng.randint(1, 3))
+                images = [rng.choice(values) for _ in dom]
+            else:  # the identity with up to two changes
+                images = list(dom)
+                for i in rng.sample(range(size), rng.randint(0, 2)):
+                    images[i] = rng.randrange(dst.n)
+            target = FunctionGadget(src, dst, tuple(zip(dom, images)))
+            gens = GeneratorSet(frozenset(k for k in KINDS if rng.random() < 0.5))
+            sep = separating_invariant(target, gens)
+            acts = relations._acts_within(relations._pullback(target.as_mapping(), src, dst), gens.kinds)
+            assert (sep is None) == acts, (target.mapping, dst.n, gens.kinds)
+            if sep is None:
+                acting += 1
+            else:
+                separated += 1
+                assert verify_separation(target, gens, [src], sep), (target.mapping, dst.n, gens.kinds)
+        assert acting and separated
+
     def test_verifier_consults_no_closure(self, paley29, monkeypatch):
         target, gens, hosts = self.thomas(paley29)
         sep = separating_invariant(target, gens)

@@ -363,6 +363,12 @@ class TestVerifyArrow:
         result = verify_arrow(q, ArrowBudget(copies=5))
         assert result.verdict == "budget_exceeded"
 
+    def test_zero_budgets_are_allowed(self):
+        q = ArrowQuery(complete_graph(6), complete_graph(3), complete_graph(2), 2)
+        result = verify_arrow(q, ArrowBudget(colorings=0, copies=0))
+        assert result.verdict == "budget_exceeded"
+        assert result.stats == {"copies_seen": 1, "budget_copies": 0}
+
     def test_copy_budget_covers_h_copies(self):
         # 6 vertex copies fit the budget of 10, the 15 edge copies do not
         q = ArrowQuery(complete_graph(6), complete_graph(2), complete_graph(1), 2)
@@ -579,8 +585,14 @@ class TestInducedColoring:
             ValueError,
             "non-edge coloring missing pair (0, 2)",
         ),
+        (lambda: ArrowBudget(colorings=-1), ValueError, "coloring budget must be non-negative"),
+        (lambda: ArrowBudget(copies=-1), ValueError, "copy budget must be non-negative"),
+        (lambda: ArrowBudget(colorings=-1, copies=-1), ValueError, "coloring budget must be non-negative"),
     ],
-    ids=["not-total", "color-range", "no-colors", "query-no-colors", "nonedge-missing"],
+    ids=[
+        "not-total", "color-range", "no-colors", "query-no-colors", "nonedge-missing",
+        "colorings-negative", "copies-negative", "both-negative",
+    ],
 )
 def test_argument_rejections(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

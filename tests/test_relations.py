@@ -40,9 +40,8 @@ from rado_lab.relations import (
     PreservationResult,
     RelationSpecError,
     TupleSetRelation,
-    _complement_scan,
     _equality_scan,
-    _switch_scans,
+    _rewrite_scans,
 )
 from conftest import all_raw_graphs, random_graph
 
@@ -181,7 +180,7 @@ class TestSwitchInvariance:
                 tuples = list(product(range(g.n), repeat=r.arity))
                 in_g = [r.holds(t, g) for t in tuples]
                 want = naive_rewrite(r, tuples, in_g, naive_switch(g, 2))
-                fast = _switch_scans(r, g, (2,))[0]
+                fast = _rewrite_scans(r, g, (2,))[0]
                 assert (fast.preserved, fast.witness) == want
 
     @pytest.mark.parametrize("fixture", ["paley13", "paley29", "ec3_host"])
@@ -399,11 +398,11 @@ def assert_matches_oracle(r, g):
     for got in (definable_from_equality(r, g), _equality_scan(r, g)):
         assert (got.definable, got.witness) == want, (r.name, g)
     want = naive_rewrite(r, tuples, in_g, naive_complement(g))
-    for got in (invariant_under_complement(r, g), _complement_scan(r, g)):
+    for got in (invariant_under_complement(r, g), _rewrite_scans(r, g, None)[0]):
         assert (got.preserved, got.witness) == want, (r.name, g)
     for v in range(g.n):
         want = naive_rewrite(r, tuples, in_g, naive_switch(g, v))
-        for got in (invariant_under_switch(r, g, v), _switch_scans(r, g, (v,))[0]):
+        for got in (invariant_under_switch(r, g, v), _rewrite_scans(r, g, (v,))[0]):
             assert (got.preserved, got.witness) == want, (r.name, g, v)
 
 
@@ -448,8 +447,8 @@ def battery_lines(g, max_arity, seed):
     for r in rels:
         cert = classify_reduct(r, g, 1, check_host=False)
         lines.append(f"{r.name} classify {json.dumps(cert.to_json_dict(), sort_keys=True)}")
-        lines.append(f"{r.name} complement {_complement_scan(r, g)!r}")
-        lines.append(f"{r.name} switch {_switch_scans(r, g, range(n))!r}")
+        lines.append(f"{r.name} complement {_rewrite_scans(r, g, None)[0]!r}")
+        lines.append(f"{r.name} switch {_rewrite_scans(r, g, range(n))!r}")
     for r in rels + list(BATTERY_TUPLE_SETS):
         for mapping, dst in maps:
             lines.append(f"{r.name} map {preserved_by_map(r, mapping, g, dst)!r}")
@@ -531,8 +530,8 @@ class TestTypeTableOracle:
         for r in oracle_relations(max_arity):
             facts = r.type_facts
             assert facts.equality_definable == _equality_scan(r, g).definable, r.name
-            assert ("minus" in facts.closed_under) == _complement_scan(r, g).preserved, r.name
-            switch = all(res.preserved for res in _switch_scans(r, g, switched))
+            assert ("minus" in facts.closed_under) == _rewrite_scans(r, g, None)[0].preserved, r.name
+            switch = all(res.preserved for res in _rewrite_scans(r, g, switched))
             assert ("switch" in facts.closed_under) == switch, r.name
 
     def test_thomas_facts(self):
@@ -592,7 +591,7 @@ class TestTypeTableOracle:
         assert invariant_under_complement(parity_relation(4), g) == relations.PreservationResult(True)
         assert invariant_under_switch(parity_relation(3), g, 5) == relations.PreservationResult(True)
         assert definable_from_equality(distinct_relation(2), g) == relations.EqualityDefinability(True)
-        assert _complement_scan(parity_relation(4), g).checked == 2 * 286
+        assert _rewrite_scans(parity_relation(4), g, None)[0].checked == 2 * 286
 
     def test_equal_definitions_share_one_table(self, paley13):
         assert parity_relation(5).type_table is parity_relation(5).type_table
@@ -984,6 +983,14 @@ class _Opaque(relations.Relation):
         (lambda: relations.TypeSetRelation(0, ()), ValueError, "type sets need arity at least 1"),
         (lambda: relations.TupleSetRelation(2, [(0, 1, 2)]), ValueError, "tuple (0, 1, 2) does not have arity 2"),
         (lambda: relations.FormulaRelation(("E", 0, 2), arity=2), ValueError, "formula mentions a position beyond the arity"),
+        (lambda: distinct_relation(0), ValueError, "distinct relations need arity at least 2"),
+        (lambda: distinct_relation(1), ValueError, "distinct relations need arity at least 2"),
+        # refused when built, not at the first use
+        (
+            lambda: relations.FormulaRelation(("xor", ("E", 0, 1), ("E", 1, 2))),
+            ValueError,
+            "unknown formula node 'xor'",
+        ),
         (lambda: eval_relation(edge_relation(), (0, 5), path_graph(3)), ValueError, "tuple entry 5 is not a vertex of the graph"),
         (lambda: preserved_by_map(edge_relation(), {5: 0}, path_graph(3), path_graph(3)), ValueError, "domain vertex 5 out of range"),
         (lambda: preserved_by_map(edge_relation(), {0: 5}, path_graph(3), path_graph(3)), ValueError, "image vertex 5 out of range"),
@@ -1011,7 +1018,8 @@ class _Opaque(relations.Relation):
         ),
     ],
     ids=[
-        "parity-1", "type-set-0", "tuple-arity", "formula-position", "eval-entry",
+        "parity-1", "type-set-0", "tuple-arity", "formula-position", "distinct-0", "distinct-1", "formula-node",
+        "eval-entry",
         "map-domain", "map-image", "switch-vertex", "type-negative", "type-beyond",
         "tuple-beyond-host", "tuple-negative", "no-scan",
     ],
