@@ -180,6 +180,10 @@ def make_named(kind: str, src: Graph, **params) -> FunctionGadget:
                 raise GadgetConstructionError(
                     "a witness permutation keeps the destination equal to the source"
                 )
+            if len(witness) != src.n:
+                raise GadgetConstructionError(
+                    f"a witness permutation has {len(witness)} entries, the source has {src.n} vertices"
+                )
             return FunctionGadget(
                 src, src, tuple((x, witness[x]) for x in dom), "minus"
             )

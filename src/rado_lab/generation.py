@@ -27,6 +27,7 @@ from .graphs import (
     check_extension,
     edge_code,
     graph_of_code,
+    induced_code,
     iter_embedding_maps,
     pair_kind,
     switch_masks,
@@ -538,16 +539,8 @@ def _canonical_of_code(n: int, code: int) -> Graph:
     # memo or by one sweep over the relabelings
     form = _CANONICAL.get((n, code))
     if form is None:
-        pairs = list(combinations(range(n), 2))
-        g = graph_of_code(n, code)
-        rows = [g.row(v) for v in range(n)]
-        orbit = set()
-        for perm in permutations(range(n)):
-            relabeled = 0
-            for bit, (i, j) in enumerate(pairs):
-                if rows[perm[i]] >> perm[j] & 1:
-                    relabeled |= 1 << bit
-            orbit.add(relabeled)
+        rows = graph_of_code(n, code).rows
+        orbit = {induced_code(rows, perm) for perm in permutations(range(n))}
         form = graph_of_code(n, min(orbit))
         if n <= _CANONICAL_MAX_N:
             _CANONICAL.update(((n, c), form) for c in orbit)

@@ -129,6 +129,10 @@ class Graph:
         return self._rows[u]
 
     @property
+    def rows(self) -> tuple[int, ...]:
+        return self._rows
+
+    @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -234,16 +238,23 @@ def switch_graph(g: Graph, s: Iterable[int]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# edge codes of small graphs: bit b is the b-th vertex pair of
-# combinations(range(n), 2), set when that pair is an edge
+# edge codes of small graphs, built and split only here: bit b is the b-th
+# vertex pair of combinations(range(n), 2), set when that pair is an edge
+
+
+def induced_code(rows: Sequence[int], vertices: Sequence[int]) -> int:
+    """The edge code of the graph that adjacency ``rows`` induce on
+    ``vertices``, relabelled to 0..len(vertices)-1 in the given order."""
+    code, bit = 0, 1
+    for x, y in combinations(vertices, 2):
+        if rows[x] >> y & 1:
+            code |= bit
+        bit <<= 1
+    return code
 
 
 def edge_code(g: Graph) -> int:
-    code = 0
-    for bit, (i, j) in enumerate(combinations(range(g.n), 2)):
-        if g.row(i) >> j & 1:
-            code |= 1 << bit
-    return code
+    return induced_code(g.rows, range(g.n))
 
 
 @lru_cache(maxsize=1100)  # every graph on at most 5 vertices: 2^C(n, 2) summed over n = 0..5
@@ -324,7 +335,7 @@ def _failures_of_size(
     n, full = g.n, g.full_mask
     if t == 0:  # the empty pair has no witness only in the empty graph
         return iter([((), ())] if lo == 0 and not full else [])
-    rows = [g.row(v) for v in range(n)]
+    rows = g._rows
     nrows = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
     support = [0] * t
 

@@ -8,12 +8,13 @@ are reported in lexicographic order over ordered tuples.
 
 Parity, formula and type-set relations are quantifier-free: membership of a
 tuple depends only on its QF type (``qf_type``), the equality pattern of its
-entries (a restricted-growth string) plus the edge code of its classes (see
-``graphs.edge_code``).  Each such relation of arity at most
-``MAX_TABLE_ARITY`` is compiled on first use into a truth table over all QF
-types of its arity, by evaluating ``holds`` on ``graph_of_code`` of each
-type, or for a type set by reading its set; relations with the same
-definition (parity arity, formula and arity, or type set) share one table.
+entries (a restricted-growth string) plus the edge code of its classes,
+built by ``graphs.induced_code``; only ``graphs`` knows the code's bit
+order.  Each such relation of arity at most ``MAX_TABLE_ARITY`` is compiled
+on first use into a truth table over all QF types of its arity, by
+evaluating ``holds`` on ``graph_of_code`` of each type, or for a type set by
+reading its set; relations with the same definition (parity arity, formula
+and arity, or type set) share one table.
 Two facts read off the table hold on every graph: equality-definability,
 and ``closed_under``, the kinds among minus, switch, eE, eN and const
 whose action on types keeps every member type a member.  minus
@@ -51,7 +52,7 @@ from itertools import combinations, product
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .graphs import Graph, graph_of_code, switch_masks
+from .graphs import Graph, graph_of_code, induced_code, switch_masks
 
 
 class RelationSpecError(ValueError):
@@ -192,11 +193,7 @@ def qf_type(t: Sequence[int], g: Graph) -> tuple[tuple[int, ...], int]:
         low, high = min(classes), max(classes)
         if low < 0 or high >= g.n:
             raise ValueError(f"tuple entry {low if low < 0 else high} is not a vertex of the graph")
-    code = 0
-    for bit, (x, y) in enumerate(combinations(classes, 2)):
-        if g.row(x) >> y & 1:
-            code |= 1 << bit
-    return tuple(classes.index(x) for x in t), code
+    return tuple(classes.index(x) for x in t), induced_code(g.rows, classes)
 
 
 class TypeSetRelation(QuantifierFreeRelation):
@@ -236,17 +233,10 @@ class TypeSetRelation(QuantifierFreeRelation):
             if last < c:
                 index.setdefault((prefix, code), ([], []))[0].append(last)
                 continue
-            # split the code on c + 1 classes into the prefix code and the
-            # bits of the pairs (i, c), which combinations interleaves
-            pcode = pbit = 0
-            adjacent = [0] * c
-            for bit, (i, j) in enumerate(combinations(range(c + 1), 2)):
-                if j == c:
-                    adjacent[i] = code >> bit & 1
-                else:
-                    pcode |= (code >> bit & 1) << pbit
-                    pbit += 1
-            index.setdefault((prefix, pcode), ([], []))[1].append(tuple(adjacent))
+            # the prefix classes' own code and the new class's adjacency
+            rows = graph_of_code(c + 1, code).rows
+            adjacent = tuple(rows[c] >> i & 1 for i in range(c))
+            index.setdefault((prefix, induced_code(rows, range(c))), ([], []))[1].append(adjacent)
         return index
 
 
@@ -291,15 +281,27 @@ class FormulaRelation(QuantifierFreeRelation):
         return _eval_node(self.root, t, g)
 
 
-def _max_index(node) -> int:
-    op = node[0]
-    if op in ("E", "eq"):
-        return max(node[1], node[2])
-    if op == "not":
-        return _max_index(node[1])
-    if op in ("and", "or"):
-        return max(_max_index(node[1]), _max_index(node[2]))
-    raise ValueError(f"unknown formula node {op!r}")
+def _max_index(root) -> int:
+    # the largest position the formula mentions; an unknown node, or a
+    # negative position, which would read the tuple from its end, is refused
+    positions: list[int] = []
+
+    def walk(node):
+        op = node[0]
+        if op in ("E", "eq"):
+            positions.extend((node[1], node[2]))
+        elif op == "not":
+            walk(node[1])
+        elif op in ("and", "or"):
+            walk(node[1])
+            walk(node[2])
+        else:
+            raise ValueError(f"unknown formula node {op!r}")
+
+    walk(root)
+    if min(positions) < 0:
+        raise ValueError(f"formula mentions the negative position {min(positions)}")
+    return max(positions)
 
 
 def _eval_node(node, t: tuple[int, ...], g: Graph) -> bool:
@@ -411,7 +413,7 @@ def _pullback(mapping: Mapping[int, int], src: Graph, dst: Graph) -> _Rewrite:
             bits ^= b
         pulled[x] = row
         collapsed[x] = preimages[y] ^ 1 << x
-    return _Rewrite(dom, [src.row(x) for x in range(src.n)], pulled, collapsed)
+    return _Rewrite(dom, src.rows, pulled, collapsed)
 
 
 def flip_form(mapping: Mapping[int, int], src: Graph, dst: Graph) -> tuple[int, int] | None:
@@ -428,8 +430,7 @@ def flip_form(mapping: Mapping[int, int], src: Graph, dst: Graph) -> tuple[int, 
 def identity_flip_form(src: Graph, dst: Graph) -> tuple[int, int] | None:
     """``flip_form`` of the identity map on all vertices of two graphs of one
     size, read straight off their rows."""
-    rows = [[h.row(x) for x in range(src.n)] for h in (src, dst)]
-    return _flip_form(_Rewrite(tuple(range(src.n)), *rows, [0] * src.n))
+    return _flip_form(_Rewrite(tuple(range(src.n)), src.rows, dst.rows, [0] * src.n))
 
 
 def _flip_form(rw: _Rewrite) -> tuple[int, int] | None:
@@ -510,11 +511,7 @@ def _type_set_mask(index, prefix: tuple[int, ...], rows, same, full: int) -> int
         else:
             rgs.append(len(reps))
             reps.append(x)
-    code = 0
-    for bit, (x, y) in enumerate(combinations(reps, 2)):
-        if rows[x] >> y & 1:
-            code |= 1 << bit
-    entry = index.get((tuple(rgs), code))
+    entry = index.get((tuple(rgs), induced_code(rows, reps)))
     if entry is None:
         return 0
     repeats, news = entry
@@ -709,7 +706,7 @@ def _rewrite_scans(r: Relation, g: Graph, at: Sequence[int] | None) -> list[Pres
     # None) or to g switched at each v of ``at``, over the tuples through v,
     # and back; one kernel serves every rewrite, ``checked`` sums both ways
     n = g.n
-    rows = [g.row(u) for u in range(n)]
+    rows = g.rows
     same = [1 << x for x in range(n)]
     least_bad = _scan_kernel(r, range(n), n)
 
@@ -774,7 +771,7 @@ def _equality_scan(r: Relation, g: Graph) -> EqualityDefinability:
     # the other membership, and that least tuple is the earliest such one
     n = g.n
     full = g.full_mask
-    rows = [g.row(u) for u in range(n)]
+    rows = g.rows
     same = [1 << x for x in range(n)]
     least_member: dict[tuple[int, ...], bool] = {}
 

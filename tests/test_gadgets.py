@@ -361,6 +361,9 @@ class TestArgumentRejections:
             ("const", {"target": 5}, "target vertex 5 out of range"),
             ("switch", {}, "switch gadget needs a cut s"),
             ("identity", {"target": 0}, "unexpected parameters: ['target']"),
+            # a short witness ran out of entries, a long one was cut to size
+            ("minus", {"witness": (0,)}, "a witness permutation has 1 entries, the source has 5 vertices"),
+            ("minus", {"witness": (0, 2, 4, 1, 3, 0)}, "a witness permutation has 6 entries, the source has 5 vertices"),
         ],
     )
     def test_make_named(self, kind, params, message):

@@ -32,6 +32,7 @@ from rado_lab.graphs import (
     Embedding,
     edge_code,
     graph_of_code,
+    induced_code,
     iter_embedding_maps,
     switch_masks,
 )
@@ -839,7 +840,40 @@ class TestEmbeddings:
         assert Embedding(path_graph(3), path_graph(4), (3, 2, 1)).image() == (1, 2, 3)
 
 
+@st.composite
+def graph_and_vertices(draw):
+    # a graph on 0..12 vertices and distinct vertices of it, in any order
+    g = draw(graphs_up_to_12())
+    vs = draw(st.permutations(range(g.n)))
+    return g, tuple(vs[: draw(st.integers(min_value=0, max_value=g.n))])
+
+
+def _naive_induced_code(g: Graph, vs) -> int:
+    # bit b is the b-th position pair (i, j), i < j, in (0, 1), (0, 2), ...,
+    # (1, 2), ... order, set when g has the edge vs[i] vs[j]
+    code = bit = 0
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            if g.has_edge(vs[i], vs[j]):
+                code |= 1 << bit
+            bit += 1
+    return code
+
+
 class TestEdgeCodes:
+    @given(graph_and_vertices())
+    @example((Graph(0, ()), ()))
+    @example((Graph(1, (0,)), ()))
+    @example((Graph(1, (0,)), (0,)))
+    @example((path_graph(3), (2, 0, 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_induced_code_matches_has_edge(self, case):
+        g, vs = case
+        assert g.rows == tuple(g.row(u) for u in range(g.n))
+        assert induced_code(g.rows, vs) == _naive_induced_code(g, vs)
+        assert induced_code(g.rows, vs) == edge_code(g.induced(vs))
+        assert edge_code(g) == _naive_induced_code(g, range(g.n))
+
     def test_round_trip_every_small_graph(self):
         for n in range(6):
             for g in all_raw_graphs(n):

@@ -991,6 +991,14 @@ class _Opaque(relations.Relation):
             ValueError,
             "unknown formula node 'xor'",
         ),
+        # a negative position would read the tuple from its end; the least one is named
+        (lambda: relations.FormulaRelation(("E", -1, 0)), ValueError, "formula mentions the negative position -1"),
+        (lambda: relations.FormulaRelation(("E", 0, -1), arity=2), ValueError, "formula mentions the negative position -1"),
+        (
+            lambda: relations.FormulaRelation(("and", ("eq", -1, 0), ("not", ("E", 1, -3)))),
+            ValueError,
+            "formula mentions the negative position -3",
+        ),
         (lambda: eval_relation(edge_relation(), (0, 5), path_graph(3)), ValueError, "tuple entry 5 is not a vertex of the graph"),
         (lambda: preserved_by_map(edge_relation(), {5: 0}, path_graph(3), path_graph(3)), ValueError, "domain vertex 5 out of range"),
         (lambda: preserved_by_map(edge_relation(), {0: 5}, path_graph(3), path_graph(3)), ValueError, "image vertex 5 out of range"),
@@ -1019,6 +1027,7 @@ class _Opaque(relations.Relation):
     ],
     ids=[
         "parity-1", "type-set-0", "tuple-arity", "formula-position", "distinct-0", "distinct-1", "formula-node",
+        "formula-negative", "formula-negative-arity", "formula-negative-least",
         "eval-entry",
         "map-domain", "map-image", "switch-vertex", "type-negative", "type-beyond",
         "tuple-beyond-host", "tuple-negative", "no-scan",
