@@ -126,9 +126,7 @@ def _cmd_generate(args) -> int:
 def _cmd_classify_relation(args) -> int:
     relations = [parse_relation_spec(spec) for spec in args.spec]
     host = _read_graph_file(args.host)
-    classification = classify_reduct(
-        relations, host, args.k, check_host=not args.no_check_host
-    )
+    classification = classify_reduct(relations, host, args.k)
     report = {
         "command": "classify-relation",
         "seed": args.seed,
@@ -306,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rel.add_argument("--host", required=True)
     p_rel.add_argument("-k", type=int, default=2, help="claimed extension level of the host")
-    p_rel.add_argument("--no-check-host", action="store_true")
     _add_common(p_rel)
     p_rel.set_defaults(func=_cmd_classify_relation)
 

@@ -102,7 +102,8 @@ def verify_witness(w: InterpolationWitness) -> bool:
     The steps must chain from the target's source graph to its destination
     graph, every ``reposition`` step must be an embedding (injective, and
     each pair of its domain keeps its kind), and each point of the target
-    set, walked through the chain pointwise, must land on its target value.
+    set must lie in the target's domain and, walked through the chain
+    pointwise, land on its target value.
     """
     if len(w.steps) != len(w.roles):
         return False
@@ -116,13 +117,16 @@ def verify_witness(w: InterpolationWitness) -> bool:
     if graph != w.target.dst:
         return False
     maps = [step.as_mapping() for step in w.steps]
+    want = w.target.as_mapping()
     for x in w.target_set:
+        if x not in want:
+            return False
         value = x
         for mapping in maps:
             if value not in mapping:
                 return False
             value = mapping[value]
-        if value != w.target.apply(x):
+        if value != want[x]:
             return False
     return True
 
@@ -139,10 +143,11 @@ def _is_embedding(step: FunctionGadget) -> bool:
 _Link = tuple[str, FunctionGadget, str]
 
 
-def _witness(target: FunctionGadget, target_set, chain: list[_Link]) -> InterpolationWitness:
+def _witness(target: FunctionGadget, chain: list[_Link]) -> InterpolationWitness:
+    # the chain as a witness over the target's whole domain, checked
     witness = InterpolationWitness(
         target,
-        target_set,
+        target.dom,
         tuple(step for _, step, _ in chain),
         tuple(role for role, _, _ in chain),
         tuple(line for _, _, line in chain),
@@ -176,6 +181,8 @@ _POOL_PARAMS = {"switch": {"s": {0}}, "const": {"target": 0}}
 
 # the repositioning embeddings the search tries per generator application
 _EMBED_LIMIT = 4
+# the search nodes ``interpolate`` visits before it gives up
+_MAX_NODES = 100_000
 
 
 def _named_pool(gens: GeneratorSet, hosts) -> list[FunctionGadget]:
@@ -193,8 +200,6 @@ def interpolate(
     gens: GeneratorSet,
     depth: int,
     hosts: list[Graph],
-    *,
-    max_nodes: int = 100_000,
 ) -> InterpolationWitness | None:
     """Bounded-depth search for a chain of generator gadgets, interleaved with
     repositioning embeddings, agreeing with ``target`` on its domain.
@@ -204,8 +209,8 @@ def interpolate(
     at once, with no search.  Otherwise, before each application the
     current image moves by an embedding into the gadget's domain; every
     application tries the first 4 such embeddings, in lexicographic order.
-    ``depth`` bounds the number of generator applications, ``max_nodes``
-    the total search nodes.  None is therefore either a certified
+    ``depth`` bounds the number of generator applications, and the search
+    stops after 100 000 nodes.  None is therefore either a certified
     separation, which holds at every depth, or "not found within those
     bounds".  The named generators act on ``hosts``, which must not be
     empty.
@@ -216,7 +221,7 @@ def interpolate(
         raise ValueError("interpolation needs at least one host")
     if separating_invariant(target, gens) is not None:
         return None
-    return _search(target, gens, depth, hosts, max_nodes)[0]
+    return _search(target, gens, depth, hosts, _MAX_NODES)[0]
 
 
 def _search(
@@ -266,7 +271,7 @@ def _search(
     for d in range(1, depth + 1):
         links = dfs(target.src, f_dom, d, {})
         if links is not None:
-            return _witness(target, f_dom, links), nodes
+            return _witness(target, links), nodes
     return None, nodes
 
 
@@ -459,7 +464,7 @@ def delete_all_edges(pattern: Graph, host: Graph, k: int) -> InterpolationWitnes
             ("generator", FunctionGadget(host, host, tuple(zip(before, after)), "custom"), "delete the edge"),
         ]
     target = FunctionGadget(pattern, host, tuple(enumerate(copies[-1])), "eN")
-    return _witness(target, tuple(range(pattern.n)), chain)
+    return _witness(target, chain)
 
 
 def collapse_all(
@@ -504,7 +509,7 @@ def collapse_all(
         image = sorted({gadget.apply(v) for v in mapping})
     assert len(image) == 1, "collapse loop exceeded its step bound"
     target = make_named("const", host, dom=f_sorted, target=image[0])
-    return _witness(target, f_sorted, chain)
+    return _witness(target, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -689,9 +694,7 @@ def _classify_single(r: Relation, host: Graph) -> RelationCertificate:
     )
 
 
-def classify_reduct(
-    relations, host: Graph, k: int, *, check_host: bool = True
-) -> ReductClassification:
+def classify_reduct(relations, host: Graph, k: int) -> ReductClassification:
     """Decision tree on invariances: equality-definable relations land in the
     equality class; otherwise invariance under complement and under every
     single-vertex switch picks one of the remaining four classes.
@@ -700,9 +703,16 @@ def classify_reduct(
     relations classify jointly as the lattice join of their individual
     classes (the class of the group generated by everything each relation
     allows).  ``k`` is the host's claimed extension level and is verified
-    up front unless ``check_host`` is disabled.  A tuple set with an id
-    outside ``0..host.n - 1`` raises ``ValueError`` naming its least such
-    tuple; the refusal comes from the equality scan, after the host checks.
+    up front, after the host's size.  A tuple set with an id outside
+    ``0..host.n - 1`` raises ``ValueError`` naming its least such tuple; the
+    refusal comes from the equality scan, after the host checks.
+
+    The class of a QF relation with a type table is the table's: its
+    positive facts skip the host, and the host supplies the least
+    witnesses of its negative ones.  A host that realizes none of the
+    types violating a negative fact would report the fact as holding, so
+    when a certificate's class differs from the table's the call raises
+    ``ValueError`` naming the relation and the fact.
     """
     rel_list = [relations] if isinstance(relations, Relation) else list(relations)
     if not rel_list:
@@ -712,14 +722,35 @@ def classify_reduct(
         raise ValueError(
             f"host has {host.n} vertices, too small for arity {max_arity}"
         )
-    if check_host:
-        result = check_extension(host, k)
-        if not result.passed:
-            raise ValueError(
-                f"host fails the {k}-extension check at {result.failing}"
-            )
+    result = check_extension(host, k)
+    if not result.passed:
+        raise ValueError(
+            f"host fails the {k}-extension check at {result.failing}"
+        )
     certificates = tuple(_classify_single(r, host) for r in rel_list)
+    for r, cert in zip(rel_list, certificates):
+        _check_against_table(r, cert)
     overall = certificates[0].reduct_class
     for cert in certificates[1:]:
         overall = join_classes(overall, cert.reduct_class)
     return ReductClassification(overall, certificates, host.n, k)
+
+
+def _check_against_table(r: Relation, cert: RelationCertificate) -> None:
+    # refuse a certificate whose class is not the one r's type table gives:
+    # the host realized none of the types that break a fact the table denies
+    facts = r.type_facts
+    if facts is None or facts.equality_definable:
+        return
+    if cert.equality.definable:
+        fact = "not equality-definable"
+    elif "minus" not in facts.closed_under and cert.complement.preserved:
+        fact = "not invariant under complement"
+    elif "switch" not in facts.closed_under and not cert.switch_violations:
+        fact = "not invariant under switch"
+    else:
+        return
+    raise ValueError(
+        f"the host cannot witness that {r.name} is {fact}; a host that passes "
+        f"the {r.arity - 1}-extension check realizes every type of arity {r.arity}"
+    )

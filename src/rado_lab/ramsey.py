@@ -69,8 +69,7 @@ def _symmetry_breaking(p: Structure) -> tuple[tuple[int, int], ...]:
 
 def _order_preserving(p: Structure) -> tuple[tuple[int, int], ...]:
     # the pairs a < b of p's vertices: only the order-preserving map meets them all
-    n = (p if isinstance(p, Graph) else p.graph).n
-    return tuple(combinations(range(n), 2))
+    return tuple(combinations(range(as_partitioned(p).graph.n), 2))
 
 
 def enumerate_copies(

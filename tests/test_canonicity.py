@@ -441,8 +441,8 @@ def _json_battery(paleys):
         g = paley.graph
         n = g.n
         for r in relations:
-            out.append(classify_reduct(r, g, k, check_host=False).to_json_dict())
-        out.append(classify_reduct(relations[:2], g, k, check_host=False).to_json_dict())
+            out.append(classify_reduct(r, g, k).to_json_dict())
+        out.append(classify_reduct(relations[:2], g, k).to_json_dict())
         gadgets = [
             make_named("identity", g),
             make_named("minus", g, witness=paley.complement_witness),

@@ -200,6 +200,23 @@ class TestClassifyRelation:
         assert captured.err == f"error: tuple {least} in t.txt is not over the host's vertices 0..12\n"
         assert captured.out == ""
 
+    def test_host_that_cannot_show_a_failing_fact_is_error(self, workspace, host29, capsys):
+        # Paley(13) has no K4, so its scan cannot show that K4 depends on
+        # edges; Paley(29), which is 3-e.c., can
+        (workspace / "p13.g").write_text(format_graph(build_paley(13).graph))
+        spec = "formula:E(0,1)&E(0,2)&E(0,3)&E(1,2)&E(1,3)&E(2,3)"
+        code = main(["classify-relation", "--spec", spec, "--host", "p13.g", "-k", "2", "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "error: the host cannot witness that formula:(((((E(0,1) & E(0,2)) & E(0,3)) & E(1,2)) & E(1,3)) & E(2,3))"
+            " is not equality-definable; a host that passes the 3-extension check realizes every type of arity 4\n"
+        )
+        assert captured.out == ""
+        code, out = run_cli(capsys, "classify-relation", "--spec", spec, "--host", host29, "-k", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["verdict"]["class"] == "graph"
+
     def test_bad_spec_is_error(self, host29, capsys):
         code, _ = run_cli(
             capsys, "classify-relation", "--spec", "parity:banana",

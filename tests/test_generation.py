@@ -40,6 +40,7 @@ from rado_lab import (
     orbit_closure,
     pair_kind,
     parity_relation,
+    parse_relation_spec,
     path_graph,
     qf_type,
     separating_invariant,
@@ -136,7 +137,7 @@ class TestInterpolate:
         w = interpolate(target, gens, 2, hosts)
         assert verify_witness(w) and w.generator_steps == 2
         assert witness_digest(w) == "d366589cfb87772fdfb2091842d0a55f5c90f5148b98b16c4b094dfbd6fb1a08"
-        assert interpolate(target, gens, 2, hosts, max_nodes=1) is None
+        assert generation._search(target, gens, 2, hosts, 1)[0] is None
 
     def test_switch_never_reaches_full_complement_map(self, paley29):
         # Thomas 1991: switching does not generate the complement map; at
@@ -177,6 +178,17 @@ class TestInterpolate:
         assert verify_witness(InterpolationWitness(target, dom, (step,), ("generator",)))
         assert not verify_witness(InterpolationWitness(target, dom, (step,), ("reposition",)))
 
+
+    def test_witness_verifier_rejects_a_point_outside_the_target(self, paley13):
+        # a target-set point that the target does not map is a rejection,
+        # not a KeyError from the target's lookup
+        from rado_lab import InterpolationWitness
+
+        g = paley13.graph
+        target = make_named("identity", g, dom=[0, 1, 2])
+        w = InterpolationWitness(target, (0, 1, 5), (make_named("identity", g),), ("generator",))
+        assert not verify_witness(w)
+        assert verify_witness(replace(w, target_set=(0, 1, 2)))
 
     @pytest.mark.parametrize("tamper", ["roles", "chain", "final", "domain"])
     def test_witness_verifier_rejects_tampered_chain(self, paley13, tamper):
@@ -848,6 +860,13 @@ class TestJoinClasses:
             assert join_classes(cls, cls) is cls
 
 
+K4 = "E(0,1) & E(0,2) & E(0,3) & E(1,2) & E(1,3) & E(2,3)"
+INDEPENDENT4 = (
+    "x0!=x1 & x0!=x2 & x0!=x3 & x1!=x2 & x1!=x3 & x2!=x3"
+    " & !E(0,1) & !E(0,2) & !E(0,3) & !E(1,2) & !E(1,3) & !E(2,3)"
+)
+
+
 class TestClassifyReduct:
     def test_five_reference_relations_on_paley13(self, paley13):
         host = paley13.graph
@@ -893,12 +912,10 @@ class TestClassifyReduct:
     def test_host_verification(self):
         with pytest.raises(ValueError):
             classify_reduct(edge_relation(), complete_graph(3), 1)
-        # and the same host is accepted with the check disabled
-        classify_reduct(edge_relation(), complete_graph(3), 1, check_host=False)
 
     def test_host_too_small_for_arity(self):
         with pytest.raises(ValueError):
-            classify_reduct(parity_relation(4), complete_graph(3), 1, check_host=False)
+            classify_reduct(parity_relation(4), complete_graph(3), 1)
 
     def test_tuple_set_relation_is_switch_and_minus_invariant(self, paley13):
         from rado_lab import TupleSetRelation
@@ -930,6 +947,43 @@ class TestClassifyReduct:
         message = "host fails the 3-extension check at ((), (0, 1, 7))"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             classify_reduct(TupleSetRelation(2, [(0, 99)]), paley13.graph, 3)
+
+    @pytest.mark.parametrize(
+        "formula, cls",
+        [(K4, ReductClass.GRAPH), (f"{K4} | {INDEPENDENT4}", ReductClass.MINUS)],
+        ids=["K4", "K4-or-independent"],
+    )
+    def test_host_that_cannot_show_a_failing_fact_is_refused(self, paley13, paley29, formula, cls):
+        # Paley(13) is 2-e.c. but has no K4 and no independent 4-set, so its
+        # scan finds membership constant on every equality pattern, which
+        # the table denies; the 3-e.c. Paley(29) shows the table's class
+        r = parse_relation_spec("formula:" + formula)
+        message = (
+            f"the host cannot witness that {r.name} is not equality-definable; "
+            "a host that passes the 3-extension check realizes every type of arity 4"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify_reduct(r, paley13.graph, 2)
+        # the per-relation reading of the host is kept
+        assert generation._classify_single(r, paley13.graph).reduct_class is ReductClass.EQUALITY
+        assert classify_reduct(r, paley29.graph, 3).reduct_class is cls
+
+    def test_refusal_names_the_first_fact_the_host_cannot_show(self, paley13):
+        k4 = qf_type((0, 1, 2, 3), complete_graph(4))
+        # P4 and its complement are in, K4 is in and the empty type is out:
+        # Paley(13) has P4s, so it shows the equality fact, but it has no
+        # K4 for complementing to move out
+        p4 = qf_type((0, 1, 2, 3), path_graph(4))
+        r = TypeSetRelation(4, generation._type_closure(p4, frozenset({"minus"})) | {k4})
+        with pytest.raises(ValueError, match=re.escape(f"{r.name} is not invariant under complement;")):
+            classify_reduct(r, paley13.graph, 2)
+        # the 1-e.c. C5 has triples with one edge and with two, which the
+        # even switching class (0 or 2 edges) splits and complementing
+        # swaps, but no 4-vertex graph that switches to K4
+        even = generation._type_closure(((0, 0, 1, 2), 0), frozenset({"switch"}))
+        r = TypeSetRelation(4, even | {k4})
+        with pytest.raises(ValueError, match=re.escape(f"{r.name} is not invariant under switch;")):
+            classify_reduct(r, cycle_graph(5), 1)
 
 
 class TestStability:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rado_lab import (
     Graph,
     ReductClass,
+    ReductClassification,
     all_graph_types,
     build_paley,
     classify_reduct,
@@ -43,6 +44,7 @@ from rado_lab.relations import (
     _equality_scan,
     _rewrite_scans,
 )
+from rado_lab.generation import _classify_single
 from conftest import all_raw_graphs, random_graph
 
 
@@ -193,7 +195,7 @@ class TestSwitchInvariance:
         rels += [parity_relation(a) for a in range(2, 6)] + oracle_relations(4)
         scanned = 0
         for r in rels:
-            cert = classify_reduct(r, g, 1, check_host=False).certificates[0]
+            cert = classify_reduct(r, g, 1).certificates[0]
             if cert.equality.definable:
                 continue
             results = [invariant_under_switch(r, g, v) for v in range(g.n)]
@@ -417,10 +419,13 @@ def battery_relations():
     rels += [edge_relation(), nonedge_relation(), distinct_relation(2), distinct_relation(3)]
     rels += [parse_relation_spec("formula:" + f) for f in ORACLE_FORMULAS[3:8]]
     for arity in (2, 2, 3, 3, 3, 3):
-        patterns = relations._qf_types(arity)
-        types = [(rgs, code) for rgs in patterns for code in range(1 << max(rgs) * (max(rgs) + 1) // 2)]
-        rels.append(relations.TypeSetRelation(arity, [t for t in types if rng.random() < 0.5]))
+        rels.append(relations.TypeSetRelation(arity, [t for t in all_types(arity) if rng.random() < 0.5]))
     return rels
+
+
+def all_types(arity):
+    # every labelled QF type of the arity, pattern by pattern
+    return [(rgs, code) for rgs in relations._qf_types(arity) for code in range(1 << max(rgs) * (max(rgs) + 1) // 2)]
 
 
 BATTERY_TUPLE_SETS = (
@@ -445,7 +450,8 @@ def battery_lines(g, max_arity, seed):
     rels = [r for r in battery_relations() if r.arity <= max_arity]
     lines = []
     for r in rels:
-        cert = classify_reduct(r, g, 1, check_host=False)
+        c = _classify_single(r, g)
+        cert = ReductClassification(c.reduct_class, (c,), g.n, 1)
         lines.append(f"{r.name} classify {json.dumps(cert.to_json_dict(), sort_keys=True)}")
         lines.append(f"{r.name} complement {_rewrite_scans(r, g, None)[0]!r}")
         lines.append(f"{r.name} switch {_rewrite_scans(r, g, range(n))!r}")
@@ -916,6 +922,54 @@ def table_relations():
     rng = random.Random(20)
     rels += [relations.FormulaRelation(random_formula(rng, a), arity=a) for a in (2, 3, 4) for _ in range(20)]
     return rels
+
+
+def table_class(r):
+    # the class that r's type table gives, read off its facts
+    facts = r.type_facts
+    if facts.equality_definable:
+        return ReductClass.EQUALITY
+    return {
+        frozenset(): ReductClass.GRAPH,
+        frozenset({"minus"}): ReductClass.MINUS,
+        frozenset({"switch"}): ReductClass.SWITCH,
+        frozenset({"minus", "switch"}): ReductClass.MINUS_SWITCH,
+    }[facts.closed_under & {"minus", "switch"}]
+
+
+@given(arity=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), formula=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_class_is_the_table_class_on_a_host_with_every_type(paley13, arity, seed, formula):
+    # a 2-e.c. host realizes every type of arity at most 3
+    rng = random.Random(seed)
+    if formula:
+        r = relations.FormulaRelation(random_formula(rng, arity), arity=arity)
+    else:
+        r = relations.TypeSetRelation(arity, [t for t in all_types(arity) if rng.random() < 0.5])
+    assert classify_reduct(r, paley13.graph, 2).reduct_class is table_class(r), r.name
+
+
+class TestClassMatchesTable:
+    def test_arity_four_on_a_three_ec_host(self, paley29):
+        rels = [r for r in table_relations() if r.arity <= 4]
+        assert len(rels) == 68
+        for r in rels:
+            assert classify_reduct(r, paley29.graph, 3).reduct_class is table_class(r), r.name
+
+    def test_arity_four_on_a_two_ec_host_is_the_table_class_or_refused(self, paley13):
+        # Paley(13) has no K4 and no independent 4-set: a relation holding
+        # on one of those types alone shows nothing on it, and is refused
+        singletons = [relations.TypeSetRelation(4, [t]) for t in all_types(4)]
+        refused = []
+        for r in singletons + [r for r in table_relations() if r.arity == 4]:
+            try:
+                cls = classify_reduct(r, paley13.graph, 2).reduct_class
+            except ValueError as e:
+                assert f"the host cannot witness that {r.name} is not" in str(e)
+                refused.append(r)
+                continue
+            assert cls is table_class(r), r.name
+        assert [r.types for r in refused] == [{((0, 1, 2, 3), 0)}, {((0, 1, 2, 3), 63)}]
 
 
 class TestTypeSetRelation:
