@@ -7,11 +7,14 @@ through exactly one map: order conditions derived from the pattern's
 automorphism group (Grochow–Kellis stabiliser-chain conditions) cut the
 other |Aut| - 1, and ordered patterns admit only the order-preserving map.
 Arrow verification searches colorings of the P-copies depth first in
-lexicographic order, with the first copy's color fixed (the only symmetry
-reduction on colorings), and cuts a branch as soon as a monochromatic H-copy
-is complete.  The copy budget bounds both the P- and the H-copies; the
-coloring budget refuses a query up front, as soon as the P-copies are known
-and before any H-copy is enumerated, and so also bounds the search.
+lexicographic order with two cuts that keep the least bad coloring: forward
+checking (Haralick–Elliott) takes a color out of a copy's domain as soon as
+it would complete a monochromatic H-copy there, and cuts a branch that
+leaves a copy no color; color precedence (Law–Lee value precedence) lets a
+copy take color c + 1 only after some earlier copy took c.  The copy budget
+bounds both the P- and the H-copies; the coloring budget refuses a query up
+front, as soon as the P-copies are known and before any H-copy is
+enumerated, and so also bounds the search.
 """
 
 from __future__ import annotations
@@ -170,14 +173,19 @@ def find_mono_copy(
 def verify_arrow(q: ArrowQuery, budget: ArrowBudget | None = None) -> ArrowResult:
     """Decide the arrow S -> (H)^P_k by a pruned lexicographic search.
 
-    Copies of P are colored one by one in enumeration order, copy 0 fixed to
-    color 0 (sound: any coloring is color-permutation equivalent to such a
-    one, and relabeling colors does not change monochromaticity).  Each
-    H-copy is checked when its largest P-copy gets a color; a monochromatic
-    one cuts the branch, since every extension then has a monochromatic
-    H-copy.  Leaves are reached in lexicographic order, so on failure the
-    first leaf is the least witness coloring.  An H-copy containing no P-copy
-    makes the arrow hold at once.
+    Copies of P are colored one by one in enumeration order, with two cuts.
+    Color precedence: copy i may take color c + 1 only if an earlier copy has
+    color c, so copy 0 gets color 0 (sound: relabeling the colors in order of
+    first use keeps a coloring bad and makes it no larger).  Forward
+    checking: each color c keeps a mask of the copies it is forbidden at.
+    An H-copy's largest P-copy is the last of its copies to be colored, so
+    when its second-largest one gets color c and all its smaller ones have c,
+    c is forbidden at its largest one; a copy left with every color forbidden
+    cuts the branch, since every extension then has a monochromatic H-copy.
+    Neither cut drops a bad coloring that is least in lexicographic order,
+    and leaves are reached in that order, so on failure the first leaf is the
+    least witness coloring.  An H-copy with fewer than two P-copies is
+    monochromatic under every coloring and makes the arrow hold at once.
 
     The query is refused up front, checked in this order: when the P-copies
     exceed the copy budget; when their k^(m-1) colorings exceed the coloring
@@ -187,8 +195,9 @@ def verify_arrow(q: ArrowQuery, budget: ArrowBudget | None = None) -> ArrowResul
     refusal's ``stats`` holds ``copies_seen`` and ``budget_copies``.  The
     coloring budget also caps the search at k/(k-1) * k^(m-1) nodes (m nodes
     when k = 1).
-    ``stats["colorings_checked"]`` counts search nodes: one per color
-    assigned to a copy, copy 0's fixed color included.
+    ``stats["colorings_checked"]`` counts search nodes: one per color tried
+    at a copy, including one that empties a later copy's domain; a color
+    that is forbidden there or barred by precedence is not counted.
     """
     if budget is None:
         budget = ArrowBudget()
@@ -212,44 +221,66 @@ def verify_arrow(q: ArrowQuery, budget: ArrowBudget | None = None) -> ArrowResul
             return ArrowResult("holds", stats=stats)
         return ArrowResult("fails", witness=empty, stats=stats)
 
-    # closing[i]: the other P-copies of each H-copy whose largest P-copy is i
+    # watch[i]: (mask of the smaller P-copies, bit of the largest) of each
+    # H-copy whose second-largest P-copy is i
     p_index = {c: i for i, c in enumerate(p_copies)}
     p_size = len(p_copies[0])
-    closing: list[list[list[int]]] = [[] for _ in range(m)]
+    watch: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for h_copy in h_copies:
         inside = [p_index[c] for c in combinations(h_copy, p_size) if c in p_index]
-        if not inside:
+        if len(inside) < 2:
             return ArrowResult("holds", stats=stats)
-        closing[inside[-1]].append(inside[:-1])
+        mask = 0
+        for j in inside[:-2]:
+            mask |= 1 << j
+        watch[inside[-2]].append((mask, 1 << inside[-1]))
 
     k = q.k
+    others = [tuple(d for d in range(k) if d != c) for c in range(k)]
+    forbid = [0] * k  # forbid[c]: the copies where color c completes a monochromatic H-copy
+    have = [0] * k  # have[c]: the colored copies with color c
     colors = [0] * m
-    i = nodes = 0
+    saved = [0] * m  # forbid[colors[i]] before copy i got its color
+    bound = [1] * m  # precedence: copy i takes a color below bound[i]
+    i = c = nodes = 0
     while True:
-        nodes += 1
-        c = colors[i]
-        mono = False
-        for rest in closing[i]:
-            for j in rest:
-                if colors[j] != c:
-                    break
-            else:
-                mono = True
-                break
-        if not mono:
-            if i == m - 1:
+        bit = 1 << i
+        top = bound[i]
+        while c < top and forbid[c] & bit:
+            c += 1
+        if c == top:
+            if i == 0:
                 stats["colorings_checked"] = nodes
-                witness = CopyColoring(tuple(p_copies), tuple(colors), k)
-                return ArrowResult("fails", witness=witness, stats=stats)
-            i += 1
-            colors[i] = 0
-            continue
-        while i > 0 and colors[i] == k - 1:
+                return ArrowResult("holds", stats=stats)
             i -= 1
-        if i == 0:
+            c = colors[i]
+            forbid[c] = saved[i]
+            have[c] ^= 1 << i
+            c += 1
+            continue
+        nodes += 1
+        f, h, new = forbid[c], have[c], 0
+        for rest, bits in watch[i]:
+            if rest & h == rest:
+                new |= bits
+        if new:  # wiped: the copies where every color is now forbidden
+            wiped = new
+            for d in others[c]:
+                wiped &= forbid[d]
+            if wiped:
+                c += 1
+                continue
+        colors[i] = c
+        if i == m - 1:
             stats["colorings_checked"] = nodes
-            return ArrowResult("holds", stats=stats)
-        colors[i] += 1
+            witness = CopyColoring(tuple(p_copies), tuple(colors), k)
+            return ArrowResult("fails", witness=witness, stats=stats)
+        saved[i] = f
+        forbid[c] = f | new
+        have[c] = h | bit
+        bound[i + 1] = top + 1 if c + 1 == top < k else top
+        i += 1
+        c = 0
 
 
 def find_edge_nonedge_mono_copy(

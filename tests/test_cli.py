@@ -342,6 +342,9 @@ class TestClassifyFunction:
         assert capsys.readouterr().out == ""
 
 
+K5_WITNESS_SHA256 = "08fb11c6337726031c42cedfa41aed60096843b774150b2836bd43775452cc66"
+
+
 class TestRamseyCli:
     @pytest.fixture()
     def clique_files(self, workspace):
@@ -376,6 +379,9 @@ class TestRamseyCli:
         assert report["verdict"] == "fails"
         witness_text = (workspace / report["witness_file"]).read_text()
         assert witness_text.startswith("copies 10")
+        # the least bad coloring: the witness file is byte-identical to the
+        # one the plain lexicographic search wrote
+        assert report["witness_sha256"] == hashlib.sha256(witness_text.encode()).hexdigest() == K5_WITNESS_SHA256
 
     def test_single_color_holds(self, clique_files, capsys):
         code, out = run_cli(

@@ -1,9 +1,10 @@
+import hashlib
 import random
 import re
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rado_lab import (
@@ -224,17 +225,17 @@ class TestVerifyArrow:
     def test_k6_arrow_holds(self):
         result = verify_arrow(ArrowQuery(complete_graph(6), complete_graph(3), complete_graph(2), 2))
         assert result.verdict == "holds"
-        assert result.stats["colorings_checked"] == 987
+        assert result.stats["colorings_checked"] == 226
 
     def test_k7_arrow_holds(self):
         result = verify_arrow(ArrowQuery(complete_graph(7), complete_graph(3), complete_graph(2), 2))
         assert result.verdict == "holds"
-        assert result.stats["colorings_checked"] == 3493
+        assert result.stats["colorings_checked"] == 482
 
     def test_k5_arrow_fails_with_verified_witness(self):
         result = verify_arrow(ArrowQuery(complete_graph(5), complete_graph(3), complete_graph(2), 2))
         assert result.verdict == "fails"
-        assert result.stats["colorings_checked"] == 71
+        assert result.stats["colorings_checked"] == 26
         witness = result.witness
         assert find_mono_copy(
             complete_graph(5), complete_graph(3), complete_graph(2), witness
@@ -436,6 +437,175 @@ class TestVerifyArrow:
             ArrowQuery(host, complete_graph(3), complete_graph(2), 2, ordered=True)
         )
         assert result.verdict in ("holds", "fails")
+
+
+def _lexicographic_arrow(s, h, p, k, ordered):
+    """Verdict, witness colors and node count of the plain lexicographic
+    search: copy 0 fixed to color 0, each H-copy checked when its largest
+    P-copy gets a color, one node per color assigned, no other cut."""
+    p_copies = enumerate_copies(s, p, ordered=ordered)
+    h_copies = enumerate_copies(s, h, ordered=ordered)
+    m = len(p_copies)
+    if m == 0:
+        return ("holds", None, 0) if h_copies else ("fails", (), 0)
+    p_index = {c: i for i, c in enumerate(p_copies)}
+    closing = [[] for _ in range(m)]
+    for h_copy in h_copies:
+        inside = [p_index[c] for c in combinations(h_copy, len(p_copies[0])) if c in p_index]
+        if not inside:
+            return "holds", None, 0
+        closing[inside[-1]].append(inside[:-1])
+    colors = [0] * m
+    i = nodes = 0
+    while True:
+        nodes += 1
+        if not any(all(colors[j] == colors[i] for j in rest) for rest in closing[i]):
+            if i == m - 1:
+                return "fails", tuple(colors), nodes
+            i += 1
+            colors[i] = 0
+            continue
+        while i > 0 and colors[i] == k - 1:
+            i -= 1
+        if i == 0:
+            return "holds", None, nodes
+        colors[i] += 1
+
+
+def _precedence_ordered(colors):
+    # colors first appear in the order 0, 1, 2, ...
+    seen = 0
+    for c in colors:
+        if c > seen:
+            return False
+        seen = max(seen, c + 1)
+    return True
+
+
+_K1, _K2, _K3, _K4 = (complete_graph(n) for n in (1, 2, 3, 4))
+_E2, _E3, _P3, _P4, _C4 = empty_graph(2), empty_graph(3), path_graph(3), path_graph(4), cycle_graph(4)
+_STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+# (H, P) with at least two copies of P in H, except (E3, K2), whose H-copies
+# hold no P-copy
+ARROW_PATTERNS = (
+    (_K2, _K1), (_K3, _K1), (_E2, _K1), (_P3, _K1),
+    (_K3, _K2), (_P3, _K2), (_K4, _K2), (_C4, _K2), (_P4, _K2), (_STAR, _K2), (_E3, _K2),
+    (_E3, _E2), (_P3, _E2), (_C4, _E2), (_STAR, _E2),
+    (_C4, _P3), (_P4, _P3), (_STAR, _P3), (_K4, _K3),
+)
+
+
+def _arrow_structures(kind, g, h, p, side, const):
+    # S, H and P of one kind: plain, two parts (H's and P's last vertex in
+    # the second), or one constant (H's and P's vertex 0)
+    if kind == "partitioned":
+        return (
+            PartitionedGraph(g, (side, frozenset(range(g.n)) - side)),
+            PartitionedGraph(h, (frozenset(range(h.n - 1)), frozenset({h.n - 1}))),
+            PartitionedGraph(p, (frozenset(range(p.n - 1)), frozenset({p.n - 1}))),
+        )
+    if kind == "constant":
+        return ConstantGraph(g, (const,)), ConstantGraph(h, (0,)), ConstantGraph(p, (0,))
+    return g, h, p
+
+
+def _small_enough(s, p, k, ordered):
+    # k^(m-1) colorings at most, so the plain loop stays fast
+    return k ** max(len(enumerate_copies(s, p, ordered=ordered)) - 1, 0) <= 2 ** 16
+
+
+def _arrow_battery(count):
+    # seeded instances on 3-9 vertices with k = 1-4: plain, partitioned,
+    # constant and ordered
+    rng = random.Random(31)
+    instances = []
+    while len(instances) < count:
+        n = rng.randint(3, 9)
+        density = rng.choice((0.3, 0.5, 0.7, 0.9))
+        g = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+        h, p = rng.choice(ARROW_PATTERNS)
+        kind = rng.choice(("plain", "partitioned", "constant"))
+        side = frozenset(v for v in range(n) if rng.random() < 0.5)
+        s, h, p = _arrow_structures(kind, g, h, p, side, rng.randrange(n))
+        ordered = rng.random() < 0.3
+        k = rng.randint(1, 4)
+        if _small_enough(s, p, k, ordered):
+            instances.append((s, h, p, k, ordered))
+    return instances
+
+
+ARROW_BATTERY_DIGEST = "53e452a1cf3bea4d8c270adc3c0dbce5f2bef347f5bb5724962f42ba6af4fea0"
+
+
+class TestSearchAgainstLexicographicLoop:
+    """The forward-checked search with color precedence against the plain
+    lexicographic loop it replaced: same verdicts and witnesses, no more nodes."""
+
+    def test_oracle_is_the_plain_loop(self):
+        # the node counts the plain loop was pinned at
+        k2, k3 = complete_graph(2), complete_graph(3)
+        assert [_lexicographic_arrow(complete_graph(n), k3, k2, 2, False)[2] for n in (5, 6, 7)] == [71, 987, 3493]
+
+    def test_battery_matches_oracle(self):
+        lines, holds, searched = [], 0, 0
+        for s, h, p, k, ordered in _arrow_battery(1600):
+            verdict, colors, nodes = _lexicographic_arrow(s, h, p, k, ordered)
+            result = verify_arrow(ArrowQuery(s, h, p, k, ordered=ordered))
+            assert result.verdict == verdict
+            assert (result.witness and result.witness.colors) == colors
+            assert result.stats["colorings_checked"] <= nodes
+            lines.append(f"{verdict} {colors}")
+            holds += verdict == "holds"
+            searched += nodes > 1
+        # the plain loop's verdicts and witnesses gave this digest too
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ARROW_BATTERY_DIGEST
+        assert holds >= 300 and searched >= 800
+
+    @pytest.mark.parametrize(
+        "q, h, k, verdict, nodes",
+        [
+            (13, path_graph(3), 3, "holds", 265),
+            (13, path_graph(4), 2, "holds", 1692),
+            (17, complete_graph(3), 2, "fails", 126),
+            (17, path_graph(4), 2, "holds", 3715),
+        ],
+        ids=["paley13-P3-3", "paley13-P4-2", "paley17-K3-2", "paley17-P4-2"],
+    )
+    def test_paley_node_counts(self, q, h, k, verdict, nodes):
+        s, k2 = build_paley(q).graph, complete_graph(2)
+        result = verify_arrow(ArrowQuery(s, h, k2, k), ArrowBudget(colorings=k ** 67))
+        assert (result.verdict, result.stats["colorings_checked"]) == (verdict, nodes)
+        if verdict == "fails":
+            assert result.witness.colors == _lexicographic_arrow(s, h, k2, k, False)[1]
+            assert find_mono_copy(s, h, k2, result.witness) is None
+
+
+@st.composite
+def arrow_instances(draw):
+    n = draw(st.integers(min_value=3, max_value=7))
+    pairs = list(combinations(range(n), 2))
+    code = draw(st.integers(min_value=0, max_value=2 ** len(pairs) - 1))
+    g = Graph.from_edges(n, [e for b, e in enumerate(pairs) if code >> b & 1])
+    h, p = draw(st.sampled_from(ARROW_PATTERNS))
+    kind = draw(st.sampled_from(["plain", "partitioned", "constant"]))
+    side = frozenset(draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
+    s, h, p = _arrow_structures(kind, g, h, p, side, draw(st.integers(min_value=0, max_value=n - 1)))
+    ordered, k = draw(st.booleans()), draw(st.integers(min_value=1, max_value=4))
+    assume(_small_enough(s, p, k, ordered))
+    return s, h, p, k, ordered
+
+
+@given(arrow_instances())
+@settings(max_examples=200, deadline=None)
+def test_failing_witness_is_precedence_ordered(instance):
+    # colors first appear in the order 0, 1, 2, ..., in the plain loop's
+    # least witness as in the search's
+    s, h, p, k, ordered = instance
+    result = verify_arrow(ArrowQuery(s, h, p, k, ordered=ordered))
+    _, colors, _ = _lexicographic_arrow(s, h, p, k, ordered)
+    if result.verdict == "fails":
+        assert _precedence_ordered(result.witness.colors) and _precedence_ordered(colors)
+        assert find_mono_copy(s, h, p, result.witness, ordered=ordered) is None
 
 
 class TestEdgeNonedgeSearch:
