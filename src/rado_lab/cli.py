@@ -38,26 +38,38 @@ class CliError(Exception):
     pass
 
 
-def _fingerprint(path: str) -> str:
+def _read_input(path: str) -> tuple[str, str]:
+    # (text, sha256 of the file's bytes) from one read; the text is decoded
+    # as text mode decodes it: ASCII, with "\r\n" and "\r" read as "\n"
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    text = data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
+    return text, hashlib.sha256(data).hexdigest()
 
 
-def _read_graph_file(path: str) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_graph(fh.read())
+def _write_output(path: str, text: str) -> str:
+    # writes ``text`` as ASCII and returns the sha256 of the bytes written
+    data = text.encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def _read_gadget_file(path: str) -> FunctionGadget:
+def _read_graph_file(path: str) -> tuple[Graph, str]:
+    text, digest = _read_input(path)
+    return parse_graph(text), digest
+
+
+def _read_gadget_file(path: str) -> tuple[FunctionGadget, str]:
     # graph names inside a gadget file are relative to the file's directory
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_gadget(fh.read(), lambda name: _read_graph_file(os.path.join(base, name)))
+    text, digest = _read_input(path)
+    return parse_gadget(text, lambda name: _read_graph_file(os.path.join(base, name))[0]), digest
 
 
 def _read_structure_file(path: str):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_structure(fh.read())
+    text, digest = _read_input(path)
+    return parse_structure(text), digest
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -98,14 +110,13 @@ def _cmd_generate(args) -> int:
     # checked first, so a refused check writes no file
     verdict = check_extension(graph, check_k)
     out_path = args.output or default_name
-    with open(out_path, "w", encoding="ascii") as fh:
-        fh.write(format_graph(graph))
+    out_digest = _write_output(out_path, format_graph(graph))
     report = {
         "command": "generate",
         "kind": args.kind,
         "seed": args.seed,
         "output": out_path,
-        "output_sha256": _fingerprint(out_path),
+        "output_sha256": out_digest,
         "vertices": graph.n,
         "edges": graph.edge_count(),
         "extension_check": {
@@ -125,12 +136,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_classify_relation(args) -> int:
     relations = [parse_relation_spec(spec) for spec in args.spec]
-    host = _read_graph_file(args.host)
+    host, host_digest = _read_graph_file(args.host)
     classification = classify_reduct(relations, host, args.k)
     report = {
         "command": "classify-relation",
         "seed": args.seed,
-        "inputs": {args.host: _fingerprint(args.host)},
+        "inputs": {args.host: host_digest},
         "specs": list(args.spec),
         "k": args.k,
         "verdict": classification.to_json_dict(),
@@ -155,11 +166,11 @@ def _nonempty_vertex_list(option: str, text: str) -> list[int]:
 
 
 def _cmd_classify_function(args) -> int:
-    gadget = _read_gadget_file(args.gadget)
+    gadget, gadget_digest = _read_gadget_file(args.gadget)
     report = {
         "command": "classify-function",
         "seed": args.seed,
-        "inputs": {args.gadget: _fingerprint(args.gadget)},
+        "inputs": {args.gadget: gadget_digest},
         "label": gadget.label,
     }
     pg = None
@@ -202,9 +213,7 @@ def _cmd_classify_function(args) -> int:
 
 
 def _cmd_ramsey(args) -> int:
-    s = _read_structure_file(args.S)
-    h = _read_structure_file(args.H)
-    p = _read_structure_file(args.P)
+    (s, s_digest), (h, h_digest), (p, p_digest) = map(_read_structure_file, (args.S, args.H, args.P))
     query = ArrowQuery(s, h, p, args.k, ordered=args.ordered)
     budget = ArrowBudget(colorings=args.budget_colorings, copies=args.budget_copies)
     result = verify_arrow(query, budget)
@@ -212,9 +221,9 @@ def _cmd_ramsey(args) -> int:
         "command": "ramsey-verify",
         "seed": args.seed,
         "inputs": {
-            args.S: _fingerprint(args.S),
-            args.H: _fingerprint(args.H),
-            args.P: _fingerprint(args.P),
+            args.S: s_digest,
+            args.H: h_digest,
+            args.P: p_digest,
         },
         "k": args.k,
         "ordered": args.ordered,
@@ -232,10 +241,8 @@ def _cmd_ramsey(args) -> int:
         lines.extend(
             f"{i} {c}" for i, c in enumerate(result.witness.colors)
         )
-        with open(witness_path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
         report["witness_file"] = witness_path
-        report["witness_sha256"] = _fingerprint(witness_path)
+        report["witness_sha256"] = _write_output(witness_path, "\n".join(lines) + "\n")
     _emit(report, args.json)
     return 0
 
@@ -246,9 +253,13 @@ def _type_json(t) -> dict:
 
 
 def _cmd_interpolate(args) -> int:
-    target = _read_gadget_file(args.target)
+    target, target_digest = _read_gadget_file(args.target)
     kinds = frozenset(x for x in args.gens.split(",") if x)
-    hosts = [_read_graph_file(path) for path in args.hosts]
+    digests = {args.target: target_digest}
+    hosts = []
+    for path in args.hosts:
+        host, digests[path] = _read_graph_file(path)
+        hosts.append(host)
     gens = GeneratorSet(kinds)
     if args.depth < 1:
         raise CliError("depth must be at least 1")
@@ -258,7 +269,7 @@ def _cmd_interpolate(args) -> int:
     report = {
         "command": "interpolate",
         "seed": args.seed,
-        "inputs": {path: _fingerprint(path) for path in [args.target] + args.hosts},
+        "inputs": digests,
         "gens": sorted(kinds | {"identity"}),
         "depth": args.depth,
         "verdict": {

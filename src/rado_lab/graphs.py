@@ -4,11 +4,16 @@ and embedding search.
 Vertices are always the contiguous ids 0..n-1.  Adjacency is stored as one
 integer bitmask per vertex, so a pair query is one integer operation.  The
 extension check tells whether a level fails by one depth-first pass over
-supports that carries the candidate masks of all (U, U') splits of the
-prefix, one AND per split; on a failing level, a walk in (U, U') order stops
-at the least failing pair.  Host automorphisms found by embedding search can
-stand in for all supports but those through a few representative vertices,
-on every level below the first where one of those fails.
+supports that carries the witness masks of all (U, U') splits of the prefix,
+one AND per split.  At the last vertex of a support, a graph on 21 to 160
+vertices tests a window of more than 6 candidates in one packed step per
+split: its rows and non-neighbour rows sit in fields of n + 1 bits, and a
+split that misses a candidate's row leaves that field's guard bit clear.
+Narrower windows and other graphs keep the loop over candidates.  On a
+failing level, a walk in (U, U') order stops at the least failing pair.
+Host automorphisms found by embedding search can stand in for all supports
+but those through a few representative vertices, on every level below the
+first where one of those fails.
 Embedding search likewise carries the candidate mask of every unassigned
 pattern vertex, all packed into one integer, and narrows them all when it
 assigns one (forward checking).
@@ -335,9 +340,12 @@ def _failures_of_size(
     n, full = g.n, g.full_mask
     if t == 0:  # the empty pair has no witness only in the empty graph
         return iter([((), ())] if lo == 0 and not full else [])
-    rows = g._rows
-    nrows = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
+    rows, nrows = g._rows, _non_neighbour_rows(g)
     support = [0] * t
+    # the packed test beats the loop over candidates from windows of about
+    # 6 on.  Below 21 vertices packing the rows costs more than it saves, and
+    # from about 200 on its fields of n + 1 bits cost more than the loop
+    packable = 20 < n <= 160
 
     def rec(d: int, start: int, masks: list[int], need: tuple[int, ...]):
         # support[d] leaves room for t - d - 1 more vertices and skips no
@@ -358,7 +366,13 @@ def _failures_of_size(
                     need[1:] if need and v == need[0] else need,
                 )
             return
-        for v in range(max(start, lo), stop):
+        start = max(start, lo)
+        candidates = range(start, stop)
+        if packable and stop - start > 6:
+            # a window this wide runs to n (a vertex of ``need`` would make
+            # it one wide): only the candidates one packed test fails go on
+            candidates = _emptying_candidates(g, masks, start)
+        for v in candidates:
             row, nrow = rows[v], nrows[v]
             # stop at the first empty split: only a failing support builds masks
             for m in masks:
@@ -373,6 +387,50 @@ def _failures_of_size(
                     yield tuple(x for x in support if x not in u2), tuple(u2)
 
     return rec(0, 0, [full], through)
+
+
+def _emptying_candidates(g: Graph, masks: list[int], start: int) -> list[int]:
+    # the vertices v >= start for which some mask of ``masks`` misses all
+    # neighbours or all non-neighbours of v other than v, in increasing
+    # order.  The packed rows are shifted so that vertex start has field 0;
+    # per mask, one multiplication spreads it over every field, and a field
+    # that the mask misses does not carry into its guard bit
+    n, w = g.n, g.n + 1
+    p, q, feet = _packed_rows(g)
+    shift = start * w
+    p, q, feet = p >> shift, q >> shift, feet >> shift
+    guard = feet << n
+    low = guard - feet
+    ok = guard
+    for m in masks:
+        spread = m * feet
+        ok &= (p & spread) + low & (q & spread) + low
+    bad = guard ^ ok
+    out = []
+    while bad:
+        b = bad & -bad
+        bad ^= b
+        out.append(start + (b.bit_length() - 1) // w)
+    return out
+
+
+@lru_cache(maxsize=4)
+def _non_neighbour_rows(g: Graph) -> tuple[int, ...]:
+    # per vertex v, the vertices other than v that are not adjacent to it;
+    # kept for the last few graphs, since a check reads them on every level
+    full = g.full_mask
+    return tuple([full ^ row ^ (1 << v) for v, row in enumerate(g._rows)])
+
+
+@lru_cache(maxsize=4)
+def _packed_rows(g: Graph) -> tuple[int, int, int]:
+    # (rows, nrows, feet): the rows and the non-neighbour rows of g, row v in
+    # the field of width n + 1 at bit v * (n + 1), and a 1 at the foot of each
+    # field.  O(n^2) bits, built on a graph's first wide window and kept for
+    # the last few graphs, as _later_relations keeps its large entries
+    n, w = g.n, g.n + 1
+    feet = ((1 << n * w) - 1) // ((1 << w) - 1)
+    return _packed(g._rows, w), _packed(_non_neighbour_rows(g), w), feet
 
 
 def check_extension(g: Graph, k: int) -> ExtensionResult:
@@ -419,8 +477,7 @@ def _least_failure(g: Graph, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] 
     # U, U' over the sorted (t - |U|)-sets outside U.  The witness mask of a
     # pair is the AND of U's rows and U''s non-neighbour rows; it fails when
     # that is empty, and then so does every pair that extends U'
-    n, full, rows = g.n, g.full_mask, g._rows
-    nrows = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
+    n, full, rows, nrows = g.n, g.full_mask, g._rows, _non_neighbour_rows(g)
 
     def least_u2(free: list[int], s: int, i: int, mask: int) -> tuple[int, ...] | None:
         # the least s-set of free[i:] that empties ``mask``
@@ -517,18 +574,21 @@ class _BudgetedHost:
         return self._rows[u]
 
 
+@lru_cache(maxsize=1)  # the host whose automorphisms are being checked
+def _row_bits(g: Graph) -> tuple[str, ...]:
+    # the rows as bit strings: _row_bits(g)[u][v] == "1" iff u ~ v
+    return tuple([format(row, f"0{g.n}b")[::-1] for row in g._rows])
+
+
 def _is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
-    # permute the rows as bit strings: moving bit v of row u to perm[v] must
-    # give row perm[u]
+    # pull the rows back as bit strings: row perm[u] read at perm[0], ...,
+    # perm[n - 1] must be row u
     n = g.n
     if sorted(perm) != list(range(n)):
         return False
-    inverse = [0] * n
-    for v, w in enumerate(perm):
-        inverse[w] = v
-    take = itemgetter(*inverse)
-    bits = [format(row, f"0{n}b")[::-1] for row in g._rows]  # bits[u][v] == "1" iff u ~ v
-    return all("".join(take(bits[u])) == bits[perm[u]] for u in range(n))
+    bits = _row_bits(g)
+    take = itemgetter(*perm)
+    return all("".join(take(bits[perm[u]])) == bits[u] for u in range(n))
 
 
 def _adjacency_cells(g: Graph, points: Sequence[int]) -> list[int]:

@@ -471,6 +471,72 @@ class TestInterpolateCli:
         assert captured.err == "error: depth must be at least 1\n"
 
 
+class TestInputFiles:
+    """An input file is read once: its text is decoded as text mode decodes
+    it, and its digest is that of the bytes on disk."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify-relation", "--spec", "parity:4", "--host", "{d}/p13.g", "-k", "2"),
+            ("classify-function", "--gadget", "{d}/minus.fg"),
+            ("interpolate", "--target", "{d}/minus.fg", "--gens", "switch", "--hosts", "{d}/p13.g", "--depth", "2"),
+            ("ramsey", "verify", "--S", "{d}/k5.g", "--H", "{d}/k3.g", "--P", "{d}/k2.g", "-k", "2",
+             "--witness-out", "{d}/w.txt"),
+        ],
+    )
+    def test_crlf_input_reads_as_lf(self, workspace, capsys, argv):
+        paley = build_paley(13)
+        minus = make_named("minus", paley.graph, witness=paley.complement_witness)
+        texts = {"p13.g": format_graph(paley.graph), "minus.fg": format_gadget(minus, "p13.g", "p13.g")}
+        texts.update((f"k{n}.g", format_graph(complete_graph(n))) for n in (5, 3, 2))
+        reports = {}
+        for d, newline in (("lf", "\n"), ("crlf", "\r\n")):
+            (workspace / d).mkdir()
+            for name, text in texts.items():
+                (workspace / d / name).write_bytes(text.replace("\n", newline).encode("ascii"))
+            code, out = run_cli(capsys, *(arg.format(d=d) for arg in argv), "--json")
+            assert code == 0
+            reports[d] = json.loads(out)
+            for path, digest in reports[d].pop("inputs").items():
+                assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        # the ramsey witness is written with "\n", wherever its inputs came from
+        for report in reports.values():
+            report.pop("witness_file", None)
+        assert reports["lf"] == reports["crlf"]
+
+    def test_non_ascii_input_is_error(self, workspace, capsys):
+        (workspace / "bad.g").write_bytes(b"n 2\n0 1\xe9\n")
+        code = main(["classify-relation", "--spec", "parity:3", "--host", "bad.g", "-k", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: 'ascii' codec can't decode byte 0xe9 in position 7: ordinal not in range(128)\n"
+        )
+
+    def test_each_file_opened_once(self, workspace, capsys, monkeypatch):
+        for n in (5, 3, 2):
+            (workspace / f"k{n}.g").write_text(format_graph(complete_graph(n)))
+        opened = []
+
+        def recorded(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", recorded, raising=False)
+        code, out = run_cli(
+            capsys, "ramsey", "verify", "--S", "k5.g", "--H", "k3.g", "--P", "k2.g",
+            "-k", "2", "--witness-out", "w.txt", "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["witness_sha256"] == K5_WITNESS_SHA256
+        assert opened == ["k5.g", "k3.g", "k2.g", "w.txt"]
+        opened.clear()
+        code, out = run_cli(capsys, "generate", "paley", "13", "--json", "-o", "p13.g")
+        assert code == 0
+        assert opened == ["p13.g"]
+        assert json.loads(out)["output_sha256"] == hashlib.sha256((workspace / "p13.g").read_bytes()).hexdigest()
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, workspace, capsys):
         host = workspace / "p13.g"

@@ -314,6 +314,69 @@ class TestExtensionKernel:
             assert graphs._least_failure(g, t) == (level[0] if level else None)
 
 
+def _naive_failures_of_size(g: Graph, t: int, lo: int, through: tuple[int, ...]):
+    # (support, split) order over the t-vertex supports that contain
+    # ``through`` and end at or above lo; bit i of split puts support[i] in
+    # U', and a pair fails when no vertex outside its support is adjacent to
+    # all of U and to none of U'
+    out = []
+    for support in combinations(range(g.n), t):
+        if support[-1] < lo or not set(through) <= set(support):
+            continue
+        for split in range(1 << t):
+            u2 = tuple(support[i] for i in range(t) if split >> i & 1)
+            u_set = tuple(v for v in support if v not in u2)
+            witnesses = g.full_mask
+            for u in u_set:
+                witnesses &= g.row(u)
+            for v in (*u2, *support):
+                witnesses &= ~(1 << v)
+            for v in u2:
+                witnesses &= ~g.row(v)
+            if not witnesses:
+                out.append((u_set, u2))
+    return out
+
+
+class TestExtensionKernelWindows:
+    """The last level of the kernel on graphs large enough for its packed
+    test, and on the narrow windows that ``lo`` and ``through`` leave."""
+
+    @pytest.mark.parametrize(
+        "n, t, density",
+        [
+            (40, 1, 0.5),
+            (40, 2, 0.2),
+            (40, 2, 0.5),
+            (40, 3, 0.2),
+            (40, 3, 0.5),
+            (27, 3, 0.8),
+            (16, 4, 0.5),
+            (22, 4, 0.5),
+        ],
+    )
+    def test_yields_the_naive_sequence(self, n, t, density, monkeypatch):
+        rng = random.Random(f"{n}:{t}:{density}")
+        g = Graph.from_edges(n, [p for p in combinations(range(n), 2) if rng.random() < density])
+        packed_windows = []
+        emptying_candidates = graphs._emptying_candidates
+
+        def recorded(h, masks, start):
+            packed_windows.append(start)
+            return emptying_candidates(h, masks, start)
+
+        monkeypatch.setattr(graphs, "_emptying_candidates", recorded)
+        # full-range windows, one-field windows and a cut in between
+        for lo in (0, n - 1, rng.randrange(1, n - 1)):
+            assert list(graphs._failures_of_size(g, t, lo)) == _naive_failures_of_size(g, t, lo, ())
+        # the representative bases of _first_failing_level
+        a = next(v for v in range(1, n) if g.has_edge(0, v))
+        b = next(v for v in range(1, n) if not g.has_edge(0, v))
+        for base in ((0, a), (0, b)) if t >= 2 else ((0,), (a,)):
+            assert list(graphs._failures_of_size(g, t, through=base)) == _naive_failures_of_size(g, t, 0, base)
+        assert bool(packed_windows) == (n > 20)
+
+
 def _relabelled(g: Graph, seed: int) -> Graph:
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
