@@ -9,7 +9,10 @@ one AND per split.  At the last vertex of a support, a graph on 21 to 160
 vertices tests a window of more than 6 candidates in one packed step per
 split: its rows and non-neighbour rows sit in fields of n + 1 bits, and a
 split that misses a candidate's row leaves that field's guard bit clear.
-Narrower windows and other graphs keep the loop over candidates.  On a
+Narrower windows and other graphs keep the loop over candidates.  A rescan
+from ``lo`` whose last window [lo, n) holds at most 6 vertices swaps the
+last two levels instead: each of those vertices tests every second-to-last
+vertex below lo in one packed step, and only the flagged ones go on.  On a
 failing level, a walk in (U, U') order stops at the least failing pair.
 Host automorphisms found by embedding search can stand in for all supports
 but those through a few representative vertices, on every level below the
@@ -45,13 +48,15 @@ class GraphFormatError(ValueError):
 
 
 class BuildBudgetError(RuntimeError):
-    """Raised when the repair loop of :func:`build_ec` exceeds its size budget.
+    """Raised when :func:`build_ec` would return or grow a graph beyond its
+    size budget.
 
-    Carries the partial graph and ``check_extension(partial, k).failing``,
-    its least failing pair, so callers can report progress.
+    Carries that graph and ``check_extension(partial, k).failing``, its
+    least failing pair, so callers can report progress; ``None`` when the
+    graph passes, as a random start graph over the budget may.
     """
 
-    def __init__(self, message: str, partial: "Graph", failing: tuple):
+    def __init__(self, message: str, partial: "Graph", failing: tuple | None):
         super().__init__(message)
         self.partial = partial
         self.failing = failing
@@ -356,7 +361,12 @@ def _failures_of_size(
             if len(need) == t - d:
                 start = need[0]
         if d + 1 < t:
-            for v in range(start, stop):
+            vs = range(start, stop)
+            if d + 2 == t and packable and not need and n - lo <= 6 < lo - start:
+                # a rescan's last window [lo, n) is narrow and the window
+                # below lo wide: only the v < lo it flags build masks
+                vs = [*_rescan_candidates(g, masks, start, lo), *range(lo, stop)]
+            for v in vs:
                 support[d] = v
                 row, nrow = rows[v], nrows[v]
                 yield from rec(
@@ -412,6 +422,16 @@ def _emptying_candidates(g: Graph, masks: list[int], start: int) -> list[int]:
         bad ^= b
         out.append(start + (b.bit_length() - 1) // w)
     return out
+
+
+def _rescan_candidates(g: Graph, masks: list[int], start: int, lo: int) -> list[int]:
+    # the second-to-last support vertices v in [start, lo), in increasing
+    # order, that some last vertex x >= lo may complete to a failing support:
+    # x's row and non-neighbour row join ``masks``, and one packed test over
+    # the masks of every x flags each v that one of them empties
+    rows, nrows = g._rows, _non_neighbour_rows(g)
+    joined = [m & r for x in range(lo, g.n) for r in (rows[x], nrows[x]) for m in masks]
+    return [v for v in _emptying_candidates(g, joined, start) if v < lo]
 
 
 @lru_cache(maxsize=4)
@@ -492,18 +512,22 @@ def _least_failure(g: Graph, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] 
                 return (free[j], *tail)
         return None
 
-    def walk(u_set: tuple[int, ...], mask: int, start: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        u2 = least_u2([v for v in range(n) if v not in u_set], t - len(u_set), 0, mask)
+    def walk(
+        u_set: tuple[int, ...], free: list[int], mask: int, i: int
+    ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        # free: the vertices outside u_set, those above it from free[i] on
+        u2 = least_u2(free, t - len(u_set), 0, mask)
         if u2 is not None:
             return u_set, u2
         if len(u_set) < t:
-            for v in range(start, n):
-                pair = walk((*u_set, v), mask & rows[v], v + 1)
+            for j in range(i, len(free)):
+                v = free[j]
+                pair = walk((*u_set, v), free[:j] + free[j + 1 :], mask & rows[v], j)
                 if pair is not None:
                     return pair
         return None
 
-    return walk((), full, 0)
+    return walk((), list(range(n)), full, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +708,12 @@ def build_ec(k: int, seed: int = 0, *, max_vertices: int | None = None) -> Graph
     Strategy: seeded random graph at a size heuristic, then repair rounds.  A
     round collects every failing (U, U') pair and adds new witness vertices;
     pairwise-compatible demands are packed greedily onto one new vertex, whose
-    remaining adjacencies are random coin flips.
+    remaining adjacencies are random coin flips.  Later rounds rescan only
+    supports through an added vertex; on 21 to 160 vertices each added one
+    tests every second-to-last vertex below them in one packed step.  The
+    graph returned passes a full ``check_extension(g, k)``, its certificate.
+    :class:`BuildBudgetError` is raised when the graph would exceed
+    ``max_vertices``, the start graph included.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -706,8 +735,6 @@ def build_ec(k: int, seed: int = 0, *, max_vertices: int | None = None) -> Graph
         # build.  Adding vertices never invalidates a witness, so after a
         # repair round only these pairs need rechecking
         failures = [pair for t in range(k + 1) for pair in _failures_of_size(g, t, prev_n)]
-        if not failures and check_extension(g, k).passed:
-            return g
         bundles: list[dict[int, bool]] = []
         for u_set, u2 in failures:
             demand = {u: True for u in u_set}
@@ -725,6 +752,8 @@ def build_ec(k: int, seed: int = 0, *, max_vertices: int | None = None) -> Graph
                 partial=g,
                 failing=check_extension(g, k).failing,
             )
+        if not failures and check_extension(g, k).passed:
+            return g
         prev_n = n
         for demand in bundles:
             new_row = 0

@@ -175,10 +175,12 @@ class TestBuildEc:
 
     def test_budget_error_reports_partial(self):
         # k = 3: the random start graph already has 72 vertices, so the first
-        # round exceeds the budget; k = 2 stops after one repair round
+        # round exceeds the budget; k = 2 stops after one repair round; k = 1:
+        # the 6-vertex start graph passes but is over the budget
         for k, seed, max_vertices, n, least in [
             (3, 0, 20, 72, ((), (13, 38, 71))),
             (2, 2, 17, 16, ((), (1, 4))),
+            (1, 0, 3, 6, None),
         ]:
             with pytest.raises(BuildBudgetError) as info:
                 build_ec(k, seed=seed, max_vertices=max_vertices)
@@ -188,7 +190,11 @@ class TestBuildEc:
             # of the repair round
             fresh = Graph(partial.n, tuple(partial.row(v) for v in range(partial.n)))
             assert info.value.failing == check_extension(fresh, k).failing == least
-            assert not _naive_has_witness(partial, *least)
+            if least is None:
+                # the graph an unbounded build returns as it is
+                assert partial == build_ec(k, seed=seed)
+            else:
+                assert not _naive_has_witness(partial, *least)
 
     @pytest.mark.parametrize(
         "k,seed,digest",
@@ -196,8 +202,13 @@ class TestBuildEc:
             (3, 0, "01513a88a849d453039a9315eee09b775a8bcd690f18c73df13aba081064ada6"),
             (3, 3, "c33d5fe9a6c01cb69646eb9e93f12e86471047721c7b5c1e30e9545d465b6dfa"),
             (2, 0, "d3966d42d21fbf2e3c57f5461598aec8c10b87557ad42f25b18f024ea3bfee86"),
+            (3, 8, "c6423ae973d3f88b55cbcea61b7ebb1293ee55bc1e0203b5b3ac4ded1751d0e3"),
+            (3, 26, "f99d4ed12af337e9a010b5685b8176e0b53676f27c62cf146f99b803ee6b1cac"),
+            (3, 29, "d573edcb8668590e192254abf08516293018d750d4a9fcc3e2152071bfb2e5d9"),
+            (3, 35, "8c7cb9ab6f1738c55c364d1422411aa5cd7ba8b066ba67e0af22a622540cc8fc"),
+            (3, 36, "5ebebad706aac376aaca6491ede63b7832854967adb156b893b62d0b31ed0a36"),
         ],
-        ids=["k3-s0", "k3-s3", "k2-s0"],
+        ids=["k3-s0", "k3-s3", "k2-s0", "k3-s8", "k3-s26", "k3-s29", "k3-s35", "k3-s36"],
     )
     def test_build_bytes_pinned(self, k, seed, digest):
         text = format_graph(build_ec(k, seed))
@@ -340,7 +351,8 @@ def _naive_failures_of_size(g: Graph, t: int, lo: int, through: tuple[int, ...])
 
 class TestExtensionKernelWindows:
     """The last level of the kernel on graphs large enough for its packed
-    test, and on the narrow windows that ``lo`` and ``through`` leave."""
+    test, and on the narrow windows that ``lo`` and ``through`` leave,
+    where a narrow ``lo`` swaps the last two levels."""
 
     @pytest.mark.parametrize(
         "n, t, density",
@@ -366,8 +378,18 @@ class TestExtensionKernelWindows:
             return emptying_candidates(h, masks, start)
 
         monkeypatch.setattr(graphs, "_emptying_candidates", recorded)
-        # full-range windows, one-field windows and a cut in between
-        for lo in (0, n - 1, rng.randrange(1, n - 1)):
+        swapped_cuts = set()
+        rescan_candidates = graphs._rescan_candidates
+
+        def recorded_swap(h, masks, start, lo):
+            swapped_cuts.add(lo)
+            return rescan_candidates(h, masks, start, lo)
+
+        monkeypatch.setattr(graphs, "_rescan_candidates", recorded_swap)
+        # full-range windows, one-field windows and a cut in between, then
+        # the cuts of build_ec's rounds that add two or three vertices
+        cuts = (0, n - 1, rng.randrange(1, n - 1), n - 2, n - 3)
+        for lo in cuts:
             assert list(graphs._failures_of_size(g, t, lo)) == _naive_failures_of_size(g, t, lo, ())
         # the representative bases of _first_failing_level
         a = next(v for v in range(1, n) if g.has_edge(0, v))
@@ -375,6 +397,8 @@ class TestExtensionKernelWindows:
         for base in ((0, a), (0, b)) if t >= 2 else ((0,), (a,)):
             assert list(graphs._failures_of_size(g, t, through=base)) == _naive_failures_of_size(g, t, 0, base)
         assert bool(packed_windows) == (n > 20)
+        # the swapped last two levels run on packed graphs at a narrow cut
+        assert swapped_cuts == {lo for lo in cuts if n > 20 and t >= 2 and n - lo <= 6}
 
 
 def _relabelled(g: Graph, seed: int) -> Graph:
