@@ -135,13 +135,19 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_classify_relation(args) -> int:
-    relations = [parse_relation_spec(spec) for spec in args.spec]
-    host, host_digest = _read_graph_file(args.host)
+    inputs: dict[str, str] = {}  # tuple files' and the host's digests
+
+    def read_file(path: str) -> str:
+        text, inputs[path] = _read_input(path)
+        return text
+
+    relations = [parse_relation_spec(spec, read_file=read_file) for spec in args.spec]
+    host, inputs[args.host] = _read_graph_file(args.host)
     classification = classify_reduct(relations, host, args.k)
     report = {
         "command": "classify-relation",
         "seed": args.seed,
-        "inputs": {args.host: host_digest},
+        "inputs": inputs,
         "specs": list(args.spec),
         "k": args.k,
         "verdict": classification.to_json_dict(),

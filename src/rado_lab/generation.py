@@ -14,7 +14,7 @@ search that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, compress, islice, permutations
@@ -36,6 +36,7 @@ from .relations import (
     EqualityDefinability,
     PreservationResult,
     Relation,
+    TupleSetRelation,
     TypeSetRelation,
     _acts_within,
     _identity_rewrites,
@@ -607,6 +608,7 @@ class ReductClass(Enum):
     SWITCH = "switch"
     MINUS_SWITCH = "minus-switch"
     EQUALITY = "equality"
+    UNDEFINABLE = "undefinable"
 
 
 _CLASS_GENS = {
@@ -619,10 +621,12 @@ _CLASS_OF_GENS = {gens: cls for cls, gens in _CLASS_GENS.items()}
 
 
 def join_classes(a: ReductClass, b: ReductClass) -> ReductClass:
-    """Join in the five-class lattice: the class of the group generated by the
-    two groups together (equality on top, graph at the bottom)."""
-    if ReductClass.EQUALITY in (a, b):
-        return ReductClass.EQUALITY
+    """Join of two classes: among the five, the class of the group generated
+    by the two groups together (equality on top, graph at the bottom);
+    undefinable, a tuple set that is no union of QF types, absorbs them all."""
+    for top in (ReductClass.UNDEFINABLE, ReductClass.EQUALITY):
+        if top in (a, b):
+            return top
     return _CLASS_OF_GENS[_CLASS_GENS[a] | _CLASS_GENS[b]]
 
 
@@ -678,6 +682,13 @@ class ReductClassification:
 
 
 def _classify_single(r: Relation, host: Graph) -> RelationCertificate:
+    if isinstance(r, TupleSetRelation):
+        found = r.type_set(host)
+        if isinstance(found, TypeSetRelation):
+            cert = replace(_classify_single(found, host), relation=r.name)
+            _check_against_table(found, cert)
+            return cert
+        return RelationCertificate(r.name, ReductClass.UNDEFINABLE, EqualityDefinability(False, *found), None, (), 0, 0)
     eq = definable_from_equality(r, host)
     if eq.definable:
         return RelationCertificate(r.name, ReductClass.EQUALITY, eq, None, (), 0, 0)
@@ -703,9 +714,10 @@ def classify_reduct(relations, host: Graph, k: int) -> ReductClassification:
     relations classify jointly as the lattice join of their individual
     classes (the class of the group generated by everything each relation
     allows).  ``k`` is the host's claimed extension level and is verified
-    up front, after the host's size.  A tuple set with an id outside
-    ``0..host.n - 1`` raises ``ValueError`` naming its least such tuple; the
-    refusal comes from the equality scan, after the host checks.
+    up front, after the host's size.  A tuple set then becomes its
+    ``type_set`` on the host, which refuses an id outside ``0..host.n - 1``,
+    and is classified as that type set under its own name; a tuple set that
+    is no type set is undefinable, with the pair as its equality witness.
 
     The class of a QF relation with a type table is the table's: its
     positive facts skip the host, and the host supplies the least
@@ -751,6 +763,6 @@ def _check_against_table(r: Relation, cert: RelationCertificate) -> None:
     else:
         return
     raise ValueError(
-        f"the host cannot witness that {r.name} is {fact}; a host that passes "
+        f"the host cannot witness that {cert.relation} is {fact}; a host that passes "
         f"the {r.arity - 1}-extension check realizes every type of arity {r.arity}"
     )

@@ -36,11 +36,11 @@ complement, or g switched at v restricted to tuples containing v.  It walks
 (arity - 1)-prefixes in lexicographic order and tests the last coordinate
 for all candidates at once, as bit masks; ``checked`` counts the prefixes.
 The equality scan runs it against the membership of the least tuple of
-each pattern and refuses a tuple set with an id outside the host.
-Complement and switch checks are one gate, ``_identity_rewrites``, over one
-scan, ``_rewrite_scans``, which sets up the rows and the kernel once for
-every rewrite.  Tuple sets have no table: membership ignores the graph, so
-the gate keeps them, and only ``preserved_by_map`` walks their members.
+each pattern.  Complement and switch checks are one gate,
+``_identity_rewrites``, over one scan, ``_rewrite_scans``, which sets up the
+rows and the kernel once for every rewrite.  Tuple sets ignore the graph and
+have no table or scan: ``preserved_by_map`` walks their members, and
+``type_set`` turns one into the type set it equals on a host, if any.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -256,6 +257,28 @@ class TupleSetRelation(Relation):
 
     def holds(self, t: tuple[int, ...], g: Graph) -> bool:
         return t in self.tuples
+
+    def type_set(self, host: Graph) -> TypeSetRelation | tuple[tuple[tuple[int, ...], tuple[int, ...]], int]:
+        """The ``TypeSetRelation`` of the members' QF types on ``host`` if
+        every host tuple of those types is a member; else the pair (least
+        member of a type, least host tuple of that type that is not a member)
+        for the least such tuple, and the count of prefixes scanned.  An id
+        outside the host raises ``ValueError`` naming the least such tuple."""
+        n = host.n
+        least = min((t for t in self.tuples if not all(0 <= x < n for x in t)), default=None)
+        if least is not None:
+            raise ValueError(f"tuple {least} in {self.graph_name or self.name} is not over the host's vertices 0..{n - 1}")
+        first: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+        index: dict[tuple[int, ...], int] = {}
+        for t in sorted(self.tuples):
+            first.setdefault(qf_type(t, host), t)
+            index[t[:-1]] = index.get(t[:-1], 0) | 1 << t[-1]
+        types = TypeSetRelation(self.arity, first)
+        rows, same = host.rows, [1 << x for x in range(n)]
+        res = _scan_kernel(types, range(n), n)(lambda prefix, member: member(prefix, rows, same) & ~index.get(prefix, 0))
+        if res.preserved:
+            return types
+        return (first[qf_type(res.witness, host)], res.witness), res.checked
 
 
 # formula AST nodes are plain tuples: ("E", i, j), ("eq", i, j),
@@ -542,9 +565,7 @@ def _scan_kernel(r: Relation, dom: Sequence[int], n: int):
     Parity relations are symmetric and empty on repeated entries, so sorted
     prefixes suffice and the member mask is the xor of the prefix rows;
     formulas walk ordered prefixes and evaluate on masks; type sets walk
-    ordered prefixes and read their member types off the prefix's type;
-    tuple sets read an index of their members, which ignores the graph,
-    and refuse the least member with an id outside 0..n - 1.
+    ordered prefixes and read their member types off the prefix's type.
     """
     full = (1 << n) - 1
     k = r.arity - 1
@@ -559,16 +580,6 @@ def _scan_kernel(r: Relation, dom: Sequence[int], n: int):
 
         def member(prefix, rows, same):
             return _type_set_mask(type_index, prefix, rows, same, full)
-    elif isinstance(r, TupleSetRelation):
-        least = min((t for t in r.tuples if not all(0 <= x < n for x in t)), default=None)
-        if least is not None:
-            raise ValueError(f"tuple {least} in {r.graph_name or r.name} is not over the host's vertices 0..{n - 1}")
-        index: dict[tuple[int, ...], int] = {}
-        for t in r.tuples:
-            index[t[:-1]] = index.get(t[:-1], 0) | 1 << t[-1]
-
-        def member(prefix, rows, same):
-            return index.get(prefix, 0)
     else:
         raise TypeError(f"no scan for relation {r!r}")
     ascending = isinstance(r, ParityRelation)
@@ -670,9 +681,9 @@ def _acts_within(rw: _Rewrite, kinds: frozenset[str]) -> bool:
 
 def invariant_under_complement(r: Relation, g: Graph) -> PreservationResult:
     """Identity-map preservation from g to its complement, both directions;
-    the witness of the first failing direction is reported.  A tuple set, or
-    a relation whose type table is complement-invariant, is preserved on
-    every graph: that verdict reports ``checked == 0``."""
+    the witness of the first failing direction is reported.  A relation
+    whose type table is complement-invariant is preserved on every graph:
+    that verdict reports ``checked == 0``."""
     return _identity_rewrites(r, g, None)[0]
 
 
@@ -680,8 +691,8 @@ def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
     """Identity-map preservation between g and switch_graph(g, {v}), both
     directions.
 
-    A tuple set, or a QF relation whose type table is switch-invariant, is
-    preserved on every graph, reported with ``checked == 0``.  Otherwise
+    A QF relation whose type table is switch-invariant is preserved on
+    every graph, reported with ``checked == 0``.  Otherwise
     only tuples containing v can change QF type, so the scan is restricted
     to them; the restricted least witness equals the global one.
     """
@@ -691,12 +702,12 @@ def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
 
 
 def _identity_rewrites(r: Relation, g: Graph, at: Sequence[int] | None) -> list[PreservationResult]:
-    # the gate: identity-map rewrites keep a tuple set, which ignores the
-    # graph, and a QF relation whose table is closed under the kind (minus
-    # when ``at`` is None, switch otherwise) on every graph; else the scan
+    # the gate: identity-map rewrites keep a QF relation whose table is
+    # closed under the kind (minus when ``at`` is None, switch otherwise) on
+    # every graph; else the scan
     facts = r.type_facts
     kind = "minus" if at is None else "switch"
-    if isinstance(r, TupleSetRelation) or facts is not None and kind in facts.closed_under:
+    if facts is not None and kind in facts.closed_under:
         return [PreservationResult(True)] * (1 if at is None else len(at))
     return _rewrite_scans(r, g, at)
 
@@ -738,8 +749,9 @@ class EqualityDefinability:
 
     On a negative answer ``witness`` is (member tuple, non-member tuple) with
     the same pattern, found first in the lexicographic scan; one of the two
-    is the least tuple of that pattern.  ``checked`` counts the prefixes the
-    scan kernel tested, or is 0 when the type table decided.
+    is the least tuple of that pattern.  For an undefinable tuple set the two
+    share a QF type, and the member is that type's least member.  ``checked``
+    counts the prefixes the scan kernel tested, or 0 when the table decided.
     """
 
     definable: bool
@@ -757,8 +769,7 @@ def _least_of_pattern(t: tuple[int, ...]) -> tuple[int, ...]:
 def definable_from_equality(r: Relation, g: Graph) -> EqualityDefinability:
     """Whether membership on g is constant on each equality pattern.  A
     relation whose type table says so is equality-definable on every graph:
-    that verdict reports ``checked == 0``.  A tuple set with an id outside
-    g's vertices raises ``ValueError``."""
+    that verdict reports ``checked == 0``."""
     facts = r.type_facts
     if facts is not None and facts.equality_definable:
         return EqualityDefinability(True)
@@ -919,11 +930,7 @@ def parse_relation_spec(spec: str, *, read_file=None) -> Relation:
         return ParityRelation(k)
     if spec.startswith("tuples:@"):
         path = spec[len("tuples:@"):]
-        if read_file is None:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
-        else:
-            text = read_file(path)
+        text = Path(path).read_text(encoding="ascii") if read_file is None else read_file(path)
         return parse_tuple_file(text, graph_name=path)
     if spec.startswith("formula:"):
         body = spec[len("formula:"):].strip()

@@ -175,7 +175,8 @@ class TestClassifyRelation:
         assert specs == [["parity:3"], ["parity:4"]]
 
     def test_tuple_set_reports_no_scan(self, workspace, capsys):
-        # an identity-map rewrite keeps a tuple set without a scan
+        # {(0, 1)} misses the edge (0, 3) of Paley(13): undefinable, with no
+        # complement or switch scan
         (workspace / "t.txt").write_text("arity 2\n0 1\n")
         (workspace / "p13.g").write_text(format_graph(build_paley(13).graph))
         code, out = run_cli(
@@ -184,8 +185,28 @@ class TestClassifyRelation:
         )
         assert code == 0
         cert = json.loads(out)["verdict"]["relations"][0]
-        assert cert["class"] == "minus-switch"
-        assert cert["complement_checked"] == cert["switch_subsets_checked"] == 0
+        assert cert == {
+            "relation": "tuples:t.txt[1]",
+            "class": "undefinable",
+            "equality_definable": False,
+            "equality_witness": {"in": [0, 1], "out": [0, 3]},
+        }
+
+    def test_tuple_file_digest_is_an_input(self, workspace, capsys):
+        # two tuple files at one path print different inputs
+        (workspace / "p13.g").write_text(format_graph(build_paley(13).graph))
+        digests = []
+        for text in ("arity 2\n0 1\n", "arity 2\n0 1\n1 0\n"):
+            (workspace / "t.txt").write_text(text)
+            code, out = run_cli(
+                capsys, "classify-relation", "--spec", "tuples:@t.txt",
+                "--host", "p13.g", "-k", "2", "--json",
+            )
+            assert code == 0
+            inputs = json.loads(out)["inputs"]
+            assert inputs == {name: hashlib.sha256((workspace / name).read_bytes()).hexdigest() for name in ("t.txt", "p13.g")}
+            digests.append(inputs["t.txt"])
+        assert digests[0] != digests[1]
 
     @pytest.mark.parametrize(
         "lines, least", [("0 1\n0 99\n", "(0, 99)"), ("-3 5\n0 1\n13 2\n", "(-3, 5)")], ids=["above", "negative"]
@@ -535,6 +556,12 @@ class TestInputFiles:
         assert code == 0
         assert opened == ["p13.g"]
         assert json.loads(out)["output_sha256"] == hashlib.sha256((workspace / "p13.g").read_bytes()).hexdigest()
+        # a tuple file is read through the same reader as the host
+        (workspace / "t.txt").write_text("arity 2\n0 1\n")
+        opened.clear()
+        code, out = run_cli(capsys, "classify-relation", "--spec", "tuples:@t.txt", "--host", "p13.g", "-k", "2", "--json")
+        assert code == 0
+        assert opened == ["t.txt", "p13.g"]
 
 
 class TestDeterminism:

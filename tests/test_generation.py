@@ -12,6 +12,7 @@ import pytest
 
 from rado_lab import (
     ConstantGraph,
+    EqualityDefinability,
     FunctionGadget,
     Graph,
     GeneratorSet,
@@ -857,6 +858,9 @@ class TestJoinClasses:
         assert join_classes(ReductClass.EQUALITY, ReductClass.GRAPH) is ReductClass.EQUALITY
         assert join_classes(ReductClass.MINUS_SWITCH, ReductClass.MINUS) is ReductClass.MINUS_SWITCH
         for cls in ReductClass:
+            assert join_classes(ReductClass.UNDEFINABLE, cls) is ReductClass.UNDEFINABLE
+            assert join_classes(cls, ReductClass.UNDEFINABLE) is ReductClass.UNDEFINABLE
+        for cls in ReductClass:
             assert join_classes(cls, cls) is cls
 
 
@@ -917,14 +921,40 @@ class TestClassifyReduct:
         with pytest.raises(ValueError):
             classify_reduct(parity_relation(4), complete_graph(3), 1)
 
-    def test_tuple_set_relation_is_switch_and_minus_invariant(self, paley13):
+    def test_tuple_set_off_its_types_is_undefinable(self, paley13):
+        # {(0, 1), (1, 0)} misses the edge (0, 3) of Paley(13), so no union of
+        # QF types gives it
         from rado_lab import TupleSetRelation
 
         host = paley13.graph
         r = TupleSetRelation(2, [(0, 1), (1, 0)])
         result = classify_reduct(r, host, 2)
-        # graph-independent membership survives every rewrite
-        assert result.reduct_class in (ReductClass.MINUS_SWITCH, ReductClass.EQUALITY)
+        assert result.reduct_class is ReductClass.UNDEFINABLE
+        cert = result.certificates[0]
+        assert (cert.relation, cert.equality) == (r.name, EqualityDefinability(False, ((0, 1), (0, 3)), 1))
+        assert (cert.complement, cert.switch_violations, cert.switches_checked, cert.switch_subsets_checked) == (
+            None, (), 0, 0,
+        )
+
+    def test_undefinable_tuple_set_makes_the_join_undefinable(self, paley13):
+        from rado_lab import TupleSetRelation
+
+        joint = classify_reduct([edge_relation(), TupleSetRelation(2, [(0, 1)])], paley13.graph, 2)
+        assert joint.reduct_class is ReductClass.UNDEFINABLE
+        assert [c.reduct_class for c in joint.certificates] == [ReductClass.GRAPH, ReductClass.UNDEFINABLE]
+
+    def test_type_invariant_tuple_sets_take_their_types_class(self, paley13):
+        # a tuple set that is a union of QF types is classified as that type set
+        from rado_lab import TupleSetRelation
+
+        host = paley13.graph
+        pairs = [(u, v) for u in range(13) for v in range(13) if u != v]
+        edges = TupleSetRelation(2, [(u, v) for u, v in pairs if host.has_edge(u, v)])
+        assert len(edges.tuples) == 78
+        got, want = classify_reduct(edges, host, 2), classify_reduct(edge_relation(), host, 2)
+        assert got.reduct_class is ReductClass.GRAPH
+        assert got.certificates[0] == replace(want.certificates[0], relation=edges.name)
+        assert classify_reduct(TupleSetRelation(2, pairs), host, 2).reduct_class is ReductClass.EQUALITY
 
     @pytest.mark.parametrize(
         "tuples, least", [([(0, 1), (0, 99)], "(0, 99)"), ([(-3, 5), (0, 1), (13, 2)], "(-3, 5)")],
@@ -940,8 +970,8 @@ class TestClassifyReduct:
             classify_reduct([edge_relation(), r], paley13.graph, 2)
 
     def test_host_checks_come_before_the_tuple_ids(self, paley13):
-        # the ids are refused by the equality scan, which runs after the
-        # host's extension check
+        # the ids are refused by type_set, which runs after the host's
+        # extension check
         from rado_lab import TupleSetRelation
 
         message = "host fails the 3-extension check at ((), (0, 1, 7))"

@@ -479,16 +479,6 @@ class TestIdentityRewriteScans:
         assert len(lines) == 1433
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BATTERY_DIGEST
 
-    def test_tuple_set_complement_skips_the_scan(self, paley13, monkeypatch):
-        # an identity-map rewrite keeps every tuple set, whatever the graph
-        def refuse(*args):
-            raise AssertionError("ran the scan kernel")
-
-        monkeypatch.setattr(relations, "_scan_kernel", refuse)
-        for r in BATTERY_TUPLE_SETS:
-            assert invariant_under_complement(r, paley13.graph) == PreservationResult(True)
-            assert invariant_under_switch(r, paley13.graph, 3) == PreservationResult(True)
-
 
 class TestTypeTableOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -900,6 +890,61 @@ def test_qf_type_and_type_set_match_naive_oracle(instance):
         assert r.holds(t, g) == any(naive_qf_type(m, g) == naive_qf_type(t, g) for m in members)
 
 
+PALEY13 = build_paley(13).graph
+
+
+def naive_type_set(arity, members, g):
+    """``TupleSetRelation.type_set`` by hand: walk every host tuple in
+    lexicographic order, typed by ``naive_qf_type``; the first non-member of
+    a member's type gives the pair (least member of that type, it), else the
+    set of member types."""
+    least = {}
+    for t in sorted(members):
+        least.setdefault(naive_qf_type(t, g), t)
+    for t in product(range(g.n), repeat=arity):
+        if t not in members and naive_qf_type(t, g) in least:
+            return least[naive_qf_type(t, g)], t
+    return set(least)
+
+
+@st.composite
+def typed_host_sets(draw):
+    """(host, arity, some realized types, host tuples to toggle): the host is
+    a random graph on 1 to 6 vertices or Paley(13)."""
+    if draw(st.booleans()):
+        g = PALEY13
+    else:
+        n = draw(st.integers(1, 6))
+        g = graph_from_bits(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+    arity = draw(st.integers(1, 3))
+    realized = sorted({naive_qf_type(t, g) for t in product(range(g.n), repeat=arity)})
+    types = set(draw(st.lists(st.sampled_from(realized), max_size=4)))
+    toggled = set(draw(st.lists(st.tuples(*[st.integers(0, g.n - 1)] * arity), max_size=3)))
+    return g, arity, types, toggled
+
+
+@given(typed_host_sets())
+# every edge of Paley(13) but (0, 1): the least non-member comes before the
+# least member of its type
+@example((PALEY13, 2, {((0, 1), 1)}, {(0, 1)}))
+@settings(max_examples=100, deadline=None)
+def test_type_set_matches_naive_oracle(instance):
+    g, arity, types, toggled = instance
+    # the host tuples of a set of realized types come back as that set
+    whole = {t for t in product(range(g.n), repeat=arity) if naive_qf_type(t, g) in types}
+    back = TupleSetRelation(arity, whole).type_set(g)
+    assert isinstance(back, relations.TypeSetRelation) and back.types == types
+    # toggling a few tuples may leave the types; the pair is the oracle's
+    members = whole ^ toggled
+    got = TupleSetRelation(arity, members).type_set(g)
+    want = naive_type_set(arity, members, g)
+    if isinstance(want, set):
+        assert isinstance(got, relations.TypeSetRelation) and got.types == want
+    else:
+        pair, checked = got
+        assert pair == want and checked >= 1
+
+
 def type_set_of(r):
     """The type-set relation with the same table as r."""
     return relations.TypeSetRelation(
@@ -1060,18 +1105,27 @@ class _Opaque(relations.Relation):
         # a negative id would read a row from the end
         (lambda: qf_type((-1, 0), build_paley(13).graph), ValueError, "tuple entry -1 is not a vertex of the graph"),
         (lambda: qf_type((13, 0), build_paley(13).graph), ValueError, "tuple entry 13 is not a vertex of the graph"),
-        # the equality scan refuses ids outside the host, which its index would
-        # skip; invariant_under_complement on the same set still returns
-        # preserved with checked 0, since identity rewrites never read ids
+        # type_set refuses ids outside the host, which its member index would skip
         (
-            lambda: definable_from_equality(TupleSetRelation(2, [(0, 1), (0, 99)]), build_paley(13).graph),
+            lambda: TupleSetRelation(2, [(0, 1), (0, 99)]).type_set(build_paley(13).graph),
             ValueError,
             "tuple (0, 99) in tuples:<anon>[2] is not over the host's vertices 0..12",
         ),
         (
-            lambda: definable_from_equality(TupleSetRelation(2, [(-3, 5), (0, 1)]), build_paley(13).graph),
+            lambda: TupleSetRelation(2, [(-3, 5), (0, 1)]).type_set(build_paley(13).graph),
             ValueError,
             "tuple (-3, 5) in tuples:<anon>[2] is not over the host's vertices 0..12",
+        ),
+        # a tuple set is scanned only as its type_set
+        (
+            lambda: definable_from_equality(TupleSetRelation(2, [(0, 1)]), build_paley(13).graph),
+            TypeError,
+            "no scan for relation <Relation tuples:<anon>[1]>",
+        ),
+        (
+            lambda: invariant_under_switch(TupleSetRelation(2, [(0, 1)]), build_paley(13).graph, 0),
+            TypeError,
+            "no scan for relation <Relation tuples:<anon>[1]>",
         ),
         (
             lambda: preserved_by_map(_Opaque(), {0: 0, 1: 1}, path_graph(3), path_graph(3)),
@@ -1084,7 +1138,7 @@ class _Opaque(relations.Relation):
         "formula-negative", "formula-negative-arity", "formula-negative-least",
         "eval-entry",
         "map-domain", "map-image", "switch-vertex", "type-negative", "type-beyond",
-        "tuple-beyond-host", "tuple-negative", "no-scan",
+        "tuple-beyond-host", "tuple-negative", "tuple-set-equality-scan", "tuple-set-switch-scan", "no-scan",
     ],
 )
 def test_argument_rejections(call, error, message):
