@@ -807,8 +807,8 @@ class Embedding:
         return True
 
 
-# per pattern vertex: (adj, nadj, low, guard, bounds), see below
-_Level = tuple[int, int, int, int, tuple[tuple[int, bool], ...]]
+# per pattern vertex: (adj, nadj, low, guard, above, below), see below
+_Level = tuple[int, int, int, int, int, int]
 
 
 def _later_relations(pattern: Graph, order: tuple[tuple[int, int], ...], n: int) -> tuple[int, tuple[_Level, ...]]:
@@ -827,16 +827,22 @@ def _compute_later_relations(
     # width w per later vertex, u + 1 at the bottom.  It holds adj and nadj,
     # a 1 at the foot of each field whose vertex is adjacent / not adjacent
     # to u; low, the n bits of each field below its guard bit n, and guard,
-    # those guard bits; and bounds, (shift of the field, must map above u)
-    # for each later vertex ordered against u
+    # those guard bits; and above and below, a 1 at the foot of each field
+    # whose vertex must map above / below u, the multipliers that spread the
+    # order bounds of u over the fields.  Level m - 2 has the last vertex's
+    # field alone, so its adj, above and below are 0/1 flags
     m, rows = pattern.n, pattern._rows
     w = max(m, n) + 1  # room for a pattern row, and for a host mask below its guard
-    bounds: list[list[tuple[int, bool]]] = [[] for _ in range(m)]
+    above, below = [0] * m, [0] * m
     for a, b in order:
         if a == b or not (0 <= a < m and 0 <= b < m):
             raise ValueError(f"order pair ({a}, {b}) needs two distinct pattern vertices")
         lo, hi = min(a, b), max(a, b)
-        bounds[lo].append(((hi - lo - 1) * w, a < b))
+        foot = 1 << (hi - lo - 1) * w
+        if a < b:
+            above[lo] |= foot
+        else:
+            below[lo] |= foot
     # field v of the matrix holds row v, so by symmetry the feet of
     # matrix >> u spell row u
     matrix = _packed(rows, w)
@@ -846,7 +852,7 @@ def _compute_later_relations(
         shift = (u + 1) * w
         later = feet >> shift
         adj = matrix >> u + shift & later
-        levels.append((adj, later ^ adj, (later << n) - later, later << n, tuple(bounds[u])))
+        levels.append((adj, later ^ adj, (later << n) - later, later << n, above[u], below[u]))
     return w, tuple(levels)
 
 
@@ -887,13 +893,17 @@ def iter_embedding_maps(
     the bottom.  Mapping u to h ANDs each later field with h's row or with
     h's non-neighbours other than h (which keeps the map injective) by two
     multiplications, the rows spread over the feet of the adjacent and of the
-    non-adjacent fields, and, for a later vertex ordered against u, ANDs its
-    field with the vertices above or below h.  A branch is cut as soon as a
-    later field is empty, which one addition tells: it carries into a guard
-    bit at position n of each nonempty field.  Each node reads one host row,
-    as an unpacked search would, and the maps come in the same order; the
-    state costs O(m * n) bits a node, so hosts of a few hundred vertices pay
-    for the multiplications.
+    non-adjacent fields, and clears the vertices below (above) h in the
+    fields that must map above (below) u by two more, the masks spread over
+    the feet of those fields.  A branch is cut as soon as a later field is
+    empty, which one addition tells: it carries into a guard bit at position
+    n of each nonempty field.  The last two levels close in one loop: each
+    candidate h of vertex m - 2 reads its row, ANDs the last vertex's mask
+    with it or with h's non-neighbours, applies the one order bound between
+    the two, and yields a map per vertex left.  Each candidate of a vertex
+    other than the last reads one host row, as an unpacked search would, and
+    the maps come in the same order; the state costs O(m * n) bits a node,
+    so hosts of a few hundred vertices pay for the multiplications.
     """
     m, full = pattern.n, host.full_mask
     w, levels = _later_relations(pattern, tuple(order), full.bit_length())
@@ -906,21 +916,43 @@ def iter_embedding_maps(
         masks = [avail & per_vertex.get(u, avail) for u in range(m)]
     if not all(masks):
         return
+    if m == 1:
+        c = masks[0]
+        while c:
+            b = c & -c
+            c ^= b
+            yield (b.bit_length() - 1,)
+        return
     # rest[u]: the fields of pattern vertices u+1, ..., m-1 given im[:u],
     # u + 1 at the bottom; cand[u]: the candidates of u not tried yet
     rest = [_packed(masks, w) >> w] * m
     cand = [masks[0]] * m
     im = [0] * m
-    last = m - 1
+    penult = m - 2
     u = 0
     while u >= 0:
         c = cand[u]
-        if u == last:
+        if u == penult:
+            # rest[u] is the last vertex's mask alone
+            adj, _, _, _, above, below = levels[u]
+            last = rest[u]
             while c:
                 b = c & -c
                 c ^= b
-                im[u] = b.bit_length() - 1
-                yield tuple(im)
+                h = b.bit_length() - 1
+                row = host.row(h)
+                leaves = last & (row if adj else full ^ row ^ b)
+                if above:
+                    leaves &= -(b << 1)
+                if below:
+                    leaves &= b - 1
+                if leaves:
+                    im[u] = h
+                    while leaves:
+                        x = leaves & -leaves
+                        leaves ^= x
+                        im[-1] = x.bit_length() - 1
+                        yield tuple(im)
             u -= 1
             continue
         if not c:
@@ -930,10 +962,10 @@ def iter_embedding_maps(
         cand[u] = c ^ b
         im[u] = b.bit_length() - 1
         row = host.row(im[u])
-        adj, nadj, low, guard, bounds = levels[u]
+        adj, nadj, low, guard, above, below = levels[u]
         state = rest[u] & (row * adj | (full ^ row ^ b) * nadj)
-        for shift, up in bounds:
-            state &= ~((b - 1 if up else full ^ ((b << 1) - 1)) << shift)
+        if above or below:
+            state &= ~((b - 1) * above | (full ^ ((b << 1) - 1)) * below)
         if (state + low) & guard == guard:
             u += 1
             rest[u] = state >> w

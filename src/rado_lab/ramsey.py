@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Mapping
 
 from .gadgets import FunctionGadget, PairColor, pair_color
@@ -75,22 +75,38 @@ def _order_preserving(p: Structure) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(as_partitioned(p).graph.n), 2))
 
 
+@lru_cache(maxsize=256)  # beside _symmetry_breaking, keyed by pattern
+def _copy_order(p: Structure, ordered: bool) -> tuple[tuple[tuple[int, int], ...], bool]:
+    # the order conditions of p's copy search, and whether they demand
+    # map[0] < map[1] < ... < map[m - 1]: then each map is its copy, sorted,
+    # and the search yields the copies in lexicographic order
+    order = _order_preserving(p) if ordered else _symmetry_breaking(p)
+    m = as_partitioned(p).graph.n
+    return order, all((v, v + 1) in order for v in range(m - 1))
+
+
 def enumerate_copies(
     big: Structure, small: Structure, *, ordered: bool = False, budget: int | None = None
 ) -> list[tuple[int, ...]]:
     """Canonical copy enumeration: distinct image sets as sorted tuples,
-    lexicographically ascending.  ``budget`` caps the number of copies.
+    lexicographically ascending.  ``budget`` caps the number of copies;
+    :class:`CopyBudgetExceeded` is raised once budget + 1 are found, and a
+    negative budget raises ``ValueError``.
 
     Each copy is reached by exactly one map: ordered patterns through the
     order-preserving one, the others through the one that meets the
-    symmetry-breaking conditions of the pattern's automorphism group."""
-    order = _order_preserving(small) if ordered else _symmetry_breaking(small)
-    copies = []
-    for mapping in iter_structure_maps(small, big, order=order):
-        copies.append(tuple(sorted(mapping)))
-        if budget is not None and len(copies) > budget:
-            raise CopyBudgetExceeded(len(copies))
-    copies.sort()
+    symmetry-breaking conditions of the pattern's automorphism group.  When
+    those conditions order every pair a < b of pattern vertices (ordered
+    patterns, cliques, independent sets), each map is already its sorted
+    copy and the kernel yields them in lexicographic order, so no sort runs;
+    otherwise each map is sorted and so is the list."""
+    if budget is not None and budget < 0:
+        raise ValueError("copy budget must be non-negative")
+    order, in_order = _copy_order(small, ordered)
+    maps = islice(iter_structure_maps(small, big, order=order), None if budget is None else budget + 1)
+    copies = list(maps) if in_order else sorted([tuple(sorted(mapping)) for mapping in maps])
+    if budget is not None and len(copies) > budget:
+        raise CopyBudgetExceeded(len(copies))
     return copies
 
 
@@ -102,7 +118,8 @@ class CopyBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class CopyColoring:
-    """Total assignment of colors 0..k-1 to the canonical copy enumeration."""
+    """Total assignment of colors 0..k-1 to the canonical copy enumeration,
+    each copy listed once; construction raises ``ValueError`` otherwise."""
 
     copies: tuple[tuple[int, ...], ...]
     colors: tuple[int, ...]
@@ -111,6 +128,11 @@ class CopyColoring:
     def __post_init__(self):
         if len(self.copies) != len(self.colors):
             raise ValueError("coloring must be total on all copies")
+        seen: set[tuple[int, ...]] = set()
+        for copy in self.copies:
+            if copy in seen:
+                raise ValueError(f"copy {copy} is listed twice")
+            seen.add(copy)
         if any(not 0 <= c < self.k for c in self.colors):
             raise ValueError("color out of range")
         if self.k < 1:

@@ -28,6 +28,13 @@ def random_graph(n: int, seed: int) -> Graph:
     )
 
 
+def relabelled(g: Graph, seed: int) -> Graph:
+    """``g`` with its vertices shuffled by a seeded permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def all_raw_graphs(n: int):
     """Every labelled graph on n vertices (not up to isomorphism)."""
     pairs = list(combinations(range(n), 2))

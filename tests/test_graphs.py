@@ -36,7 +36,7 @@ from rado_lab.graphs import (
     iter_embedding_maps,
     switch_masks,
 )
-from conftest import all_raw_graphs, random_graph
+from conftest import all_raw_graphs, random_graph, relabelled
 
 
 small_graphs = st.integers(min_value=0, max_value=2**15 - 1).map(
@@ -401,12 +401,6 @@ class TestExtensionKernelWindows:
         assert swapped_cuts == {lo for lo in cuts if n > 20 and t >= 2 and n - lo <= 6}
 
 
-def _relabelled(g: Graph, seed: int) -> Graph:
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def _circulant(n: int, steps) -> Graph:
     return Graph.from_edges(n, sorted({tuple(sorted((u, (u + s) % n))) for u in range(n) for s in steps}))
 
@@ -527,7 +521,7 @@ def regular_graphs(draw):
 class TestSymmetryPath:
     @pytest.mark.parametrize("q", [13, 17, 29, 37, 41, 53, 61])
     def test_relabelled_paley_matches_full_scan(self, q):
-        g = _relabelled(build_paley(q).graph, q)
+        g = relabelled(build_paley(q).graph, q)
         assert _assert_matches_full_scan(g, 2).generators == ()
         result = _assert_matches_full_scan(g, 3)
         # Paley(q) is 3-e.c. from q = 29 on, and then the certificate stands in
@@ -536,7 +530,7 @@ class TestSymmetryPath:
 
     @pytest.mark.parametrize("q", [13, 17])
     def test_failing_paley_never_searches(self, q, no_search):
-        g = _relabelled(build_paley(q).graph, 1)
+        g = relabelled(build_paley(q).graph, 1)
         assert not _assert_matches_full_scan(g, 3).passed
         assert _assert_matches_full_scan(g, 4).failing == _full_scan(g, 3)
 
@@ -548,7 +542,7 @@ class TestSymmetryPath:
         for q in (13, 17, 29, 37, 41, 53, 61):
             for seed in range(2):
                 for k in (3, 4) if q <= 41 else (3,):
-                    r = check_extension(_relabelled(build_paley(q).graph, 100 * q + seed), k)
+                    r = check_extension(relabelled(build_paley(q).graph, 100 * q + seed), k)
                     out.append([q, seed, k, r.passed, r.failing, r.generators])
         digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
         assert digest == PALEY_CERTIFICATES
@@ -556,14 +550,14 @@ class TestSymmetryPath:
     @pytest.mark.parametrize("g", [ROOK, SHRIKHANDE], ids=["rook", "shrikhande"])
     def test_srg16_fail_at_level_3(self, g):
         for seed in range(3):
-            h = _relabelled(g, seed)
+            h = relabelled(g, seed)
             result = _assert_matches_full_scan(h, 3)
             assert len(result.failing[0] + result.failing[1]) == 3
             assert result.generators == ()
 
     @pytest.mark.parametrize("n, steps", [(24, (3, 4, 8)), (30, (1, 4, 5, 6, 9, 10, 12, 14)), (41, (3, 4, 6, 8, 9, 13, 16))])
     def test_failing_circulants(self, n, steps):
-        result = _assert_matches_full_scan(_relabelled(_circulant(n, steps), n), 3)
+        result = _assert_matches_full_scan(relabelled(_circulant(n, steps), n), 3)
         assert not result.passed and result.generators == ()
 
     @pytest.mark.parametrize("p", [41])
@@ -571,7 +565,7 @@ class TestSymmetryPath:
         # the rotations make vertex 0 represent every vertex, and every
         # support through 0 passes level 3; vertex transitivity alone is no
         # certificate, so the verdict comes from the full scan
-        g = _relabelled(_quartic_circulant(p), p)
+        g = relabelled(_quartic_circulant(p), p)
         assert graphs._first_failing_level(g, range(3, 4), ((0,),)) == 4
         result = _assert_matches_full_scan(g, 3)
         assert result.passed and result.generators == ()
@@ -580,7 +574,7 @@ class TestSymmetryPath:
         "g, passed",
         [
             (_quartic_circulant(41), True),
-            (_relabelled(_quartic_circulant(73), 73), True),
+            (relabelled(_quartic_circulant(73), 73), True),
             (_circulant(25, (1, 3, 8, 9, 10, 12)), False),
         ],
         ids=["quartic41", "quartic73", "circulant25"],
@@ -606,7 +600,7 @@ class TestSymmetryPath:
             (e, f) for e, f in combinations(sorted(edges), 2)
             if e[0] == 0 and len({*e, *f}) == 4 and not {(0, f[0]), tuple(sorted((e[1], f[1])))} & edges
         )
-        h = _relabelled(Graph.from_edges(q, (edges - {(0, b), (c, d)}) | {(0, c), tuple(sorted((b, d)))}), q)
+        h = relabelled(Graph.from_edges(q, (edges - {(0, b), (c, d)}) | {(0, c), tuple(sorted((b, d)))}), q)
         searched = []
         automorphisms = graphs._automorphisms
 
@@ -644,7 +638,7 @@ class TestSymmetryPath:
         _assert_matches_full_scan(ec3_host, k)
 
     def test_out_of_budget_scans_in_full(self, monkeypatch):
-        g = _relabelled(build_paley(29).graph, 5)
+        g = relabelled(build_paley(29).graph, 5)
         assert graphs._automorphisms(g, *_least_neighbour_and_non_neighbour(g), 0) == ()
         budgeted = graphs._BudgetedHost
         monkeypatch.setattr(graphs, "_BudgetedHost", lambda h, budget: budgeted(h, 30))
@@ -652,7 +646,7 @@ class TestSymmetryPath:
         assert result.passed and result.generators == ()
 
     def test_map_that_is_no_automorphism_is_not_used(self, monkeypatch):
-        g = _relabelled(build_paley(29).graph, 6)
+        g = relabelled(build_paley(29).graph, 6)
         swap01 = (1, 0) + tuple(range(2, g.n))
         assert not graphs._is_automorphism(g, swap01)
         monkeypatch.setattr(graphs, "iter_embedding_maps", lambda *args, **kwargs: iter([swap01]))
@@ -660,7 +654,7 @@ class TestSymmetryPath:
         assert result.passed and result.generators == ()
 
     def test_is_automorphism_refuses_a_map_that_is_no_permutation(self):
-        g = _relabelled(build_paley(13).graph, 2)
+        g = relabelled(build_paley(13).graph, 2)
         identity = tuple(range(g.n))
         assert graphs._is_automorphism(g, identity)
         assert not graphs._is_automorphism(g, identity[:-1])
@@ -694,7 +688,7 @@ class TestSymmetryPath:
     def test_passing_paley_scans_representatives_only(self, q, monkeypatch):
         # the certificate covers levels 0-2 as well as level 3, so every scan
         # is one through a representative support
-        g = _relabelled(build_paley(q).graph, q + 1)
+        g = relabelled(build_paley(q).graph, q + 1)
         throughs = []
         failures_of_size = graphs._failures_of_size
 
@@ -714,7 +708,7 @@ class TestSymmetryCertificate:
 
     @pytest.mark.parametrize("q", [29, 37, 41])
     def test_paley_certificate_is_rank_3(self, q):
-        g = _relabelled(build_paley(q).graph, 7 * q)
+        g = relabelled(build_paley(q).graph, 7 * q)
         _assert_rank_3(g, check_extension(g, 3).generators)
 
 
@@ -839,6 +833,20 @@ class TestEmbeddingKernel:
     # a pattern larger than its host makes each packed field wider than
     # n + 1 bits: a field's emptiness is read at its bit n, not at its top
     @example((path_graph(4), path_graph(3), {**_NO_RESTRICTION, "per_vertex": {3: 0b001}}))
+    # the last two levels close in one loop: with m = 2 it is level 0, with
+    # m = 1 there is no row to read
+    @example((path_graph(2), cycle_graph(5), _NO_RESTRICTION))
+    @example((empty_graph(2), cycle_graph(5), {**_NO_RESTRICTION, "allowed": 0b11011}))
+    @example((complete_graph(1), path_graph(3), {**_NO_RESTRICTION, "allowed": 0b101}))
+    # a down bound on that level, and a pair both ways round there
+    @example((complete_graph(2), complete_graph(4), {**_NO_RESTRICTION, "order": [(1, 0)]}))
+    @example((path_graph(3), cycle_graph(6), {**_NO_RESTRICTION, "order": [(2, 1)]}))
+    @example((empty_graph(3), empty_graph(5), {**_NO_RESTRICTION, "order": [(1, 2), (2, 1)]}))
+    # a pin on the last vertex only
+    @example((path_graph(3), path_graph(5), {**_NO_RESTRICTION, "per_vertex": {2: 0b00100}}))
+    # patterns larger than their hosts, with no restriction
+    @example((complete_graph(4), complete_graph(3), _NO_RESTRICTION))
+    @example((empty_graph(2), empty_graph(1), _NO_RESTRICTION))
     @settings(max_examples=150, deadline=None)
     def test_matches_naive_oracle(self, instance):
         pattern, host, kwargs = instance
@@ -870,13 +878,24 @@ class TestEmbeddingKernel:
     def test_matches_naive_oracle_on_paley29(self, paley29, pattern, order):
         # each packed field is 30 bits or more wide, past one CPython digit;
         # relabelled, so that consecutive vertices are not always adjacent
-        g = _relabelled(paley29.graph, 29)
+        g = relabelled(paley29.graph, 29)
         host = _RowCounter(g)
         allowed, per_vertex = g.full_mask ^ 0b1011 << 9, {1: 0b111 << 4}
         cands = _naive_candidates(pattern, g, allowed, per_vertex, None)
         maps = list(iter_embedding_maps(pattern, host, allowed=allowed, per_vertex=per_vertex, order=order))
         assert maps and maps == _naive_embeddings(pattern, g, cands, order)
         assert host.reads == _naive_row_reads(pattern, g, cands, order)
+
+    def test_row_reads_of_triangles_in_paley17(self):
+        # one read per vertex for the first level, one per edge up from it
+        # for the second; the triangles themselves read none
+        g = relabelled(build_paley(17).graph, 17)
+        host = _RowCounter(g)
+        order = list(combinations(range(3), 2))
+        cands = [set(range(17))] * 3
+        maps = list(iter_embedding_maps(complete_graph(3), host, order=order))
+        assert len(maps) == 68 and maps == _naive_embeddings(complete_graph(3), g, cands, order)
+        assert host.reads == _naive_row_reads(complete_graph(3), g, cands, order) == 17 + 68
 
     @pytest.mark.parametrize("pair", [(1, 1), (0, 3), (-1, 0)])
     def test_order_pairs_name_two_pattern_vertices(self, pair):

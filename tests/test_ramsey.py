@@ -25,9 +25,9 @@ from rado_lab import (
     verify_arrow,
 )
 from rado_lab.graphs import Graph, build_paley
-from rado_lab.ramsey import CopyBudgetExceeded, _symmetry_breaking
+from rado_lab.ramsey import CopyBudgetExceeded, _copy_order, _symmetry_breaking
 from rado_lab.structures import ConstantGraph, PartitionedGraph, iter_structure_maps
-from conftest import random_graph as seeded_graph
+from conftest import random_graph as seeded_graph, relabelled
 
 
 def edge_copies(g: Graph):
@@ -133,13 +133,46 @@ class TestCopiesOracle:
         big, small, ordered = instance
         want = _naive_copies(big, small, ordered)
         assert enumerate_copies(big, small, ordered=ordered) == want
-        for budget in (0, 1, 3):
+        for budget in {0, 1, 3, len(want), max(len(want) - 1, 0)}:
             try:
-                enumerate_copies(big, small, ordered=ordered, budget=budget)
+                copies = enumerate_copies(big, small, ordered=ordered, budget=budget)
                 count = None
             except CopyBudgetExceeded as exc:
-                count = exc.count
+                copies, count = None, exc.count
             assert count == (budget + 1 if len(want) > budget else None)
+            assert copies == (None if count else want)
+
+    @pytest.mark.parametrize(
+        "big,small,ordered,in_order",
+        [
+            (build_paley(13).graph, complete_graph(3), False, True),
+            (build_paley(13).graph, empty_graph(3), False, True),
+            (build_paley(13).graph, path_graph(3), True, True),
+            (build_paley(13).graph, cycle_graph(4), True, True),
+            (build_paley(13).graph, path_graph(3), False, False),
+            (build_paley(13).graph, cycle_graph(4), False, False),
+            (
+                PartitionedGraph(complete_graph(6), (frozenset({0, 2, 4}), frozenset({1, 3, 5}))),
+                PartitionedGraph(complete_graph(3), (frozenset({0, 1}), frozenset({2}))),
+                False,
+                False,
+            ),
+        ],
+        ids=["K3", "E3", "P3-ordered", "C4-ordered", "P3", "C4", "partitioned"],
+    )
+    def test_budget_at_the_copy_count(self, big, small, ordered, in_order):
+        # in_order: the maps are the copies, sorted, in order, and no sort runs
+        assert _copy_order(small, ordered)[1] is in_order
+        want = _naive_copies(big, small, ordered)
+        assert enumerate_copies(big, small, ordered=ordered, budget=len(want)) == want != []
+        with pytest.raises(CopyBudgetExceeded) as exc:
+            enumerate_copies(big, small, ordered=ordered, budget=len(want) - 1)
+        assert exc.value.count == len(want)
+
+    def test_triangles_of_relabelled_paley17(self):
+        g = relabelled(build_paley(17).graph, 17)
+        want = _naive_copies(g, complete_graph(3), False)
+        assert len(want) == 68 and enumerate_copies(g, complete_graph(3)) == want
 
     @pytest.mark.parametrize(
         "big,small",
@@ -187,6 +220,19 @@ class TestFindMonoCopy:
                 copies, tuple(rng.randrange(2) for _ in copies), 2
             )
             assert find_mono_copy(k6, complete_graph(3), complete_graph(2), chi) is not None
+
+    @pytest.mark.parametrize("extra_first", [False, True], ids=["extra-last", "extra-first"])
+    def test_copy_listed_twice_is_refused(self, extra_first):
+        # K5's witness with copy (0, 1) listed again in the other color: an
+        # index keyed by copy would keep whichever entry came last
+        w = pentagon_witness()
+        extra = ((w.copies[0],), (1 - w.colors[0],))
+        if extra_first:
+            copies, colors = extra[0] + w.copies, extra[1] + w.colors
+        else:
+            copies, colors = w.copies + extra[0], w.colors + extra[1]
+        with pytest.raises(ValueError, match=r"^copy \(0, 1\) is listed twice$"):
+            CopyColoring(copies, colors, 2)
 
     def test_pentagon_split_has_no_mono_triangle(self):
         assert (
@@ -758,10 +804,21 @@ class TestInducedColoring:
         (lambda: ArrowBudget(colorings=-1), ValueError, "coloring budget must be non-negative"),
         (lambda: ArrowBudget(copies=-1), ValueError, "copy budget must be non-negative"),
         (lambda: ArrowBudget(colorings=-1, copies=-1), ValueError, "coloring budget must be non-negative"),
+        (
+            lambda: enumerate_copies(complete_graph(3), complete_graph(2), budget=-1),
+            ValueError,
+            "copy budget must be non-negative",
+        ),
+        (
+            lambda: enumerate_copies(empty_graph(3), complete_graph(2), budget=-1),
+            ValueError,
+            "copy budget must be non-negative",
+        ),
     ],
     ids=[
         "not-total", "color-range", "no-colors", "query-no-colors", "nonedge-missing",
         "colorings-negative", "copies-negative", "both-negative",
+        "enumerate-budget-negative", "enumerate-budget-negative-no-copies",
     ],
 )
 def test_argument_rejections(call, error, message):
