@@ -30,7 +30,6 @@ from .generation import (
     classify_reduct,
     collapse_all,
     delete_all_edges,
-    delete_edge_step,
     interpolate,
     orbit_closure,
     separating_invariant,
@@ -79,7 +78,6 @@ from .relations import (
     definable_from_equality,
     distinct_relation,
     edge_relation,
-    eval_relation,
     invariant_under_complement,
     invariant_under_switch,
     nonedge_relation,
@@ -95,8 +93,6 @@ from .structures import (
     associate_partitioned,
     find_const_embeddings,
     find_part_embeddings,
-    format_constant,
-    format_partitioned,
     iter_structure_maps,
     parse_structure,
 )

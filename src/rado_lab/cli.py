@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Reports go to stdout; with --json they are canonical JSON (sorted keys, no
-volatile fields) so that identical inputs and seed reproduce identical bytes.
+volatile fields) so that identical inputs reproduce identical bytes; only
+``generate`` takes a --seed, which its ec builds read.
 Wall time goes to stderr only.  Exit code 0 means a verdict was computed
 (a failing arrow is still a verdict); usage and domain errors are nonzero.
 """
@@ -85,8 +86,7 @@ def _emit(report: dict, as_json: bool) -> None:
     walk("", report)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+def _add_json(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit a canonical JSON report")
 
 
@@ -146,7 +146,6 @@ def _cmd_classify_relation(args) -> int:
     classification = classify_reduct(relations, host, args.k)
     report = {
         "command": "classify-relation",
-        "seed": args.seed,
         "inputs": inputs,
         "specs": list(args.spec),
         "k": args.k,
@@ -175,7 +174,6 @@ def _cmd_classify_function(args) -> int:
     gadget, gadget_digest = _read_gadget_file(args.gadget)
     report = {
         "command": "classify-function",
-        "seed": args.seed,
         "inputs": {args.gadget: gadget_digest},
         "label": gadget.label,
     }
@@ -225,7 +223,6 @@ def _cmd_ramsey(args) -> int:
     result = verify_arrow(query, budget)
     report = {
         "command": "ramsey-verify",
-        "seed": args.seed,
         "inputs": {
             args.S: s_digest,
             args.H: h_digest,
@@ -274,7 +271,6 @@ def _cmd_interpolate(args) -> int:
     witness = interpolate(target, gens, args.depth, hosts) if sep is None else None
     report = {
         "command": "interpolate",
-        "seed": args.seed,
         "inputs": digests,
         "gens": sorted(kinds | {"identity"}),
         "depth": args.depth,
@@ -311,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-k", type=int, default=None, help="extension level for ec builds (default 2)")
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.add_argument("--check-k", type=int, default=None, help="extension level to report")
-    _add_common(p_gen)
+    p_gen.add_argument("--seed", type=int, default=0, help="seed for ec builds")
+    _add_json(p_gen)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_rel = sub.add_parser("classify-relation", help="five-class classification")
@@ -321,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rel.add_argument("--host", required=True)
     p_rel.add_argument("-k", type=int, default=2, help="claimed extension level of the host")
-    _add_common(p_rel)
+    _add_json(p_rel)
     p_rel.set_defaults(func=_cmd_classify_relation)
 
     p_fun = sub.add_parser("classify-function", help="behavior classification of a gadget")
@@ -330,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     evidence.add_argument("--set", default=None, help="comma-separated vertex set")
     evidence.add_argument("--parts", default=None, help="partition as v,v|v,v|...")
     evidence.add_argument("--constants", default=None, help="comma-separated constants")
-    _add_common(p_fun)
+    _add_json(p_fun)
     p_fun.set_defaults(func=_cmd_classify_function)
 
     p_ram = sub.add_parser("ramsey", help="arrow statement verification")
@@ -344,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--budget-colorings", type=int, default=DEFAULT_COLORING_BUDGET)
     p_ver.add_argument("--budget-copies", type=int, default=DEFAULT_COPY_BUDGET)
     p_ver.add_argument("--witness-out", default=None)
-    _add_common(p_ver)
+    _add_json(p_ver)
     p_ver.set_defaults(func=_cmd_ramsey)
 
     p_int = sub.add_parser("interpolate", help="bounded-depth interpolation search")
@@ -352,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--gens", default="identity", help="comma-separated kinds")
     p_int.add_argument("--hosts", nargs="+", required=True)
     p_int.add_argument("--depth", type=int, default=2)
-    _add_common(p_int)
+    _add_json(p_int)
     p_int.set_defaults(func=_cmd_interpolate)
 
     return parser

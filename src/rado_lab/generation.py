@@ -46,7 +46,6 @@ from .relations import (
     preserved_by_map,
     qf_type,
 )
-from .structures import ConstantGraph
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,8 @@ def _witness(target: FunctionGadget, chain: list[_Link]) -> InterpolationWitness
         tuple(role for role, _, _ in chain),
         tuple(line for _, _, line in chain),
     )
-    assert verify_witness(witness)
+    if not verify_witness(witness):
+        raise RuntimeError("the witness chain fails its independent check")
     return witness
 
 
@@ -407,30 +407,9 @@ def _least_copy(g: Graph, host: Graph, name: str) -> tuple[int, ...]:
     copy = next(iter_embedding_maps(g, host), None)
     if copy is None:
         raise PatternNotFoundError(f"host has no copy of the {name}")
-    assert qf_type(copy, host) == (tuple(range(g.n)), edge_code(g))
+    if qf_type(copy, host) != (tuple(range(g.n)), edge_code(g)):
+        raise RuntimeError(f"the least copy of the {name} does not realize it")
     return copy
-
-
-def delete_edge_step(f_marked: ConstantGraph, host: Graph) -> FunctionGadget:
-    """Gadget defined on a copy of the marked graph in ``host`` that keeps
-    every pair pattern except the constant pair, which becomes a non-edge.
-
-    Built by locating a copy of the graph and a copy of the graph with the
-    marked edge removed, and mapping the first onto the second; both copies
-    exist when the host is k-e.c. for k at least the graph's order minus one.
-    """
-    if len(f_marked.constants) != 2:
-        raise ValueError("the marked graph needs exactly two constants")
-    c0, c1 = f_marked.constants
-    if not f_marked.graph.has_edge(c0, c1):
-        raise ValueError("the two constants must be joined by an edge")
-    source = f_marked.graph
-    deleted = Graph.from_edges(source.n, [e for e in source.edges() if set(e) != {c0, c1}])
-    # both copies realize their graphs and the gadget maps one onto the
-    # other position by position, so only the marked pair changes kind
-    phi1 = _least_copy(source, host, f"marked {source.n}-vertex graph")
-    phi2 = _least_copy(deleted, host, f"edge-deleted {source.n}-vertex graph")
-    return FunctionGadget(host, host, tuple(zip(phi1, phi2)), "custom")
 
 
 def delete_all_edges(pattern: Graph, host: Graph, k: int) -> InterpolationWitness:
@@ -508,7 +487,8 @@ def collapse_all(
             ("generator", gadget, "collapse"),
         ]
         image = sorted({gadget.apply(v) for v in mapping})
-    assert len(image) == 1, "collapse loop exceeded its step bound"
+    if len(image) != 1:
+        raise RuntimeError("collapse loop exceeded its step bound")
     target = make_named("const", host, dom=f_sorted, target=image[0])
     return _witness(target, chain)
 

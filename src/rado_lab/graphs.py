@@ -791,9 +791,6 @@ class Embedding:
         if not self.verify():
             raise ValueError(f"map {self.mapping} is not an induced embedding of source into target")
 
-    def apply(self, v: int) -> int:
-        return self.mapping[v]
-
     def image(self) -> tuple[int, ...]:
         return tuple(sorted(self.mapping))
 

@@ -126,6 +126,8 @@ class CopyColoring:
     k: int
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("need at least one color")
         if len(self.copies) != len(self.colors):
             raise ValueError("coloring must be total on all copies")
         seen: set[tuple[int, ...]] = set()
@@ -135,8 +137,6 @@ class CopyColoring:
             seen.add(copy)
         if any(not 0 <= c < self.k for c in self.colors):
             raise ValueError("color out of range")
-        if self.k < 1:
-            raise ValueError("need at least one color")
 
 
 @dataclass(frozen=True)

@@ -382,16 +382,7 @@ def distinct_relation(arity: int = 2) -> FormulaRelation:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and preservation
-
-
-def eval_relation(r: Relation, t: tuple[int, ...], g: Graph) -> bool:
-    if len(t) != r.arity:
-        raise ValueError(f"tuple has length {len(t)}, relation arity is {r.arity}")
-    for x in t:
-        if not 0 <= x < g.n:
-            raise ValueError(f"tuple entry {x} is not a vertex of the graph")
-    return r.holds(tuple(t), g)
+# preservation
 
 
 @dataclass(frozen=True)

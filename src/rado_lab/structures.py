@@ -19,7 +19,6 @@ from .graphs import (
     GraphFormatError,
     _adjacency_cells,
     _parse_header,
-    format_graph,
     iter_embedding_maps,
     parse_graph,
 )
@@ -187,20 +186,6 @@ def _structure_embeddings(pattern: Structure, host: Structure, limit: int) -> li
 
 # ---------------------------------------------------------------------------
 # text format: graph lines followed by "part <i>: ..." or "const: ..." lines
-
-
-def format_partitioned(pg: PartitionedGraph) -> str:
-    lines = [format_graph(pg.graph).rstrip("\n")]
-    for i, part in enumerate(pg.parts):
-        members = " ".join(str(v) for v in sorted(part))
-        lines.append(f"part {i}: {members}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def format_constant(cg: ConstantGraph) -> str:
-    lines = [format_graph(cg.graph).rstrip("\n")]
-    lines.append("const: " + " ".join(str(c) for c in cg.constants))
-    return "\n".join(lines) + "\n"
 
 
 def parse_structure(text: str) -> Structure:

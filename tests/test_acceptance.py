@@ -28,7 +28,6 @@ from rado_lab import (
     delete_all_edges,
     distinct_relation,
     edge_relation,
-    eval_relation,
     find_mono_copy,
     format_graph,
     invariant_under_complement,
@@ -92,8 +91,8 @@ def test_criterion_2_invariance_facts(paley13):
     eq = definable_from_equality(r5, paley13.graph)
     assert not eq.definable
     member, nonmember = eq.witness
-    assert eval_relation(r5, member, paley13.graph)
-    assert not eval_relation(r5, nonmember, paley13.graph)
+    assert r5.holds(member, paley13.graph)
+    assert not r5.holds(nonmember, paley13.graph)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"invariance facts took {elapsed:.1f}s"
     print(f"ACCEPTANCE 2: PASS invariance facts on {len(universe)} graphs in {elapsed:.1f}s")
@@ -322,13 +321,11 @@ def test_criterion_8_cli_determinism(tmp_path, monkeypatch, capsys, paley13):
     commands = [
         ["generate", "paley", "13", "--seed", "0", "--json"],
         ["generate", "ec", "-k", "2", "--seed", "3", "--json"],
-        ["classify-relation", "--spec", "parity:3", "--host", "p13.g", "-k", "2",
-         "--seed", "0", "--json"],
-        ["classify-function", "--gadget", "ident.fg", "--seed", "0", "--json"],
-        ["ramsey", "verify", "--S", "k5.g", "--H", "k3.g", "--P", "k2.g",
-         "-k", "2", "--seed", "0", "--json"],
+        ["classify-relation", "--spec", "parity:3", "--host", "p13.g", "-k", "2", "--json"],
+        ["classify-function", "--gadget", "ident.fg", "--json"],
+        ["ramsey", "verify", "--S", "k5.g", "--H", "k3.g", "--P", "k2.g", "-k", "2", "--json"],
         ["interpolate", "--target", "ident.fg", "--gens", "identity",
-         "--hosts", "p13.g", "--depth", "1", "--seed", "0", "--json"],
+         "--hosts", "p13.g", "--depth", "1", "--json"],
     ]
     for argv in commands:
         assert cli_main(list(argv)) == 0

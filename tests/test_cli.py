@@ -50,12 +50,18 @@ class TestGenerate:
         assert "2-e.c.: pass" in out
 
     def test_ec_passes_requested_check(self, workspace, capsys):
-        code, out = run_cli(capsys, "generate", "ec", "-k", "2", "--seed", "7", "--json")
-        assert code == 0
-        report = json.loads(out)
-        assert report["extension_check"]["passed"]
-        g = parse_graph((workspace / "ec_k2_s7.g").read_text())
-        assert check_extension(g, 2).passed
+        # the seed is reported, and a different one builds a different graph
+        digests = []
+        for seed in (7, 8):
+            code, out = run_cli(capsys, "generate", "ec", "-k", "2", "--seed", str(seed), "--json")
+            assert code == 0
+            report = json.loads(out)
+            assert report["seed"] == seed
+            assert report["extension_check"]["passed"]
+            g = parse_graph((workspace / f"ec_k2_s{seed}.g").read_text())
+            assert check_extension(g, 2).passed
+            digests.append(report["output_sha256"])
+        assert digests[0] != digests[1]
 
     def test_module_entry_point_matches_main(self, workspace, capsys):
         # python -m rado_lab runs the same main, so the reports are equal
@@ -570,7 +576,7 @@ class TestDeterminism:
         host.write_text(format_graph(build_paley(13).graph))
         args = [
             "classify-relation", "--spec", "parity:3",
-            "--host", str(host), "-k", "2", "--seed", "0", "--json",
+            "--host", str(host), "-k", "2", "--json",
         ]
         _, first = run_cli(capsys, *args)
         _, second = run_cli(capsys, *args)
@@ -582,15 +588,32 @@ class TestDeterminism:
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == out
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify-relation", "--spec", "parity:3", "--host", "p13.g"),
+    ("classify-function", "--gadget", "ident.fg"),
+    ("ramsey", "verify", "--S", "k5.g", "--H", "k3.g", "--P", "k2.g", "-k", "2"),
+    ("interpolate", "--target", "ident.fg", "--hosts", "p13.g"),
+], ids=["classify-relation", "classify-function", "ramsey-verify", "interpolate"])
+def test_seed_refused_where_nothing_is_random(workspace, capsys, argv):
+    # only generate reads a seed; these reports follow from their input files
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1", "--json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --seed 1" in captured.err
+    assert captured.out == ""
+    assert list(workspace.iterdir()) == []
+
+
 # sha256 of stdout for each README --json example, run in this order in one
 # directory (the first writes paley13.g, which the others read)
 README_JSON_SHA256 = (
     (("generate", "paley", "13"), "65b2ab79f5df98f8a7cf5e0f670c8819d842f0cdeaeb61935148be37fa07b0db"),
     (("generate", "ec", "-k", "2", "--seed", "7"), "4f9f7a8694374b6c3e52594da7a9de120c8fd8cfc2910e4e766b8b8c4e9fe38c"),
-    (("classify-relation", "--spec", "parity:4", "--host", "paley13.g", "-k", "2"), "6610c8bc7f5c1b5fabd65a0c415496fd8a243e9a8242a8597792652590e7d3b2"),
-    (("classify-function", "--gadget", "minus.fg"), "82e4634a2aa05f646b3595f19f8417896958cff3a91a89e5a84295be655fded2"),
+    (("classify-relation", "--spec", "parity:4", "--host", "paley13.g", "-k", "2"), "ef941bc65f7ca128d821d16a2c155f55f546968c6a2f045c2c9b221468e2c47a"),
+    (("classify-function", "--gadget", "minus.fg"), "e6fb7669437876b3a4b82c9a498738f3f3ba212ded2e6dd2dca0e4c964e30149"),
     (("interpolate", "--target", "minus.fg", "--gens", "switch", "--hosts", "paley13.g", "--depth", "2"),
-     "10b9a9d7d85682f6b54e965918f7f259e766e245a8dd9a2513d4579044b30335"),
+     "83abc037bdc26e7e42ad1c3a67a2f4e86fc10ee0ee1fecd4f1ed66dabbdca22d"),
 )
 
 

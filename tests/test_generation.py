@@ -11,12 +11,10 @@ from pathlib import Path
 import pytest
 
 from rado_lab import (
-    ConstantGraph,
     EqualityDefinability,
     FunctionGadget,
     Graph,
     GeneratorSet,
-    PairKind,
     ReductClass,
     TypeSetRelation,
     all_graph_types,
@@ -29,7 +27,6 @@ from rado_lab import (
     complement_graph,
     cycle_graph,
     delete_all_edges,
-    delete_edge_step,
     distinct_relation,
     edge_relation,
     empty_graph,
@@ -39,7 +36,6 @@ from rado_lab import (
     make_named,
     nonedge_relation,
     orbit_closure,
-    pair_kind,
     parity_relation,
     parse_relation_spec,
     path_graph,
@@ -94,7 +90,7 @@ class TestInterpolate:
     def test_edge_deletion_depth_one(self, paley29):
         host = paley29.graph
         k4 = complete_graph(4)
-        gadget = delete_edge_step(ConstantGraph(k4, (0, 1)), host)
+        gadget = delete_all_edges(k4, host, 3).steps[2]
         emb = find_embeddings(k4, host, 1)[0]
         target = FunctionGadget(
             k4, host,
@@ -300,7 +296,7 @@ class TestSeparatingInvariant:
     def test_extra_gadgets_make_no_attempt(self, paley29, monkeypatch):
         host = paley29.graph
         k4 = complete_graph(4)
-        gadget = delete_edge_step(ConstantGraph(k4, (0, 1)), host)
+        gadget = delete_all_edges(k4, host, 3).steps[2]
         emb = find_embeddings(k4, host, 1)[0]
         target = FunctionGadget(k4, host, tuple((i, gadget.apply(emb.mapping[i])) for i in range(4)))
 
@@ -506,45 +502,6 @@ class TestKindActions:
         assert seen == {"minus", "switch", "eE", "eN", "const"}
 
 
-class TestDeleteEdgeStep:
-    def test_single_edge(self, paley13):
-        marked = ConstantGraph(complete_graph(2), (0, 1))
-        gadget = delete_edge_step(marked, paley13.graph)
-        (x, y) = gadget.dom
-        assert pair_kind(paley13.graph, x, y) is PairKind.EDGE
-        assert pair_kind(paley13.graph, gadget.apply(x), gadget.apply(y)) is PairKind.NONEDGE
-
-    def test_triangle_to_path(self, paley13):
-        marked = ConstantGraph(complete_graph(3), (0, 1))
-        gadget = delete_edge_step(marked, paley13.graph)
-        image = sorted({gadget.apply(v) for v in gadget.dom})
-        assert len(image) == 3
-        image_edges = sum(
-            paley13.graph.has_edge(u, v) for u, v in combinations(image, 2)
-        )
-        assert image_edges == 2  # triangle minus one edge
-
-    def test_identity_pattern_except_marked_pair(self, paley29):
-        host = paley29.graph
-        marked = ConstantGraph(complete_graph(4), (1, 2))
-        gadget = delete_edge_step(marked, host)
-        flipped = [
-            (x1, x2)
-            for x1, x2 in combinations(gadget.dom, 2)
-            if pair_kind(host, x1, x2)
-            is not pair_kind(host, gadget.apply(x1), gadget.apply(x2))
-        ]
-        assert len(flipped) == 1
-
-    def test_requires_marked_edge(self, paley13):
-        with pytest.raises(ValueError):
-            delete_edge_step(ConstantGraph(empty_graph(2), (0, 1)), paley13.graph)
-
-    def test_missing_pattern(self):
-        with pytest.raises(PatternNotFoundError):
-            delete_edge_step(ConstantGraph(complete_graph(3), (0, 1)), cycle_graph(5))
-
-
 class TestDeleteAllEdges:
     def test_k4_in_paley29(self, paley29):
         w = delete_all_edges(complete_graph(4), paley29.graph, 3)
@@ -614,7 +571,7 @@ class TestDeleteAllEdges:
 
     def test_each_copy_searched_and_checked_once(self, paley29, monkeypatch):
         # |E| + 1 least copies, each found by one search and checked by one
-        # qf_type, with no per-edge marked graph or deletion step
+        # qf_type
         searches, checks = [], []
 
         def counted(log, call):
@@ -623,13 +580,8 @@ class TestDeleteAllEdges:
                 return call(*args, **kwargs)
             return wrapped
 
-        def refused(*args, **kwargs):
-            raise AssertionError("delete_all_edges took a per-edge deletion step")
-
         monkeypatch.setattr(generation, "iter_embedding_maps", counted(searches, generation.iter_embedding_maps))
         monkeypatch.setattr(generation, "qf_type", counted(checks, generation.qf_type))
-        monkeypatch.setattr(generation, "delete_edge_step", refused)
-        monkeypatch.setattr(generation, "ConstantGraph", refused)
         for pattern in (complete_graph(4), path_graph(4)):
             searches.clear()
             checks.clear()
@@ -637,6 +589,12 @@ class TestDeleteAllEdges:
             edges = len(list(pattern.edges()))
             assert w.generator_steps == edges
             assert (len(searches), len(checks)) == (edges + 1, edges + 1), pattern
+
+    def test_unchecked_witness_is_refused(self, paley29, monkeypatch):
+        # the independent check is a raise, so it holds under python -O too
+        monkeypatch.setattr(generation, "verify_witness", lambda witness: False)
+        with pytest.raises(RuntimeError, match="^the witness chain fails its independent check$"):
+            delete_all_edges(complete_graph(3), paley29.graph, 2)
 
 
 class TestCollapseAll:
@@ -1033,17 +991,6 @@ def _collapse_on_paley13(vertices):
     "call, error, message",
     [
         (
-            lambda: delete_edge_step(ConstantGraph(complete_graph(2), (0,)), complete_graph(3)),
-            ValueError,
-            "the marked graph needs exactly two constants",
-        ),
-        (
-            # K4 has triangles but no induced path on three vertices
-            lambda: delete_edge_step(ConstantGraph(complete_graph(3), (0, 1)), complete_graph(4)),
-            PatternNotFoundError,
-            "host has no copy of the edge-deleted 3-vertex graph",
-        ),
-        (
             # K4 has a triangle but no induced path on three vertices, so the
             # chain stops at its second copy
             lambda: delete_all_edges(complete_graph(3), complete_graph(4), 2),
@@ -1078,7 +1025,7 @@ def _collapse_on_paley13(vertices):
         (lambda: classify_reduct([], build_paley(13).graph, 2), ValueError, "need at least one relation"),
     ],
     ids=[
-        "one-constant", "no-deleted-copy", "no-deleted-copy-in-chain", "no-start-copy", "gadget-off-host",
+        "no-deleted-copy-in-chain", "no-start-copy", "gadget-off-host",
         "collapse-beyond", "collapse-negative", "canonical-9", "types-6", "no-relations",
     ],
 )

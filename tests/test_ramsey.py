@@ -795,6 +795,8 @@ class TestInducedColoring:
         (lambda: CopyColoring(((0, 1),), (), 2), ValueError, "coloring must be total on all copies"),
         (lambda: CopyColoring(((0, 1),), (2,), 2), ValueError, "color out of range"),
         (lambda: CopyColoring((), (), 0), ValueError, "need at least one color"),
+        # k is checked before the colors, which no color can satisfy when k = 0
+        (lambda: CopyColoring(((0,),), (0,), 0), ValueError, "need at least one color"),
         (lambda: ArrowQuery(path_graph(3), path_graph(2), path_graph(2), 0), ValueError, "need at least one color"),
         (
             lambda: find_edge_nonedge_mono_copy(path_graph(3), path_graph(2), {(0, 1): 0, (1, 2): 0}, {}),
@@ -816,7 +818,7 @@ class TestInducedColoring:
         ),
     ],
     ids=[
-        "not-total", "color-range", "no-colors", "query-no-colors", "nonedge-missing",
+        "not-total", "color-range", "no-colors", "no-colors-with-copies", "query-no-colors", "nonedge-missing",
         "colorings-negative", "copies-negative", "both-negative",
         "enumerate-budget-negative", "enumerate-budget-negative-no-copies",
     ],

@@ -22,7 +22,6 @@ from rado_lab import (
     distinct_relation,
     edge_relation,
     empty_graph,
-    eval_relation,
     invariant_under_complement,
     invariant_under_switch,
     make_named,
@@ -54,30 +53,26 @@ def identity_map(g):
 
 class TestEval:
     def test_parity3_on_triangle(self):
-        assert eval_relation(parity_relation(3), (0, 1, 2), complete_graph(3))
+        assert parity_relation(3).holds((0, 1, 2), complete_graph(3))
 
     def test_parity3_on_independent_triple(self):
-        assert not eval_relation(parity_relation(3), (0, 1, 2), empty_graph(3))
+        assert not parity_relation(3).holds((0, 1, 2), empty_graph(3))
 
     def test_parity4_on_path(self):
         # a path on four vertices has three edges, an odd count
-        assert eval_relation(parity_relation(4), (0, 1, 2, 3), path_graph(4))
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_relation(parity_relation(3), (0, 1), complete_graph(3))
+        assert parity_relation(4).holds((0, 1, 2, 3), path_graph(4))
 
     def test_repeats_never_member(self):
-        assert not eval_relation(parity_relation(3), (0, 1, 1), complete_graph(3))
+        assert not parity_relation(3).holds((0, 1, 1), complete_graph(3))
 
     def test_parity_symmetric_under_permutation(self):
         g = random_graph(6, 2)
         for arity in (3, 4, 5):
             r = parity_relation(arity)
             t = tuple(range(arity))
-            value = eval_relation(r, t, g)
+            value = r.holds(t, g)
             for p in permutations(t):
-                assert eval_relation(r, p, g) == value
+                assert r.holds(p, g) == value
 
 
 class TestPreservedByMap:
@@ -225,8 +220,8 @@ class TestEqualityDefinability:
         assert not res.definable
         member, nonmember = res.witness
         r = parity_relation(5)
-        assert eval_relation(r, member, paley13.graph)
-        assert not eval_relation(r, nonmember, paley13.graph)
+        assert r.holds(member, paley13.graph)
+        assert not r.holds(nonmember, paley13.graph)
         assert len(set(member)) == 5 and len(set(nonmember)) == 5
 
     def test_empty_relation_is_definable(self):
@@ -239,36 +234,36 @@ class TestSpecLanguage:
     def test_parity_spec(self):
         r = parse_relation_spec("parity:3")
         assert r.arity == 3
-        assert eval_relation(r, (0, 1, 2), complete_graph(3))
+        assert r.holds((0, 1, 2), complete_graph(3))
 
     def test_formula_spec(self):
         r = parse_relation_spec('formula:"E(0,1) & !E(1,2)"')
         g = path_graph(3)
-        assert eval_relation(r, (0, 1, 1), g)  # E(0,1) holds, E at equal vertices is false
-        assert not eval_relation(r, (2, 1, 0), g)  # both atoms hold, negation fails
-        assert not eval_relation(r, (0, 2, 1), g)  # first atom fails
+        assert r.holds((0, 1, 1), g)  # E(0,1) holds, E at equal vertices is false
+        assert not r.holds((2, 1, 0), g)  # both atoms hold, negation fails
+        assert not r.holds((0, 2, 1), g)  # first atom fails
 
     def test_formula_equality_atoms(self):
         r = parse_relation_spec('formula:"x0=x0"')
         assert r.arity == 1
-        assert eval_relation(r, (2,), path_graph(3))
+        assert r.holds((2,), path_graph(3))
         r2 = parse_relation_spec('formula:"x0!=x1"')
-        assert eval_relation(r2, (0, 1), path_graph(3))
-        assert not eval_relation(r2, (1, 1), path_graph(3))
+        assert r2.holds((0, 1), path_graph(3))
+        assert not r2.holds((1, 1), path_graph(3))
 
     def test_formula_precedence_and_parens(self):
         r = parse_relation_spec('formula:"E(0,1) | E(1,2) & !E(0,2)"')
         # and binds tighter than or
         g = path_graph(3)
-        assert eval_relation(r, (0, 1, 2), g)
+        assert r.holds((0, 1, 2), g)
 
     def test_tuples_spec(self, tmp_path):
         path = tmp_path / "rel.tuples"
         path.write_text("arity 2\n0 1\n2 1\n")
         r = parse_relation_spec(f"tuples:@{path}")
         assert r.arity == 2
-        assert eval_relation(r, (0, 1), path_graph(3))
-        assert not eval_relation(r, (1, 0), path_graph(3))
+        assert r.holds((0, 1), path_graph(3))
+        assert not r.holds((1, 0), path_graph(3))
 
     def test_tuple_file_needs_positive_arity(self):
         with pytest.raises(ValueError):
@@ -1098,7 +1093,6 @@ class _Opaque(relations.Relation):
             ValueError,
             "formula mentions the negative position -3",
         ),
-        (lambda: eval_relation(edge_relation(), (0, 5), path_graph(3)), ValueError, "tuple entry 5 is not a vertex of the graph"),
         (lambda: preserved_by_map(edge_relation(), {5: 0}, path_graph(3), path_graph(3)), ValueError, "domain vertex 5 out of range"),
         (lambda: preserved_by_map(edge_relation(), {0: 5}, path_graph(3), path_graph(3)), ValueError, "image vertex 5 out of range"),
         (lambda: invariant_under_switch(edge_relation(), path_graph(3), 3), ValueError, "switch vertex 3 out of range"),
@@ -1136,7 +1130,6 @@ class _Opaque(relations.Relation):
     ids=[
         "parity-1", "type-set-0", "tuple-arity", "formula-position", "distinct-0", "distinct-1", "formula-node",
         "formula-negative", "formula-negative-arity", "formula-negative-least",
-        "eval-entry",
         "map-domain", "map-image", "switch-vertex", "type-negative", "type-beyond",
         "tuple-beyond-host", "tuple-negative", "tuple-set-equality-scan", "tuple-set-switch-scan", "no-scan",
     ],
