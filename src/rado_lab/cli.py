@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import stat
 import sys
 import time
 from functools import cache
@@ -48,11 +49,21 @@ def _read_input(path: str) -> tuple[str, str]:
     return text, hashlib.sha256(data).hexdigest()
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    # ``open``'s opener for "wb" without O_TRUNC: on ext4, truncating a file
+    # to zero makes its close wait for the new blocks to reach the disk
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_output(path: str, text: str) -> str:
-    # writes ``text`` as ASCII and returns the sha256 of the bytes written
+    # writes ``text`` as ASCII over the file in place and returns the sha256
+    # of the bytes written; a regular file is then cut to their length, while
+    # a device or a pipe (``/dev/null``, ``/dev/stdout``) cannot be cut
     data = text.encode("ascii")
-    with open(path, "wb") as fh:
+    with open(path, "wb", opener=_open_in_place) as fh:
         fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
     return hashlib.sha256(data).hexdigest()
 
 

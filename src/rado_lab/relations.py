@@ -37,10 +37,13 @@ complement, or g switched at v restricted to tuples containing v.  It walks
 for all candidates at once, as bit masks; ``checked`` counts the prefixes.
 The equality scan runs it against the membership of the least tuple of
 each pattern.  Complement and switch checks are one gate,
-``_identity_rewrites``, over one scan, ``_rewrite_scans``, which sets up the
-rows and the kernel once for every rewrite.  Tuple sets ignore the graph and
-have no table or scan: ``preserved_by_map`` walks their members, and
-``type_set`` turns one into the type set it equals on a host, if any.
+``_identity_rewrites``, over ``_rewrite_scans``.  The switch checks of
+many vertices share one sweep over the prefixes (``_switch_sweeps``): per
+prefix, two member masks settle every vertex outside it at once, and each
+vertex keeps the witness and the count of its own scan.  Tuple sets ignore
+the graph and have no table or scan: ``preserved_by_map`` walks their
+members, and ``type_set`` turns one into the type set it equals on a host,
+if any.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from math import comb
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -61,12 +65,20 @@ class RelationSpecError(ValueError):
 
 
 class Relation:
-    """Base class; subclasses provide ``holds`` and a stable ``name``."""
+    """Base class; subclasses provide ``_holds`` and a stable ``name``."""
 
     arity: int
     name: str
 
     def holds(self, t: tuple[int, ...], g: Graph) -> bool:
+        """Whether t is in the relation on g; ``ValueError`` when t does not
+        have the relation's arity or an entry is not a vertex of g."""
+        if len(t) != self.arity:
+            raise ValueError(f"tuple {t} does not have arity {self.arity}")
+        _check_vertices(t, g)
+        return self._holds(t, g)
+
+    def _holds(self, t: tuple[int, ...], g: Graph) -> bool:
         raise NotImplementedError
 
     @property
@@ -175,7 +187,7 @@ class ParityRelation(QuantifierFreeRelation):
     def _definition(self) -> tuple:
         return (self.arity,)
 
-    def holds(self, t: tuple[int, ...], g: Graph) -> bool:
+    def _holds(self, t: tuple[int, ...], g: Graph) -> bool:
         if len(set(t)) != len(t):
             return False
         count = 0
@@ -185,15 +197,21 @@ class ParityRelation(QuantifierFreeRelation):
         return count % 2 == 1
 
 
+def _check_vertices(t: Sequence[int], g: Graph) -> None:
+    # refuse a tuple with an entry outside 0..g.n - 1, naming the least
+    # negative entry or else the largest
+    if t:
+        low, high = min(t), max(t)
+        if low < 0 or high >= g.n:
+            raise ValueError(f"tuple entry {low if low < 0 else high} is not a vertex of the graph")
+
+
 def qf_type(t: Sequence[int], g: Graph) -> tuple[tuple[int, ...], int]:
     """The QF type of t in g: its equality pattern (``_least_of_pattern``)
     and the ``edge_code`` of its classes, taken in order of first
     occurrence."""
+    _check_vertices(t, g)
     classes = list(dict.fromkeys(t))
-    if classes:
-        low, high = min(classes), max(classes)
-        if low < 0 or high >= g.n:
-            raise ValueError(f"tuple entry {low if low < 0 else high} is not a vertex of the graph")
     return tuple(classes.index(x) for x in t), induced_code(g.rows, classes)
 
 
@@ -216,7 +234,7 @@ class TypeSetRelation(QuantifierFreeRelation):
     def _definition(self) -> tuple:
         return (self.arity, self.types)
 
-    def holds(self, t: tuple[int, ...], g: Graph) -> bool:
+    def _holds(self, t: tuple[int, ...], g: Graph) -> bool:
         return qf_type(t, g) in self.types
 
     def _type_holds(self, rgs: tuple[int, ...], code: int) -> bool:
@@ -255,7 +273,7 @@ class TupleSetRelation(Relation):
         self.graph_name = graph_name
         self.name = f"tuples:{graph_name or '<anon>'}[{len(self.tuples)}]"
 
-    def holds(self, t: tuple[int, ...], g: Graph) -> bool:
+    def _holds(self, t: tuple[int, ...], g: Graph) -> bool:
         return t in self.tuples
 
     def type_set(self, host: Graph) -> TypeSetRelation | tuple[tuple[tuple[int, ...], tuple[int, ...]], int]:
@@ -300,7 +318,7 @@ class FormulaRelation(QuantifierFreeRelation):
     def _definition(self) -> tuple:
         return (self.root, self.arity)
 
-    def holds(self, t: tuple[int, ...], g: Graph) -> bool:
+    def _holds(self, t: tuple[int, ...], g: Graph) -> bool:
         return _eval_node(self.root, t, g)
 
 
@@ -544,22 +562,10 @@ def _type_set_mask(index, prefix: tuple[int, ...], rows, same, full: int) -> int
     return mask
 
 
-def _scan_kernel(r: Relation, dom: Sequence[int], n: int):
-    """The scan kernel for ``r`` over ``dom`` on n-vertex graphs, set up once:
-    ``least_bad(bad, must=None)`` is the least tuple over ``dom`` (containing
-    ``must`` if given) whose last coordinate is in ``bad(prefix, member)``.
-
-    It enumerates (arity - 1)-prefixes in lexicographic order and tests the
-    last coordinate for all candidates at once.  ``member(prefix, rows,
-    same)`` is the mask of candidates c with prefix + (c,) in r, on the graph
-    whose adjacency is ``rows`` and whose equal vertices are ``same``.
-    Parity relations are symmetric and empty on repeated entries, so sorted
-    prefixes suffice and the member mask is the xor of the prefix rows;
-    formulas walk ordered prefixes and evaluate on masks; type sets walk
-    ordered prefixes and read their member types off the prefix's type.
-    """
+def _member_of(r: Relation, n: int):
+    # ``member(prefix, rows, same)`` of the scan kernel for r on n-vertex
+    # graphs; it reads ``rows`` and ``same`` at the prefix entries only
     full = (1 << n) - 1
-    k = r.arity - 1
     if isinstance(r, ParityRelation):
         def member(prefix, rows, same):
             return _parity_mask(prefix, rows, same, full)
@@ -573,22 +579,34 @@ def _scan_kernel(r: Relation, dom: Sequence[int], n: int):
             return _type_set_mask(type_index, prefix, rows, same, full)
     else:
         raise TypeError(f"no scan for relation {r!r}")
+    return member
+
+
+def _scan_kernel(r: Relation, dom: Sequence[int], n: int):
+    """The scan kernel for ``r`` over ``dom`` on n-vertex graphs, set up once:
+    ``least_bad(bad)`` is the least tuple over ``dom`` whose last coordinate
+    is in ``bad(prefix, member)``.
+
+    It enumerates (arity - 1)-prefixes in lexicographic order and tests the
+    last coordinate for all candidates at once.  ``member(prefix, rows,
+    same)`` is the mask of candidates c with prefix + (c,) in r, on the graph
+    whose adjacency is ``rows`` and whose equal vertices are ``same``.
+    Parity relations are symmetric and empty on repeated entries, so sorted
+    prefixes suffice and the member mask is the xor of the prefix rows;
+    formulas walk ordered prefixes and evaluate on masks; type sets walk
+    ordered prefixes and read their member types off the prefix's type.
+    """
+    member = _member_of(r, n)
+    k = r.arity - 1
     ascending = isinstance(r, ParityRelation)
     dmask = sum(1 << x for x in dom)
 
-    def least_bad(bad, must: int | None = None) -> PreservationResult:
-        if not ascending:
-            prefixes = product(dom, repeat=k)
-        elif must is None:
-            prefixes = combinations(dom, k)
-        else:
-            prefixes = (p for p in combinations(dom, k) if must in p or p[-1] < must)
+    def least_bad(bad) -> PreservationResult:
+        prefixes = combinations(dom, k) if ascending else product(dom, repeat=k)
         checked = 0
         for prefix in prefixes:
             checked += 1
             cand = dmask & ~((2 << prefix[-1]) - 1) if ascending else dmask
-            if must is not None and must not in prefix:
-                cand &= 1 << must
             hit = cand and cand & bad(prefix, member)
             if hit:
                 return PreservationResult(False, prefix + ((hit & -hit).bit_length() - 1,), checked)
@@ -685,7 +703,10 @@ def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
     A QF relation whose type table is switch-invariant is preserved on
     every graph, reported with ``checked == 0``.  Otherwise
     only tuples containing v can change QF type, so the scan is restricted
-    to them; the restricted least witness equals the global one.
+    to them; the restricted least witness equals the global one.  The scan
+    builds g's rows switched at v once and walks every ordered prefix, or
+    for a parity relation the sorted prefixes that contain v or end below
+    it; ``checked`` counts those walked, in both directions.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"switch vertex {v} out of range")
@@ -705,32 +726,133 @@ def _identity_rewrites(r: Relation, g: Graph, at: Sequence[int] | None) -> list[
 
 def _rewrite_scans(r: Relation, g: Graph, at: Sequence[int] | None) -> list[PreservationResult]:
     # the scan: identity-map preservation from g to its complement (``at``
-    # None) or to g switched at each v of ``at``, over the tuples through v,
-    # and back; one kernel serves every rewrite, ``checked`` sums both ways
+    # None) or to g switched at each v of ``at`` (``_switch_sweeps``), and
+    # back; ``checked`` sums both ways
+    if at is not None:
+        return _switch_sweeps(r, g, at)
     n = g.n
     rows = g.rows
     same = [1 << x for x in range(n)]
     least_bad = _scan_kernel(r, range(n), n)
+    other = [g.full_mask ^ row ^ 1 << u for u, row in enumerate(rows)]
+    checked = 0
+    for a, b in ((rows, other), (other, rows)):
+        res = least_bad(lambda prefix, member: member(prefix, a, same) & ~member(prefix, b, same))
+        checked += res.checked
+        if not res.preserved:
+            break
+    return [PreservationResult(res.preserved, res.witness, checked)]
 
-    def switched(v):
-        bit = 1 << v
-        other = [row ^ bit for row in rows]
-        other[v] ^= g.full_mask
-        return other, v
 
-    if at is None:
-        rewrites = [([g.full_mask ^ row ^ 1 << u for u, row in enumerate(rows)], None)]
-    else:
-        rewrites = map(switched, at)
+def _switch_rank(p: tuple[int, ...], v: int, n: int, ascending: bool) -> int:
+    # the rank of prefix p in the scan of the switch at v: among all ordered
+    # prefixes over range(n), or for parity (``ascending``) among the sorted
+    # ones that hold v or end below it, in lexicographic order
+    if not ascending:
+        index = 0
+        for x in p:
+            index = index * n + x
+        return index + 1
+    # per position, the sorted prefixes that agree with p before it and hold
+    # a smaller c there, summed over c in closed form; ``tail`` entries
+    # follow c.  Before v's position in p, or everywhere when p ends below v,
+    # c < v, and a prefix counts when v is in its tail or its whole tail is
+    # below v; after v's position every prefix holds v
+    rank, lo, tail, through = 1, 0, len(p), False
+    for x in p:
+        tail -= 1
+        if through:
+            rank += comb(n - lo, tail + 1) - comb(n - x, tail + 1)
+        else:
+            rank += comb(v - lo, tail + 1) - comb(v - x, tail + 1) + comb(n - 1 - lo, tail) - comb(n - 1 - x, tail)
+            through = x == v
+        lo = x + 1
+    return rank
+
+
+def _switch_sweeps(r: Relation, g: Graph, at: Sequence[int]) -> list[PreservationResult]:
+    # identity-map preservation between g and g switched at each v of
+    # ``at``, over the tuples through v, in one sweep per direction over the
+    # kernel's prefixes.  Per prefix p, one member mask on the host rows and
+    # one on p's rows flipped outside p (``pmask``) settle every pending v
+    # outside p at once: pairs inside p keep their kind, pairs to v
+    # flip, so bit v of the second mask is p + (v,) in g switched at v.  Each
+    # pending v inside p takes the prefix rows switched at v.  The vertices
+    # the first direction leaves pending sweep again the other way; once one
+    # vertex is left, its switched rows serve every later prefix.  A vertex
+    # keeps the least witness of its own scan, and as ``checked`` its hit
+    # prefix's ``_switch_rank``, after its first direction's total if the hit
+    # came on the way back
+    n = g.n
+    rows, full = g.rows, g.full_mask
+    same = [1 << x for x in range(n)]
+    member = _member_of(r, n)
+    k = r.arity - 1
+    ascending = isinstance(r, ParityRelation)
+    found: dict[int, tuple[bool, tuple[int, ...]]] = {}
+    pending = 0
+    for v in at:
+        pending |= 1 << v
+    for back in (False, True):
+        if not pending:
+            break
+        prefixes = combinations(range(n), k) if ascending else product(range(n), repeat=k)
+        if pending & (pending - 1):
+            for p in prefixes:
+                cand = full ^ ((2 << p[-1]) - 1) if ascending else full
+                pmask = 0
+                for x in p:
+                    pmask |= 1 << x
+                outside = pending & cand & ~pmask
+                inside = pending & pmask if cand else 0
+                if not outside | inside:
+                    continue
+                host = member(p, rows, same)
+                if outside:
+                    out = full ^ pmask
+                    flipped = member(p, {x: rows[x] ^ out for x in p}, same)
+                    hits = outside & (flipped & ~host if back else host & ~flipped)
+                    pending ^= hits
+                    while hits:
+                        v = (hits & -hits).bit_length() - 1
+                        found[v] = back, p + (v,)
+                        hits &= hits - 1
+                while inside:
+                    bit = inside & -inside
+                    inside ^= bit
+                    v = bit.bit_length() - 1
+                    switched = {x: rows[x] ^ bit for x in p}
+                    switched[v] ^= full
+                    other = member(p, switched, same)
+                    hit = cand & (other & ~host if back else host & ~other)
+                    if hit:
+                        found[v] = back, p + ((hit & -hit).bit_length() - 1,)
+                        pending ^= bit
+                if not pending & (pending - 1):
+                    break
+        if pending:
+            bit = pending
+            v = bit.bit_length() - 1
+            switched = [row ^ bit for row in rows]
+            switched[v] ^= full
+            a, b = (switched, rows) if back else (rows, switched)
+            for p in prefixes:
+                cand = full ^ ((2 << p[-1]) - 1) if ascending else full
+                if v not in p:
+                    cand &= bit
+                hit = cand and cand & member(p, a, same) & ~member(p, b, same)
+                if hit:
+                    found[v] = back, p + ((hit & -hit).bit_length() - 1,)
+                    pending = 0
+                    break
     results = []
-    for other, must in rewrites:
-        checked = 0
-        for a, b in ((rows, other), (other, rows)):
-            res = least_bad(lambda prefix, member: member(prefix, a, same) & ~member(prefix, b, same), must)
-            checked += res.checked
-            if not res.preserved:
-                break
-        results.append(PreservationResult(res.preserved, res.witness, checked))
+    for v in at:
+        total = comb(n - 1, k - 1) + comb(v, k) if ascending else n**k
+        if v in found:
+            back, t = found[v]
+            results.append(PreservationResult(False, t, (total if back else 0) + _switch_rank(t[:-1], v, n, ascending)))
+        else:
+            results.append(PreservationResult(True, None, 2 * total))
     return results
 
 

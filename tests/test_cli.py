@@ -116,6 +116,20 @@ class TestGenerate:
         assert captured.out == ""
         assert list(workspace.iterdir()) == []
 
+    def test_output_overwrites_a_longer_file_exactly(self, workspace, capsys):
+        (workspace / "p.g").write_text(format_graph(build_paley(29).graph))
+        code, out = run_cli(capsys, "generate", "paley", "13", "--json", "-o", "p.g")
+        assert code == 0
+        data = (workspace / "p.g").read_bytes()
+        assert data == format_graph(build_paley(13).graph).encode()
+        assert json.loads(out)["output_sha256"] == hashlib.sha256(data).hexdigest()
+
+    def test_unwritable_output_is_error(self, workspace, capsys):
+        code = main(["generate", "paley", "13", "-o", "missing/p.g"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+
     def test_refused_check_writes_no_file(self, workspace, capsys):
         code = main(["generate", "paley", "13", "-o", "x.g", "--check-k", "0"])
         captured = capsys.readouterr()
@@ -409,6 +423,29 @@ class TestRamseyCli:
         # the least bad coloring: the witness file is byte-identical to the
         # one the plain lexicographic search wrote
         assert report["witness_sha256"] == hashlib.sha256(witness_text.encode()).hexdigest() == K5_WITNESS_SHA256
+
+    def test_witness_overwrites_a_longer_file_exactly(self, workspace, clique_files, capsys):
+        # the file is written in place and then cut to the new length
+        (workspace / "w.txt").write_text("stale line\n" * 500)
+        code, out = run_cli(
+            capsys, "ramsey", "verify", "--S", clique_files["k5"],
+            "--H", clique_files["k3"], "--P", clique_files["k2"],
+            "-k", "2", "--witness-out", "w.txt", "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["witness_sha256"] == K5_WITNESS_SHA256
+        assert hashlib.sha256((workspace / "w.txt").read_bytes()).hexdigest() == K5_WITNESS_SHA256
+
+    def test_witness_to_dev_null(self, clique_files, capsys):
+        # a device is written but not cut
+        code, out = run_cli(
+            capsys, "ramsey", "verify", "--S", clique_files["k5"],
+            "--H", clique_files["k3"], "--P", clique_files["k2"],
+            "-k", "2", "--witness-out", os.devnull, "--json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert (report["witness_file"], report["witness_sha256"]) == (os.devnull, K5_WITNESS_SHA256)
 
     def test_single_color_holds(self, clique_files, capsys):
         code, out = run_cli(

@@ -75,6 +75,36 @@ class TestEval:
                 assert r.holds(p, g) == value
 
 
+class TestHoldsChecksItsTuple:
+    # every subclass refuses a tuple of another length or with an entry
+    # that is not a vertex of the graph, the least negative one or else the
+    # largest named
+    def assert_refused(self, r, g, short, beyond):
+        with pytest.raises(ValueError, match=re.escape(f"tuple {short} does not have arity {r.arity}")):
+            r.holds(short, g)
+        for t, entry in beyond:
+            with pytest.raises(ValueError, match=f"^tuple entry {entry} is not a vertex of the graph$"):
+                r.holds(t, g)
+
+    def test_parity(self):
+        self.assert_refused(parity_relation(3), complete_graph(3), (0, 1), [((0, 1, 3), 3), ((-1, 1, 2), -1)])
+
+    def test_formula(self):
+        r, g = edge_relation(), path_graph(3)
+        self.assert_refused(r, g, (0, 1, 2), [((0, 5), 5), ((0, -2), -2), ((-2, 5), -2)])
+        assert r.holds((0, 1), g) and not r.holds((0, 2), g)
+
+    def test_type_set(self):
+        r = relations.TypeSetRelation(2, [qf_type((0, 1), path_graph(3))])
+        self.assert_refused(r, path_graph(3), (0,), [((3, 0), 3)])
+
+    def test_tuple_set(self):
+        # membership ignores the graph, but the tuple must still lie on it
+        r = TupleSetRelation(2, [(0, 1), (0, 7)])
+        self.assert_refused(r, path_graph(3), (0, 1, 2), [((0, 7), 7)])
+        assert r.holds((0, 1), path_graph(3)) and r.holds((0, 7), path_graph(8))
+
+
 class TestPreservedByMap:
     def test_identity_always_preserved(self):
         g = random_graph(6, 7)
@@ -1010,6 +1040,113 @@ class TestClassMatchesTable:
                 continue
             assert cls is table_class(r), r.name
         assert [r.types for r in refused] == [{((0, 1, 2, 3), 0)}, {((0, 1, 2, 3), 63)}]
+
+
+# ---------------------------------------------------------------------------
+# the switch sweep against a naive walk, vertex by vertex
+
+
+def naive_switch_order(r, g, v):
+    # the prefixes the scan of the switch at v walks, in its order: for
+    # parity the sorted ones that contain v or end below it, else all
+    k = r.arity - 1
+    if isinstance(r, relations.ParityRelation):
+        return [p for p in combinations(range(g.n), k) if v in p or p[-1] < v]
+    return list(product(range(g.n), repeat=k))
+
+
+def naive_switch_scan(r, g, v):
+    """(preserved, least witness, checked) of the switch at v: the tuples
+    through v, prefix by prefix in ``naive_switch_order``, with ``holds`` on
+    g and on ``switch_graph(g, {v})``, one way and then back.  A sorted
+    parity prefix is extended above its last entry only.  ``checked`` is the
+    rank of the hit prefix in that order, after the first way's count on the
+    way back."""
+    h = switch_graph(g, {v})
+    order = naive_switch_order(r, g, v)
+    parity = isinstance(r, relations.ParityRelation)
+    for way, (a, b) in enumerate(((g, h), (h, g))):
+        for rank, p in enumerate(order, 1):
+            for c in range(p[-1] + 1 if parity else 0, g.n):
+                t = p + (c,)
+                if v in t and r.holds(t, a) and not r.holds(t, b):
+                    return False, t, way * len(order) + rank
+    return True, None, 2 * len(order)
+
+
+@st.composite
+def switch_instances(draw):
+    n = draw(st.integers(4, 9))
+    g = graph_from_bits(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+    kind = draw(st.sampled_from(["parity", "formula", "types"]))
+    if kind == "parity":
+        return parity_relation(draw(st.integers(2, 4))), g
+    arity = draw(st.integers(1, 3))
+    if kind == "formula":
+        root = random_formula(random.Random(draw(st.integers(0, 2**32 - 1))), arity)
+        return relations.FormulaRelation(root, arity=arity), g
+    return relations.TypeSetRelation(arity, draw(st.sets(st.sampled_from(all_types(arity))))), g
+
+
+TRIANGLE = parse_relation_spec("formula:E(0,1) & E(1,2) & E(0,2)")
+# hosts where some vertices keep the relation and others break it only on
+# the way back; and an arity-1 formula, whose one prefix is ()
+SWITCH_EXAMPLES = (
+    (TRIANGLE, random_graph(5, 0)),
+    (TRIANGLE, random_graph(7, 33)),
+    (parity_relation(4), empty_graph(6)),
+    (relations.FormulaRelation(("eq", 0, 0)), random_graph(4, 1)),
+)
+
+
+@given(switch_instances())
+@example(SWITCH_EXAMPLES[0])
+@example(SWITCH_EXAMPLES[1])
+@example(SWITCH_EXAMPLES[2])
+@example(SWITCH_EXAMPLES[3])
+@settings(max_examples=300, deadline=None)
+def test_switch_sweep_matches_naive_oracle(instance):
+    # the sweep behind every switch check, then the two entry points: the
+    # per-vertex call and the certificate of a classification, both of
+    # which the type table answers with checked 0 when it proves the fact
+    r, g = instance
+    want = [naive_switch_scan(r, g, v) for v in range(g.n)]
+    got = _rewrite_scans(r, g, range(g.n))
+    assert [(res.preserved, res.witness, res.checked) for res in got] == want
+    gated = "switch" in r.type_facts.closed_under
+    if gated:
+        assert all(preserved for preserved, _, _ in want)
+        got = [PreservationResult(True)] * g.n
+    assert [invariant_under_switch(r, g, v) for v in range(g.n)] == got
+    cert = _classify_single(r, g)
+    if not cert.equality.definable:
+        assert cert.switch_violations == tuple((v, res.witness) for v, res in enumerate(got) if not res.preserved)
+        assert cert.switch_subsets_checked == sum(res.checked for res in got)
+
+
+def test_switch_rank_counts_the_prefixes_it_follows():
+    # the closed-form rank that the sweep reports as ``checked``, on every
+    # prefix of both orders up to 8 vertices and arity 5
+    for n in range(1, 9):
+        g = empty_graph(n)
+        for arity in range(2, 6):
+            for r in (parity_relation(arity), distinct_relation(arity)):
+                ascending = isinstance(r, relations.ParityRelation)
+                for v in range(n):
+                    order = naive_switch_order(r, g, v)
+                    ranks = [relations._switch_rank(p, v, n, ascending) for p in order]
+                    assert ranks == list(range(1, len(order) + 1)), (n, r.name, v)
+
+
+def test_switch_examples_keep_vertices_and_break_on_the_way_back():
+    # the explicit examples above cover what random hosts may miss
+    kept = back = 0
+    for r, g in SWITCH_EXAMPLES:
+        for v in range(g.n):
+            preserved, _, checked = naive_switch_scan(r, g, v)
+            kept += preserved
+            back += not preserved and checked > len(naive_switch_order(r, g, v))
+    assert kept and back
 
 
 class TestTypeSetRelation:
