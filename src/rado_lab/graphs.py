@@ -791,9 +791,6 @@ class Embedding:
         if not self.verify():
             raise ValueError(f"map {self.mapping} is not an induced embedding of source into target")
 
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(self.mapping))
-
     def verify(self) -> bool:
         m, n = self.mapping, self.source.n
         if len(m) != n or len(set(m)) != n or (m and not 0 <= min(m) <= max(m) < self.target.n):

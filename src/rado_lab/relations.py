@@ -37,13 +37,13 @@ complement, or g switched at v restricted to tuples containing v.  It walks
 for all candidates at once, as bit masks; ``checked`` counts the prefixes.
 The equality scan runs it against the membership of the least tuple of
 each pattern.  Complement and switch checks are one gate,
-``_identity_rewrites``, over ``_rewrite_scans``.  The switch checks of
-many vertices share one sweep over the prefixes (``_switch_sweeps``): per
-prefix, two member masks settle every vertex outside it at once, and each
-vertex keeps the witness and the count of its own scan.  Tuple sets ignore
-the graph and have no table or scan: ``preserved_by_map`` walks their
-members, and ``type_set`` turns one into the type set it equals on a host,
-if any.
+``_identity_rewrites``, over ``_rewrite_scans``.  Every switch check, of
+one vertex or many, is one sweep over the prefixes (``_switch_sweeps``):
+per prefix, two member masks settle every vertex outside it at once, and
+each vertex keeps the witness and the count of its own scan.  Tuple sets
+ignore the graph and have no table or scan: ``preserved_by_map`` walks
+their members, and ``type_set`` turns one into the type set it equals on a
+host, if any.
 """
 
 from __future__ import annotations
@@ -704,9 +704,10 @@ def invariant_under_switch(r: Relation, g: Graph, v: int) -> PreservationResult:
     every graph, reported with ``checked == 0``.  Otherwise
     only tuples containing v can change QF type, so the scan is restricted
     to them; the restricted least witness equals the global one.  The scan
-    builds g's rows switched at v once and walks every ordered prefix, or
-    for a parity relation the sorted prefixes that contain v or end below
-    it; ``checked`` counts those walked, in both directions.
+    is the switch sweep (``_switch_sweeps``) run for v alone: it walks every
+    ordered prefix, or for a parity relation the sorted prefixes that
+    contain v or end below it; ``checked`` counts those walked, in both
+    directions.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"switch vertex {v} out of range")
@@ -777,12 +778,11 @@ def _switch_sweeps(r: Relation, g: Graph, at: Sequence[int]) -> list[Preservatio
     # one on p's rows flipped outside p (``pmask``) settle every pending v
     # outside p at once: pairs inside p keep their kind, pairs to v
     # flip, so bit v of the second mask is p + (v,) in g switched at v.  Each
-    # pending v inside p takes the prefix rows switched at v.  The vertices
-    # the first direction leaves pending sweep again the other way; once one
-    # vertex is left, its switched rows serve every later prefix.  A vertex
-    # keeps the least witness of its own scan, and as ``checked`` its hit
-    # prefix's ``_switch_rank``, after its first direction's total if the hit
-    # came on the way back
+    # pending v inside p takes the prefix rows switched at v.  A direction
+    # stops once no vertex is pending, and the vertices the first leaves
+    # pending sweep again the other way.  A vertex keeps the least witness
+    # of its own scan, and as ``checked`` its hit prefix's ``_switch_rank``,
+    # after its first direction's total if the hit came on the way back
     n = g.n
     rows, full = g.rows, g.full_mask
     same = [1 << x for x in range(n)]
@@ -796,55 +796,38 @@ def _switch_sweeps(r: Relation, g: Graph, at: Sequence[int]) -> list[Preservatio
     for back in (False, True):
         if not pending:
             break
-        prefixes = combinations(range(n), k) if ascending else product(range(n), repeat=k)
-        if pending & (pending - 1):
-            for p in prefixes:
-                cand = full ^ ((2 << p[-1]) - 1) if ascending else full
-                pmask = 0
-                for x in p:
-                    pmask |= 1 << x
-                outside = pending & cand & ~pmask
-                inside = pending & pmask if cand else 0
-                if not outside | inside:
-                    continue
-                host = member(p, rows, same)
-                if outside:
-                    out = full ^ pmask
-                    flipped = member(p, {x: rows[x] ^ out for x in p}, same)
-                    hits = outside & (flipped & ~host if back else host & ~flipped)
-                    pending ^= hits
-                    while hits:
-                        v = (hits & -hits).bit_length() - 1
-                        found[v] = back, p + (v,)
-                        hits &= hits - 1
-                while inside:
-                    bit = inside & -inside
-                    inside ^= bit
-                    v = bit.bit_length() - 1
-                    switched = {x: rows[x] ^ bit for x in p}
-                    switched[v] ^= full
-                    other = member(p, switched, same)
-                    hit = cand & (other & ~host if back else host & ~other)
-                    if hit:
-                        found[v] = back, p + ((hit & -hit).bit_length() - 1,)
-                        pending ^= bit
-                if not pending & (pending - 1):
-                    break
-        if pending:
-            bit = pending
-            v = bit.bit_length() - 1
-            switched = [row ^ bit for row in rows]
-            switched[v] ^= full
-            a, b = (switched, rows) if back else (rows, switched)
-            for p in prefixes:
-                cand = full ^ ((2 << p[-1]) - 1) if ascending else full
-                if v not in p:
-                    cand &= bit
-                hit = cand and cand & member(p, a, same) & ~member(p, b, same)
+        for p in combinations(range(n), k) if ascending else product(range(n), repeat=k):
+            cand = full ^ ((2 << p[-1]) - 1) if ascending else full
+            pmask = 0
+            for x in p:
+                pmask |= 1 << x
+            outside = pending & cand & ~pmask
+            inside = pending & pmask if cand else 0
+            if not outside | inside:
+                continue
+            host = member(p, rows, same)
+            if outside:
+                out = full ^ pmask
+                flipped = member(p, {x: rows[x] ^ out for x in p}, same)
+                hits = outside & (flipped & ~host if back else host & ~flipped)
+                pending ^= hits
+                while hits:
+                    v = (hits & -hits).bit_length() - 1
+                    found[v] = back, p + (v,)
+                    hits &= hits - 1
+            while inside:
+                bit = inside & -inside
+                inside ^= bit
+                v = bit.bit_length() - 1
+                switched = {x: rows[x] ^ bit for x in p}
+                switched[v] ^= full
+                other = member(p, switched, same)
+                hit = cand & (other & ~host if back else host & ~other)
                 if hit:
                     found[v] = back, p + ((hit & -hit).bit_length() - 1,)
-                    pending = 0
-                    break
+                    pending ^= bit
+            if not pending:
+                break
     results = []
     for v in at:
         total = comb(n - 1, k - 1) + comb(v, k) if ascending else n**k

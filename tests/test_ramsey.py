@@ -785,7 +785,7 @@ class TestInducedColoring:
             chi_e, chi_n = induced_pair_coloring(f)
             emb = find_edge_nonedge_mono_copy(g, pattern, chi_e, chi_n)
             assert emb is not None
-            classes = classify_on_set(f, emb.image())
+            classes = classify_on_set(f, sorted(emb.mapping))
             assert 1 <= len(classes) <= 2
 
 

@@ -1099,20 +1099,24 @@ SWITCH_EXAMPLES = (
 )
 
 
-@given(switch_instances())
-@example(SWITCH_EXAMPLES[0])
-@example(SWITCH_EXAMPLES[1])
-@example(SWITCH_EXAMPLES[2])
-@example(SWITCH_EXAMPLES[3])
+@given(switch_instances(), st.lists(st.integers(0, 8), max_size=18))
+@example(SWITCH_EXAMPLES[0], [4, 1, 4])
+@example(SWITCH_EXAMPLES[1], [6, 2, 5, 2, 0])
+@example(SWITCH_EXAMPLES[2], [5, 3])
+@example(SWITCH_EXAMPLES[3], [3, 0, 2])
 @settings(max_examples=300, deadline=None)
-def test_switch_sweep_matches_naive_oracle(instance):
-    # the sweep behind every switch check, then the two entry points: the
-    # per-vertex call and the certificate of a classification, both of
-    # which the type table answers with checked 0 when it proves the fact
+def test_switch_sweep_matches_naive_oracle(instance, picks):
+    # the sweep behind every switch check, on all vertices and on a vertex
+    # list drawn from ``picks`` (any subset, in any order, repeats allowed),
+    # then the two entry points: the per-vertex call and the certificate of
+    # a classification, both of which the type table answers with checked 0
+    # when it proves the fact
     r, g = instance
     want = [naive_switch_scan(r, g, v) for v in range(g.n)]
     got = _rewrite_scans(r, g, range(g.n))
     assert [(res.preserved, res.witness, res.checked) for res in got] == want
+    at = [x % g.n for x in picks]
+    assert [(res.preserved, res.witness, res.checked) for res in _rewrite_scans(r, g, at)] == [want[v] for v in at]
     gated = "switch" in r.type_facts.closed_under
     if gated:
         assert all(preserved for preserved, _, _ in want)
@@ -1136,6 +1140,26 @@ def test_switch_rank_counts_the_prefixes_it_follows():
                     order = naive_switch_order(r, g, v)
                     ranks = [relations._switch_rank(p, v, n, ascending) for p in order]
                     assert ranks == list(range(1, len(order) + 1)), (n, r.name, v)
+
+
+# sha256 over (preserved, witness, checked) of the single-vertex switch scan
+# at each vertex of Paley(29), one line per vertex, relation by relation in
+# SINGLE_SWITCH_RELATIONS, as computed when one vertex had its own loop
+# over full switched rows
+SINGLE_SWITCH_RELATIONS = ("formula:E(0,1)", "parity:3", "parity:4", "formula:E(0,1) & E(1,2) & E(0,2)")
+SINGLE_SWITCH_DIGEST = "f9d8efb12a347ac545b65256279df982ffa87770ab50bdf0a204c053ad3bbcb9"
+
+
+def test_single_vertex_switches_on_paley29(paley29):
+    g = paley29.graph
+    lines = []
+    for spec in SINGLE_SWITCH_RELATIONS:
+        r = parse_relation_spec(spec)
+        for v in range(g.n):
+            res = _rewrite_scans(r, g, (v,))[0]
+            lines.append(repr((res.preserved, res.witness, res.checked)))
+    assert sum(line.startswith("(False") for line in lines) == 3 * g.n
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SINGLE_SWITCH_DIGEST
 
 
 def test_switch_examples_keep_vertices_and_break_on_the_way_back():
