@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .gadgets import FunctionGadget, PairColor
 from .graphs import Embedding, PairKind
-from .relations import _Rewrite, _pullback
+from .relations import _Rewrite
 from .structures import PartitionedGraph, Structure, _structure_search
 
 
@@ -92,16 +92,15 @@ def _between(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int]]:
 
 
 def _pullback_on(f: FunctionGadget, parts: Sequence[Sequence[int]], what: str) -> _Rewrite:
-    # the pullback of f restricted to the vertices of ``parts``, which must
-    # lie inside dom(f)
-    lookup = f.as_mapping()
+    # the pullback of f, read at the vertices of ``parts``, which must lie
+    # inside dom(f): the gadget's rows, built once for its whole domain
     for part in parts:
-        outside = [v for v in part if v not in lookup]
+        outside = [v for v in part if v not in f._lookup]
         if outside:
             raise ValueError(
                 f"{what} contains vertices outside the gadget domain: {sorted(outside)}"
             )
-    return _pullback({v: lookup[v] for part in parts for v in part}, f.src, f.dst)
+    return f._rewrite
 
 
 def classify_on_set(f: FunctionGadget, s: Iterable[int]) -> frozenset[BehaviorClass]:

@@ -73,10 +73,18 @@ def _read_graph_file(path: str) -> tuple[Graph, str]:
 
 
 def _read_gadget_file(path: str) -> tuple[FunctionGadget, str]:
-    # graph names inside a gadget file are relative to the file's directory
+    # graph names inside a gadget file are relative to the file's directory;
+    # src and dst naming one file read and parse it once
     base = os.path.dirname(os.path.abspath(path))
     text, digest = _read_input(path)
-    return parse_gadget(text, lambda name: _read_graph_file(os.path.join(base, name))[0]), digest
+    graphs: dict[str, Graph] = {}
+
+    def read_graph(name: str) -> Graph:
+        if name not in graphs:
+            graphs[name] = _read_graph_file(os.path.join(base, name))[0]
+        return graphs[name]
+
+    return parse_gadget(text, read_graph), digest
 
 
 def _read_structure_file(path: str):

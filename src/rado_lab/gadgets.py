@@ -6,12 +6,19 @@ central representational choice of the package is that source and target may
 be different finite graphs, with the map tracking which graph each side lives
 in.  Labeled gadgets verify their defining property at construction and can
 never exist in a violating state.
+
+That check also proves the map's pullback rows (``_rewrite``, built once per
+gadget and read by ``violates``, canonicity and the interpolation gate):
+identity and switch keep the destination rows inside the domain, eE makes
+every domain pair an edge and eN none, const collapses every pair, and minus
+keeps the rows its check walked.  A custom map walks them on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 
 from .graphs import (
@@ -24,7 +31,16 @@ from .graphs import (
     pair_kind,
     switch_graph,
 )
-from .relations import PreservationResult, Relation, identity_flip_form, preserved_by_map
+from .relations import (
+    PreservationResult,
+    Relation,
+    TupleSetRelation,
+    _preserved_under,
+    _pullback,
+    _Rewrite,
+    identity_flip_form,
+    preserved_by_map,
+)
 
 
 class GadgetConstructionError(ValueError):
@@ -89,6 +105,24 @@ class FunctionGadget:
     def image(self) -> tuple[int, ...]:
         return tuple(sorted({y for _, y in self.mapping}))
 
+    @cached_property
+    def _rewrite(self) -> _Rewrite:
+        # the map's pullback (``relations._pullback``), built once from the
+        # rows its label proves; the minus check keeps the rows it walked
+        label = self.label
+        if label in ("custom", "minus"):
+            return _pullback(self._lookup, self.src, self.dst)
+        dom, dmask, n = self.dom, self.dom_mask(), self.src.n
+        pulled, collapsed = [0] * n, [0] * n
+        for x in dom:
+            if label in ("identity", "switch"):
+                pulled[x] = self.dst.row(x) & dmask
+            elif label == "eE":
+                pulled[x] = dmask ^ 1 << x
+            elif label == "const":
+                collapsed[x] = dmask ^ 1 << x
+        return _Rewrite(dom, self.src.rows, pulled, collapsed)
+
     def _check_label(self) -> None:
         label = self.label
         if label == "custom":
@@ -133,6 +167,17 @@ class FunctionGadget:
                     )
             return
         if label == "minus":
+            # the pulled rows decide: the map is injective when no domain
+            # vertex has a collapsed partner, and then each pulled row must
+            # be the source row's complement inside the domain.  Only a
+            # failure walks the pairs, to name the least failing one
+            rw = _pullback(self._lookup, self.src, self.dst)
+            dmask = self.dom_mask()
+            if not any(rw.collapsed) and all(
+                (rw.src[x] ^ rw.dst[x]) & dmask == dmask ^ 1 << x for x in rw.dom
+            ):
+                self.__dict__["_rewrite"] = rw
+                return
             for (x1, y1), (x2, y2) in combinations(self.mapping, 2):
                 if y1 == y2 or src_edge(x1, x2) == dst_edge(y1, y2):
                     raise GadgetConstructionError(
@@ -267,8 +312,11 @@ def pair_color(f: FunctionGadget, x: int, y: int) -> PairColor:
 
 def violates(f: FunctionGadget, r: Relation) -> PreservationResult:
     """Preservation of ``r`` under the gadget map, restricted to its domain;
-    least witness."""
-    return preserved_by_map(r, f.as_mapping(), f.src, f.dst)
+    least witness.  It reads the gadget's pullback rows, built once per
+    gadget; a tuple set walks its members through the map."""
+    if isinstance(r, TupleSetRelation):
+        return preserved_by_map(r, f.as_mapping(), f.src, f.dst)
+    return _preserved_under(r, f._rewrite)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .relations import (
     TypeSetRelation,
     _acts_within,
     _identity_rewrites,
-    _pullback,
     definable_from_equality,
     invariant_under_complement,
     preserved_by_map,
@@ -352,7 +351,7 @@ def separating_invariant(target: FunctionGadget, gens: GeneratorSet) -> Separati
     """
     kinds = gens.kinds
     dom = target.dom
-    if gens.extra or len(dom) < 2 or _acts_within(_pullback(target.as_mapping(), target.src, target.dst), kinds):
+    if gens.extra or len(dom) < 2 or _acts_within(target._rewrite, kinds):
         return None
     # with minus or switch every distinct pair reaches both distinct pair
     # types, so a pair separates only by a collapse without const
@@ -468,15 +467,15 @@ def collapse_all(
         if pair is None:
             noun = "edge" if kind is PairKind.EDGE else "non-edge"
             raise ValueError(f"gadget {name} does not collapse any {noun}")
-        collapsers[kind] = (gadget, pair)
+        collapsers[kind] = (gadget, pair, gadget.dom_mask())
     chain: list[_Link] = []
     image = list(f_sorted)
     for _ in range(len(f_sorted)):
         if len(image) <= 1:
             break
         s0, s1 = image[0], image[1]
-        gadget, (a, b) = collapsers[pair_kind(host, s0, s1)]
-        mapping = _pinned_map(host.induced(image), host, gadget.dom_mask(), (a, b))
+        gadget, (a, b), dom_mask = collapsers[pair_kind(host, s0, s1)]
+        mapping = _pinned_map(host.induced(image), host, dom_mask, (a, b))
         if mapping is None:
             raise PatternNotFoundError(
                 f"no repositioning embedding pinning ({s0}, {s1}) onto ({a}, {b})"

@@ -677,10 +677,13 @@ def _automorphisms(g: Graph, a: int, b: int, budget: int) -> tuple[tuple[int, ..
     rows = g._rows
     host = _BudgetedHost(g, budget)
     gens: list[tuple[int, ...]] = []
-    # every search pins the sources 0 and a, or 0 and b
-    signatures = {root: _pin_signatures(g, [0, root]) for root in (a, b)}
+    # every search pins the sources 0 and a, or 0 and b; a root's
+    # signatures are computed when its first search starts
+    signatures: dict[int, list[tuple[int, ...]]] = {}
 
     def found(root: int, pins: dict[int, int]) -> bool:
+        if root not in signatures:
+            signatures[root] = _pin_signatures(g, [0, root])
         perm = next(iter_embedding_maps(g, host, per_vertex=_pin_masks(g, pins, signatures[root])), None)
         if perm is None or not _is_automorphism(g, perm):
             return False

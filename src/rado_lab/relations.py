@@ -35,6 +35,10 @@ pulled back along the map (a collapsed pair counts as equal), the
 complement, or g switched at v restricted to tuples containing v.  It walks
 (arity - 1)-prefixes in lexicographic order and tests the last coordinate
 for all candidates at once, as bit masks; ``checked`` counts the prefixes.
+A formula's mask comes from one function generated per formula, last
+position and host size (``_formula_member``): straight-line code that reads
+the prefix entries' rows and combines them with ``& | ^``.  A gadget keeps
+its pullback, so later checks of it do not walk the map again.
 The equality scan runs it against the membership of the least tuple of
 each pattern.  Complement and switch checks are one gate,
 ``_identity_rewrites``, over ``_rewrite_scans``.  Every switch check, of
@@ -502,30 +506,50 @@ def _parity_mask(prefix: tuple[int, ...], rows, same, full: int) -> int:
     return (parity ^ full if odd else parity) & ~seen
 
 
-def _formula_mask(node, prefix: tuple[int, ...], rows, same, full: int) -> int:
-    # candidates c with prefix + (c,) satisfying the formula, evaluated on
-    # masks: an atom on the last position reads the row of the other entry
-    op = node[0]
-    if op == "not":
-        return full ^ _formula_mask(node[1], prefix, rows, same, full)
-    if op == "and":
-        return _formula_mask(node[1], prefix, rows, same, full) & _formula_mask(
-            node[2], prefix, rows, same, full
-        )
-    if op == "or":
-        return _formula_mask(node[1], prefix, rows, same, full) | _formula_mask(
-            node[2], prefix, rows, same, full
-        )
-    table = rows if op == "E" else same
-    i, j = node[1], node[2]
-    last = len(prefix)
-    if i == last and j == last:
-        return 0 if op == "E" else full
-    if j == last:
-        return table[prefix[i]]
-    if i == last:
-        return table[prefix[j]]
-    return full if table[prefix[i]] >> prefix[j] & 1 else 0
+@lru_cache(maxsize=256)  # keyed by (root, last position, full mask)
+def _formula_member(root, last: int, full: int):
+    # ``member`` of the scan kernel for the formula ``root`` with last
+    # position ``last``, on graphs whose vertex mask is ``full``, generated
+    # once as straight-line code with one local per distinct subformula.  An
+    # atom on the last position reads the row (or ``same`` mask) of its
+    # other entry; one on two prefix positions reads a bit of a row, as 0 or
+    # -1 (every bit); ``not`` is ``~``, and the result is cut to ``full``
+    lines: list[str] = []
+    names: dict[str, str] = {}
+
+    def emit(node) -> str:
+        op = node[0]
+        if op == "not":
+            expr = f"~{emit(node[1])}"
+        elif op in ("and", "or"):
+            expr = f"{emit(node[1])} {'&' if op == 'and' else '|'} {emit(node[2])}"
+        else:
+            table = "rows" if op == "E" else "same"
+            i, j = node[1], node[2]
+            if i == last and j == last:
+                expr = "0" if op == "E" else "-1"
+            elif j == last:
+                expr = f"{table}[x{i:d}]"
+            elif i == last:
+                expr = f"{table}[x{j:d}]"
+            else:
+                expr = f"-({table}[x{i:d}] >> x{j:d} & 1)"
+        if expr not in names:
+            names[expr] = f"t{len(names)}"
+            lines.append(f"    {names[expr]} = {expr}\n")
+        return names[expr]
+
+    result = emit(root)
+    unpack = "".join(f"x{i}, " for i in range(last))
+    source = (
+        "def member(prefix, rows, same):\n"
+        + (f"    {unpack}= prefix\n" if last else "")
+        + "".join(lines)
+        + f"    return {result} & {full}\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["member"]
 
 
 def _type_set_mask(index, prefix: tuple[int, ...], rows, same, full: int) -> int:
@@ -570,8 +594,7 @@ def _member_of(r: Relation, n: int):
         def member(prefix, rows, same):
             return _parity_mask(prefix, rows, same, full)
     elif isinstance(r, FormulaRelation):
-        def member(prefix, rows, same):
-            return _formula_mask(r.root, prefix, rows, same, full)
+        member = _formula_member(r.root, r.arity - 1, full)
     elif isinstance(r, TypeSetRelation):
         type_index = r._mask_index
 
@@ -593,7 +616,8 @@ def _scan_kernel(r: Relation, dom: Sequence[int], n: int):
     whose adjacency is ``rows`` and whose equal vertices are ``same``.
     Parity relations are symmetric and empty on repeated entries, so sorted
     prefixes suffice and the member mask is the xor of the prefix rows;
-    formulas walk ordered prefixes and evaluate on masks; type sets walk
+    formulas walk ordered prefixes and call the function generated for
+    them, which reads the prefix entries' rows once each; type sets walk
     ordered prefixes and read their member types off the prefix's type.
     """
     member = _member_of(r, n)
@@ -653,7 +677,12 @@ def preserved_by_map(
                 if tuple(mapping[x] for x in t) not in r.tuples:
                     return PreservationResult(False, t, checked)
         return PreservationResult(True, None, checked)
-    rw = _pullback(mapping, src, dst)
+    return _preserved_under(r, _pullback(mapping, src, dst))
+
+
+def _preserved_under(r: Relation, rw: _Rewrite) -> PreservationResult:
+    # the gate (``_acts_within``), then the scan, for the map pulled back
+    # as ``rw``
     facts = r.type_facts
     if facts is not None and _acts_within(rw, facts.closed_under):
         return PreservationResult(True)

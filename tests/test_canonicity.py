@@ -28,6 +28,7 @@ from rado_lab import (
     parse_relation_spec,
     path_graph,
     profile_partitioned,
+    violates,
 )
 from rado_lab.canonicity import UNDETERMINED
 from rado_lab.structures import associate_partitioned
@@ -473,3 +474,27 @@ def test_json_battery_pinned(paley13, paley29):
     assert len(lines) == 2 * (10 + 14 * 4)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "b71fd31100454a673ad2d9db6f44625b06cc0652b7662450692923d9e6045ec0"
+
+
+# one sha256 over the four readers of a gadget's pullback rows, for the six
+# named gadgets of Paley(29): violates against parity:3 and parity:4,
+# classify_on_set, a three-part profile and a canonical C4 copy
+NAMED_GADGETS_DIGEST = "f1b4e9e747589b8b5f901460f321326aea0e141f4f8f2e39a23cc914d1bd281a"
+
+
+def test_named_gadget_readers_pinned(paley29):
+    g = paley29.graph
+    gadgets = (
+        make_named("identity", g), make_named("minus", g, witness=paley29.complement_witness),
+        make_named("eE", g, dst=complete_graph(29)), make_named("eN", g, dst=empty_graph(29)),
+        make_named("const", g, target=0), make_named("switch", g, s=range(0, 29, 3)),
+    )
+    parts = PartitionedGraph(g, (frozenset(range(10)), frozenset(range(10, 20)), frozenset(range(20, 29))))
+    out = []
+    for f in gadgets:
+        out += [violates(f, parity_relation(3)), violates(f, parity_relation(4))]
+        out.append(sorted(c.value for c in classify_on_set(f, range(0, 29, 4))))
+        out.append(profile_partitioned(f, parts).to_json_dict())
+        emb = find_canonical_copy(f, cycle_graph(4), g, 16)
+        out.append(emb and emb.mapping)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == NAMED_GADGETS_DIGEST

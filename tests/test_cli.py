@@ -606,6 +606,33 @@ class TestInputFiles:
         assert code == 0
         assert opened == ["t.txt", "p13.g"]
 
+    def test_gadget_graph_named_twice_is_read_once(self, workspace, capsys, monkeypatch):
+        # src and dst naming one file: one read and one parse, and the
+        # report carries the gadget file's digest only, as before
+        paley = build_paley(13)
+        (workspace / "p13.g").write_text(format_graph(paley.graph))
+        minus = make_named("minus", paley.graph, witness=paley.complement_witness)
+        (workspace / "minus.fg").write_text(format_gadget(minus, "p13.g", "p13.g"))
+        opened, parsed = [], []
+        parse = cli.parse_graph
+
+        def recorded(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return open(path, *args, **kwargs)
+
+        def recorded_parse(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(cli, "open", recorded, raising=False)
+        monkeypatch.setattr(cli, "parse_graph", recorded_parse)
+        code, out = run_cli(capsys, "classify-function", "--gadget", "minus.fg", "--json")
+        assert code == 0
+        assert opened == ["minus.fg", "p13.g"] and len(parsed) == 1
+        report = json.loads(out)
+        assert report["inputs"] == {"minus.fg": hashlib.sha256((workspace / "minus.fg").read_bytes()).hexdigest()}
+        assert report["verdict"]["classes"] == ["minus"]
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, workspace, capsys):

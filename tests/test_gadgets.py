@@ -24,8 +24,9 @@ from rado_lab import (
     path_graph,
     violates,
 )
-from rado_lab.gadgets import format_gadget, parse_gadget
-from rado_lab.graphs import build_paley, format_graph, parse_graph, switch_graph
+from rado_lab import relations
+from rado_lab.gadgets import NAMED_KINDS, format_gadget, parse_gadget
+from rado_lab.graphs import build_paley, format_graph, iter_embedding_maps, parse_graph, switch_graph
 from conftest import all_raw_graphs, random_graph
 
 
@@ -209,6 +210,117 @@ class TestLabelValidation:
     def test_duplicate_domain_vertex(self):
         with pytest.raises(GadgetConstructionError):
             FunctionGadget(path_graph(3), path_graph(3), ((0, 0), (0, 1)), "custom")
+
+
+def _random_host(rng, n):
+    density = rng.choice([0.0, 0.5, 1.0])
+    return Graph.from_edges(n, [p for p in combinations(range(n), 2) if rng.random() < density])
+
+
+def _relabelled_complement(g, rng):
+    # (perm, the complement of g moved by perm): x -> perm[x] flips every pair
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return perm, Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in complement_graph(g).edges()])
+
+
+def _labelled_gadget(label, src, dom, rng):
+    # a gadget of ``label`` on ``dom``; eE and eN land on the least clique or
+    # independent set of a random destination that has one, else of a
+    # complete or empty one
+    if label == "identity":
+        return make_named("identity", src, dom=dom)
+    if label == "minus":
+        if rng.random() < 0.5:
+            return make_named("minus", src, dom=dom)
+        perm, dst = _relabelled_complement(src, rng)
+        return FunctionGadget(src, dst, tuple((x, perm[x]) for x in dom), "minus")
+    if label in ("eE", "eN"):
+        shape = complete_graph(len(dom)) if label == "eE" else empty_graph(len(dom))
+        dst = _random_host(rng, len(dom) + rng.randint(0, 3))
+        if next(iter_embedding_maps(shape, dst), None) is None:
+            dst = shape
+        return make_named(label, src, dom=dom, dst=dst)
+    if label == "const":
+        return make_named("const", src, dom=dom, target=rng.randrange(src.n))
+    if label == "switch":
+        return make_named("switch", src, dom=dom, s=rng.sample(range(src.n), rng.randint(1, src.n)))
+    dst = _random_host(rng, rng.randint(1, 12))
+    return FunctionGadget(src, dst, tuple((x, rng.randrange(dst.n)) for x in dom))
+
+
+class TestRewrite:
+    @given(
+        st.sampled_from(NAMED_KINDS + ("custom",)),
+        st.integers(min_value=1, max_value=12),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example("minus", 12, True, 0)
+    @example("eE", 1, True, 0)
+    @example("const", 5, False, 3)
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_the_pullback_walk(self, label, n, whole, seed):
+        # the rows a label proves (or the minus check walked, or a custom
+        # map walks when first read) are the pullback of the bare mapping,
+        # on whole and partial domains of hosts with 1-12 vertices
+        rng = random.Random(seed)
+        src = _random_host(rng, n)
+        dom = range(n) if whole else sorted(rng.sample(range(n), rng.randint(0, n)))
+        f = _labelled_gadget(label, src, dom, rng)
+        assert ("_rewrite" in vars(f)) == (label == "minus")
+        assert f._rewrite == relations._pullback(f.as_mapping(), f.src, f.dst)
+        r = parity_relation(3)
+        assert violates(f, r) == relations.preserved_by_map(r, f.as_mapping(), f.src, f.dst)
+
+    @pytest.mark.parametrize("n", [1, 2, 12])
+    def test_empty_and_complete_hosts(self, n):
+        for src in (empty_graph(n), complete_graph(n)):
+            for label in NAMED_KINDS + ("custom",):
+                f = _labelled_gadget(label, src, range(n), random.Random(n))
+                assert f._rewrite == relations._pullback(f.as_mapping(), f.src, f.dst)
+
+
+def _naive_minus_error(src, dst, mapping):
+    # the message a minus label check raises: the least pair of domain
+    # points whose images are equal or keep the pair's kind, by has_edge
+    for (x1, y1), (x2, y2) in combinations(sorted(mapping), 2):
+        kind = "equal" if y1 == y2 else "edge" if dst.has_edge(y1, y2) else "nonedge"
+        src_kind = "edge" if src.has_edge(x1, x2) else "nonedge"
+        if kind in ("equal", src_kind):
+            return f"minus gadget maps the {src_kind} pair ({x1}, {x2}) to a {kind} pair"
+    return None
+
+
+@given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=2**32 - 1))
+@example(2, 0)
+@settings(max_examples=300, deadline=None)
+def test_minus_label_names_the_least_failing_pair(n, seed):
+    # an anti-embedding into a relabelled complement, kept as it is, with
+    # one destination pair toggled, or with two domain points sent to one
+    # image: the check accepts exactly the maps the pair walk accepts and
+    # names the same least pair
+    rng = random.Random(seed)
+    src = _random_host(rng, n)
+    perm, dst = _relabelled_complement(src, rng)
+    dom = sorted(rng.sample(range(n), rng.randint(0, n)))
+    images = {x: perm[x] for x in dom}
+    change = rng.choice(["none", "toggle", "collide"])
+    if change == "toggle" and n >= 2:
+        u, v = rng.sample(range(n), 2)
+        dst = Graph.from_edges(n, set(dst.edges()) ^ {(min(u, v), max(u, v))})
+    elif change == "collide" and len(dom) >= 2:
+        a, b = rng.sample(dom, 2)
+        images[a] = images[b]
+    mapping = tuple(images.items())
+    want = _naive_minus_error(src, dst, mapping)
+    try:
+        f = FunctionGadget(src, dst, mapping, "minus")
+    except GadgetConstructionError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+        assert f._rewrite == relations._pullback(f.as_mapping(), src, dst)
 
 
 class TestCompose:

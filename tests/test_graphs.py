@@ -615,6 +615,24 @@ class TestSymmetryPath:
         # not for want of budget
         assert automorphisms(h, *_least_neighbour_and_non_neighbour(h), 10**6) == ()
 
+    def test_signatures_only_for_roots_that_search(self, monkeypatch):
+        # on relabelled Paley hosts the neighbour loop alone makes the
+        # stabiliser transitive on the non-neighbours too, so only the root a
+        # has its signatures computed: every other _pin_signatures call is
+        # the one each pinned search makes for its images
+        calls, searches = [], []
+        signatures, pin_masks = graphs._pin_signatures, graphs._pin_masks
+        monkeypatch.setattr(graphs, "_pin_signatures", lambda *args: calls.append(args) or signatures(*args))
+        monkeypatch.setattr(graphs, "_pin_masks", lambda *args: searches.append(args) or pin_masks(*args))
+        for q in (29, 37):
+            for seed in range(3):
+                calls.clear(), searches.clear()
+                g = relabelled(build_paley(q).graph, seed)
+                assert check_extension(g, 3).generators
+                a, _ = _least_neighbour_and_non_neighbour(g)
+                assert len(calls) == len(searches) + 1
+                assert calls[0] == (g, [0, a])
+
     def test_pin_masks_keep_every_automorphism(self):
         # the maps x -> sx + t, s a nonzero square, are automorphisms of
         # Paley(29): pinned at one or two of their values, each keeps every

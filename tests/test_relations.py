@@ -1128,6 +1128,54 @@ def test_switch_sweep_matches_naive_oracle(instance, picks):
         assert cert.switch_subsets_checked == sum(res.checked for res in got)
 
 
+# ---------------------------------------------------------------------------
+# the generated member mask of a formula against ``holds``, candidate by
+# candidate
+
+
+@st.composite
+def formula_instances(draw):
+    # (formula, host, switch vertex) for arity 1-4 and depth at most 4
+    arity = draw(st.integers(1, 4))
+    root = random_formula(random.Random(draw(st.integers(0, 2**32 - 1))), arity, draw(st.integers(0, 4)))
+    n = draw(st.integers(1, 7 if arity < 4 else 5))
+    g = graph_from_bits(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+    return relations.FormulaRelation(root, arity=arity), g, draw(st.integers(0, n - 1))
+
+
+# E(i, i) and x_i = x_i on the last position and before it, atoms with the
+# last position on either side, and formulas of arity 1
+FORMULA_EXAMPLES = (
+    (("or", ("E", 2, 2), ("and", ("eq", 0, 0), ("not", ("eq", 2, 2)))), 3),
+    (("and", ("E", 1, 1), ("not", ("E", 0, 0))), 2),
+    (("or", ("and", ("E", 0, 2), ("eq", 2, 1)), ("not", ("E", 3, 1))), 4),
+    (("not", ("or", ("E", 0, 0), ("eq", 0, 0))), 1),
+    (("and", ("eq", 0, 1), ("not", ("E", 1, 0))), 2),
+)
+
+
+@given(formula_instances())
+@example((relations.FormulaRelation(FORMULA_EXAMPLES[0][0], arity=3), random_graph(6, 3), 2))
+@example((relations.FormulaRelation(FORMULA_EXAMPLES[1][0], arity=2), complete_graph(4), 0))
+@example((relations.FormulaRelation(FORMULA_EXAMPLES[2][0], arity=4), random_graph(5, 8), 4))
+@example((relations.FormulaRelation(FORMULA_EXAMPLES[3][0], arity=1), empty_graph(3), 1))
+@example((relations.FormulaRelation(FORMULA_EXAMPLES[4][0], arity=2), random_graph(7, 2), 5))
+@settings(max_examples=200, deadline=None)
+def test_formula_member_matches_naive_oracle(instance):
+    # every prefix, with the rows as a tuple and as a dict of the prefix
+    # entries' rows (as the switch sweep passes them, here those of g
+    # switched at v)
+    r, g, v = instance
+    n = g.n
+    member = relations._member_of(r, n)
+    same = [1 << x for x in range(n)]
+    h = switch_graph(g, {v})
+    for prefix in product(range(n), repeat=r.arity - 1):
+        for host, rows in ((g, g.rows), (h, {x: h.rows[x] for x in prefix})):
+            want = sum(1 << c for c in range(n) if r.holds(prefix + (c,), host))
+            assert member(prefix, rows, same) == want, (prefix, host)
+
+
 def test_switch_rank_counts_the_prefixes_it_follows():
     # the closed-form rank that the sweep reports as ``checked``, on every
     # prefix of both orders up to 8 vertices and arity 5
