@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, compress, islice, permutations
-from typing import Iterator
 
 from .gadgets import FunctionGadget, NAMED_KINDS, make_named
 from .graphs import (
@@ -295,41 +294,50 @@ class Separation:
     image_type: QFType
 
 
-def _kind_images(kind: str, n: int, code: int) -> Iterator[tuple[int, int]]:
-    # (vertex count, edge code) of each image of an n-vertex edge code under
-    # one named kind: minus complements, switch switches one vertex at a
-    # time (single vertices generate every switching), eE and eN make every
-    # pair an edge or a non-edge, const collapses a nonempty tuple to one
-    # vertex; the identity adds nothing
-    every = (1 << n * (n - 1) // 2) - 1
-    if kind == "minus":
-        yield n, code ^ every
-    elif kind == "switch":
-        for flip in switch_masks(n):
-            yield n, code ^ flip
-    elif kind == "eE":
-        yield n, every
-    elif kind == "eN":
-        yield n, 0
-    elif kind == "const" and n:
-        yield 1, 0
+# the largest vertex count the kinds' actions, the canonical memo and the
+# orbit closure serve: 1 100 edge codes in all (2^C(n, 2) summed over
+# n = 0..5), where 8 vertices alone would allow 2^28
+_MAX_TYPE_N = 5
+
+
+@lru_cache(maxsize=None)  # keyed by generator set; the kinds give at most 32
+def _kind_actions(kinds: frozenset[str]) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+    # per vertex count n = 0..5, how the kinds act on an n-vertex edge code:
+    # the XOR masks (minus complements, switch switches one vertex at a
+    # time, as single vertices generate every switching) and the constant
+    # images as (vertex count, code) (eE and eN make every pair an edge or a
+    # non-edge, const collapses a nonempty tuple to one vertex).  The
+    # identity adds nothing.  Each constant image is the only code of its
+    # orbit, so it is already canonical
+    table = []
+    for n in range(_MAX_TYPE_N + 1):
+        every = (1 << n * (n - 1) // 2) - 1
+        masks = ((every,) if "minus" in kinds else ()) + (switch_masks(n) if "switch" in kinds else ())
+        constants = ((n, every),) if "eE" in kinds else ()
+        constants += ((n, 0),) if "eN" in kinds else ()
+        constants += ((1, 0),) if "const" in kinds and n else ()
+        table.append((masks, constants))
+    return tuple(table)
 
 
 @lru_cache(maxsize=256)  # keyed by (type, kinds); a closure holds at most the 1 895 types of arity 5
 def _type_closure(start: QFType, kinds: frozenset[str]) -> frozenset[QFType]:
-    # the labelled types reachable from ``start`` under the kinds' actions; a
-    # collapse to one vertex collapses the equality pattern to one class
+    # the labelled types reachable from ``start`` under the kinds' actions
+    # (``_kind_actions`` on the code of its classes); a collapse to one
+    # vertex collapses the equality pattern to one class
+    actions = _kind_actions(kinds)
     closed = {start}
     work = [start]
     while work:
         rgs, code = work.pop()
         classes = max(rgs) + 1
-        for kind in kinds:
-            for n, image in _kind_images(kind, classes, code):
-                t = (rgs if n == classes else (0,) * len(rgs), image)
-                if t not in closed:
-                    closed.add(t)
-                    work.append(t)
+        masks, constants = actions[classes]
+        images = [(rgs, code ^ flip) for flip in masks]
+        images += [(rgs if n == classes else (0,) * len(rgs), image) for n, image in constants]
+        for t in images:
+            if t not in closed:
+                closed.add(t)
+                work.append(t)
     return frozenset(closed)
 
 
@@ -496,11 +504,9 @@ def collapse_all(
 # orbit closure on small types
 
 
-# canonical forms by (n, edge code), recorded one whole orbit per miss; only
-# graphs of at most 5 vertices are kept: 1 100 codes in all (2^C(n, 2)
-# summed over n = 0..5), where 8 vertices alone would allow 2^28
-_CANONICAL: dict[tuple[int, int], Graph] = {}
-_CANONICAL_MAX_N = 5
+# canonical codes by (n, edge code), recorded one whole orbit per miss; only
+# graphs of at most 5 vertices are kept
+_CANONICAL: dict[tuple[int, int], int] = {}
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -516,44 +522,31 @@ def canonical_form(g: Graph) -> Graph:
     n = g.n
     if n > 8:
         raise ValueError("canonical_form is restricted to at most 8 vertices")
-    return _canonical_of_code(n, edge_code(g))
+    return graph_of_code(n, _canonical_code(n, edge_code(g)))
 
 
-def _canonical_of_code(n: int, code: int) -> Graph:
-    # canonical_form of the n-vertex graph with edge ``code``, read from the
-    # memo or by one sweep over the relabelings
-    form = _CANONICAL.get((n, code))
-    if form is None:
+def _canonical_code(n: int, code: int) -> int:
+    # the least code of the n-vertex graph with edge ``code`` over its
+    # relabelings, read from the memo or by one sweep over them; code 0 is
+    # canonical, so a hit is told apart by ``is None``
+    least = _CANONICAL.get((n, code))
+    if least is None:
         rows = graph_of_code(n, code).rows
         orbit = {induced_code(rows, perm) for perm in permutations(range(n))}
-        form = graph_of_code(n, min(orbit))
-        if n <= _CANONICAL_MAX_N:
-            _CANONICAL.update(((n, c), form) for c in orbit)
-    return form
+        least = min(orbit)
+        if n <= _MAX_TYPE_N:
+            _CANONICAL.update(((n, c), least) for c in orbit)
+    return least
 
 
 @lru_cache(maxsize=None)
 def all_graph_types(n: int) -> tuple[Graph, ...]:
     """Canonical representatives of all isomorphism types on n vertices, by
     exhaustive enumeration (1, 2, 4, 11, 34 types for n = 1..5)."""
-    if n > 5:
+    if n > _MAX_TYPE_N:
         raise ValueError("type tables are precomputed only up to 5 vertices")
-    seen = {_canonical_of_code(n, code) for code in range(1 << n * (n - 1) // 2)}
-    return tuple(sorted(seen, key=lambda t: sorted(t.edges())))
-
-
-def _type_images(t: Graph, gens: GeneratorSet) -> Iterator[Graph]:
-    # canonical forms of the images of type t; the named kinds act on its
-    # edge code directly (``_kind_images``), so no image graph is built
-    code = edge_code(t)
-    for kind in sorted(gens.kinds):
-        for n, image in _kind_images(kind, t.n, code):
-            yield _canonical_of_code(n, image)
-    for gadget in gens.extra:
-        dom_mask = gadget.dom_mask()
-        for mapping in iter_embedding_maps(t, gadget.src, allowed=dom_mask):
-            image = sorted({gadget.apply(v) for v in mapping})
-            yield canonical_form(gadget.dst.induced(image))
+    seen = {_canonical_code(n, code) for code in range(1 << n * (n - 1) // 2)}
+    return tuple(sorted((graph_of_code(n, c) for c in seen), key=lambda t: sorted(t.edges())))
 
 
 def orbit_closure(start: Graph, gens: GeneratorSet) -> frozenset[Graph]:
@@ -562,19 +555,36 @@ def orbit_closure(start: Graph, gens: GeneratorSet) -> frozenset[Graph]:
 
     Collapsing generators reduce to smaller types, so the closure may mix
     sizes.  Monotone in the generator set and idempotent.
+
+    The walk is over (vertex count, canonical code) pairs: the named kinds
+    act on a code by XOR masks and constant images (``_kind_actions``), an
+    extra gadget's image is the code its destination rows induce on it, and
+    graphs are built only for the answer.
     """
-    if start.n > 5:
+    if start.n > _MAX_TYPE_N:
         raise ValueError("orbit closure is capped at 5-vertex start graphs")
-    first = canonical_form(start)
+    actions = _kind_actions(gens.kinds)
+    first = (start.n, _canonical_code(start.n, edge_code(start)))
     closed = {first}
     work = [first]
     while work:
-        t = work.pop()
-        for c in _type_images(t, gens):
-            if c not in closed:
-                closed.add(c)
-                work.append(c)
-    return frozenset(closed)
+        n, code = work.pop()
+        masks, constants = actions[n]
+        images = list(constants)
+        for flip in masks:
+            # a memo hit inline; code 0 is a hit, so it is told by ``is None``
+            least = _CANONICAL.get((n, code ^ flip))
+            images.append((n, _canonical_code(n, code ^ flip) if least is None else least))
+        for gadget in gens.extra:
+            rows = gadget.dst.rows
+            for mapping in iter_embedding_maps(graph_of_code(n, code), gadget.src, allowed=gadget.dom_mask()):
+                image = sorted({gadget.apply(v) for v in mapping})
+                images.append((len(image), _canonical_code(len(image), induced_code(rows, image))))
+        for t in images:
+            if t not in closed:
+                closed.add(t)
+                work.append(t)
+    return frozenset(graph_of_code(n, code) for n, code in closed)
 
 
 # ---------------------------------------------------------------------------

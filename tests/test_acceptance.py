@@ -10,6 +10,7 @@ canonicalization.
 import json
 import random
 import time
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from rado_lab import (
@@ -307,6 +308,26 @@ def test_criterion_7_orbit_closure_oracle():
     print(
         f"ACCEPTANCE 7: PASS orbit closure equals the BFS oracle on "
         f"{cases} (start, generator-set) cases in {elapsed:.1f}s"
+    )
+
+
+def test_criterion_7_orbit_closure_oracle_five_vertex_starts(monkeypatch):
+    # the same oracle on the 5-vertex starts under the group kinds, whose
+    # closures are the largest; its canonical keys are memoized per edge
+    # set, which changes no key
+    monkeypatch.setitem(globals(), "_oracle_canon", lru_cache(maxsize=None)(_oracle_canon))
+    start_time = time.monotonic()
+    cases = 0
+    for start in all_graph_types(5):
+        for kinds in ({"minus"}, {"switch"}, {"minus", "switch"}):
+            ours = orbit_closure(start, GeneratorSet(frozenset(kinds)))
+            ours_keys = {_oracle_canon(g.n, frozenset(g.edges())) for g in ours}
+            assert ours_keys == _oracle_closure(start, frozenset(kinds)), (start, sorted(kinds))
+            cases += 1
+    elapsed = time.monotonic() - start_time
+    print(
+        f"ACCEPTANCE 7: PASS orbit closure equals the BFS oracle on "
+        f"{cases} 5-vertex (start, generator-set) cases in {elapsed:.1f}s"
     )
 
 

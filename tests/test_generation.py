@@ -41,10 +41,12 @@ from rado_lab import (
     path_graph,
     qf_type,
     separating_invariant,
+    switch_graph,
     verify_separation,
     verify_witness,
 )
 from rado_lab import generation, relations
+from rado_lab.graphs import edge_code
 from rado_lab.generation import PatternNotFoundError, Separation, join_classes
 from conftest import all_raw_graphs, random_graph
 
@@ -206,6 +208,9 @@ class TestInterpolate:
 
 
 KINDS = ("minus", "switch", "eE", "eN", "const")
+# sha256 of the orbit closures of every start in all_graph_types(1..5) under
+# every subset of KINDS, as TestOrbitClosure.test_closure_digest_pinned lists them
+CLOSURE_DIGEST = "3568e1086f75630eecb5adb97a1d61636185bcacba88f5b128811d896f59ec9f"
 ALL_KIND_SETS = [
     GeneratorSet(frozenset(k for i, k in enumerate(KINDS) if bits >> i & 1)) for bits in range(32)
 ]
@@ -381,7 +386,7 @@ class TestSeparatingInvariant:
             raise AssertionError("the checker ran closure code")
 
         monkeypatch.setattr(generation, "_type_closure", refuse)
-        monkeypatch.setattr(generation, "_kind_images", refuse)
+        monkeypatch.setattr(generation, "_kind_actions", refuse)
         assert verify_separation(target, gens, hosts, sep)
 
     def test_verifier_rejects_tampering(self, paley29):
@@ -456,8 +461,15 @@ class TestSeparatingInvariant:
 
 
 class TestKindActions:
-    """The table's ``closed_under`` and the closure's ``_kind_images`` are
+    """The table's ``closed_under`` and the closures' ``_kind_actions`` are
     two definitions of the kinds' actions on types; they must agree."""
+
+    @staticmethod
+    def images(kind, n, code):
+        # (vertex count, edge code) of each image of an n-vertex code under
+        # one kind, read from the action table
+        masks, constants = generation._kind_actions(frozenset({kind}))[n]
+        return [(n, code ^ flip) for flip in masks] + list(constants)
 
     @staticmethod
     def closed_by_images(r):
@@ -471,7 +483,7 @@ class TestKindActions:
             if all(
                 (rgs if n == max(rgs) + 1 else (0,) * r.arity, image) in members
                 for rgs, code in members
-                for n, image in generation._kind_images(kind, max(rgs) + 1, code)
+                for n, image in TestKindActions.images(kind, max(rgs) + 1, code)
             ):
                 closed.add(kind)
         return closed
@@ -757,6 +769,76 @@ class TestOrbitClosure:
         for kinds in ({"const"}, set(KINDS)):
             closure = orbit_closure(empty_graph(0), GeneratorSet(frozenset(kinds)))
             assert closure == frozenset({empty_graph(0)})
+
+    def test_closure_digest_pinned(self):
+        # every start of at most 5 vertices under every subset of the kinds
+        # (bit i of 0..31 selects KINDS[i]): 1 664 closures, as computed when
+        # each step built, hashed and canonicalized graphs
+        out = [
+            sorted((g.n, sorted(g.edges())) for g in orbit_closure(start, gens))
+            for n in range(1, 6)
+            for start in all_graph_types(n)
+            for gens in ALL_KIND_SETS
+        ]
+        assert len(out) == 1664
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == CLOSURE_DIGEST
+
+    @staticmethod
+    def brute_force_type(g: Graph) -> tuple[int, int]:
+        # (n, least edge code over every relabeling), each relabeling built
+        return g.n, min(edge_code(g.induced(perm)) for perm in permutations(range(g.n)))
+
+    @classmethod
+    def naive_closure(cls, start: Graph, kinds, extra) -> set[tuple[int, int]]:
+        # the closure over graphs: the named kinds as graph operations, each
+        # extra gadget through every induced embedding into its domain
+        first = cls.brute_force_type(start)
+        closed, work = {first}, [start]
+        while work:
+            g = work.pop()
+            images = []
+            if "minus" in kinds:
+                images.append(complement_graph(g))
+            if "switch" in kinds:
+                images += [switch_graph(g, {v}) for v in range(g.n)]
+            if "eE" in kinds:
+                images.append(complete_graph(g.n))
+            if "eN" in kinds:
+                images.append(empty_graph(g.n))
+            if "const" in kinds and g.n:
+                images.append(empty_graph(1))
+            for gadget in extra:
+                for tup in permutations(gadget.dom, g.n):
+                    if all(g.has_edge(a, b) == gadget.src.has_edge(tup[a], tup[b]) for a, b in combinations(range(g.n), 2)):
+                        images.append(gadget.dst.induced(sorted({gadget.apply(x) for x in tup})))
+            for image in images:
+                t = cls.brute_force_type(image)
+                if t not in closed:
+                    closed.add(t)
+                    work.append(image)
+        return closed
+
+    def test_extra_gadgets_match_naive_closure(self, paley13):
+        # seeded custom gadgets from Paley(13) into itself or its complement,
+        # some collapsing pairs, beside seeded named kinds; edgeless types,
+        # whose canonical code 0 is falsy, must appear in some closures
+        g = paley13.graph
+        rng = random.Random(13)
+        edgeless = 0
+        for _ in range(12):
+            extra = []
+            for _ in range(rng.randint(1, 2)):
+                dom = sorted(rng.sample(range(13), 6))
+                dst = rng.choice((g, complement_graph(g)))
+                extra.append(FunctionGadget(g, dst, tuple((x, rng.randrange(13)) for x in dom), "custom"))
+            kinds = frozenset(k for k in KINDS if rng.random() < 0.3)
+            for start in (rng.choice(all_graph_types(n)) for n in (2, 3, 4)):
+                closure = orbit_closure(start, GeneratorSet(kinds, tuple(extra)))
+                want = self.naive_closure(start, kinds, extra)
+                assert {self.brute_force_type(t) for t in closure} == want, (start, sorted(kinds))
+                assert all(t == canonical_form(t) for t in closure)
+                edgeless += sum(1 for n, code in want if n > 1 and code == 0)
+        assert edgeless
 
 
 class TestTypeTables:
